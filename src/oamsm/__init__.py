@@ -33,7 +33,6 @@ from .metrics import (
 from .modem import BerReport, OamSymbol, SymbolMap, demodulate_ml, demodulate_stepwise, simulate_ber, transmit
 from .numerics import (
     Constellation,
-    NoncentralChiSq2,
     integrate,
     log_bessel_i0,
     log_sum_exp,
@@ -56,7 +55,6 @@ __all__ = [
     "Constellation",
     "DegenerateGeometryError",
     "NoMatchingWaistError",
-    "NoncentralChiSq2",
     "NumericError",
     "OamSymbol",
     "PROVENANCE",

@@ -164,6 +164,8 @@ class SystemConfig:
     def rho_for_snr_db(self, snr_db: float) -> float:
         """Transmit power (watts) realizing the given transmit SNR, defined
         as rho / noise_power over the configured bandwidth."""
+        if not math.isfinite(snr_db):
+            raise ValueError(f"snr_db must be finite, got {snr_db!r}")
         return self.noise_power_w * 10.0 ** (snr_db / 10.0)
 
     def constellation(self) -> Constellation:

@@ -74,6 +74,15 @@ def _signal_table(tensor: ChannelTensor, rho: float) -> np.ndarray:
     return s.reshape(-1, h.shape[-1])
 
 
+def _check_link(rho: float, noise_var: float) -> None:
+    """Reject a transmit power or noise variance no metric can be computed
+    from: NaN, infinite, a negative power or a noise variance <= 0."""
+    if not (math.isfinite(rho) and rho >= 0.0):
+        raise ValueError(f"rho must be finite and >= 0, got {rho!r}")
+    if not (math.isfinite(noise_var) and noise_var > 0.0):
+        raise ValueError(f"noise_var must be finite and > 0, got {noise_var!r}")
+
+
 _CAP_CHUNK = 512
 
 
@@ -133,8 +142,7 @@ def dcmc_capacity(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
-    if rho < 0.0:
-        raise ValueError(f"rho must be >= 0, got {rho!r}")
+    _check_link(rho, noise_var)
     if rho == 0.0:
         return CapacityEstimate(value=0.0, std_error=0.0, samples=samples)
     return _mutual_information(_signal_table(tensor, rho), noise_var, samples, seed, stream=0xCA9)
@@ -175,8 +183,7 @@ def mimo_capacity_baseline(
     estimates the mutual information with independent uniform PSK inputs on
     each antenna by Monte Carlo, upper-bounded by M log2 P.
     """
-    if rho_total < 0.0:
-        raise ValueError(f"rho_total must be >= 0, got {rho_total!r}")
+    _check_link(rho_total, noise_var)
     H = mimo_channel_matrix(config)
     M = config.tx_antennas
     if mode == "logdet":
@@ -212,6 +219,7 @@ def _noncentralities(
     ``printed`` uses |rho h x|^2 / sigma0^2, a circulated variant kept for
     faithful reproduction.
     """
+    _check_link(rho, noise_var)
     sigma0_sq = noise_var / 2.0
     h_row = tensor.entries[m - 1, tensor.state_index(l), :, 0]
     amp_sq = np.abs(h_row * x) ** 2
@@ -265,17 +273,28 @@ def antenna_detection_prob_avg(
     """Detection probability marginalized uniformly over (m, l, p).
 
     All constellation points are unit modulus, so the average over p is
-    implicit; (m, l) are enumerated.
+    implicit; (m, l) are enumerated.  The integral depends only on the true
+    pair's noncentrality and the multiset of the others, so (m, l) that
+    share both, such as +l and -l or mirrored pairs m and M + 1 - m, are
+    integrated once.  The key rounds to 12 significant digits: mirrored
+    geometry reproduces the noncentralities only to rounding.
     """
     cfg = tensor.config
     points = np.asarray(cfg.constellation().points)
     if not np.allclose(np.abs(points), 1.0, atol=1e-12):
         raise ConfigError("antenna detection average assumes unit-modulus constellations")
+    x = 1.0 + 0.0j
+    known: dict[tuple, float] = {}
     total = 0.0
     count = 0
     for m in range(1, cfg.tx_antennas + 1):
         for l in tensor.states:
-            total += antenna_detection_prob(tensor, m, l, 1.0 + 0.0j, rho, noise_var, mode, tol)
+            lam = _noncentralities(tensor, m, l, x, rho, noise_var, mode)
+            others = np.sort(np.delete(lam, m - 1))
+            key = tuple(f"{v:.11e}" for v in (lam[m - 1], *others))
+            if key not in known:
+                known[key] = antenna_detection_prob(tensor, m, l, x, rho, noise_var, mode, tol)
+            total += known[key]
             count += 1
     return total / count
 
@@ -340,6 +359,7 @@ def mod_bep(
         raise ConfigError(f"distance_mode must be printed|euclidean, got {distance_mode!r}")
     if abs(h) <= 0.0:
         raise ValueError("mod_bep requires |h| > 0")
+    _check_link(rho, noise_var)
     P = constellation.order
     if P == 1:
         return 0.0

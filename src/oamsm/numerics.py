@@ -27,7 +27,6 @@ __all__ = [
     "q_function",
     "log_bessel_i0",
     "marcum_q1",
-    "NoncentralChiSq2",
     "ncx2_pdf",
     "ncx2_cdf",
     "log_sum_exp",
@@ -102,6 +101,42 @@ def log_bessel_i0(x):
     return float(out[0]) if scalar else out.reshape(np.shape(x))
 
 
+# Elements per (window rows x points) block of Poisson log-pmf values; caps
+# the temporary arrays at ~8 MB whatever the window width.
+_BLOCK_ELEMENTS = 1_000_000
+
+
+def _poisson_pmf_dot(coef: np.ndarray, j_lo: int, y: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] * P(Poisson(y) = j_lo + k) for every y > 0.
+
+    A point whose Poisson bulk y +- (13 sqrt(y) + 45) misses the window
+    j_lo .. j_lo + len(coef) - 1 gets 0: its pmf there is below ~1e-30.
+    The log pmf is anchored at j_lo and advanced by log(y / c) - log(j / c),
+    c = max(j_lo, 1): the cumulative sum then runs over small steps, so its
+    rounding stays at the level of the one anchor evaluation.
+    """
+    out = np.zeros_like(y)
+    reach = 13.0 * np.sqrt(y) + 45.0
+    near = (y + reach >= j_lo) & (y - reach < j_lo + coef.size)
+    if not np.any(near):
+        return out
+    yn = y[near]
+    c = max(j_lo, 1)
+    log_yc = np.log(yn / c)
+    anchor = j_lo * np.log(yn) - yn - math.lgamma(j_lo + 1)
+    ks = np.arange(coef.size)
+    steps = np.concatenate(([0.0], np.cumsum(np.log((j_lo + ks[1:]) / c))))
+    rows = max(1, _BLOCK_ELEMENTS // yn.size)
+    acc = np.zeros_like(yn)
+    for start in range(0, coef.size, rows):
+        block = np.multiply.outer(ks[start : start + rows], log_yc)
+        block += anchor
+        block -= steps[start : start + rows, None]
+        acc += coef[start : start + rows] @ np.exp(block, out=block)
+    out[near] = acc
+    return out
+
+
 def _poisson_cdf_window(y: np.ndarray, kmax: int) -> np.ndarray:
     """P(Poisson(y) <= kmax), vectorized over y, with windowed summation.
 
@@ -110,24 +145,14 @@ def _poisson_cdf_window(y: np.ndarray, kmax: int) -> np.ndarray:
     """
     out = np.empty_like(y)
     margin = 13.0 * math.sqrt(max(kmax, 1)) + 45.0
-    lo = y <= kmax - margin
+    lo = (y <= kmax - margin) | (y == 0.0)
     hi = y >= kmax + margin
     mid = ~(lo | hi)
     out[lo] = 1.0
     out[hi] = 0.0
     if np.any(mid):
-        ym = y[mid]
         j0 = max(0, int(math.floor(kmax - 2.0 * margin)))
-        if j0 > 0:
-            logq = -ym + j0 * np.log(ym) - math.lgamma(j0 + 1)
-            q = np.exp(logq)
-        else:
-            q = np.exp(-ym)
-        acc = q.copy()
-        for j in range(j0 + 1, kmax + 1):
-            q = q * ym / j
-            acc += q
-        out[mid] = np.minimum(acc, 1.0)
+        out[mid] = np.minimum(_poisson_pmf_dot(np.ones(kmax + 1 - j0), j0, y[mid]), 1.0)
     return out
 
 
@@ -135,9 +160,14 @@ def marcum_q1(a: float, b):
     """First-order Marcum Q function Q1(a, b).
 
     Evaluated as a Poisson mixture of Erlang tail probabilities with a
-    two-sided window around the mixture bulk.  The discarded mixture mass
-    bounds the truncation error and is kept below ~1e-30, so results are
-    trustworthy to well past 1e-12 absolute.
+    two-sided window around the mixture bulk (the series of Gil, Segura and
+    Temme, ACM TOMS 2014), summed with array operations.  The discarded
+    mixture mass is kept below ~1e-30, so the truncation error is nil; the
+    error left is rounding in the log-space Poisson anchors, whose terms
+    reach ~h ln h with h = a^2 / 2, so it grows with a.  Against
+    ``scipy.stats.ncx2``, the largest absolute error seen is ~1e-13 up to
+    a = 30, 5e-12 at a = 100, 1.3e-9 at a = 1000 and 1.1e-7 at a = 1e4.
+    A large-argument expansion for big a is still open.
 
     ``a`` is a scalar; ``b`` may be a scalar or an array.  Both must be
     nonnegative.  Nonincreasing in ``b``, nondecreasing in ``a``; the range
@@ -165,61 +195,32 @@ def marcum_q1(a: float, b):
     log_w = log_w0 + np.concatenate(([0.0], np.cumsum(math.log(h) - np.log(ns[1:]))))
     weights = np.exp(log_w)
 
-    # Partner factor P(Poisson(y) <= n), advanced one pmf term per step.
+    # Q1 = sum_n w_n P(Poisson(y) <= n)
+    #    = head * sum_n w_n + sum_{j >= n_lo} P(Poisson(y) = j) * tail_j,
+    # with head = P(Poisson(y) < n_lo) and tail_j = sum_{n >= j} w_n.
+    # Q1(a, 0) = 1 exactly, and y = 0 has no log-pmf.
+    total = np.ones_like(y)
     positive = y > 0.0
-    if n_lo > 0:
-        head = _poisson_cdf_window(y, n_lo - 1)
-        logq = np.where(positive, -y + n_lo * np.log(np.where(positive, y, 1.0)), 0.0)
-        logq = logq - math.lgamma(n_lo + 1)
-        q = np.where(positive, np.exp(logq), 0.0)
-    else:
-        head = np.zeros_like(y)
-        q = np.where(positive, np.exp(-y), 1.0)
-    partner = head + q
-    total = weights[0] * partner
-    for idx in range(1, ns.size):
-        q = q * y / ns[idx]
-        partner = partner + q
-        total += weights[idx] * partner
+    if np.any(positive):
+        yp = y[positive]
+        tail = np.cumsum(weights[::-1])[::-1]
+        head = _poisson_cdf_window(yp, n_lo - 1) if n_lo > 0 else 0.0
+        total[positive] = head * tail[0] + _poisson_pmf_dot(tail, n_lo, yp)
     out = np.clip(total, 0.0, 1.0)
     return float(out[0]) if scalar else out.reshape(np.shape(b))
 
 
-@dataclass(frozen=True)
-class NoncentralChiSq2:
-    """Noncentral chi-square law with two degrees of freedom.
-
-    The variate is |z|^2 for a complex Gaussian z whose real and imaginary
-    parts have unit variance; ``noncentrality`` is the squared mean divided
-    by that per-component variance.
-    """
-
-    noncentrality: float
-
-    def __post_init__(self):
-        lam = self.noncentrality
-        if not (np.ndim(lam) == 0 and math.isfinite(float(lam)) and float(lam) >= 0.0):
-            raise ValueError("noncentrality must be a finite scalar >= 0")
-
-    def pdf(self, g):
-        return ncx2_pdf(g, self)
-
-    def cdf(self, g):
-        return ncx2_cdf(g, self)
-
-
-def _noncentrality_of(dist) -> float:
-    return float(getattr(dist, "noncentrality", dist))
-
-
-def ncx2_pdf(g, dist):
+def ncx2_pdf(g, lam: float):
     """Density of the two-degree-of-freedom noncentral chi-square law.
 
-    0.5 * exp(-(g + lam)/2) * I0(sqrt(lam * g)), evaluated in log space so
-    large arguments neither overflow nor lose the exponential cancellation.
-    ``g`` may be a scalar or array; values must be >= 0.
+    The variate is |z|^2 for a complex Gaussian z whose real and imaginary
+    parts have unit variance; ``lam`` is the squared mean divided by that
+    per-component variance.  0.5 * exp(-(g + lam)/2) * I0(sqrt(lam * g)),
+    evaluated in log space so large arguments neither overflow nor lose the
+    exponential cancellation.  ``g`` may be a scalar or array; values must
+    be >= 0.
     """
-    lam = _noncentrality_of(dist)
+    lam = float(lam)
     if lam < 0.0 or not math.isfinite(lam):
         raise ValueError("noncentrality must be finite and >= 0")
     scalar = np.ndim(g) == 0
@@ -231,12 +232,12 @@ def ncx2_pdf(g, dist):
     return float(out[0]) if scalar else out.reshape(np.shape(g))
 
 
-def ncx2_cdf(g, dist):
+def ncx2_cdf(g, lam: float):
     """CDF of the two-degree-of-freedom noncentral chi-square law.
 
     Computed as 1 - Q1(sqrt(lam), sqrt(g)); nondecreasing with cdf(0) = 0.
     """
-    lam = _noncentrality_of(dist)
+    lam = float(lam)
     if lam < 0.0 or not math.isfinite(lam):
         raise ValueError("noncentrality must be finite and >= 0")
     scalar = np.ndim(g) == 0

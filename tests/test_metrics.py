@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from oamsm import metrics
 from oamsm import (
     ConfigError,
     PowerModel,
@@ -25,6 +26,10 @@ from oamsm import (
     q_function,
     simulate_ber,
 )
+
+# Noise variances and powers no metric can be computed from.
+BAD_NOISE_VARS = (math.nan, math.inf, 0.0, -1.0)
+BAD_POWERS = (math.nan, math.inf, -1.0)
 
 
 def gauss_hermite_capacity(tensor, rho, noise_var, nodes=5):
@@ -90,6 +95,16 @@ class TestDcmcCapacity:
         b = dcmc_capacity(default_tensor, rho, nv, 600, 5)
         assert a == b
 
+    def test_rejects_bad_noise_and_power(self, default_tensor, default_config):
+        nv = default_config.noise_power_w
+        for rho in (0.0, default_config.rho_for_snr_db(0.0)):
+            for bad in BAD_NOISE_VARS:
+                with pytest.raises(ValueError):
+                    dcmc_capacity(default_tensor, rho, bad, 10, 1)
+        for bad in BAD_POWERS:
+            with pytest.raises(ValueError):
+                dcmc_capacity(default_tensor, bad, nv, 10, 1)
+
     def test_increases_with_snr(self, default_tensor, default_config):
         nv = default_config.noise_power_w
         vals = [
@@ -123,6 +138,17 @@ class TestMimoBaseline:
         rho = nv * 1e12
         est = mimo_capacity_baseline(default_config, rho, nv, mode="dcmc_psk", samples=400, seed=3)
         assert est.value <= 8.0 + 3 * est.std_error + 1e-9
+
+    @pytest.mark.parametrize("mode", ["logdet", "dcmc_psk"])
+    def test_rejects_bad_noise_and_power(self, default_config, mode):
+        nv = default_config.noise_power_w
+        for rho in (0.0, default_config.rho_for_snr_db(0.0)):
+            for bad in BAD_NOISE_VARS:
+                with pytest.raises(ValueError):
+                    mimo_capacity_baseline(default_config, rho, bad, mode=mode, samples=10)
+        for bad in BAD_POWERS:
+            with pytest.raises(ValueError):
+                mimo_capacity_baseline(default_config, bad, nv, mode=mode, samples=10)
 
     def test_unknown_mode(self, default_config):
         with pytest.raises(ConfigError):
@@ -158,6 +184,51 @@ class TestAntennaDetectionProb:
         measured = 1.0 - rep.antenna_error_rate
         assert abs(analytic - measured) <= 3 * rep.antenna_error_stderr
         assert analytic > 0.9  # the stage genuinely works here
+
+    def test_rejects_bad_noise_and_power(self, default_tensor, default_config):
+        nv = default_config.noise_power_w
+        rho = default_config.rho_for_snr_db(0.0)
+        for bad in BAD_NOISE_VARS:
+            with pytest.raises(ValueError):
+                antenna_detection_prob(default_tensor, 1, 1, 1 + 0j, rho, bad)
+        for bad in BAD_POWERS:
+            with pytest.raises(ValueError):
+                antenna_detection_prob(default_tensor, 1, 1, 1 + 0j, bad, nv)
+
+    @pytest.mark.parametrize("M", [2, 4, 8])
+    def test_average_equals_plain_mean_over_every_pair_and_state(self, M):
+        cfg = dataclasses.replace(SystemConfig(), tx_antennas=M)
+        tensor = build_channel_tensor(cfg)
+        nv = cfg.noise_power_w
+        for snr in (-10.0, 10.0, 30.0):
+            rho = cfg.rho_for_snr_db(snr)
+            plain = np.mean(
+                [
+                    antenna_detection_prob(tensor, m, l, 1 + 0j, rho, nv)
+                    for m in range(1, M + 1)
+                    for l in tensor.states
+                ]
+            )
+            assert antenna_detection_prob_avg(tensor, rho, nv) == pytest.approx(plain, abs=1e-12)
+
+    def test_average_integrates_each_distinct_integral_once(
+        self, default_tensor, default_config, monkeypatch
+    ):
+        # 32 (m, l) at M = 4, L = 8: +l and -l, and mirrored pairs m and
+        # 5 - m, leave 8 distinct integrals.
+        calls = []
+        real = metrics.integrate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "integrate", counting)
+        nv = default_config.noise_power_w
+        for snr in (-10.0, 10.0, 30.0):
+            calls.clear()
+            antenna_detection_prob_avg(default_tensor, default_config.rho_for_snr_db(snr), nv)
+            assert len(calls) == 8
 
     def test_within_unit_interval_and_above_chance(self, default_tensor, default_config):
         nv = default_config.noise_power_w
@@ -260,6 +331,14 @@ class TestModBep:
     def test_rejects_zero_channel(self):
         with pytest.raises(ValueError):
             mod_bep(0.0, 1.0, 1.0, psk_constellation(2))
+
+    def test_rejects_bad_noise_and_power(self):
+        for bad in BAD_NOISE_VARS:
+            with pytest.raises(ValueError):
+                mod_bep(1.0, 1.0, bad, psk_constellation(4))
+        for bad in BAD_POWERS:
+            with pytest.raises(ValueError):
+                mod_bep(1.0, bad, 1.0, psk_constellation(4))
 
 
 class TestAbep:

@@ -166,6 +166,11 @@ class TestSimulateBer:
         rep = simulate_ber(short_range_config, 40.0, 20000, 19, "stepwise", tensor=short_range_tensor)
         assert rep.symbol_error_rate < 1e-3
 
+    def test_rejects_non_finite_snr(self, default_config, default_tensor):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                simulate_ber(default_config, bad, 10, 1, "stepwise", tensor=default_tensor)
+
     def test_rejects_bad_detector(self, default_config):
         with pytest.raises(ConfigError):
             simulate_ber(default_config, 0.0, 10, 1, "zf")
