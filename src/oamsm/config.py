@@ -17,7 +17,7 @@ import numpy as np
 
 from . import beam as beam_mod
 from .errors import ConfigError
-from .numerics import Constellation, psk_constellation
+from .numerics import Constellation, _is_power_of_two, psk_constellation
 
 __all__ = ["SystemConfig", "load_config", "default_states", "PROVENANCE", "SPEED_OF_LIGHT"]
 
@@ -58,10 +58,6 @@ def default_states(count: int) -> tuple[int, ...]:
         raise ConfigError(f"state count must be a positive even number, got {count!r}")
     half = count // 2
     return tuple(range(-half, 0)) + tuple(range(1, half + 1))
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)

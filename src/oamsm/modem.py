@@ -17,7 +17,7 @@ import numpy as np
 from .channel import ChannelTensor, build_channel_tensor
 from .config import SystemConfig
 from .errors import ConfigError
-from .numerics import Constellation
+from .numerics import Constellation, _chunk_rng
 
 __all__ = [
     "OamSymbol",
@@ -192,13 +192,8 @@ def _binomial_stderr(p: float, n: int) -> float:
 
 
 _CHUNK = 8192
-
-
-def _chunk_rng(seed: int, stream: int, chunk_index: int) -> np.random.Generator:
-    # Fixed-size chunks with per-chunk substreams keyed by (seed, stream,
-    # chunk) make every reported number independent of execution order.
-    ss = np.random.SeedSequence(entropy=(int(seed) & (2**64 - 1), stream, chunk_index))
-    return np.random.Generator(np.random.Philox(ss))
+# Rows per ML residual block: bounds the (rows, hypotheses, M, 2) temporary.
+_ML_BLOCK = 1024
 
 
 def simulate_ber(
@@ -273,10 +268,13 @@ def simulate_ber(
             resid = np.abs(pair[:, 0, None] - sqrt_rho * h_ref[:, None] * points[None, :]) ** 2
             p_hat = np.argmin(resid, axis=1)
         else:
-            resid = np.sum(
-                np.abs(y[:, None, :, :] - hyp_flat[None, :, :, :]) ** 2, axis=(2, 3)
-            )
-            flat = np.argmin(resid, axis=1)
+            flat = np.empty(n, dtype=np.intp)
+            for lo in range(0, n, _ML_BLOCK):
+                yb = y[lo : lo + _ML_BLOCK]
+                resid = np.sum(
+                    np.abs(yb[:, None, :, :] - hyp_flat[None, :, :, :]) ** 2, axis=(2, 3)
+                )
+                flat[lo : lo + _ML_BLOCK] = np.argmin(resid, axis=1)
             m_hat = flat // (n_states * P)
             l_hat = (flat // P) % n_states
             p_hat = flat % P

@@ -396,6 +396,13 @@ def _adaptive(f, seeds: np.ndarray, tol: float, max_intervals: int) -> float:
     raise NumericError("quadrature refinement stalled", float(np.sum(vals)), float(np.sum(errs)))
 
 
+def _chunk_rng(seed: int, stream: int, chunk_index: int) -> np.random.Generator:
+    # Fixed-size chunks with per-chunk substreams keyed by (seed, stream,
+    # chunk) make every reported number independent of execution order.
+    ss = np.random.SeedSequence(entropy=(int(seed) & (2**64 - 1), stream, chunk_index))
+    return np.random.Generator(np.random.Philox(ss))
+
+
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 

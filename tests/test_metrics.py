@@ -1,6 +1,7 @@
 """Capacity, detection probability, bit error probability, energy efficiency."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -32,21 +33,27 @@ BAD_NOISE_VARS = (math.nan, math.inf, 0.0, -1.0)
 BAD_POWERS = (math.nan, math.inf, -1.0)
 
 
-def gauss_hermite_capacity(tensor, rho, noise_var, nodes=5):
-    """Independent oracle: I(X; Y) of the codeword and the full (M, 2)
-    received frame, with the noise expectation taken by a Gauss-Hermite
-    product rule over the frame's 2 * 2M real noise dimensions instead of
-    Monte Carlo.  The clean frames are built here from the tensor entries."""
-    points = tensor.config.constellation().points
+def clean_frames(tensor, rho):
+    """Noise-free (M, 2) frame of every (m, l, p) codeword, flattened."""
+    points = np.asarray(tensor.config.constellation().points)
     n_ant, n_states = tensor.entries.shape[:2]
-    s = np.array(
+    return np.array(
         [
-            math.sqrt(rho) * x * tensor.entries[m, l].ravel()
+            math.sqrt(rho) * tensor.entries[m, l].ravel() * x
             for m in range(n_ant)
             for l in range(n_states)
             for x in points
         ]
     )
+
+
+def gauss_hermite_capacity(tensor, rho, noise_var, nodes=5):
+    """Independent oracle: I(X; Y) of the codeword and the full (M, 2)
+    received frame, with the noise expectation taken by a Gauss-Hermite
+    product rule over the frame's 2 * 2M real noise dimensions instead of
+    Monte Carlo.  The clean frames come from the tensor entries through
+    ``clean_frames``, not from the package."""
+    s = clean_frames(tensor, rho)
     n_in, dims = s.shape
     t, wt = np.polynomial.hermite.hermgauss(nodes)
     # Each complex noise sample is sqrt(noise_var) * (t_re + i t_im) with
@@ -62,6 +69,38 @@ def gauss_hermite_capacity(tensor, rho, noise_var, nodes=5):
         m = np.max(ln_f, axis=0)
         total += float(weight @ (m + np.log(np.sum(np.exp(ln_f - m[None, :]), axis=0))))
     return math.log2(n_in) - total / (n_in * math.log(2.0))
+
+
+def einsum_mutual_information(signals, noise_var, samples, seed, stream):
+    """Reference for the capacity kernel: the same noise draws (512-draw
+    chunks, one Philox substream per chunk), every candidate input kept,
+    and the cross term Re(d . conj(w)) summed over the frame for each input
+    separately."""
+    n_in, dims = signals.shape
+    per_draw = np.empty(samples)
+    done = 0
+    chunk = 0
+    while done < samples:
+        n = min(512, samples - done)
+        ss = np.random.SeedSequence(entropy=(seed, stream, chunk))
+        rng = np.random.Generator(np.random.Philox(ss))
+        w = math.sqrt(noise_var / 2.0) * (
+            rng.standard_normal((n, dims)) + 1j * rng.standard_normal((n, dims))
+        )
+        acc = np.zeros(n)
+        for i in range(n_in):
+            d = signals[i][None, :] - signals
+            ln_f = -(
+                np.sum(np.abs(d) ** 2, axis=1)[:, None]
+                + 2.0 * np.einsum("jm,nm->jn", d, w.conj()).real
+            ) / noise_var
+            m = np.max(ln_f, axis=0)
+            acc += m + np.log(np.sum(np.exp(ln_f - m[None, :]), axis=0))
+        per_draw[done : done + n] = math.log2(n_in) - acc / (n_in * math.log(2.0))
+        done += n
+        chunk += 1
+    value = min(max(0.0, float(np.mean(per_draw))), math.log2(n_in))
+    return value, float(np.std(per_draw, ddof=1) / math.sqrt(samples))
 
 
 class TestDcmcCapacity:
@@ -112,6 +151,88 @@ class TestDcmcCapacity:
             for s in (-10.0, 0.0, 10.0, 20.0)
         ]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+class TestMutualInformationKernel:
+    """``dcmc_capacity`` and the ``dcmc_psk`` baseline against the per-input
+    reference loop on the same draws: factoring the cross term and dropping
+    neighbours below 2^-60 / n_inputs may move only the last digits."""
+
+    CONFIGS = {
+        "tiny": (dict(tx_antennas=2, oam_states=(-1, 1), constellation_order=2), 1100),
+        "default": ({}, 600),
+        "m8": (dict(tx_antennas=8), 130),
+    }
+
+    @pytest.fixture(scope="class")
+    def tensors(self):
+        return {
+            name: build_channel_tensor(dataclasses.replace(SystemConfig(), **fields))
+            for name, (fields, _) in self.CONFIGS.items()
+        }
+
+    @pytest.mark.parametrize("name", ["tiny", "default", "m8"])
+    @pytest.mark.parametrize("snr", [-20.0, 0.0, 10.0, 20.0, 40.0])
+    def test_dcmc_capacity_matches_reference(self, tensors, name, snr):
+        tensor = tensors[name]
+        cfg = tensor.config
+        rho = cfg.rho_for_snr_db(snr)
+        samples = self.CONFIGS[name][1]
+        est = dcmc_capacity(tensor, rho, cfg.noise_power_w, samples, 21)
+        value, stderr = einsum_mutual_information(
+            clean_frames(tensor, rho), cfg.noise_power_w, samples, 21, 0xCA9
+        )
+        assert est.value == pytest.approx(value, abs=1e-12)
+        assert est.std_error == pytest.approx(stderr, abs=1e-12)
+
+    @pytest.mark.parametrize("snr", [0.0, 20.0])
+    def test_dcmc_psk_baseline_matches_reference(self, default_config, snr):
+        cfg = default_config
+        rho = cfg.rho_for_snr_db(snr)
+        est = mimo_capacity_baseline(cfg, rho, cfg.noise_power_w, mode="dcmc_psk", samples=40, seed=4)
+        points = np.asarray(cfg.constellation().points)
+        M = cfg.tx_antennas
+        x = np.array(list(itertools.product(points, repeat=M)))  # (P^M, M), first antenna slowest
+        frames = math.sqrt(rho / M) * x @ mimo_channel_matrix(cfg).T
+        value, stderr = einsum_mutual_information(frames, cfg.noise_power_w, 40, 4, 0x313)
+        assert est.value == pytest.approx(value, abs=1e-12)
+        assert est.std_error == pytest.approx(stderr, abs=1e-12)
+
+    def test_saturated_point_is_exact(self, default_tensor, default_config):
+        est = dcmc_capacity(
+            default_tensor, default_config.rho_for_snr_db(40.0), default_config.noise_power_w, 1100, 53
+        )
+        assert est.value == 7.0
+        assert est.std_error == 0.0
+
+    def test_partial_pruning_matches_reference(self, default_tensor, default_config, monkeypatch):
+        # At 10 dB the bound drops some neighbours of some inputs but not all
+        # of them.  The kernel picks its neighbours with np.flatnonzero;
+        # count what it keeps.
+        kept = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def flatnonzero(a):
+                out = np.flatnonzero(a)
+                kept.append(out.size)
+                return out
+
+        monkeypatch.setattr(metrics, "np", CountingNumpy())
+        rho = default_config.rho_for_snr_db(10.0)
+        nv = default_config.noise_power_w
+        est = dcmc_capacity(default_tensor, rho, nv, 600, 8)
+        monkeypatch.undo()
+        n_in = 128
+        assert len(kept) == 2 * n_in  # one neighbour set per input and chunk
+        assert min(kept) < n_in, "no neighbour was dropped"
+        assert max(kept) > 1, "every neighbour was dropped"
+        value, stderr = einsum_mutual_information(clean_frames(default_tensor, rho), nv, 600, 8, 0xCA9)
+        assert est.value == pytest.approx(value, abs=1e-14)
+        assert est.std_error == pytest.approx(stderr, abs=1e-14)
 
 
 class TestMimoBaseline:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oamsm import (
+    BerReport,
     ConfigError,
     Constellation,
     SymbolMap,
@@ -121,6 +122,52 @@ class TestDetectors:
         assert (out.antenna, out.state, out.point_index) == (1, 1, 0)
 
 
+def unblocked_ber(config, tensor, snr_db, trials, seed, detector):
+    """Reference for ``simulate_ber``: the same draws (8192-trial chunks, one
+    Philox substream per chunk) with each chunk's detection done in a single
+    block, the ML residual included."""
+    const = config.constellation()
+    points = np.asarray(const.points)
+    M = config.tx_antennas
+    states = np.asarray(tensor.states)
+    n_states, P = states.size, points.size
+    s_bits, p_bits = n_states.bit_length() - 1, P.bit_length() - 1
+    bits = (M.bit_length() - 1) + s_bits + p_bits
+    gray = np.asarray([int(lbl, 2) for lbl in const.bit_labels])
+    sqrt_rho = math.sqrt(config.rho_for_snr_db(snr_db))
+    sigma = math.sqrt(config.noise_power_w / 2.0)
+    hyp = (sqrt_rho * tensor.entries[:, :, None] * points[None, None, :, None, None]).reshape(-1, M, 2)
+    in_ring = tensor.entries[np.arange(M), :, np.arange(M), 0]
+    errors = np.zeros(4, dtype=np.int64)  # bits, antenna, state, symbol
+    for chunk, lo in enumerate(range(0, trials, 8192)):
+        n = min(8192, trials - lo)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(seed, 0xBE7, chunk))))
+        m_idx = rng.integers(0, M, size=n)
+        l_idx = rng.integers(0, n_states, size=n)
+        p_idx = rng.integers(0, P, size=n)
+        noise = sigma * (rng.standard_normal((n, M, 2)) + 1j * rng.standard_normal((n, M, 2)))
+        y = sqrt_rho * tensor.entries[m_idx, l_idx] * points[p_idx][:, None, None] + noise
+        if detector == "ml":
+            flat = np.argmin(np.sum(np.abs(y[:, None] - hyp[None]) ** 2, axis=(2, 3)), axis=1)
+            m_hat, l_hat, p_hat = flat // (n_states * P), (flat // P) % n_states, flat % P
+        else:
+            m_hat = np.argmax(np.abs(y[:, :, 0]) ** 2, axis=1)
+            pair = y[np.arange(n), m_hat]
+            delta = np.angle(pair[:, 0] * np.conj(pair[:, 1]))
+            wrapped = np.remainder(delta[:, None] - config.beta_value * states + np.pi, 2 * np.pi) - np.pi
+            l_hat = np.argmin(np.abs(wrapped), axis=1)
+            resid = np.abs(pair[:, 0, None] - sqrt_rho * in_ring[m_hat, l_hat][:, None] * points) ** 2
+            p_hat = np.argmin(resid, axis=1)
+        xor = (m_idx ^ m_hat) << (s_bits + p_bits) | (l_idx ^ l_hat) << p_bits | (gray[p_idx] ^ gray[p_hat])
+        errors += [
+            sum(bin(int(v)).count("1") for v in xor),
+            np.count_nonzero(m_hat != m_idx),
+            np.count_nonzero(l_hat != l_idx),
+            np.count_nonzero((m_hat != m_idx) | (l_hat != l_idx) | (p_hat != p_idx)),
+        ]
+    return errors, trials * bits
+
+
 class TestSimulateBer:
     def test_noise_only_antenna_rate(self, default_config):
         rep = simulate_ber(default_config, -300.0, 40000, 11, "stepwise")
@@ -152,6 +199,33 @@ class TestSimulateBer:
             sw = simulate_ber(default_config, snr, 20000, 13, "stepwise", tensor=default_tensor)
             tol = 2 * math.sqrt(ml.symbol_error_stderr**2 + sw.symbol_error_stderr**2)
             assert ml.symbol_error_rate <= sw.symbol_error_rate + tol
+
+    @pytest.mark.parametrize("detector", ["stepwise", "ml"])
+    @pytest.mark.parametrize("snr", [0.0, 40.0])
+    def test_matches_unblocked_reference(self, default_config, default_tensor, detector, snr):
+        # 9000 trials span two 8192-trial chunks; the ML argmin runs in row
+        # blocks inside each chunk and must decide exactly as one block does.
+        rep = simulate_ber(default_config, snr, 9000, 23, detector, tensor=default_tensor)
+        (bit_err, ant_err, st_err, sym_err), total_bits = unblocked_ber(
+            default_config, default_tensor, snr, 9000, 23, detector
+        )
+        rates = [bit_err / total_bits, ant_err / 9000, st_err / 9000, sym_err / 9000]
+        counts = [total_bits, 9000, 9000, 9000]
+        assert rep == BerReport(
+            trials=9000,
+            bits_per_symbol=total_bits // 9000,
+            bit_error_rate=rates[0],
+            bit_error_stderr=math.sqrt(rates[0] * (1 - rates[0]) / counts[0]),
+            antenna_error_rate=rates[1],
+            antenna_error_stderr=math.sqrt(rates[1] * (1 - rates[1]) / counts[1]),
+            state_error_rate=rates[2],
+            state_error_stderr=math.sqrt(rates[2] * (1 - rates[2]) / counts[2]),
+            symbol_error_rate=rates[3],
+            symbol_error_stderr=math.sqrt(rates[3] * (1 - rates[3]) / counts[3]),
+            detector=detector,
+            snr_db=snr,
+            seed=23,
+        )
 
     def test_ber_monotone_in_snr(self, short_range_config, short_range_tensor):
         reps = [
