@@ -11,7 +11,7 @@ conventional-array baseline on the same geometry for comparison.
 __version__ = "0.1.0"
 
 from .beam import BeamParams, NoMatchingWaistError, curvature_radius, lg_field, ring_radius, spot_size, waist_for_state
-from .channel import ChannelTensor, build_channel_tensor, in_ring_response, off_ring_response, write_tensor_csv
+from .channel import ChannelTensor, build_channel_tensor, in_ring_response, off_ring_response
 from .config import PROVENANCE, SystemConfig, default_states, load_config
 from .errors import ConfigError, NumericError
 from .geometry import ArrayLayout, DegenerateGeometryError, pair_azimuths, pair_distances, radial_offsets
@@ -35,7 +35,6 @@ from .numerics import (
     Constellation,
     integrate,
     log_bessel_i0,
-    log_sum_exp,
     marcum_q1,
     ncx2_cdf,
     ncx2_pdf,
@@ -78,7 +77,6 @@ __all__ = [
     "lg_field",
     "load_config",
     "log_bessel_i0",
-    "log_sum_exp",
     "marcum_q1",
     "mimo_capacity_baseline",
     "mimo_channel_matrix",
@@ -96,5 +94,4 @@ __all__ = [
     "spot_size",
     "transmit",
     "waist_for_state",
-    "write_tensor_csv",
 ]

@@ -10,7 +10,6 @@ assembled into an immutable complex tensor indexed by
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -22,7 +21,7 @@ from .config import SystemConfig
 from .errors import ConfigError
 from .geometry import ArrayLayout, pair_azimuths, pair_distances, radial_offsets
 
-__all__ = ["ChannelTensor", "in_ring_response", "off_ring_response", "build_channel_tensor", "write_tensor_csv"]
+__all__ = ["ChannelTensor", "in_ring_response", "off_ring_response", "build_channel_tensor"]
 
 
 def in_ring_response(
@@ -159,18 +158,3 @@ def build_channel_tensor(config: SystemConfig) -> ChannelTensor:
                 entries[mi, li, ji, 1] = h2
     return ChannelTensor(entries=entries, states=tuple(config.oam_states), config=config)
 
-
-def write_tensor_csv(tensor: ChannelTensor, path) -> None:
-    """Dump the tensor as rows of m,l,j,a,re,im for inspection and golden tests."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "l", "j", "a", "re", "im"])
-        M, n_states, _, _ = tensor.entries.shape
-        for mi in range(M):
-            for li in range(n_states):
-                for ji in range(M):
-                    for ai in range(2):
-                        h = tensor.entries[mi, li, ji, ai]
-                        writer.writerow(
-                            [mi + 1, tensor.states[li], ji + 1, ai + 1, repr(float(h.real)), repr(float(h.imag))]
-                        )

@@ -301,11 +301,7 @@ def _config_lines(cfg: SystemConfig) -> list:
     lines = []
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
-        prov = PROVENANCE.get(f.name, PROVENANCE.get("element_spacing", "decision"))
-        if f.name == "element_spacing":
-            prov = PROVENANCE["element_spacing"]
-        default = f.default if f.default is not dataclasses.MISSING else None
-        tag = prov if value == default else "override"
+        tag = PROVENANCE[f.name] if value == f.default else "override"
         lines.append(f"{f.name} = {value!r}  [{tag}]")
     lines.append(f"resolved_wavelength_m = {cfg.wavelength_m!r}")
     lines.append(f"resolved_element_spacing_m = {cfg.element_spacing_m!r}")

@@ -457,8 +457,8 @@ def energy_efficiency(
     """
     if system not in ("oam_sm", "mimo"):
         raise ConfigError(f"system must be oam_sm|mimo, got {system!r}")
-    if rho < 0.0:
-        raise ValueError(f"rho must be >= 0, got {rho!r}")
+    if not (math.isfinite(rho) and rho >= 0.0):
+        raise ValueError(f"rho must be finite and >= 0, got {rho!r}")
     if system == "oam_sm":
         denom = model.circuit_power_w + model.slope * rho
     else:

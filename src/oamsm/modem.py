@@ -1,10 +1,14 @@
 """Bit mapping, transmission, demodulation, and Monte Carlo error counting.
 
 A codeword selects one transmit antenna, one beam state, and one
-constellation point, carrying log2(M) + log2(L) + log2(P) bits.  The
+constellation point, carrying log2(M) + log2(L) + log2(P) bits; its integer
+label is antenna << (state_bits + point_bits) | state << point_bits |
+Gray(point), with 0-based indices into the ascending state table.  The
 receiver either solves the joint maximum-likelihood problem over all
 hypotheses or runs the three-step chain: pick the strongest pair, read the
 state off the pair phase difference, then decide the constellation point.
+Each rule is one batched function (``_detector``); the single-frame
+detectors are 1-row calls into it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 from .channel import ChannelTensor, build_channel_tensor
 from .config import SystemConfig
 from .errors import ConfigError
-from .numerics import Constellation, _chunk_rng
+from .numerics import Constellation, _chunk_rng, _is_power_of_two
 
 __all__ = [
     "OamSymbol",
@@ -43,21 +47,29 @@ class OamSymbol:
     point_index: int
 
 
+def _symbol(states, points, m_idx, l_idx, p_idx) -> OamSymbol:
+    """The codeword at 0-based (antenna, state, point) indices."""
+    return OamSymbol(int(m_idx) + 1, int(states[l_idx]), complex(points[p_idx]), int(p_idx))
+
+
 class SymbolMap:
     """Bijective mapping between bit strings and codewords.
 
-    Antenna bits use natural binary; state bits index the state table
-    sorted ascending; constellation bits are the point's Gray label.
+    ``word`` is the one bit layout (see the module docstring); ``encode``
+    and ``decode`` only parse and format it as a string, most significant
+    bit first.
     """
 
     def __init__(self, n_antennas: int, states, constellation: Constellation):
-        if n_antennas < 1 or n_antennas & (n_antennas - 1):
+        if not _is_power_of_two(n_antennas):
             raise ConfigError(f"antenna count must be a power of two, got {n_antennas!r}")
         states = tuple(sorted(int(s) for s in states))
-        if len(states) & (len(states) - 1):
+        if not _is_power_of_two(len(states)):
             raise ConfigError(f"state count must be a power of two, got {len(states)}")
         if 0 in states or len(set(states)) != len(states):
             raise ConfigError("states must be distinct nonzero integers")
+        if len(set(constellation.bit_labels)) != constellation.order:
+            raise ConfigError("constellation bit labels must be distinct")
         self.n_antennas = n_antennas
         self.states = states
         self.constellation = constellation
@@ -65,31 +77,30 @@ class SymbolMap:
         self.state_bits = len(states).bit_length() - 1
         self.point_bits = constellation.bits_per_symbol
         self.bits_per_symbol = self.antenna_bits + self.state_bits + self.point_bits
-        self._label_to_point = {lbl: i for i, lbl in enumerate(constellation.bit_labels)}
+        self._gray = np.array([int(lbl, 2) if lbl else 0 for lbl in constellation.bit_labels])
+        self._point_of_gray = np.argsort(self._gray)
 
     @property
     def n_symbols(self) -> int:
         return self.n_antennas * len(self.states) * self.constellation.order
 
+    def word(self, m_idx, l_idx, p_idx):
+        """Integer labels of 0-based (antenna, state, point) indices; takes
+        scalars or integer arrays."""
+        return (m_idx << (self.state_bits + self.point_bits)) | (l_idx << self.point_bits) | self._gray[p_idx]
+
     def encode(self, bits: str) -> OamSymbol:
         if len(bits) != self.bits_per_symbol or set(bits) - {"0", "1"}:
-            raise ConfigError(
-                f"expected a {self.bits_per_symbol}-bit string, got {bits!r}"
-            )
-        a, s = self.antenna_bits, self.state_bits
-        antenna = 1 + (int(bits[:a], 2) if a else 0)
-        state = self.states[int(bits[a : a + s], 2) if s else 0]
-        p_idx = self._label_to_point[bits[a + s :]]
-        return OamSymbol(antenna, state, complex(self.constellation.points[p_idx]), p_idx)
+            raise ConfigError(f"expected a {self.bits_per_symbol}-bit string, got {bits!r}")
+        w = int(bits, 2) if bits else 0
+        p_idx = self._point_of_gray[w & ((1 << self.point_bits) - 1)]
+        l_idx = (w >> self.point_bits) & ((1 << self.state_bits) - 1)
+        m_idx = w >> (self.state_bits + self.point_bits)
+        return _symbol(self.states, self.constellation.points, m_idx, l_idx, p_idx)
 
     def decode(self, symbol: OamSymbol) -> str:
-        a_part = format(symbol.antenna - 1, "b").zfill(self.antenna_bits) if self.antenna_bits else ""
-        s_part = (
-            format(self.states.index(symbol.state), "b").zfill(self.state_bits)
-            if self.state_bits
-            else ""
-        )
-        return a_part + s_part + self.constellation.bit_labels[symbol.point_index]
+        w = int(self.word(symbol.antenna - 1, self.states.index(symbol.state), symbol.point_index))
+        return format(w, "b").zfill(self.bits_per_symbol) if self.bits_per_symbol else ""
 
     def all_symbols(self):
         for i in range(self.n_symbols):
@@ -109,10 +120,10 @@ def transmit(
     ``noise_var`` per sample; 0 is allowed and gives the noiseless frame.
     Deterministic given the generator state.
     """
-    if rho < 0.0:
-        raise ValueError(f"rho must be >= 0, got {rho!r}")
-    if noise_var < 0.0:
-        raise ValueError(f"noise_var must be >= 0, got {noise_var!r}")
+    if not (math.isfinite(rho) and rho >= 0.0):
+        raise ValueError(f"rho must be finite and >= 0, got {rho!r}")
+    if not (math.isfinite(noise_var) and noise_var >= 0.0):
+        raise ValueError(f"noise_var must be finite and >= 0, got {noise_var!r}")
     h = tensor.entries[symbol.antenna - 1, tensor.state_index(symbol.state)]
     frame = math.sqrt(rho) * h * symbol.point
     if noise_var > 0.0:
@@ -127,45 +138,70 @@ def _wrap_angle(x):
     return np.remainder(x + np.pi, 2.0 * np.pi) - np.pi
 
 
-def demodulate_stepwise(frame: np.ndarray, tensor: ChannelTensor, rho: float) -> OamSymbol:
-    """Three-step detection: strongest pair, pair phase ratio, point decision.
+# Rows per ML residual block: bounds the (rows, hypotheses, M, 2) temporary.
+_ML_BLOCK = 1024
 
-    Step 1 takes the pair whose first antenna has the most power (ties to
-    the lowest index).  Step 2 reads the measured pair phase difference and
-    rounds to the nearest legal state signature beta * l, the ML rule under
-    the pair-angle constraint.  Step 3 minimizes the scalar residual against
-    the in-ring response of the decided state.
+
+def _detector(tensor: ChannelTensor, rho: float, rule: str):
+    """``decide(y)``: (n, M, 2) received frames to three length-n arrays of
+    0-based (antenna, state, point) indices under ``rule``.  Every argmin or
+    argmax breaks ties to the lowest index.
+
+    - ``stepwise``: the pair whose first antenna has the most power; then the
+      state whose signature beta * l is nearest the measured pair phase
+      difference, wrapped to [-pi, pi) (the ML rule under the pair-angle
+      constraint); then the point minimizing the scalar residual against the
+      in-ring response of the decided (antenna, state).
+    - ``ml``: the (m, l, p) hypothesis, in that flat order, minimizing the
+      Frobenius residual between the frame and sqrt(rho) * h * x; the
+      argmin runs in blocks of ``_ML_BLOCK`` rows.
     """
-    cfg = tensor.config
-    power = np.abs(frame[:, 0]) ** 2
-    m_hat = int(np.argmax(power)) + 1
-    delta = float(np.angle(frame[m_hat - 1, 0] * np.conj(frame[m_hat - 1, 1])))
-    states = np.asarray(tensor.states, dtype=float)
-    dist = np.abs(_wrap_angle(delta - cfg.beta_value * states))
-    l_hat = int(tensor.states[int(np.argmin(dist))])
-    const = cfg.constellation()
-    h_ref = tensor.entries[m_hat - 1, tensor.state_index(l_hat), m_hat - 1, 0]
-    points = np.asarray(const.points)
-    residual = np.abs(frame[m_hat - 1, 0] - math.sqrt(rho) * h_ref * points) ** 2
-    p_hat = int(np.argmin(residual))
-    return OamSymbol(m_hat, l_hat, complex(points[p_hat]), p_hat)
+    M, n_states = tensor.entries.shape[:2]
+    points = np.asarray(tensor.config.constellation().points)
+    sqrt_rho = math.sqrt(rho)
+    if rule == "ml":
+        hyp = (sqrt_rho * tensor.entries[:, :, None, :, :] * points[None, None, :, None, None]).reshape(-1, M, 2)
+
+        def decide(y):
+            flat = np.empty(len(y), dtype=np.intp)
+            for lo in range(0, len(y), _ML_BLOCK):
+                yb = y[lo : lo + _ML_BLOCK]
+                resid = np.sum(np.abs(yb[:, None, :, :] - hyp[None, :, :, :]) ** 2, axis=(2, 3))
+                flat[lo : lo + _ML_BLOCK] = np.argmin(resid, axis=1)
+            return np.unravel_index(flat, (M, n_states, points.size))
+
+        return decide
+
+    state_sig = tensor.config.beta_value * np.asarray(tensor.states, dtype=float)
+    in_ring = tensor.entries[np.arange(M), :, np.arange(M), 0]  # (M, n_states)
+
+    def decide(y):
+        m_hat = np.argmax(np.abs(y[:, :, 0]) ** 2, axis=1)
+        pair = y[np.arange(len(y)), m_hat]
+        delta = np.angle(pair[:, 0] * np.conj(pair[:, 1]))
+        l_hat = np.argmin(np.abs(_wrap_angle(delta[:, None] - state_sig[None, :])), axis=1)
+        h_ref = in_ring[m_hat, l_hat]
+        resid = np.abs(pair[:, 0, None] - sqrt_rho * h_ref[:, None] * points[None, :]) ** 2
+        return m_hat, l_hat, np.argmin(resid, axis=1)
+
+    return decide
+
+
+def _demodulate(frame: np.ndarray, tensor: ChannelTensor, rho: float, rule: str) -> OamSymbol:
+    indices = (i[0] for i in _detector(tensor, rho, rule)(frame[None]))
+    return _symbol(tensor.states, tensor.config.constellation().points, *indices)
+
+
+def demodulate_stepwise(frame: np.ndarray, tensor: ChannelTensor, rho: float) -> OamSymbol:
+    """Three-step detection of one (M, 2) frame: strongest pair, pair phase
+    difference, point decision."""
+    return _demodulate(frame, tensor, rho, "stepwise")
 
 
 def demodulate_ml(frame: np.ndarray, tensor: ChannelTensor, rho: float) -> OamSymbol:
-    """Joint maximum-likelihood detection over every (m, l, p) hypothesis.
-
-    Minimizes the Frobenius residual between the frame and sqrt(rho) * h * x
-    for all hypotheses; the power scaling matches the transmit model.
-    """
-    cfg = tensor.config
-    const = cfg.constellation()
-    points = np.asarray(const.points)
-    # Hypothesis frames, shape (M, n_states, P, M, 2).
-    hyp = math.sqrt(rho) * tensor.entries[:, :, None, :, :] * points[None, None, :, None, None]
-    residual = np.sum(np.abs(frame[None, None, None, :, :] - hyp) ** 2, axis=(3, 4))
-    flat = int(np.argmin(residual))
-    mi, li, pi = np.unravel_index(flat, residual.shape)
-    return OamSymbol(int(mi) + 1, int(tensor.states[li]), complex(points[pi]), int(pi))
+    """Joint maximum-likelihood detection of one (M, 2) frame over every
+    (m, l, p) hypothesis."""
+    return _demodulate(frame, tensor, rho, "ml")
 
 
 @dataclass(frozen=True)
@@ -192,8 +228,6 @@ def _binomial_stderr(p: float, n: int) -> float:
 
 
 _CHUNK = 8192
-# Rows per ML residual block: bounds the (rows, hypotheses, M, 2) temporary.
-_ML_BLOCK = 1024
 
 
 def simulate_ber(
@@ -221,30 +255,14 @@ def simulate_ber(
     const = cfg.constellation()
     smap = SymbolMap(cfg.tx_antennas, cfg.oam_states, const)
     rho = cfg.rho_for_snr_db(snr_db)
-    noise_var = cfg.noise_power_w
+    decide = _detector(tensor, rho, detector)
 
-    M = cfg.tx_antennas
-    states = np.asarray(tensor.states)
+    M, n_states, P = cfg.tx_antennas, len(tensor.states), const.order
     points = np.asarray(const.points)
-    n_states = states.size
-    P = points.size
-    a_bits, s_bits, p_bits = smap.antenna_bits, smap.state_bits, smap.point_bits
-    gray = np.asarray([int(lbl, 2) if lbl else 0 for lbl in const.bit_labels])
     sqrt_rho = math.sqrt(rho)
-    sigma = math.sqrt(noise_var / 2.0)
-    beta = cfg.beta_value
-    state_sig = beta * states.astype(float)
-    in_ring = tensor.entries[np.arange(M), :, np.arange(M), 0]  # (M, n_states)
+    sigma = math.sqrt(cfg.noise_power_w / 2.0)
 
-    if detector == "ml":
-        hyp = sqrt_rho * tensor.entries[:, :, None, :, :] * points[None, None, :, None, None]
-        hyp_flat = hyp.reshape(-1, M, 2)
-
-    bit_errors = 0
-    ant_errors = 0
-    state_errors = 0
-    sym_errors = 0
-
+    bit_errors = ant_errors = state_errors = sym_errors = 0
     done = 0
     chunk_index = 0
     while done < trials:
@@ -256,39 +274,18 @@ def simulate_ber(
         noise = sigma * (
             rng.standard_normal((n, M, 2)) + 1j * rng.standard_normal((n, M, 2))
         )
-        h = tensor.entries[m_idx, l_idx]  # (n, M, 2)
-        y = sqrt_rho * h * points[p_idx][:, None, None] + noise
-
-        if detector == "stepwise":
-            m_hat = np.argmax(np.abs(y[:, :, 0]) ** 2, axis=1)
-            pair = y[np.arange(n), m_hat]
-            delta = np.angle(pair[:, 0] * np.conj(pair[:, 1]))
-            l_hat = np.argmin(np.abs(_wrap_angle(delta[:, None] - state_sig[None, :])), axis=1)
-            h_ref = in_ring[m_hat, l_hat]
-            resid = np.abs(pair[:, 0, None] - sqrt_rho * h_ref[:, None] * points[None, :]) ** 2
-            p_hat = np.argmin(resid, axis=1)
-        else:
-            flat = np.empty(n, dtype=np.intp)
-            for lo in range(0, n, _ML_BLOCK):
-                yb = y[lo : lo + _ML_BLOCK]
-                resid = np.sum(
-                    np.abs(yb[:, None, :, :] - hyp_flat[None, :, :, :]) ** 2, axis=(2, 3)
-                )
-                flat[lo : lo + _ML_BLOCK] = np.argmin(resid, axis=1)
-            m_hat = flat // (n_states * P)
-            l_hat = (flat // P) % n_states
-            p_hat = flat % P
+        y = sqrt_rho * tensor.entries[m_idx, l_idx] * points[p_idx][:, None, None] + noise
+        m_hat, l_hat, p_hat = decide(y)
 
         ant_err = m_hat != m_idx
         st_err = l_hat != l_idx
-        pt_err = p_hat != p_idx
         ant_errors += int(np.count_nonzero(ant_err))
         state_errors += int(np.count_nonzero(st_err))
-        sym_errors += int(np.count_nonzero(ant_err | st_err | pt_err))
-        xor = (m_idx ^ m_hat) << (s_bits + p_bits)
-        xor |= (l_idx ^ l_hat) << p_bits
-        xor |= gray[p_idx] ^ gray[p_hat]
-        bit_errors += int(np.sum(_POPCOUNT[xor & 0xFF] + _POPCOUNT[(xor >> 8) & 0xFF]))
+        sym_errors += int(np.count_nonzero(ant_err | st_err | (p_hat != p_idx)))
+        xor = smap.word(m_idx, l_idx, p_idx) ^ smap.word(m_hat, l_hat, p_hat)
+        for _ in range(0, smap.bits_per_symbol, 8):
+            bit_errors += int(np.sum(_POPCOUNT[xor & 0xFF]))
+            xor >>= 8
 
         done += n
         chunk_index += 1

@@ -6,7 +6,6 @@ q_function          Gaussian tail probability.
 log_bessel_i0       ln I0(x), overflow-free far into the asymptotic regime.
 marcum_q1           First-order Marcum Q with a rigorously truncated series.
 ncx2_pdf, ncx2_cdf  Noncentral chi-square with two degrees of freedom.
-log_sum_exp         Stable ln(sum(exp(v))).
 integrate           Adaptive Gauss-Kronrod quadrature, finite or semi-infinite.
 psk_constellation   Unit-power PSK points with binary-reflected Gray labels.
 
@@ -29,7 +28,6 @@ __all__ = [
     "marcum_q1",
     "ncx2_pdf",
     "ncx2_cdf",
-    "log_sum_exp",
     "integrate",
     "Constellation",
     "psk_constellation",
@@ -247,23 +245,6 @@ def ncx2_cdf(g, lam: float):
     out = 1.0 - np.atleast_1d(marcum_q1(math.sqrt(lam), np.sqrt(garr)))
     out = np.clip(out, 0.0, 1.0)
     return float(out[0]) if scalar else out.reshape(np.shape(g))
-
-
-def log_sum_exp(values) -> float:
-    """ln(sum(exp(v))) computed without overflow or underflow.
-
-    ``values`` must be nonempty; entries may be finite or -inf (an all--inf
-    input returns -inf).  Exact for a single element.
-    """
-    arr = np.asarray(values, dtype=float).ravel()
-    if arr.size == 0:
-        raise ValueError("log_sum_exp requires a nonempty sequence")
-    if np.any(np.isnan(arr)) or np.any(arr == np.inf):
-        raise ValueError("log_sum_exp entries must be finite or -inf")
-    m = float(np.max(arr))
-    if m == -np.inf:
-        return -np.inf
-    return m + math.log(float(np.sum(np.exp(arr - m))))
 
 
 # 15-point Kronrod nodes/weights with the embedded 7-point Gauss rule.

@@ -1,6 +1,5 @@
 """Channel responses and the assembled tensor."""
 
-import csv
 import dataclasses
 import math
 
@@ -16,7 +15,6 @@ from oamsm import (
     in_ring_response,
     lg_field,
     off_ring_response,
-    write_tensor_csv,
 )
 from oamsm.channel import matched_beams
 
@@ -165,17 +163,3 @@ class TestBuildChannelTensor:
         with pytest.raises(ConfigError):
             default_tensor.state_index(7)
 
-
-class TestTensorCsv:
-    def test_roundtrip_columns(self, default_tensor, tmp_path):
-        path = tmp_path / "tensor.csv"
-        write_tensor_csv(default_tensor, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["m", "l", "j", "a", "re", "im"]
-        M, L, _, _ = default_tensor.entries.shape
-        assert len(rows) - 1 == M * L * M * 2
-        m, l, j, a, re, im = rows[1]
-        assert (int(m), int(j), int(a)) == (1, 1, 1)
-        h = default_tensor.response(1, int(l), 1, 1)
-        assert float(re) == h.real and float(im) == h.imag

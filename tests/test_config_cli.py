@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from oamsm import ConfigError, SystemConfig, load_config
+from oamsm import PROVENANCE, ConfigError, SystemConfig, load_config
 from oamsm.cli import PRESETS, SweepSpec, main, preset, run_sweep
 from oamsm.config import SPEED_OF_LIGHT, default_states
 
@@ -21,6 +21,11 @@ class TestSystemConfig:
         assert cfg.constellation_order == 4
         assert cfg.distance_m == 50.0
         assert cfg.element_spacing_m == pytest.approx(20 * SPEED_OF_LIGHT / 60e9, rel=1e-12)
+
+    def test_every_field_has_provenance(self):
+        # The CSV header tags each field from PROVENANCE; a new field must
+        # say where its default comes from.
+        assert set(PROVENANCE) == {f.name for f in dataclasses.fields(SystemConfig)}
 
     def test_noise_power(self):
         cfg = SystemConfig()

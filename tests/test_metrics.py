@@ -537,3 +537,9 @@ class TestEnergyEfficiency:
     def test_rejects_unknown_system(self):
         with pytest.raises(ConfigError):
             energy_efficiency(1.0, 1.0, 1.0, PowerModel(1.0, 1.0, 1), "simo")
+
+    @pytest.mark.parametrize("rho", [math.inf, math.nan, -1.0])
+    def test_rejects_bad_rho(self, rho):
+        # rho = inf used to give 0.0 and nan a nan, both without an error.
+        with pytest.raises(ValueError):
+            energy_efficiency(1.0, 1.0, rho, PowerModel(6.8, 4.0, 1), "oam_sm")

@@ -62,6 +62,25 @@ class TestSymbolMap:
         assert cmap.bits_per_symbol == 0
         sym = cmap.encode("")
         assert (sym.antenna, sym.state, sym.point_index) == (1, 1, 0)
+        assert cmap.decode(sym) == ""
+
+    def test_word_is_the_bit_string(self, default_map):
+        # The vectorised integer label and the public bit string are one layout.
+        syms = list(default_map.all_symbols())
+        idx = np.array([(s.antenna - 1, default_map.states.index(s.state), s.point_index) for s in syms])
+        words = default_map.word(idx[:, 0], idx[:, 1], idx[:, 2])
+        assert [format(int(w), "07b") for w in words] == [default_map.decode(s) for s in syms]
+        assert list(words) == list(range(128))
+
+    def test_rejects_empty_state_set(self):
+        # An empty set used to construct, with state_bits == -1 and no symbols.
+        with pytest.raises(ConfigError):
+            SymbolMap(4, (), psk_constellation(4))
+
+    def test_rejects_duplicate_bit_labels(self):
+        twins = Constellation(order=2, points=(1 + 0j, -1 + 0j), bit_labels=("0", "0"))
+        with pytest.raises(ConfigError):
+            SymbolMap(2, (-1, 1), twins)
 
 
 class TestTransmit:
@@ -81,11 +100,43 @@ class TestTransmit:
         power = np.mean([np.mean(np.abs(f) ** 2) for f in frames])
         assert power == pytest.approx(nv, rel=0.05)
 
+    def test_rejects_non_finite_power_and_noise(self, default_tensor, default_map):
+        # noise_var = nan used to return the noiseless frame, and a NaN or
+        # infinite rho a NaN frame.
+        sym = default_map.encode("0000000")
+        rng = np.random.default_rng(2)
+        for rho, nv in ((1.0, math.nan), (1.0, math.inf), (math.nan, 0.1), (math.inf, 0.1), (-1.0, 0.1)):
+            with pytest.raises(ValueError):
+                transmit(sym, default_tensor, rho, nv, rng)
+
     def test_seeded_repeatability(self, default_tensor, default_map):
         sym = default_map.encode("0101010")
         f1 = transmit(sym, default_tensor, 1.0, 0.1, np.random.default_rng(99))
         f2 = transmit(sym, default_tensor, 1.0, 0.1, np.random.default_rng(99))
         assert np.array_equal(f1, f2)
+
+
+def reference_decisions(config, tensor, y, rho, detector):
+    """0-based (antenna, state, point) indices of each (M, 2) frame in ``y``,
+    decided in one block by the rule written out here, apart from the
+    package: the whole ML residual at once, or the three stepwise steps."""
+    points = np.asarray(config.constellation().points)
+    M = config.tx_antennas
+    states = np.asarray(tensor.states)
+    n_states, P = states.size, points.size
+    sqrt_rho = math.sqrt(rho)
+    if detector == "ml":
+        hyp = (sqrt_rho * tensor.entries[:, :, None] * points[None, None, :, None, None]).reshape(-1, M, 2)
+        flat = np.argmin(np.sum(np.abs(y[:, None] - hyp[None]) ** 2, axis=(2, 3)), axis=1)
+        return flat // (n_states * P), (flat // P) % n_states, flat % P
+    in_ring = tensor.entries[np.arange(M), :, np.arange(M), 0]
+    m_hat = np.argmax(np.abs(y[:, :, 0]) ** 2, axis=1)
+    pair = y[np.arange(len(y)), m_hat]
+    delta = np.angle(pair[:, 0] * np.conj(pair[:, 1]))
+    wrapped = np.remainder(delta[:, None] - config.beta_value * states + np.pi, 2 * np.pi) - np.pi
+    l_hat = np.argmin(np.abs(wrapped), axis=1)
+    resid = np.abs(pair[:, 0, None] - sqrt_rho * in_ring[m_hat, l_hat][:, None] * points) ** 2
+    return m_hat, l_hat, np.argmin(resid, axis=1)
 
 
 class TestDetectors:
@@ -110,6 +161,29 @@ class TestDetectors:
             frame = transmit(sym, default_tensor, rho, 0.0, rng)
             assert demodulate_stepwise(frame, default_tensor, rho).antenna == sym.antenna
 
+    @pytest.mark.parametrize("snr", [0.0, 10.0])
+    def test_single_frame_matches_reference_on_noisy_frames(
+        self, default_config, default_tensor, default_map, snr
+    ):
+        rng = np.random.default_rng(4000 + int(snr))
+        rho = default_config.rho_for_snr_db(snr)
+        sent = [default_map.encode(format(int(w), "07b")) for w in rng.integers(0, 128, size=300)]
+        frames = np.stack(
+            [transmit(s, default_tensor, rho, default_config.noise_power_w, rng) for s in sent]
+        )
+        for name, detector in (("stepwise", demodulate_stepwise), ("ml", demodulate_ml)):
+            want = np.column_stack(reference_decisions(default_config, default_tensor, frames, rho, name))
+            got = np.array(
+                [
+                    (out.antenna - 1, default_tensor.state_index(out.state), out.point_index)
+                    for out in (detector(f, default_tensor, rho) for f in frames)
+                ]
+            )
+            assert np.array_equal(got, want)
+            # The noise must move some decisions, or the check shows nothing.
+            truth = [(s.antenna - 1, default_tensor.state_index(s.state), s.point_index) for s in sent]
+            assert np.any(got != np.array(truth))
+
     def test_single_hypothesis_returns_it(self):
         cfg = dataclasses.replace(
             SystemConfig(), tx_antennas=1, oam_states=(1,), constellation_order=1
@@ -125,19 +199,16 @@ class TestDetectors:
 def unblocked_ber(config, tensor, snr_db, trials, seed, detector):
     """Reference for ``simulate_ber``: the same draws (8192-trial chunks, one
     Philox substream per chunk) with each chunk's detection done in a single
-    block, the ML residual included."""
+    block by ``reference_decisions``."""
     const = config.constellation()
     points = np.asarray(const.points)
     M = config.tx_antennas
-    states = np.asarray(tensor.states)
-    n_states, P = states.size, points.size
+    n_states, P = len(tensor.states), points.size
     s_bits, p_bits = n_states.bit_length() - 1, P.bit_length() - 1
     bits = (M.bit_length() - 1) + s_bits + p_bits
     gray = np.asarray([int(lbl, 2) for lbl in const.bit_labels])
-    sqrt_rho = math.sqrt(config.rho_for_snr_db(snr_db))
+    rho = config.rho_for_snr_db(snr_db)
     sigma = math.sqrt(config.noise_power_w / 2.0)
-    hyp = (sqrt_rho * tensor.entries[:, :, None] * points[None, None, :, None, None]).reshape(-1, M, 2)
-    in_ring = tensor.entries[np.arange(M), :, np.arange(M), 0]
     errors = np.zeros(4, dtype=np.int64)  # bits, antenna, state, symbol
     for chunk, lo in enumerate(range(0, trials, 8192)):
         n = min(8192, trials - lo)
@@ -146,18 +217,8 @@ def unblocked_ber(config, tensor, snr_db, trials, seed, detector):
         l_idx = rng.integers(0, n_states, size=n)
         p_idx = rng.integers(0, P, size=n)
         noise = sigma * (rng.standard_normal((n, M, 2)) + 1j * rng.standard_normal((n, M, 2)))
-        y = sqrt_rho * tensor.entries[m_idx, l_idx] * points[p_idx][:, None, None] + noise
-        if detector == "ml":
-            flat = np.argmin(np.sum(np.abs(y[:, None] - hyp[None]) ** 2, axis=(2, 3)), axis=1)
-            m_hat, l_hat, p_hat = flat // (n_states * P), (flat // P) % n_states, flat % P
-        else:
-            m_hat = np.argmax(np.abs(y[:, :, 0]) ** 2, axis=1)
-            pair = y[np.arange(n), m_hat]
-            delta = np.angle(pair[:, 0] * np.conj(pair[:, 1]))
-            wrapped = np.remainder(delta[:, None] - config.beta_value * states + np.pi, 2 * np.pi) - np.pi
-            l_hat = np.argmin(np.abs(wrapped), axis=1)
-            resid = np.abs(pair[:, 0, None] - sqrt_rho * in_ring[m_hat, l_hat][:, None] * points) ** 2
-            p_hat = np.argmin(resid, axis=1)
+        y = math.sqrt(rho) * tensor.entries[m_idx, l_idx] * points[p_idx][:, None, None] + noise
+        m_hat, l_hat, p_hat = reference_decisions(config, tensor, y, rho, detector)
         xor = (m_idx ^ m_hat) << (s_bits + p_bits) | (l_idx ^ l_hat) << p_bits | (gray[p_idx] ^ gray[p_hat])
         errors += [
             sum(bin(int(v)).count("1") for v in xor),
@@ -173,6 +234,16 @@ class TestSimulateBer:
         rep = simulate_ber(default_config, -300.0, 40000, 11, "stepwise")
         correct = 1.0 - rep.antenna_error_rate
         assert abs(correct - 0.25) <= 3 * rep.antenna_error_stderr
+
+    def test_counts_every_bit_of_a_wide_codeword(self):
+        # 64 antennas, 2 states and 1024-PSK make 17 bits per codeword.  At
+        # -300 dB the sent word is independent of the decision, so every bit
+        # errs with probability 1/2; counting only the low 16 bits read
+        # 16 * 0.5 / 17 = 0.47.
+        cfg = SystemConfig(tx_antennas=64, oam_states=(-1, 1), constellation_order=1024)
+        rep = simulate_ber(cfg, -300.0, 20000, 5, "stepwise")
+        assert rep.bits_per_symbol == 17
+        assert abs(rep.bit_error_rate - 0.5) <= 4 * rep.bit_error_stderr
 
     def test_deterministic_across_runs(self, default_config, default_tensor):
         r1 = simulate_ber(default_config, 10.0, 30000, 5, "stepwise", tensor=default_tensor)

@@ -14,7 +14,6 @@ from oamsm import (
     NumericError,
     integrate,
     log_bessel_i0,
-    log_sum_exp,
     marcum_q1,
     ncx2_cdf,
     ncx2_pdf,
@@ -220,40 +219,6 @@ class TestNoncentralChiSq2:
             ncx2_pdf(-0.1, 1.0)
         with pytest.raises(ValueError):
             ncx2_cdf(-0.1, 1.0)
-
-
-class TestLogSumExp:
-    def test_single_element_exact(self):
-        assert log_sum_exp([3.7]) == 3.7
-
-    def test_two_zeros(self):
-        assert log_sum_exp([0.0, 0.0]) == pytest.approx(math.log(2.0), rel=1e-15)
-
-    def test_large_values_no_overflow(self):
-        assert log_sum_exp([1000.0, 1000.0]) == pytest.approx(1000.0 + math.log(2.0), rel=1e-15)
-
-    def test_neg_inf_entries(self):
-        assert log_sum_exp([-math.inf, 0.0]) == pytest.approx(0.0, abs=1e-15)
-        assert log_sum_exp([-math.inf, -math.inf]) == -math.inf
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            log_sum_exp([])
-
-    def test_nan_and_posinf_rejected(self):
-        with pytest.raises(ValueError):
-            log_sum_exp([math.nan])
-        with pytest.raises(ValueError):
-            log_sum_exp([math.inf, 1.0])
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=8),
-        st.floats(min_value=-100, max_value=100),
-    )
-    def test_shift_invariance(self, values, c):
-        shifted = log_sum_exp([v + c for v in values])
-        assert shifted == pytest.approx(log_sum_exp(values) + c, abs=1e-12)
 
 
 class TestIntegrate:
