@@ -138,7 +138,8 @@ def _wrap_angle(x):
     return np.remainder(x + np.pi, 2.0 * np.pi) - np.pi
 
 
-# Rows per ML residual block: bounds the (rows, hypotheses, M, 2) temporary.
+# Rows per residual block: bounds the ML rule's (rows, hypotheses, M, 2)
+# temporary and the stepwise point decision's (rows, points) one.
 _ML_BLOCK = 1024
 
 
@@ -151,7 +152,8 @@ def _detector(tensor: ChannelTensor, rho: float, rule: str):
       state whose signature beta * l is nearest the measured pair phase
       difference, wrapped to [-pi, pi) (the ML rule under the pair-angle
       constraint); then the point minimizing the scalar residual against the
-      in-ring response of the decided (antenna, state).
+      in-ring response of the decided (antenna, state), in blocks of
+      ``_ML_BLOCK`` rows.
     - ``ml``: the (m, l, p) hypothesis, in that flat order, minimizing the
       Frobenius residual between the frame and sqrt(rho) * h * x; the
       argmin runs in blocks of ``_ML_BLOCK`` rows.
@@ -180,9 +182,13 @@ def _detector(tensor: ChannelTensor, rho: float, rule: str):
         pair = y[np.arange(len(y)), m_hat]
         delta = np.angle(pair[:, 0] * np.conj(pair[:, 1]))
         l_hat = np.argmin(np.abs(_wrap_angle(delta[:, None] - state_sig[None, :])), axis=1)
-        h_ref = in_ring[m_hat, l_hat]
-        resid = np.abs(pair[:, 0, None] - sqrt_rho * h_ref[:, None] * points[None, :]) ** 2
-        return m_hat, l_hat, np.argmin(resid, axis=1)
+        ref = sqrt_rho * in_ring[m_hat, l_hat]
+        p_hat = np.empty(len(y), dtype=np.intp)
+        for lo in range(0, len(y), _ML_BLOCK):
+            rows = slice(lo, lo + _ML_BLOCK)
+            resid = np.abs(pair[rows, 0, None] - ref[rows, None] * points[None, :]) ** 2
+            p_hat[rows] = np.argmin(resid, axis=1)
+        return m_hat, l_hat, p_hat
 
     return decide
 

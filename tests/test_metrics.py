@@ -351,6 +351,49 @@ class TestAntennaDetectionProb:
             antenna_detection_prob_avg(default_tensor, default_config.rho_for_snr_db(snr), nv)
             assert len(calls) == 8
 
+    @pytest.mark.parametrize("snr", [40.0, 50.0, 60.0, 70.0, 80.0])
+    @pytest.mark.parametrize("m,l", [(2, 1), (1, 4)])
+    def test_high_snr_matches_strongest_pair_monte_carlo(self, default_tensor, default_config, m, l, snr):
+        nv = default_config.noise_power_w
+        rho = default_config.rho_for_snr_db(snr)
+        p = antenna_detection_prob(default_tensor, m, l, 1 + 0j, rho, nv)
+        # The statistic |y_j|^2 / (nv / 2) at each pair's first antenna is
+        # |sqrt(lam_j) + z_j|^2 with z_j unit complex Gaussian.
+        h = default_tensor.entries[m - 1, default_tensor.state_index(l), :, 0]
+        lam = 2.0 * rho * np.abs(h) ** 2 / nv
+        rng = np.random.default_rng([m, l, int(snr)])
+        draws = 200_000
+        z = np.sqrt(lam) + rng.standard_normal((draws, lam.size)) + 1j * rng.standard_normal((draws, lam.size))
+        p_mc = float(np.mean(np.argmax(np.abs(z) ** 2, axis=1) == m - 1))
+        assert abs(p - p_mc) <= 5.0 * math.sqrt(p_mc * (1.0 - p_mc) / draws)
+        # scipy.stats.ncx2 quadrature in r = sqrt(g) over sqrt(lam_m) +- 12.
+        scipy_reference = {(2, 1, 70.0): 0.2896, (2, 1, 80.0): 0.3461, (1, 4, 70.0): 0.5132, (1, 4, 80.0): 0.6004}
+        if (m, l, snr) in scipy_reference:
+            assert p == pytest.approx(scipy_reference[(m, l, snr)], abs=1e-3)
+
+    def test_one_pass_per_integral_at_any_snr(self, default_tensor, default_config, monkeypatch):
+        # Unit panels over the bulk in r resolve each integral in the first
+        # GK15 pass, so the cost does not grow with SNR.
+        integrand_calls = []
+        real = metrics.integrate
+
+        def counting(f, *args, **kwargs):
+            integrand_calls.append(0)
+
+            def counted(r):
+                integrand_calls[-1] += 1
+                return f(r)
+
+            return real(counted, *args, **kwargs)
+
+        monkeypatch.setattr(metrics, "integrate", counting)
+        nv = default_config.noise_power_w
+        for snr in (0.0, 40.0, 80.0):
+            integrand_calls.clear()
+            antenna_detection_prob_avg(default_tensor, default_config.rho_for_snr_db(snr), nv)
+            assert len(integrand_calls) == 8
+            assert max(integrand_calls) <= 2
+
     def test_within_unit_interval_and_above_chance(self, default_tensor, default_config):
         nv = default_config.noise_power_w
         for snr in (-10.0, 0.0, 10.0, 20.0, 30.0):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,20 @@ class TestSimulateBer:
         rep = simulate_ber(cfg, -300.0, 20000, 5, "stepwise")
         assert rep.bits_per_symbol == 17
         assert abs(rep.bit_error_rate - 0.5) <= 4 * rep.bit_error_stderr
+
+    def test_stepwise_memory_is_bounded_by_row_blocks(self):
+        # 1024-PSK: deciding the point for a whole 8192-trial chunk at once
+        # builds (8192, 1024) complex temporaries, and this call peaked at
+        # 290 MiB under tracemalloc that way.  Row blocks bound them.
+        cfg = SystemConfig(tx_antennas=64, oam_states=(-1, 1), constellation_order=1024)
+        tensor = build_channel_tensor(cfg)
+        tracemalloc.start()
+        try:
+            simulate_ber(cfg, 20.0, 20000, 5, "stepwise", tensor=tensor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 290 * 2**20 / 3
 
     def test_deterministic_across_runs(self, default_config, default_tensor):
         r1 = simulate_ber(default_config, 10.0, 30000, 5, "stepwise", tensor=default_tensor)

@@ -94,6 +94,13 @@ class TestLogBesselI0:
         oracle = float(mpmath.log(mpmath.besseli(0, mpmath.mpf(x))))
         assert log_bessel_i0(x) == pytest.approx(oracle, rel=1e-10)
 
+    @pytest.mark.parametrize("x", [24.9, 25.0, 25.1, 30.0, 49.9, 50.1, 200.0])
+    def test_fixed_terms_reach_double_precision(self, x):
+        # 40 series terms up to x = 25 and 16 expansion terms above it leave
+        # ~1e-16 relative in I0, so ~1e-15 absolute in its log here.
+        oracle = float(mpmath.log(mpmath.besseli(0, mpmath.mpf(x))))
+        assert log_bessel_i0(x) == pytest.approx(oracle, abs=2e-14)
+
     def test_no_overflow_at_1e6(self):
         assert math.isfinite(log_bessel_i0(1e6))
 
@@ -165,6 +172,33 @@ class TestMarcumQ1:
             marcum_q1(1.0, -1.0)
 
 
+# Where marcum_q1 switches from the Poisson window to the large-a expansion.
+A_SWITCH = 12.0
+
+
+class TestMarcumQ1LargeArgument:
+    @pytest.mark.parametrize("a", [A_SWITCH - 0.5, A_SWITCH + 0.5, 300.0, 1e3, 1e4, 1e5])
+    def test_against_quadrature_oracle(self, a):
+        for offset in (-8.0, -3.0, 0.0, 3.0, 8.0):
+            b = a + offset
+            assert marcum_q1(a, b) == pytest.approx(marcum_q1_oracle(a, b), abs=1e-11)
+
+    def test_regimes_agree_at_the_switch(self):
+        bs = A_SWITCH + np.linspace(-12.0, 12.0, 481)
+        below = marcum_q1(math.nextafter(A_SWITCH, 0.0), bs)
+        assert np.max(np.abs(below - marcum_q1(A_SWITCH, bs))) <= 1e-12
+
+    def test_monotone_across_the_switch(self):
+        # The window side carries up to ~7e-14 of rounding where Q1 is near 1.
+        a_grid = np.linspace(A_SWITCH - 0.5, A_SWITCH + 0.5, 101)
+        for b in (4.0, 9.0, 12.0, 15.0, 20.0):
+            vals = np.array([marcum_q1(float(a), b) for a in a_grid])
+            assert np.all(np.diff(vals) >= -1e-13)
+        for a in (A_SWITCH - 0.5, A_SWITCH, A_SWITCH + 0.5, 300.0, 1e4):
+            vals = marcum_q1(a, np.linspace(max(0.0, a - 15.0), a + 15.0, 3001))
+            assert np.all(np.diff(vals) <= 1e-14)
+
+
 class TestNoncentralChiSq2:
     def test_rejects_bad_noncentrality(self):
         for bad in (-1.0, math.nan, math.inf):
@@ -214,6 +248,14 @@ class TestNoncentralChiSq2:
         vals = ncx2_cdf(gs, 5.0)
         assert np.all(np.diff(vals) >= -1e-14)
 
+    @pytest.mark.parametrize("lam", [2e4, 2e6, 2e8])
+    def test_pdf_at_large_noncentrality_against_closed_form(self, lam):
+        for offset in (-4.0, -2.0, 0.0, 2.0, 4.0):
+            g = (math.sqrt(lam) + offset) ** 2
+            g_mp, lam_mp = mpmath.mpf(g), mpmath.mpf(lam)
+            exact = mpmath.exp(-(g_mp + lam_mp) / 2) * mpmath.besseli(0, mpmath.sqrt(lam_mp * g_mp)) / 2
+            assert ncx2_pdf(g, lam) == pytest.approx(float(exact), rel=1e-11, abs=0.0)
+
     def test_rejects_negative_argument(self):
         with pytest.raises(ValueError):
             ncx2_pdf(-0.1, 1.0)
@@ -243,6 +285,26 @@ class TestIntegrate:
             integrate(rough, 0.0, 1.0, tol=1e-12, max_intervals=8)
         assert math.isfinite(info.value.estimate)
         assert info.value.bound > 0.0
+
+    def test_breakpoints_seed_the_first_pass(self):
+        # A unit-width bump at 700 in [0, 1000]: unit panels around it
+        # resolve it in one integrand call.
+        calls = []
+
+        def bump(g):
+            calls.append(np.size(g))
+            return np.exp(-0.5 * (g - 700.0) ** 2) / math.sqrt(2.0 * math.pi)
+
+        v = integrate(bump, 0.0, 1000.0, tol=1e-10, breakpoints=np.arange(691.0, 710.0))
+        assert v == pytest.approx(1.0, abs=1e-10)
+        assert calls == [15 * 20]
+
+    def test_rejects_bad_breakpoints(self):
+        for bad in ([-1.0], [2.0], [math.nan]):
+            with pytest.raises(ValueError):
+                integrate(lambda g: g, 0.0, 1.0, breakpoints=bad)
+        with pytest.raises(ValueError):
+            integrate(lambda g: np.exp(-g), 0.0, math.inf, breakpoints=[1.0])
 
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
