@@ -11,10 +11,9 @@ conventional-array baseline on the same geometry for comparison.
 __version__ = "0.1.0"
 
 from .beam import BeamParams, NoMatchingWaistError, curvature_radius, lg_field, ring_radius, spot_size, waist_for_state
-from .channel import ChannelTensor, build_channel_tensor, in_ring_response, off_ring_response
+from .channel import ChannelTensor, build_channel_tensor
 from .config import PROVENANCE, SystemConfig, default_states, load_config
 from .errors import ConfigError, NumericError
-from .geometry import ArrayLayout, DegenerateGeometryError, pair_azimuths, pair_distances, radial_offsets
 from .metrics import (
     AntennaErrorSummary,
     CapacityEstimate,
@@ -34,7 +33,6 @@ from .modem import BerReport, OamSymbol, SymbolMap, demodulate_ml, demodulate_st
 from .numerics import (
     Constellation,
     integrate,
-    log_bessel_i0,
     marcum_q1,
     ncx2_cdf,
     ncx2_pdf,
@@ -44,7 +42,6 @@ from .numerics import (
 
 __all__ = [
     "__version__",
-    "ArrayLayout",
     "AntennaErrorSummary",
     "BeamParams",
     "BerReport",
@@ -52,7 +49,6 @@ __all__ = [
     "ChannelTensor",
     "ConfigError",
     "Constellation",
-    "DegenerateGeometryError",
     "NoMatchingWaistError",
     "NumericError",
     "OamSymbol",
@@ -72,23 +68,17 @@ __all__ = [
     "demodulate_stepwise",
     "energy_efficiency",
     "gray_gamma",
-    "in_ring_response",
     "integrate",
     "lg_field",
     "load_config",
-    "log_bessel_i0",
     "marcum_q1",
     "mimo_capacity_baseline",
     "mimo_channel_matrix",
     "mod_bep",
     "ncx2_cdf",
     "ncx2_pdf",
-    "off_ring_response",
-    "pair_azimuths",
-    "pair_distances",
     "psk_constellation",
     "q_function",
-    "radial_offsets",
     "ring_radius",
     "simulate_ber",
     "spot_size",

@@ -1,11 +1,14 @@
 """Deterministic free-space channel responses for every (antenna, state) pair.
 
-The pair facing the active element sits on the beam's intensity ring and
-sees a Friis-scaled response with the helical phase of the state.  All
-other pairs sit off the ring and pick up the ring-normalized transverse
-beam envelope on top of the same Friis scale.  The full set of responses is
-assembled into an immutable complex tensor indexed by
-(transmit antenna, state, receive pair, antenna-in-pair).
+The transmit elements sit on a line with spacing ``xi``; each one faces a
+receive antenna pair mounted on the intensity ring (radius ``ring_radius``)
+of its own beam, a propagation distance ``z`` away, and the two antennas of
+a pair are separated by the azimuth ``beta`` about the pair's axis.  The
+pair facing the active element sees a Friis-scaled response with the
+helical phase of the state; every other pair sees the transverse beam field
+``beam.lg_field`` normalized to the ring.  The responses form an immutable
+complex tensor indexed by (transmit antenna, state, receive pair,
+antenna-in-pair).
 """
 
 from __future__ import annotations
@@ -19,67 +22,28 @@ from . import beam as beam_mod
 from .beam import BeamParams, NoMatchingWaistError
 from .config import SystemConfig
 from .errors import ConfigError
-from .geometry import ArrayLayout, pair_azimuths, pair_distances, radial_offsets
 
-__all__ = ["ChannelTensor", "in_ring_response", "off_ring_response", "build_channel_tensor"]
+__all__ = ["ChannelTensor", "build_channel_tensor"]
 
 
-def in_ring_response(
-    m: int, l: int, layout: ArrayLayout, wavelength: float, gain: float
-) -> tuple[complex, complex]:
-    """Response from element m to its own ring-mounted pair for state l.
+def _pair_geometry(M: int, xi: float, z: float, ring_radius: float, beta: float):
+    """Distance, radial offset and azimuth of both antennas of every receive
+    pair j about the beam axis of every transmit element m.
 
-    Magnitude gain * wavelength / (4 pi d); the helical phase advances by a
-    quarter turn per state unit at the first antenna and additionally by
-    beta * l at the second, so the pair phase difference is exactly beta * l.
+    Returns three (M, M, 2) arrays indexed [m, j, antenna], 0-based.  The
+    first antenna of pair j sits at transverse offset (j - m) * xi from the
+    m-th axis and height ``ring_radius``; the second is rotated by ``beta``
+    about pair j's own axis.  Distances depend on |j - m| only; the radial
+    offset equals ``ring_radius`` for j == m and exceeds it otherwise.
     """
-    if gain <= 0.0:
-        raise ConfigError(f"gain must be > 0, got {gain!r}")
-    d1, d2 = pair_distances(m, m, layout)
-    k = 2.0 * math.pi / wavelength
-    amp1 = gain * wavelength / (4.0 * math.pi * d1)
-    amp2 = gain * wavelength / (4.0 * math.pi * d2)
-    h1 = amp1 * np.exp(-1j * (k * d1 + (math.pi / 4.0) * l))
-    h2 = amp2 * np.exp(-1j * (k * d2 + (math.pi / 4.0 + layout.beta) * l))
-    return complex(h1), complex(h2)
-
-
-def off_ring_response(
-    m: int, j: int, l: int, layout: ArrayLayout, beam: BeamParams, gain: float
-) -> tuple[complex, complex]:
-    """Response from element m to pair j != m for state l.
-
-    Derived by ratio against the in-ring response, so the Friis factor uses
-    the in-ring distance while the transverse offset enters through the
-    ring-normalized beam envelope (r/r_ring)^|l| * exp(-(r^2-r_ring^2)/w^2),
-    the matching curvature phase, and the helical phase at the pair azimuth.
-    """
-    if j == m:
-        raise ConfigError("off_ring_response requires j != m; use in_ring_response")
-    if gain <= 0.0:
-        raise ConfigError(f"gain must be > 0, got {gain!r}")
-    lam = beam.wavelength
-    k = 2.0 * math.pi / lam
-    z = layout.z
-    d_in = pair_distances(m, m, layout)[0]
-    r1, r2 = radial_offsets(m, j, layout)
-    phi1, phi2 = pair_azimuths(m, j, layout)
-    r_ring = layout.ring_radius
-    w_z = beam_mod.spot_size(beam, z)
-    curvature = beam_mod.curvature_radius(beam, z)
-    base = gain * lam / (4.0 * math.pi * d_in)
-    l_abs = abs(l)
-
-    def response(r: float, phi: float) -> complex:
-        envelope = (r / r_ring) ** l_abs * math.exp(-(r**2 - r_ring**2) / w_z**2)
-        phase = (
-            -math.pi * (r**2 - r_ring**2) / (lam * curvature)
-            - k * d_in
-            - l * phi
-        )
-        return complex(base * envelope * np.exp(1j * phase))
-
-    return response(r1, phi1), response(r2, phi2)
+    idx = np.arange(M)
+    dx = (idx[None, :] - idx[:, None]) * xi
+    x = np.stack([dx, dx - ring_radius * math.sin(beta)], axis=-1)
+    y = np.array([ring_radius, ring_radius * math.cos(beta)])
+    distance = np.sqrt(z**2 + x**2 + y**2)
+    radial = np.sqrt(x**2 + y**2)
+    azimuth = np.arctan2(y, x)
+    return distance, radial, azimuth
 
 
 @dataclass(frozen=True)
@@ -130,31 +94,42 @@ def matched_beams(config: SystemConfig) -> dict:
 def build_channel_tensor(config: SystemConfig) -> ChannelTensor:
     """Assemble the full channel tensor for a configuration.
 
+    With A(d) = gain * wavelength / (4 pi d) and k = 2 pi / wavelength:
+
+    * In-ring (j == m): A(d) exp(-i (k d + l pi/4)) at the first antenna and
+      A(d) exp(-i (k d + (pi/4 + beta) l)) at the second, d being each
+      antenna's own distance, so the pair phase difference is exactly
+      beta * l.  The helical phase steps by pi/4 (an eighth of a turn) per
+      state unit, whatever the antenna's azimuth.
+    * Off-ring (j != m): A(d_in) exp(-i k d_in) lg_field(r, phi) /
+      lg_field(r_ring, 0) with the state's matched beam, d_in the in-ring
+      distance and (r, phi) the antenna's radial offset and azimuth.  This
+      carries the field's helical phase -l phi, i.e. -l pi/2 at the facing
+      azimuth, so as the spacing shrinks to 0 an off-ring entry approaches
+      the in-ring one in magnitude but not in phase.
+
     Deterministic: the same config yields a bit-identical tensor.  Raises
     ConfigError if some state admits no ring-matching waist at the
     configured distance.
     """
-    layout = ArrayLayout(
-        M=config.tx_antennas,
-        xi=config.element_spacing_m,
-        z=config.distance_m,
-        beta=config.beta_value,
-        ring_radius=config.ring_radius_m,
-        l_max=config.l_max,
-    )
     beams = matched_beams(config)
-    gain = config.gain_value
-    wavelength = config.wavelength_m
     M = config.tx_antennas
-    entries = np.zeros((M, len(config.oam_states), M, 2), dtype=complex)
-    for mi in range(M):
-        for li, l in enumerate(config.oam_states):
-            for ji in range(M):
-                if ji == mi:
-                    h1, h2 = in_ring_response(mi + 1, l, layout, wavelength, gain)
-                else:
-                    h1, h2 = off_ring_response(mi + 1, ji + 1, l, layout, beams[l], gain)
-                entries[mi, li, ji, 0] = h1
-                entries[mi, li, ji, 1] = h2
+    lam = config.wavelength_m
+    z = config.distance_m
+    ring = config.ring_radius_m
+    beta = config.beta_value
+    distance, radial, azimuth = _pair_geometry(M, config.element_spacing_m, z, ring, beta)
+    k = 2.0 * math.pi / lam
+    gain = config.gain_value
+    d_ring = distance[0, 0]
+    ring_amp = gain * lam / (4.0 * math.pi * d_ring)
+    ring_step = np.array([math.pi / 4.0, math.pi / 4.0 + beta])
+    off_base = ring_amp[0] * np.exp(-1j * k * d_ring[0])
+    diag = np.arange(M)
+    entries = np.empty((M, len(config.oam_states), M, 2), dtype=complex)
+    for li, l in enumerate(config.oam_states):
+        beam = beams[l]
+        h = off_base * beam_mod.lg_field(beam, radial, azimuth, z) / beam_mod.lg_field(beam, ring, 0.0, z)
+        h[diag, diag] = ring_amp * np.exp(-1j * (k * d_ring + ring_step * l))
+        entries[:, li] = h
     return ChannelTensor(entries=entries, states=tuple(config.oam_states), config=config)
-

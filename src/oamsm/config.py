@@ -60,6 +60,20 @@ def default_states(count: int) -> tuple[int, ...]:
     return tuple(range(-half, 0)) + tuple(range(1, half + 1))
 
 
+def _check_symbol_axes(n_antennas, states) -> None:
+    """The antenna-count and state-set rule every codeword layout needs:
+    a power-of-two antenna count, and a power-of-two number of distinct
+    nonzero states (a zero-state beam has no intensity ring)."""
+    if not isinstance(n_antennas, int) or not _is_power_of_two(n_antennas):
+        raise ConfigError(f"antenna count must be a power of two, got {n_antennas!r}")
+    if not _is_power_of_two(len(states)):
+        raise ConfigError(f"number of OAM states must be a power of two, got {len(states)}")
+    if 0 in states:
+        raise ConfigError("OAM state 0 is not usable: its beam has no intensity ring")
+    if len(set(states)) != len(states):
+        raise ConfigError("OAM states must be distinct")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Full experiment parameterization.
@@ -186,28 +200,25 @@ class SystemConfig:
     # -- validation ----------------------------------------------------------
 
     def _validate(self):
-        if not isinstance(self.tx_antennas, int) or not _is_power_of_two(self.tx_antennas):
-            raise ConfigError(f"tx_antennas must be a power of two, got {self.tx_antennas!r}")
-        if not _is_power_of_two(self.n_states):
-            raise ConfigError(f"number of OAM states must be a power of two, got {self.n_states}")
+        _check_symbol_axes(self.tx_antennas, self.oam_states)
         if not isinstance(self.constellation_order, int) or not _is_power_of_two(
             self.constellation_order
         ):
             raise ConfigError(
                 f"constellation_order must be a power of two, got {self.constellation_order!r}"
             )
-        if 0 in self.oam_states:
-            raise ConfigError("OAM state 0 is not usable: its beam has no intensity ring")
-        if len(set(self.oam_states)) != self.n_states:
-            raise ConfigError("OAM states must be distinct")
         for name in ("carrier_freq_hz", "bandwidth_hz", "distance_m", "waist_m", "power_slope"):
             v = float(getattr(self, name))
             if not (math.isfinite(v) and v > 0.0):
                 raise ConfigError(f"{name} must be finite and > 0, got {v!r}")
-        if self.circuit_power_w < 0.0:
-            raise ConfigError(f"circuit_power_w must be >= 0, got {self.circuit_power_w!r}")
-        if self.element_spacing_m <= 0.0:
-            raise ConfigError(f"element spacing must be > 0, got {self.element_spacing!r}")
+        for name in ("noise_psd_dbm_hz", "snr_db"):
+            v = float(getattr(self, name))
+            if not math.isfinite(v):
+                raise ConfigError(f"{name} must be finite, got {v!r}")
+        if not (math.isfinite(self.circuit_power_w) and self.circuit_power_w >= 0.0):
+            raise ConfigError(f"circuit_power_w must be finite and >= 0, got {self.circuit_power_w!r}")
+        if not (math.isfinite(self.element_spacing_m) and self.element_spacing_m > 0.0):
+            raise ConfigError(f"element spacing must be finite and > 0, got {self.element_spacing!r}")
         if self.ref_state == 0 or not isinstance(self.ref_state, int):
             raise ConfigError(f"ref_state must be a nonzero integer, got {self.ref_state!r}")
         beta = self.beta_value

@@ -47,10 +47,10 @@ class PowerModel:
     n_active: int = 1
 
     def __post_init__(self):
-        if self.circuit_power_w < 0.0:
-            raise ConfigError(f"circuit power must be >= 0, got {self.circuit_power_w!r}")
-        if self.slope < 0.0:
-            raise ConfigError(f"power slope must be >= 0, got {self.slope!r}")
+        if not (math.isfinite(self.circuit_power_w) and self.circuit_power_w >= 0.0):
+            raise ConfigError(f"circuit power must be finite and >= 0, got {self.circuit_power_w!r}")
+        if not (math.isfinite(self.slope) and self.slope >= 0.0):
+            raise ConfigError(f"power slope must be finite and >= 0, got {self.slope!r}")
         if not isinstance(self.n_active, int) or self.n_active < 1:
             raise ConfigError(f"n_active must be a positive integer, got {self.n_active!r}")
 

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelTensor, build_channel_tensor
-from .config import SystemConfig
+from .config import SystemConfig, _check_symbol_axes
 from .errors import ConfigError
-from .numerics import Constellation, _chunk_rng, _is_power_of_two
+from .numerics import Constellation, _chunk_rng
 
 __all__ = [
     "OamSymbol",
@@ -61,13 +61,8 @@ class SymbolMap:
     """
 
     def __init__(self, n_antennas: int, states, constellation: Constellation):
-        if not _is_power_of_two(n_antennas):
-            raise ConfigError(f"antenna count must be a power of two, got {n_antennas!r}")
         states = tuple(sorted(int(s) for s in states))
-        if not _is_power_of_two(len(states)):
-            raise ConfigError(f"state count must be a power of two, got {len(states)}")
-        if 0 in states or len(set(states)) != len(states):
-            raise ConfigError("states must be distinct nonzero integers")
+        _check_symbol_axes(n_antennas, states)
         if len(set(constellation.bit_labels)) != constellation.order:
             raise ConfigError("constellation bit labels must be distinct")
         self.n_antennas = n_antennas
@@ -277,10 +272,18 @@ def simulate_ber(
         m_idx = rng.integers(0, M, size=n)
         l_idx = rng.integers(0, n_states, size=n)
         p_idx = rng.integers(0, P, size=n)
-        noise = sigma * (
-            rng.standard_normal((n, M, 2)) + 1j * rng.standard_normal((n, M, 2))
-        )
-        y = sqrt_rho * tensor.entries[m_idx, l_idx] * points[p_idx][:, None, None] + noise
+        # Real then imaginary noise draws go straight into the frame and the
+        # signal is added in place, so no separate noise array or complex
+        # temporaries stay alive; ``signal`` is dropped before the decision.
+        y = np.empty((n, M, 2), dtype=complex)
+        y.real = rng.standard_normal((n, M, 2))
+        y.imag = rng.standard_normal((n, M, 2))
+        y *= sigma
+        signal = tensor.entries[m_idx, l_idx]
+        signal *= sqrt_rho
+        signal *= points[p_idx][:, None, None]
+        y += signal
+        del signal
         m_hat, l_hat, p_hat = decide(y)
 
         ant_err = m_hat != m_idx

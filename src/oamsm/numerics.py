@@ -3,7 +3,6 @@
 Contents
 --------
 q_function          Gaussian tail probability.
-log_bessel_i0       ln I0(x), overflow-free far into the asymptotic regime.
 marcum_q1           First-order Marcum Q: Poisson-window series, large-a expansion.
 ncx2_pdf, ncx2_cdf  Noncentral chi-square with two degrees of freedom.
 integrate           Adaptive Gauss-Kronrod quadrature, finite or semi-infinite,
@@ -25,7 +24,6 @@ from .errors import NumericError
 
 __all__ = [
     "q_function",
-    "log_bessel_i0",
     "marcum_q1",
     "ncx2_pdf",
     "ncx2_cdf",
@@ -81,22 +79,6 @@ def _log_i0e(x: np.ndarray) -> np.ndarray:
         terms = np.cumprod(np.multiply.outer(_I0_EXPANSION_STEP, 1.0 / xl), axis=0)
         out[~small] = np.log1p(np.sum(terms, axis=0)) - 0.5 * np.log(2.0 * np.pi * xl)
     return out
-
-
-def log_bessel_i0(x):
-    """Natural log of the modified Bessel function I0.
-
-    Accepts scalars or arrays of nonnegative values.  Computed as
-    x + ln(e^-x I0(x)): a 40-term power series covers x <= 25 and a 16-term
-    large-argument expansion the rest, each truncated below 1e-16 relative
-    in I0, so the result stays finite far past x ~ 1e6 without overflow.
-    """
-    scalar = np.ndim(x) == 0
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.size and (np.any(arr < 0.0) or not np.all(np.isfinite(arr))):
-        raise ValueError("log_bessel_i0 requires finite x >= 0")
-    out = arr + _log_i0e(arr)
-    return float(out[0]) if scalar else out.reshape(np.shape(x))
 
 
 # Elements per (window rows x points) block of Poisson log-pmf values; caps

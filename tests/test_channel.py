@@ -3,65 +3,64 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from oamsm import (
-    ArrayLayout,
-    BeamParams,
-    ConfigError,
-    SystemConfig,
-    build_channel_tensor,
-    in_ring_response,
-    lg_field,
-    off_ring_response,
-)
+from oamsm import ConfigError, SystemConfig, build_channel_tensor
 from oamsm.channel import matched_beams
 
 
-def make_layout(**kw):
-    defaults = dict(M=4, xi=0.1, z=50.0, beta=math.pi / 8, ring_radius=1.4, l_max=4)
-    defaults.update(kw)
-    return ArrayLayout(**defaults)
+def lg_oracle(waist, l, wavelength, r, phi, z):
+    """Textbook LG_0^l field in extended precision: normalization
+    sqrt(2 / (pi |l|!)) / w(z), envelope (r sqrt2 / w)^|l| exp(-r^2 / w^2),
+    curvature phase -k r^2 / (2 R(z)), Gouy phase (|l| + 1) arctan(z / z_R)
+    and helical phase -l phi."""
+    w0, lam, r, phi, z = (mpmath.mpf(v) for v in (waist, wavelength, r, phi, z))
+    zr = mpmath.pi * w0**2 / lam
+    w = w0 * mpmath.sqrt(1 + (z / zr) ** 2)
+    curvature = z * (1 + (zr / z) ** 2)
+    k = 2 * mpmath.pi / lam
+    la = abs(l)
+    amp = (
+        mpmath.sqrt(2 / (mpmath.pi * mpmath.factorial(la)))
+        / w
+        * (r * mpmath.sqrt(2) / w) ** la
+        * mpmath.exp(-(r**2) / w**2)
+    )
+    return complex(amp * mpmath.expj(-k * r**2 / (2 * curvature) + (la + 1) * mpmath.atan(z / zr) - l * phi))
 
 
 class TestInRingResponse:
-    def test_zero_state_degenerate_formula(self):
-        # State 0 is outside the signaling set, but the formula collapses to
-        # equal responses on both antennas, a useful structural check.
-        layout = make_layout()
-        h1, h2 = in_ring_response(1, 0, layout, 5e-3, 1.0)
-        assert h1 == pytest.approx(h2, rel=1e-12)
-
-    def test_pair_phase_difference(self):
-        layout = make_layout()
-        for l in (-4, -1, 2, 3):
-            h1, h2 = in_ring_response(2, l, layout, 5e-3, 1.0)
-            measured = np.angle(h1 * np.conj(h2))
-            assert math.remainder(measured - layout.beta * l, 2 * math.pi) == pytest.approx(
-                0.0, abs=1e-10
-            )
+    def test_pair_phase_difference(self, default_config, default_tensor):
+        e = default_tensor.entries
+        beta = default_config.beta_value
+        for m in range(default_config.tx_antennas):
+            for li, l in enumerate(default_tensor.states):
+                measured = np.angle(e[m, li, m, 0] * np.conj(e[m, li, m, 1]))
+                assert math.remainder(measured - beta * l, 2 * math.pi) == pytest.approx(0.0, abs=1e-10)
 
     def test_friis_magnitude(self):
-        layout = ArrayLayout(M=1, xi=0.1, z=50.0, beta=math.pi / 8, ring_radius=1e-9, l_max=4)
-        h1, _ = in_ring_response(1, 1, layout, 5e-3, 1.0)
-        assert abs(h1) == pytest.approx(5e-3 / (4 * math.pi * 50.0), rel=1e-9)
-        assert abs(h1) == pytest.approx(7.9577e-6, rel=1e-4)
+        cfg = dataclasses.replace(
+            SystemConfig(), tx_antennas=1, oam_states=(-1, 1), constellation_order=2, gain=1.0
+        )
+        h = build_channel_tensor(cfg).entries
+        d = math.sqrt(cfg.distance_m**2 + cfg.ring_radius_m**2)
+        assert np.abs(h[0, :, 0, 0]) == pytest.approx(cfg.wavelength_m / (4 * math.pi * d), rel=1e-12)
+        assert np.abs(h[0, :, 0, 1]) == pytest.approx(cfg.wavelength_m / (4 * math.pi * d), rel=1e-12)
+        # 60 GHz at 50 m with a 1.41 m ring: lambda / (4 pi d) = 7.949e-6.
+        assert abs(h[0, 0, 0, 0]) == pytest.approx(7.949e-6, rel=1e-4)
 
 
 class TestOffRingResponse:
     def test_ring_limit_matches_in_ring_magnitude(self):
         # Shrinking the transverse offset drives the off-ring magnitude to
         # the in-ring Friis value.
-        beam = BeamParams(waist=0.04, state=1, wavelength=5e-3)
-        from oamsm import ring_radius as ring_of
-
-        z = 50.0
-        ring = ring_of(beam, z)
-        layout = ArrayLayout(M=2, xi=1e-6, z=z, beta=math.pi / 8, ring_radius=ring, l_max=4)
-        h_off, _ = off_ring_response(1, 2, 1, layout, beam, 1.0)
-        h_in, _ = in_ring_response(1, 1, layout, 5e-3, 1.0)
-        assert abs(h_off) == pytest.approx(abs(h_in), rel=1e-8)
+        cfg = dataclasses.replace(SystemConfig(), tx_antennas=2, element_spacing=1e-6)
+        e = build_channel_tensor(cfg).entries
+        for li in range(cfg.n_states):
+            assert abs(e[0, li, 1, 0]) == pytest.approx(abs(e[0, li, 0, 0]), rel=1e-8)
+            assert abs(e[1, li, 0, 0]) == pytest.approx(abs(e[1, li, 1, 0]), rel=1e-8)
 
     def test_off_ring_weaker_than_in_ring(self, default_config, default_tensor):
         mags = np.abs(default_tensor.entries)
@@ -73,41 +72,26 @@ class TestOffRingResponse:
                         assert mags[m, li, j, 0] < mags[m, li, m, 0]
                         assert mags[m, li, j, 1] < mags[m, li, m, 0]
 
-    def test_ratio_against_beam_field_oracle(self, default_config):
+    def test_ratio_against_beam_field_oracle(self, default_config, default_tensor):
         # The response ratio off/in must reproduce the transverse field
-        # ratio.  The ring response carries a fixed quarter-turn-per-state
-        # phase in place of the field's half-turn at the ring azimuth, so
-        # the comparison compensates by exp(i l pi/4) vs exp(i l pi/2).
-        cfg = default_config.resolved()
+        # ratio.  The ring response carries a fixed pi/4-per-state phase in
+        # place of the field's l pi/2 at the ring azimuth, so the comparison
+        # compensates by exp(i l pi/4) vs exp(i l pi/2).  Geometry by hand.
+        cfg = default_config
         beams = matched_beams(cfg)
-        layout = ArrayLayout(
-            M=cfg.tx_antennas,
-            xi=cfg.element_spacing_m,
-            z=cfg.distance_m,
-            beta=cfg.beta_value,
-            ring_radius=cfg.ring_radius_m,
-            l_max=cfg.l_max,
-        )
-        from oamsm import pair_azimuths, radial_offsets
-
-        gain = cfg.gain_value
+        xi, ring, beta, z = cfg.element_spacing_m, cfg.ring_radius_m, cfg.beta_value, cfg.distance_m
         for (m, j, l) in [(1, 2, 1), (1, 3, -2), (2, 4, 4), (4, 1, -3)]:
-            beam = beams[l]
-            h_in, _ = in_ring_response(m, l, layout, cfg.wavelength_m, gain)
-            h_off, _ = off_ring_response(m, j, l, layout, beam, gain)
-            r1, _ = radial_offsets(m, j, layout)
-            phi1, _ = pair_azimuths(m, j, layout)
-            field_off = lg_field(beam, r1, phi1, cfg.distance_m)
-            field_in = lg_field(beam, layout.ring_radius, math.pi / 2, cfg.distance_m)
-            lhs = (h_off / h_in) * np.exp(-1j * l * math.pi / 4)
-            rhs = (field_off / field_in) * np.exp(-1j * l * math.pi / 2)
-            assert abs(lhs - rhs) / abs(rhs) < 1e-9
-
-    def test_rejects_same_pair(self):
-        layout = make_layout()
-        beam = BeamParams(waist=0.04, state=1, wavelength=5e-3)
-        with pytest.raises(ConfigError):
-            off_ring_response(2, 2, 1, layout, beam, 1.0)
+            h_in = default_tensor.response(m, l, m, 1)
+            dx = (j - m) * xi
+            positions = [(dx, ring), (dx - ring * math.sin(beta), ring * math.cos(beta))]
+            for antenna, (x, y) in enumerate(positions, start=1):
+                h_off = default_tensor.response(m, l, j, antenna)
+                args = (beams[l].waist, l, cfg.wavelength_m)
+                field_off = lg_oracle(*args, math.hypot(x, y), math.atan2(y, x), z)
+                field_in = lg_oracle(*args, ring, math.pi / 2, z)
+                lhs = (h_off / h_in) * np.exp(-1j * l * math.pi / 4)
+                rhs = (field_off / field_in) * np.exp(-1j * l * math.pi / 2)
+                assert abs(lhs - rhs) / abs(rhs) < 1e-9
 
 
 class TestBuildChannelTensor:

@@ -52,6 +52,33 @@ class TestSystemConfig:
         with pytest.raises(ConfigError):
             SystemConfig(beta_rad=math.pi / 2)  # limit is pi/4 for |l|max = 4
 
+    def test_rejects_beta_at_limit(self):
+        with pytest.raises(ConfigError):
+            SystemConfig(beta_rad=math.pi / 4)
+
+    def test_accepts_beta_inside_limit(self):
+        assert SystemConfig(beta_rad=math.pi / 4 - 1e-9).beta_value < math.pi / 4
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("element_spacing", 0.0),
+            ("element_spacing", math.nan),
+            ("element_spacing", math.inf),
+            ("element_spacing", "nanlambda"),
+            ("distance_m", -1.0),
+            ("circuit_power_w", math.nan),
+            ("circuit_power_w", math.inf),
+            ("noise_psd_dbm_hz", math.nan),
+            ("noise_psd_dbm_hz", -math.inf),
+            ("snr_db", math.nan),
+            ("snr_db", math.inf),
+        ],
+    )
+    def test_rejects_bad_value(self, field, value):
+        with pytest.raises(ConfigError):
+            SystemConfig(**{field: value})
+
     def test_rejects_state_zero(self):
         with pytest.raises(ConfigError):
             SystemConfig(oam_states=(0, 1, -1, 2))
@@ -274,6 +301,40 @@ class TestCliMain:
             ]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "line, sweep, outputs",
+        [
+            ("circuit_power = nan", "snr", "capacity,ee"),
+            ("noise_psd = nan", "snr", "capacity,ee"),
+            ("snr = nan", "distance", "capacity"),
+            ("xi = nanlambda", "snr", "capacity"),
+        ],
+    )
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, line, sweep, outputs):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(line + "\n")
+        rc = main(
+            [
+                "run",
+                "--config",
+                str(cfg),
+                "--sweep",
+                sweep,
+                "--from",
+                "50",
+                "--to",
+                "50",
+                "--outputs",
+                outputs,
+                "--samples",
+                "50",
+                "--out",
+                str(tmp_path / "o.csv"),
+            ]
+        )
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_preset_deterministic_bodies(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,141 +1,100 @@
-"""Array geometry: distances, azimuths, radial offsets, and constraints."""
+"""Pair geometry of the channel build: distances, azimuths, radial offsets."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
-from oamsm import (
-    ArrayLayout,
-    ConfigError,
-    DegenerateGeometryError,
-    pair_azimuths,
-    pair_distances,
-    radial_offsets,
-)
+from oamsm import SystemConfig, build_channel_tensor
+from oamsm.channel import _pair_geometry
 
 
-def make_layout(M=4, xi=0.1, z=50.0, beta=math.pi / 8, ring=1.4, l_max=4):
-    return ArrayLayout(M=M, xi=xi, z=z, beta=beta, ring_radius=ring, l_max=l_max)
+def geometry(M=4, xi=0.1, z=50.0, beta=math.pi / 8, ring=1.4):
+    """(distance, radial, azimuth), each (M, M, 2) indexed [m, j, antenna]."""
+    return _pair_geometry(M, xi, z, ring, beta)
 
 
 class TestPairDistances:
     def test_facing_pair_equal_distances(self):
-        layout = make_layout()
-        d1, d2 = pair_distances(2, 2, layout)
-        expected = math.sqrt(layout.z**2 + layout.ring_radius**2)
-        assert d1 == pytest.approx(expected, rel=1e-15)
-        assert d2 == pytest.approx(expected, rel=1e-15)
+        dist, _, _ = geometry()
+        expected = math.sqrt(50.0**2 + 1.4**2)
+        assert dist[1, 1, 0] == pytest.approx(expected, rel=1e-15)
+        assert dist[1, 1, 1] == pytest.approx(expected, rel=1e-15)
 
     def test_degenerate_ring_345(self):
         # Collapsed ring turns the geometry into a 3-4-5 triangle.
-        layout = make_layout(xi=4.0, z=3.0, beta=1e-9, ring=1e-12)
-        d1, d2 = pair_distances(1, 2, layout)
-        assert d1 == pytest.approx(5.0, rel=1e-9)
-        assert d2 == pytest.approx(5.0, rel=1e-9)
+        dist, _, _ = geometry(xi=4.0, z=3.0, beta=1e-9, ring=1e-12)
+        assert dist[0, 1, 0] == pytest.approx(5.0, rel=1e-9)
+        assert dist[0, 1, 1] == pytest.approx(5.0, rel=1e-9)
 
     def test_hand_arithmetic(self):
-        layout = make_layout(xi=0.1, z=50.0, ring=0.5)
-        d1, _ = pair_distances(1, 3, layout)
-        assert d1 == pytest.approx(math.sqrt(50.0**2 + (2 * 0.1) ** 2 + 0.5**2), rel=1e-15)
+        dist, _, _ = geometry(xi=0.1, z=50.0, ring=0.5)
+        assert dist[0, 2, 0] == pytest.approx(math.sqrt(50.0**2 + (2 * 0.1) ** 2 + 0.5**2), rel=1e-15)
 
     def test_depends_on_offset_magnitude_only(self):
-        layout = make_layout()
-        assert pair_distances(1, 3, layout)[0] == pytest.approx(
-            pair_distances(3, 1, layout)[0], rel=1e-15
-        )
-        assert pair_distances(2, 4, layout)[0] == pytest.approx(
-            pair_distances(1, 3, layout)[0], rel=1e-15
-        )
+        dist, _, _ = geometry()
+        assert dist[0, 2, 0] == pytest.approx(dist[2, 0, 0], rel=1e-15)
+        assert dist[1, 3, 0] == pytest.approx(dist[0, 2, 0], rel=1e-15)
 
     def test_pythagorean_consistency(self):
-        layout = make_layout()
-        for m in range(1, 5):
-            for j in range(1, 5):
-                d1, _ = pair_distances(m, j, layout)
-                r1, _ = radial_offsets(m, j, layout)
-                assert d1**2 == pytest.approx(layout.z**2 + r1**2, rel=1e-12)
-
-    def test_index_bounds(self):
-        layout = make_layout()
-        with pytest.raises(ConfigError):
-            pair_distances(0, 1, layout)
-        with pytest.raises(ConfigError):
-            pair_distances(1, 5, layout)
+        dist, radial, _ = geometry()
+        assert dist.shape == radial.shape == (4, 4, 2)
+        np.testing.assert_allclose(dist**2, 50.0**2 + radial**2, rtol=1e-12)
 
 
 class TestPairAzimuths:
     def test_facing_pair(self):
-        layout = make_layout()
-        phi1, phi2 = pair_azimuths(3, 3, layout)
-        assert phi1 == pytest.approx(math.pi / 2, rel=1e-15)
-        assert phi2 == pytest.approx(math.pi / 2 + layout.beta, rel=1e-15)
+        beta = math.pi / 8
+        _, _, phi = geometry(beta=beta)
+        assert phi[2, 2, 0] == pytest.approx(math.pi / 2, rel=1e-15)
+        assert phi[2, 2, 1] == pytest.approx(math.pi / 2 + beta, rel=1e-15)
 
     def test_forty_five_degrees(self):
         # Ring radius equal to the transverse offset gives arctan(1).
-        layout = make_layout(xi=0.7, ring=0.7, beta=1e-9)
-        phi1, _ = pair_azimuths(1, 2, layout)
-        assert phi1 == pytest.approx(math.pi / 4, rel=1e-9)
+        _, _, phi = geometry(xi=0.7, ring=0.7, beta=1e-9)
+        assert phi[0, 1, 0] == pytest.approx(math.pi / 4, rel=1e-9)
 
     def test_mirror_reflection(self):
-        layout = make_layout()
-        fwd, _ = pair_azimuths(1, 3, layout)
-        back, _ = pair_azimuths(3, 1, layout)
-        assert back == pytest.approx(math.pi - fwd, rel=1e-12)
+        _, _, phi = geometry()
+        assert phi[2, 0, 0] == pytest.approx(math.pi - phi[0, 2, 0], rel=1e-12)
 
     def test_range(self):
-        layout = make_layout()
-        for m in range(1, 5):
-            for j in range(1, 5):
-                phi1, phi2 = pair_azimuths(m, j, layout)
-                assert 0.0 < phi1 < math.pi
-                assert 0.0 < phi2 < math.pi + layout.beta
-
-    def test_degenerate_on_axis(self):
-        # Second antenna exactly on the transmit axis: xi == ring * sin(beta).
         beta = math.pi / 8
-        ring = 1.0
-        layout = make_layout(xi=ring * math.sin(beta), ring=ring, beta=beta)
-        with pytest.raises(DegenerateGeometryError) as info:
-            pair_azimuths(1, 2, layout)
-        assert "j=2" in str(info.value) and "m=1" in str(info.value)
+        _, _, phi = geometry(beta=beta)
+        assert np.all((0.0 < phi[..., 0]) & (phi[..., 0] < math.pi))
+        assert np.all((0.0 < phi[..., 1]) & (phi[..., 1] < math.pi + beta))
+
+    def test_second_antenna_over_axis(self):
+        # Spacing ring * sin(beta) puts the second antenna of pair 2 straight
+        # above element 1's axis, at height ring * cos(beta): azimuth pi/2.
+        base = SystemConfig()
+        xi = base.ring_radius_m * math.sin(base.beta_value)
+        cfg = dataclasses.replace(base, element_spacing=xi)
+        tensor = build_channel_tensor(cfg)
+        assert np.all(np.isfinite(tensor.entries))
+        _, _, phi = _pair_geometry(
+            cfg.tx_antennas, cfg.element_spacing_m, cfg.distance_m, cfg.ring_radius_m, cfg.beta_value
+        )
+        assert phi[0, 1, 1] == math.pi / 2
 
 
 class TestRadialOffsets:
     def test_facing_pair_on_ring(self):
-        layout = make_layout()
-        r1, r2 = radial_offsets(2, 2, layout)
-        assert r1 == pytest.approx(layout.ring_radius, rel=1e-15)
-        assert r2 == pytest.approx(layout.ring_radius, rel=1e-15)
+        _, radial, _ = geometry()
+        assert radial[1, 1, 0] == pytest.approx(1.4, rel=1e-15)
+        assert radial[1, 1, 1] == pytest.approx(1.4, rel=1e-15)
 
     def test_345(self):
-        layout = make_layout(xi=4.0, ring=3.0, beta=1e-12)
-        r1, r2 = radial_offsets(1, 2, layout)
-        assert r1 == pytest.approx(5.0, rel=1e-9)
-        assert r2 == pytest.approx(5.0, rel=1e-9)
+        _, radial, _ = geometry(xi=4.0, ring=3.0, beta=1e-12)
+        assert radial[0, 1, 0] == pytest.approx(5.0, rel=1e-9)
+        assert radial[0, 1, 1] == pytest.approx(5.0, rel=1e-9)
 
     def test_off_axis_exceeds_ring(self):
-        layout = make_layout()
-        for m in range(1, 5):
-            for j in range(1, 5):
-                r1, _ = radial_offsets(m, j, layout)
+        _, radial, _ = geometry()
+        for m in range(4):
+            for j in range(4):
                 if j == m:
-                    assert r1 == pytest.approx(layout.ring_radius, rel=1e-15)
+                    assert radial[m, j, 0] == pytest.approx(1.4, rel=1e-15)
                 else:
-                    assert r1 > layout.ring_radius
-
-
-class TestArrayLayout:
-    def test_rejects_wide_pair_angle(self):
-        with pytest.raises(ConfigError):
-            make_layout(beta=math.pi / 4 + 1e-9, l_max=4)
-
-    def test_accepts_angle_inside_limit(self):
-        make_layout(beta=math.pi / 4 - 1e-9, l_max=4)
-
-    def test_rejects_bad_fields(self):
-        with pytest.raises(ConfigError):
-            make_layout(M=0)
-        with pytest.raises(ConfigError):
-            make_layout(xi=0.0)
-        with pytest.raises(ConfigError):
-            make_layout(z=-1.0)
+                    assert radial[m, j, 0] > 1.4

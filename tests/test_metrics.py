@@ -586,3 +586,10 @@ class TestEnergyEfficiency:
         # rho = inf used to give 0.0 and nan a nan, both without an error.
         with pytest.raises(ValueError):
             energy_efficiency(1.0, 1.0, rho, PowerModel(6.8, 4.0, 1), "oam_sm")
+
+    @pytest.mark.parametrize(
+        "power, slope", [(math.nan, 4.0), (math.inf, 4.0), (6.8, math.nan), (6.8, math.inf)]
+    )
+    def test_power_model_rejects_non_finite(self, power, slope):
+        with pytest.raises(ConfigError):
+            PowerModel(power, slope, 1)

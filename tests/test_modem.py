@@ -260,6 +260,21 @@ class TestSimulateBer:
             tracemalloc.stop()
         assert peak <= 290 * 2**20 / 3
 
+    def test_frame_memory_is_bounded(self):
+        # The chunk's noise is drawn straight into the frame and the signal
+        # added in place, so no separate noise array and its complex
+        # temporaries (~17 MB each at M = 64) are kept; this call peaked at
+        # 73.6 MiB under tracemalloc with them.
+        cfg = SystemConfig(tx_antennas=64, oam_states=(-1, 1), constellation_order=1024)
+        tensor = build_channel_tensor(cfg)
+        tracemalloc.start()
+        try:
+            simulate_ber(cfg, 20.0, 20000, 5, "stepwise", tensor=tensor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
+
     def test_deterministic_across_runs(self, default_config, default_tensor):
         r1 = simulate_ber(default_config, 10.0, 30000, 5, "stepwise", tensor=default_tensor)
         r2 = simulate_ber(default_config, 10.0, 30000, 5, "stepwise", tensor=default_tensor)
