@@ -167,7 +167,7 @@ PRESETS: dict[str, SweepSpec] = {
 }
 
 
-def _grid_values(sweep: str, start: float, stop: float, step: float):
+def _grid_values(sweep: str, start: float, stop: float, step: float, config: SystemConfig):
     if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)):
         raise ConfigError("sweep range must be finite")
     if stop < start or step <= 0:
@@ -184,7 +184,14 @@ def _grid_values(sweep: str, start: float, stop: float, step: float):
             raise ConfigError(f"no powers of two inside [{start}, {stop}]")
         return values
     n = int(round((stop - start) / step))
-    return [start + i * step for i in range(n + 1) if start + i * step <= stop + 1e-9]
+    values = [start + i * step for i in range(n + 1) if start + i * step <= stop + 1e-9]
+    if sweep == "snr":
+        for v in values:
+            try:
+                config.rho_for_snr_db(v)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+    return values
 
 
 def _point_config(cfg: SystemConfig, sweep: str, value) -> tuple[SystemConfig, float]:
@@ -250,7 +257,7 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, out_path: str, command: str
             raise ConfigError(f"unknown output {out!r}; expected one of {_OUTPUT_KINDS}")
     base = dataclasses.replace(config, **spec.overrides)
     base = dataclasses.replace(base, gain=base.gain_value)
-    grid = _grid_values(spec.sweep, spec.start, spec.stop, spec.step)
+    grid = _grid_values(spec.sweep, spec.start, spec.stop, spec.step, base)
     variants = spec.variants or (("", {}),)
     columns = _columns(spec)
     rows = []

@@ -173,10 +173,20 @@ class SystemConfig:
 
     def rho_for_snr_db(self, snr_db: float) -> float:
         """Transmit power (watts) realizing the given transmit SNR, defined
-        as rho / noise_power over the configured bandwidth."""
+        as rho / noise_power over the configured bandwidth.  Raises
+        ``ValueError`` for a non-finite SNR or a power that overflows a float."""
         if not math.isfinite(snr_db):
             raise ValueError(f"snr_db must be finite, got {snr_db!r}")
-        return self.noise_power_w * 10.0 ** (snr_db / 10.0)
+        try:
+            rho = self.noise_power_w * 10.0 ** (snr_db / 10.0)
+        except OverflowError:
+            rho = math.inf
+        if not math.isfinite(rho):
+            raise ValueError(
+                f"snr_db={snr_db!r} at noise_psd_dbm_hz={self.noise_psd_dbm_hz!r} gives a transmit"
+                " power that is not a finite float"
+            )
+        return rho
 
     def constellation(self) -> Constellation:
         if self.constellation_order == 1:
@@ -215,6 +225,10 @@ class SystemConfig:
             v = float(getattr(self, name))
             if not math.isfinite(v):
                 raise ConfigError(f"{name} must be finite, got {v!r}")
+        try:
+            self.rho_for_snr_db(self.snr_db)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not (math.isfinite(self.circuit_power_w) and self.circuit_power_w >= 0.0):
             raise ConfigError(f"circuit_power_w must be finite and >= 0, got {self.circuit_power_w!r}")
         if not (math.isfinite(self.element_spacing_m) and self.element_spacing_m > 0.0):

@@ -7,8 +7,9 @@ Gray(point), with 0-based indices into the ascending state table.  The
 receiver either solves the joint maximum-likelihood problem over all
 hypotheses or runs the three-step chain: pick the strongest pair, read the
 state off the pair phase difference, then decide the constellation point.
-Each rule is one batched function (``_detector``); the single-frame
-detectors are 1-row calls into it.
+Each rule is one batched function (``_detector``) that decides in row
+blocks bounded by one element budget; the single-frame detectors are 1-row
+calls into it.
 """
 
 from __future__ import annotations
@@ -133,44 +134,59 @@ def _wrap_angle(x):
     return np.remainder(x + np.pi, 2.0 * np.pi) - np.pi
 
 
-# Rows per residual block: bounds the ML rule's (rows, hypotheses, M, 2)
-# temporary and the stepwise point decision's (rows, points) one.
-_ML_BLOCK = 1024
+# Elements per decision block: each block holds rows x hypotheses ML scores
+# or rows x points stepwise residuals, so memory stays bounded whatever the
+# constellation or array size.
+_BLOCK_ELEMS = 1 << 17
 
 
 def _detector(tensor: ChannelTensor, rho: float, rule: str):
     """``decide(y)``: (n, M, 2) received frames to three length-n arrays of
     0-based (antenna, state, point) indices under ``rule``.  Every argmin or
-    argmax breaks ties to the lowest index.
+    argmax breaks ties to the lowest index.  Decisions run in row blocks of
+    ``max(1, _BLOCK_ELEMS // K)`` rows, K being the number of candidates
+    (hypotheses or points) scored per row.
 
     - ``stepwise``: the pair whose first antenna has the most power; then the
       state whose signature beta * l is nearest the measured pair phase
       difference, wrapped to [-pi, pi) (the ML rule under the pair-angle
       constraint); then the point minimizing the scalar residual against the
-      in-ring response of the decided (antenna, state), in blocks of
-      ``_ML_BLOCK`` rows.
+      in-ring response of the decided (antenna, state).
     - ``ml``: the (m, l, p) hypothesis, in that flat order, minimizing the
-      Frobenius residual between the frame and sqrt(rho) * h * x; the
-      argmin runs in blocks of ``_ML_BLOCK`` rows.
+      Frobenius residual |y - s_h|^2 between the frame and
+      s_h = sqrt(rho) * h * x.  Since |y|^2 is common to every hypothesis,
+      the argmin runs over the expanded score
+      ||s_h||^2 - 2 * [Re y, Im y] . [Re s_h, Im s_h]: one real matrix
+      product per block against a (4M, H) basis built once, plus the H
+      energies.  The expanded form can change a decision only where two
+      residuals agree to within rounding of |y|^2 + |s_h|^2.
     """
     M, n_states = tensor.entries.shape[:2]
     points = np.asarray(tensor.config.constellation().points)
     sqrt_rho = math.sqrt(rho)
     if rule == "ml":
-        hyp = (sqrt_rho * tensor.entries[:, :, None, :, :] * points[None, None, :, None, None]).reshape(-1, M, 2)
+        hyp = sqrt_rho * tensor.entries[:, :, None, :, :] * points[None, None, :, None, None]
+        # Interleaved (Re, Im) coordinates of each hypothesis: the float view
+        # of the complex array, as the received frames are read below.
+        coords = hyp.reshape(-1, 2 * M).view(np.float64)  # (H, 4M)
+        basis = np.ascontiguousarray(-2.0 * coords.T)
+        energy = np.einsum("hk,hk->h", coords, coords)
+        rows = max(1, _BLOCK_ELEMS // len(energy))
 
         def decide(y):
+            feats = np.ascontiguousarray(y, dtype=complex).reshape(len(y), 2 * M).view(np.float64)
             flat = np.empty(len(y), dtype=np.intp)
-            for lo in range(0, len(y), _ML_BLOCK):
-                yb = y[lo : lo + _ML_BLOCK]
-                resid = np.sum(np.abs(yb[:, None, :, :] - hyp[None, :, :, :]) ** 2, axis=(2, 3))
-                flat[lo : lo + _ML_BLOCK] = np.argmin(resid, axis=1)
+            for lo in range(0, len(y), rows):
+                score = feats[lo : lo + rows] @ basis
+                score += energy
+                flat[lo : lo + rows] = np.argmin(score, axis=1)
             return np.unravel_index(flat, (M, n_states, points.size))
 
         return decide
 
     state_sig = tensor.config.beta_value * np.asarray(tensor.states, dtype=float)
     in_ring = tensor.entries[np.arange(M), :, np.arange(M), 0]  # (M, n_states)
+    rows = max(1, _BLOCK_ELEMS // points.size)
 
     def decide(y):
         m_hat = np.argmax(np.abs(y[:, :, 0]) ** 2, axis=1)
@@ -179,10 +195,10 @@ def _detector(tensor: ChannelTensor, rho: float, rule: str):
         l_hat = np.argmin(np.abs(_wrap_angle(delta[:, None] - state_sig[None, :])), axis=1)
         ref = sqrt_rho * in_ring[m_hat, l_hat]
         p_hat = np.empty(len(y), dtype=np.intp)
-        for lo in range(0, len(y), _ML_BLOCK):
-            rows = slice(lo, lo + _ML_BLOCK)
-            resid = np.abs(pair[rows, 0, None] - ref[rows, None] * points[None, :]) ** 2
-            p_hat[rows] = np.argmin(resid, axis=1)
+        for lo in range(0, len(y), rows):
+            block = slice(lo, lo + rows)
+            resid = np.abs(pair[block, 0, None] - ref[block, None] * points[None, :]) ** 2
+            p_hat[block] = np.argmin(resid, axis=1)
         return m_hat, l_hat, p_hat
 
     return decide

@@ -73,11 +73,18 @@ class TestSystemConfig:
             ("noise_psd_dbm_hz", -math.inf),
             ("snr_db", math.nan),
             ("snr_db", math.inf),
+            ("snr_db", 4000.0),
         ],
     )
     def test_rejects_bad_value(self, field, value):
         with pytest.raises(ConfigError):
             SystemConfig(**{field: value})
+
+    def test_rho_rejects_overflowing_snr(self):
+        # 10 ** (snr / 10) leaves the float range near 3083 dB.
+        assert math.isfinite(SystemConfig().rho_for_snr_db(3000.0))
+        with pytest.raises(ValueError, match="finite"):
+            SystemConfig().rho_for_snr_db(4000.0)
 
     def test_rejects_state_zero(self):
         with pytest.raises(ConfigError):
@@ -309,6 +316,7 @@ class TestCliMain:
             ("noise_psd = nan", "snr", "capacity,ee"),
             ("snr = nan", "distance", "capacity"),
             ("xi = nanlambda", "snr", "capacity"),
+            ("snr = 4000", "distance", "capacity"),
         ],
     )
     def test_non_finite_value_is_config_error(self, tmp_path, capsys, line, sweep, outputs):
@@ -335,6 +343,15 @@ class TestCliMain:
         )
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_overflowing_snr_sweep_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        rc = main(
+            ["run", "--sweep", "snr", "--from", "4000", "--to", "4000", "--outputs", "capacity", "--out", str(out)]
+        )
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_preset_deterministic_bodies(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

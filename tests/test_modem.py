@@ -185,6 +185,14 @@ class TestDetectors:
             truth = [(s.antenna - 1, default_tensor.state_index(s.state), s.point_index) for s in sent]
             assert np.any(got != np.array(truth))
 
+    def test_ml_at_zero_power_picks_first_hypothesis(self, default_config, default_tensor, default_map):
+        # At rho = 0 every hypothesis is the zero frame and scores the same,
+        # so the lowest index wins: antenna 1, the first state, point 0.
+        sym = default_map.encode("1011011")
+        frame = transmit(sym, default_tensor, 1.0, default_config.noise_power_w, np.random.default_rng(8))
+        out = demodulate_ml(frame, default_tensor, 0.0)
+        assert (out.antenna, out.state, out.point_index) == (1, default_tensor.states[0], 0)
+
     def test_single_hypothesis_returns_it(self):
         cfg = dataclasses.replace(
             SystemConfig(), tx_antennas=1, oam_states=(1,), constellation_order=1
@@ -197,10 +205,11 @@ class TestDetectors:
         assert (out.antenna, out.state, out.point_index) == (1, 1, 0)
 
 
-def unblocked_ber(config, tensor, snr_db, trials, seed, detector):
+def unblocked_ber(config, tensor, snr_db, trials, seed, detector, rows=None):
     """Reference for ``simulate_ber``: the same draws (8192-trial chunks, one
     Philox substream per chunk) with each chunk's detection done in a single
-    block by ``reference_decisions``."""
+    block by ``reference_decisions``, or in slices of ``rows`` frames where
+    one block's residual would not fit in memory."""
     const = config.constellation()
     points = np.asarray(const.points)
     M = config.tx_antennas
@@ -219,7 +228,9 @@ def unblocked_ber(config, tensor, snr_db, trials, seed, detector):
         p_idx = rng.integers(0, P, size=n)
         noise = sigma * (rng.standard_normal((n, M, 2)) + 1j * rng.standard_normal((n, M, 2)))
         y = math.sqrt(rho) * tensor.entries[m_idx, l_idx] * points[p_idx][:, None, None] + noise
-        m_hat, l_hat, p_hat = reference_decisions(config, tensor, y, rho, detector)
+        step = rows or n
+        blocks = [reference_decisions(config, tensor, y[i : i + step], rho, detector) for i in range(0, n, step)]
+        m_hat, l_hat, p_hat = (np.concatenate(parts) for parts in zip(*blocks))
         xor = (m_idx ^ m_hat) << (s_bits + p_bits) | (l_idx ^ l_hat) << p_bits | (gray[p_idx] ^ gray[p_hat])
         errors += [
             sum(bin(int(v)).count("1") for v in xor),
@@ -228,6 +239,30 @@ def unblocked_ber(config, tensor, snr_db, trials, seed, detector):
             np.count_nonzero((m_hat != m_idx) | (l_hat != l_idx) | (p_hat != p_idx)),
         ]
     return errors, trials * bits
+
+
+def reference_report(config, tensor, snr_db, trials, seed, detector, rows=None):
+    """The ``BerReport`` that ``simulate_ber`` must return, built from the
+    error counts of ``unblocked_ber``."""
+    errors, total_bits = unblocked_ber(config, tensor, snr_db, trials, seed, detector, rows)
+    rates = [errors[0] / total_bits, *(e / trials for e in errors[1:])]
+    counts = [total_bits, trials, trials, trials]
+    se = [math.sqrt(r * (1 - r) / c) for r, c in zip(rates, counts)]
+    return BerReport(
+        trials=trials,
+        bits_per_symbol=total_bits // trials,
+        bit_error_rate=rates[0],
+        bit_error_stderr=se[0],
+        antenna_error_rate=rates[1],
+        antenna_error_stderr=se[1],
+        state_error_rate=rates[2],
+        state_error_stderr=se[2],
+        symbol_error_rate=rates[3],
+        symbol_error_stderr=se[3],
+        detector=detector,
+        snr_db=snr_db,
+        seed=seed,
+    )
 
 
 class TestSimulateBer:
@@ -327,6 +362,44 @@ class TestSimulateBer:
             snr_db=snr,
             seed=23,
         )
+
+    @pytest.mark.parametrize("name", ["default", "m8", "tiny"])
+    @pytest.mark.parametrize("snr", [-10.0, 0.0, 10.0, 40.0])
+    def test_factored_ml_matches_direct_residual(self, request, name, snr):
+        # simulate_ber scores ML hypotheses by ||s||^2 - 2 Re<y, s>; the
+        # reference takes the argmin of |y - s|^2 itself.  9000 trials span
+        # two chunks; the reference works in 256-frame slices so that the
+        # M = 8 residual (256 hypotheses x 16 entries per frame) stays small.
+        cfg = {
+            "default": SystemConfig(),
+            "m8": dataclasses.replace(SystemConfig(), tx_antennas=8),
+            "tiny": request.getfixturevalue("tiny_config"),
+        }[name]
+        tensor = build_channel_tensor(cfg)
+        rep = simulate_ber(cfg, snr, 9000, 29, "ml", tensor=tensor)
+        assert rep == reference_report(cfg, tensor, snr, 9000, 29, "ml", rows=256)
+
+    @pytest.mark.parametrize(
+        "detector, cfg, snr, trials, seed, bound_mib",
+        [
+            # 16-PSK makes 256 hypotheses; a (1024, 256, 4, 2) complex
+            # residual per block peaked at 102 MiB here.
+            ("ml", SystemConfig(constellation_order=16), 10.0, 9000, 3, 16),
+            # 1024-PSK: point-decision blocks of 1024 rows held (1024, 1024)
+            # complex temporaries and peaked at 58.1 MiB.
+            ("stepwise", SystemConfig(tx_antennas=64, oam_states=(-1, 1), constellation_order=1024), 20.0, 20000, 5, 40),
+        ],
+    )
+    def test_memory_is_bounded_by_element_blocks(self, detector, cfg, snr, trials, seed, bound_mib):
+        # Blocks bound rows x candidates (hypotheses or points), not rows.
+        tensor = build_channel_tensor(cfg)
+        tracemalloc.start()
+        try:
+            simulate_ber(cfg, snr, trials, seed, detector, tensor=tensor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2**20
 
     def test_ber_monotone_in_snr(self, short_range_config, short_range_tensor):
         reps = [
