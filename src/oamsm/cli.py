@@ -263,6 +263,9 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, out_path: str, command: str
     rows = []
     for vi, (label, changes) in enumerate(variants):
         variant_cfg = dataclasses.replace(base, **changes) if changes else base
+        # Every output reads the tensor; an SNR sweep keeps the config
+        # object, so it builds the tensor once per variant.
+        tensor = tensor_cfg = None
         for gi, value in enumerate(grid):
             cfg, snr_db = _point_config(variant_cfg, spec.sweep, value)
             rho = cfg.rho_for_snr_db(snr_db)
@@ -271,9 +274,8 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, out_path: str, command: str
             row = {columns[0]: value, "rho_w": rho}
             if spec.variants:
                 row["variant"] = label
-            tensor = None
-            if {"capacity", "abep", "ber", "ee"} & set(spec.outputs):
-                tensor = build_channel_tensor(cfg)
+            if spec.outputs and cfg is not tensor_cfg:
+                tensor, tensor_cfg = build_channel_tensor(cfg), cfg
             if "capacity" in spec.outputs or "ee" in spec.outputs:
                 cap = dcmc_capacity(tensor, rho, noise_var, cfg.samples, seed_i)
                 cap_mimo = mimo_capacity_baseline(cfg, rho, noise_var, mode=spec.mimo_mode)

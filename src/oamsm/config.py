@@ -226,6 +226,15 @@ class SystemConfig:
             if not math.isfinite(v):
                 raise ConfigError(f"{name} must be finite, got {v!r}")
         try:
+            noise = self.noise_power_w
+        except OverflowError:
+            noise = math.inf
+        if not (math.isfinite(noise) and noise > 0.0):
+            raise ConfigError(
+                f"noise_psd_dbm_hz={self.noise_psd_dbm_hz!r} over bandwidth_hz={self.bandwidth_hz!r}"
+                f" gives a noise power of {noise!r} W; it must be finite and > 0"
+            )
+        try:
             self.rho_for_snr_db(self.snr_db)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None

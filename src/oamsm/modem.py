@@ -7,9 +7,13 @@ Gray(point), with 0-based indices into the ascending state table.  The
 receiver either solves the joint maximum-likelihood problem over all
 hypotheses or runs the three-step chain: pick the strongest pair, read the
 state off the pair phase difference, then decide the constellation point.
-Each rule is one batched function (``_detector``) that decides in row
-blocks bounded by one element budget; the single-frame detectors are 1-row
-calls into it.
+Each rule is one batched function (``_detector``) that scores every
+candidate by a small real matrix product, in row blocks bounded by one
+element budget; the single-frame detectors are 1-row calls into it.
+``simulate_ber`` builds each chunk's (n, M, 2) complex frames by gathering
+the clean frames sqrt(rho) * h of the drawn (antenna, state) pairs, scaling
+them by the drawn points, and adding in place one noise draw laid out as
+(2, n, M, 2): the real plane, then the imaginary plane.
 """
 
 from __future__ import annotations
@@ -130,36 +134,43 @@ def transmit(
     return frame
 
 
-def _wrap_angle(x):
-    return np.remainder(x + np.pi, 2.0 * np.pi) - np.pi
-
-
 # Elements per decision block: each block holds rows x hypotheses ML scores
-# or rows x points stepwise residuals, so memory stays bounded whatever the
+# or rows x points stepwise scores, so memory stays bounded whatever the
 # constellation or array size.
 _BLOCK_ELEMS = 1 << 17
 
 
 def _detector(tensor: ChannelTensor, rho: float, rule: str):
-    """``decide(y)``: (n, M, 2) received frames to three length-n arrays of
-    0-based (antenna, state, point) indices under ``rule``.  Every argmin or
-    argmax breaks ties to the lowest index.  Decisions run in row blocks of
-    ``max(1, _BLOCK_ELEMS // K)`` rows, K being the number of candidates
-    (hypotheses or points) scored per row.
+    """``decide(y)``: (n, M, 2) complex received frames to three length-n
+    arrays of 0-based (antenna, state, point) indices under ``rule``.
 
-    - ``stepwise``: the pair whose first antenna has the most power; then the
-      state whose signature beta * l is nearest the measured pair phase
-      difference, wrapped to [-pi, pi) (the ML rule under the pair-angle
-      constraint); then the point minimizing the scalar residual against the
-      in-ring response of the decided (antenna, state).
+    Every score is a small real matrix product, and every argmin or argmax
+    breaks ties to the lowest index, so under either rule an all-zero frame
+    decides antenna 1, the first state and point 0.  Decisions run in row
+    blocks of ``max(1, _BLOCK_ELEMS // K)`` rows, K being the number of
+    candidates (hypotheses or points) scored per row.
+
+    - ``stepwise``: the pair whose first antenna has the largest
+      Re^2 + Im^2; then, with z = y0 * conj(y1) over that pair, the state
+      maximizing Re(z * e^(-i beta l)) = |z| cos(arg z - beta l), which is
+      the signature beta * l nearest the pair phase difference on the circle
+      (the ML rule under the pair-angle constraint), by one (n, 2) @ (2, L)
+      product; then the point maximizing Re(y0 * conj(ref) * conj(x_p)), ref
+      being the in-ring response of the decided (antenna, state), by one
+      (rows, 2) @ (2, P) product per block.  Every point has the same energy
+      (unit-modulus PSK, or the single point 1), so this is the point of
+      least residual |y0 - ref * x_p|^2.  Unlike that residual, which rounds
+      every point to |y0|^2 once |ref| is far below |y0| (at -300 dB, say)
+      and then takes point 0, the score still resolves the points there.
     - ``ml``: the (m, l, p) hypothesis, in that flat order, minimizing the
       Frobenius residual |y - s_h|^2 between the frame and
       s_h = sqrt(rho) * h * x.  Since |y|^2 is common to every hypothesis,
       the argmin runs over the expanded score
       ||s_h||^2 - 2 * [Re y, Im y] . [Re s_h, Im s_h]: one real matrix
-      product per block against a (4M, H) basis built once, plus the H
-      energies.  The expanded form can change a decision only where two
-      residuals agree to within rounding of |y|^2 + |s_h|^2.
+      product per block of the frames' float view (interleaved Re, Im)
+      against a (4M, H) basis built once, plus the H energies.  The expanded
+      form can change a decision only where two residuals agree to within
+      rounding of |y|^2 + |s_h|^2.
     """
     M, n_states = tensor.entries.shape[:2]
     points = np.asarray(tensor.config.constellation().points)
@@ -184,28 +195,32 @@ def _detector(tensor: ChannelTensor, rho: float, rule: str):
 
         return decide
 
-    state_sig = tensor.config.beta_value * np.asarray(tensor.states, dtype=float)
-    in_ring = tensor.entries[np.arange(M), :, np.arange(M), 0]  # (M, n_states)
+    beta_l = tensor.config.beta_value * np.asarray(tensor.states, dtype=float)
+    state_basis = np.array([np.cos(beta_l), np.sin(beta_l)])  # (2, L)
+    point_basis = np.array([points.real, points.imag])  # (2, P)
+    ref = sqrt_rho * tensor.entries[np.arange(M), :, np.arange(M), 0]  # (M, L)
     rows = max(1, _BLOCK_ELEMS // points.size)
 
     def decide(y):
-        m_hat = np.argmax(np.abs(y[:, :, 0]) ** 2, axis=1)
-        pair = y[np.arange(len(y)), m_hat]
-        delta = np.angle(pair[:, 0] * np.conj(pair[:, 1]))
-        l_hat = np.argmin(np.abs(_wrap_angle(delta[:, None] - state_sig[None, :])), axis=1)
-        ref = sqrt_rho * in_ring[m_hat, l_hat]
+        first = y[:, :, 0]
+        m_hat = np.argmax(first.real**2 + first.imag**2, axis=1)
+        # ``take`` of flat rows: several times faster than 2-D fancy indexing.
+        pair = y.reshape(-1, 2).take(np.arange(len(y)) * M + m_hat, axis=0)
+        # (n, 2) float views [Re, Im] of z = y0 * conj(y1) and w = y0 * conj(ref).
+        z = (pair[:, 0] * pair[:, 1].conj()).view(np.float64).reshape(-1, 2)
+        l_hat = np.argmax(z @ state_basis, axis=1)
+        w = (pair[:, 0] * ref[m_hat, l_hat].conj()).view(np.float64).reshape(-1, 2)
         p_hat = np.empty(len(y), dtype=np.intp)
         for lo in range(0, len(y), rows):
-            block = slice(lo, lo + rows)
-            resid = np.abs(pair[block, 0, None] - ref[block, None] * points[None, :]) ** 2
-            p_hat[block] = np.argmin(resid, axis=1)
+            p_hat[lo : lo + rows] = np.argmax(w[lo : lo + rows] @ point_basis, axis=1)
         return m_hat, l_hat, p_hat
 
     return decide
 
 
 def _demodulate(frame: np.ndarray, tensor: ChannelTensor, rho: float, rule: str) -> OamSymbol:
-    indices = (i[0] for i in _detector(tensor, rho, rule)(frame[None]))
+    frames = np.asarray(frame, dtype=complex)[None]
+    indices = (i[0] for i in _detector(tensor, rho, rule)(frames))
     return _symbol(tensor.states, tensor.config.constellation().points, *indices)
 
 
@@ -276,7 +291,8 @@ def simulate_ber(
 
     M, n_states, P = cfg.tx_antennas, len(tensor.states), const.order
     points = np.asarray(const.points)
-    sqrt_rho = math.sqrt(rho)
+    # Clean frames of every (antenna, state), gathered by m * L + l.
+    clean = (math.sqrt(rho) * tensor.entries).reshape(M * n_states, M, 2)
     sigma = math.sqrt(cfg.noise_power_w / 2.0)
 
     bit_errors = ant_errors = state_errors = sym_errors = 0
@@ -288,18 +304,17 @@ def simulate_ber(
         m_idx = rng.integers(0, M, size=n)
         l_idx = rng.integers(0, n_states, size=n)
         p_idx = rng.integers(0, P, size=n)
-        # Real then imaginary noise draws go straight into the frame and the
-        # signal is added in place, so no separate noise array or complex
-        # temporaries stay alive; ``signal`` is dropped before the decision.
-        y = np.empty((n, M, 2), dtype=complex)
-        y.real = rng.standard_normal((n, M, 2))
-        y.imag = rng.standard_normal((n, M, 2))
-        y *= sigma
-        signal = tensor.entries[m_idx, l_idx]
-        signal *= sqrt_rho
-        signal *= points[p_idx][:, None, None]
-        y += signal
-        del signal
+        y = clean.take(m_idx * n_states + l_idx, axis=0)
+        y *= points[p_idx][:, None, None]
+        # One draw fills the real noise plane, then the imaginary one.  Each
+        # plane is added in place into the clean signal, which becomes the
+        # frames, and the noise is dropped before the decision; the previous
+        # chunk's frames are released before the noise is drawn.
+        noise = rng.standard_normal((2, n, M, 2))
+        noise *= sigma
+        y.real += noise[0]
+        y.imag += noise[1]
+        del noise
         m_hat, l_hat, p_hat = decide(y)
 
         ant_err = m_hat != m_idx

@@ -2,10 +2,15 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oamsm.cli
 from oamsm import PROVENANCE, ConfigError, SystemConfig, load_config
 from oamsm.cli import PRESETS, SweepSpec, main, preset, run_sweep
 from oamsm.config import SPEED_OF_LIGHT, default_states
@@ -71,6 +76,8 @@ class TestSystemConfig:
             ("circuit_power_w", math.inf),
             ("noise_psd_dbm_hz", math.nan),
             ("noise_psd_dbm_hz", -math.inf),
+            ("noise_psd_dbm_hz", -4000.0),
+            ("noise_psd_dbm_hz", 4000.0),
             ("snr_db", math.nan),
             ("snr_db", math.inf),
             ("snr_db", 4000.0),
@@ -231,6 +238,32 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             run_sweep(SystemConfig(), tiny_spec(outputs=("entropy",)), str(tmp_path / "x.csv"))
 
+    @pytest.mark.parametrize(
+        "sweep, variants, builds",
+        [
+            # An SNR sweep keeps the point config, so one tensor per variant.
+            ("snr", (), 1),
+            ("snr", (("M=2", {"tx_antennas": 2}), ("M=4", {"tx_antennas": 4})), 2),
+            # A distance sweep changes the geometry at every point.
+            ("distance", (), 3),
+        ],
+    )
+    def test_tensor_built_once_per_point_config(self, tmp_path, monkeypatch, sweep, variants, builds):
+        built = []
+        real = oamsm.cli.build_channel_tensor
+        monkeypatch.setattr(oamsm.cli, "build_channel_tensor", lambda cfg: built.append(cfg) or real(cfg))
+        spec = tiny_spec(
+            sweep=sweep,
+            start=40.0,
+            stop=44.0,
+            outputs=("capacity", "abep", "ber"),
+            overrides={"samples": 20, "trials": 100},
+            variants=variants,
+        )
+        rows = run_sweep(SystemConfig(), spec, str(tmp_path / "t.csv"))
+        assert len(rows) == 3 * max(1, len(variants))
+        assert len(built) == builds
+
     def test_ber_and_abep_columns(self, tmp_path):
         spec = tiny_spec(outputs=("abep", "ber"), overrides={"trials": 400})
         rows = run_sweep(SystemConfig(), spec, str(tmp_path / "b.csv"))
@@ -317,6 +350,7 @@ class TestCliMain:
             ("snr = nan", "distance", "capacity"),
             ("xi = nanlambda", "snr", "capacity"),
             ("snr = 4000", "distance", "capacity"),
+            ("noise_psd = -4000", "snr", "capacity"),
         ],
     )
     def test_non_finite_value_is_config_error(self, tmp_path, capsys, line, sweep, outputs):
@@ -352,6 +386,16 @@ class TestCliMain:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_module_entry_point(self):
+        # ``python -m oamsm`` runs the same parser as the ``oamsm`` script.
+        env = dict(os.environ, PYTHONPATH=str(Path(oamsm.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "oamsm", "--help"], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert "usage: oamsm" in done.stdout
+        assert "preset" in done.stdout
 
     def test_preset_deterministic_bodies(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -193,6 +194,41 @@ class TestDetectors:
         out = demodulate_ml(frame, default_tensor, 0.0)
         assert (out.antenna, out.state, out.point_index) == (1, default_tensor.states[0], 0)
 
+    def test_state_decision_at_its_boundaries(self, default_config, default_tensor):
+        # Pair phase differences 1e-9 rad below and above every decision
+        # boundary: the midpoint between each two adjacent signatures
+        # beta * l, and the +-pi cut between the last state and the first.
+        # The decisions must match the angle/wrap reference and fall on the
+        # side of the boundary the phase lies on.
+        sig = default_config.beta_value * np.array(default_tensor.states)
+        n_states = sig.size
+        mids = (sig[:-1] + sig[1:]) / 2
+        deltas = np.concatenate([mids - 1e-9, mids + 1e-9, [np.pi - 1e-9, -np.pi + 1e-9]])
+        nearest = np.concatenate([np.arange(n_states - 1), np.arange(1, n_states), [n_states - 1, 0]])
+        rho = default_config.rho_for_snr_db(20.0)
+        frames = np.zeros((len(deltas), 4, 2), dtype=complex)
+        frames[:, 2, 0] = 3.0 * np.exp(1j * deltas)
+        frames[:, 2, 1] = 3.0
+        want = np.column_stack(reference_decisions(default_config, default_tensor, frames, rho, "stepwise"))
+        got = np.array(
+            [
+                (out.antenna - 1, default_tensor.state_index(out.state), out.point_index)
+                for out in (demodulate_stepwise(f, default_tensor, rho) for f in frames)
+            ]
+        )
+        assert np.array_equal(got, want)
+        assert np.array_equal(got[:, 1], nearest)
+
+    def test_stepwise_all_zero_frame_picks_lowest_indices(self, default_config, default_tensor):
+        # Every antenna, state and point scores 0, so the lowest index wins:
+        # antenna 1, the first state, point 0.  The angle/wrap rule took
+        # angle(0) = 0 and decided state -1.  A real-valued frame reads as
+        # the complex one.
+        rho = default_config.rho_for_snr_db(20.0)
+        for dtype in (complex, float):
+            out = demodulate_stepwise(np.zeros((4, 2), dtype=dtype), default_tensor, rho)
+            assert (out.antenna, out.state, out.point_index) == (1, default_tensor.states[0], 0)
+
     def test_single_hypothesis_returns_it(self):
         cfg = dataclasses.replace(
             SystemConfig(), tx_antennas=1, oam_states=(1,), constellation_order=1
@@ -263,6 +299,25 @@ def reference_report(config, tensor, snr_db, trials, seed, detector, rows=None):
         snr_db=snr_db,
         seed=seed,
     )
+
+
+class _SinglePointLabelled:
+    """``config`` whose single constellation point carries the label "0".
+
+    ``unblocked_ber`` parses each bit label with int(label, 2), which the
+    empty label of an order-1 constellation cannot pass.  With one point the
+    label never differs between sent and decided, so the error counts and
+    the bit total are those of ``config``.
+    """
+
+    def __init__(self, config):
+        self._config = config
+
+    def __getattr__(self, name):
+        return getattr(self._config, name)
+
+    def constellation(self):
+        return types.SimpleNamespace(points=(1.0 + 0.0j,), bit_labels=("0",))
 
 
 class TestSimulateBer:
@@ -378,6 +433,25 @@ class TestSimulateBer:
         tensor = build_channel_tensor(cfg)
         rep = simulate_ber(cfg, snr, 9000, 29, "ml", tensor=tensor)
         assert rep == reference_report(cfg, tensor, snr, 9000, 29, "ml", rows=256)
+
+    @pytest.mark.parametrize("name", ["tiny", "m8", "psk16", "order1", "short_range"])
+    @pytest.mark.parametrize("snr", [-10.0, 0.0, 10.0, 20.0, 40.0, 80.0])
+    def test_stepwise_matches_angle_reference(self, request, name, snr):
+        # simulate_ber decides the state and point by real products; the
+        # reference takes np.angle of the pair product, wraps its distance to
+        # each signature and minimizes the complex point residual.  9000
+        # trials span two chunks.
+        cfg = {
+            "tiny": request.getfixturevalue("tiny_config"),
+            "m8": dataclasses.replace(SystemConfig(), tx_antennas=8),
+            "psk16": SystemConfig(constellation_order=16),
+            "order1": SystemConfig(constellation_order=1),
+            "short_range": request.getfixturevalue("short_range_config"),
+        }[name]
+        tensor = build_channel_tensor(cfg)
+        rep = simulate_ber(cfg, snr, 9000, 37, "stepwise", tensor=tensor)
+        ref_cfg = _SinglePointLabelled(cfg) if cfg.constellation_order == 1 else cfg
+        assert rep == reference_report(ref_cfg, tensor, snr, 9000, 37, "stepwise")
 
     @pytest.mark.parametrize(
         "detector, cfg, snr, trials, seed, bound_mib",
