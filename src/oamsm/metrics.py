@@ -235,10 +235,8 @@ def mimo_capacity_baseline(
     return _mutual_information(s, noise_var, samples, seed, stream=0x313)
 
 
-def _noncentralities(
-    tensor: ChannelTensor, m: int, l: int, x: complex, rho: float, noise_var: float, mode: str
-) -> np.ndarray:
-    """Detection-statistic noncentralities at every pair's first antenna.
+def _noncentralities(h: np.ndarray, x: complex, rho: float, noise_var: float, mode: str) -> np.ndarray:
+    """Detection-statistic noncentralities of the responses ``h``, elementwise.
 
     The statistic |y|^2 / sigma0^2 with sigma0^2 = noise_var / 2 follows the
     two-degree noncentral chi-square law.  Mode ``consistent`` uses
@@ -248,8 +246,7 @@ def _noncentralities(
     """
     _check_link(rho, noise_var)
     sigma0_sq = noise_var / 2.0
-    h_row = tensor.entries[m - 1, tensor.state_index(l), :, 0]
-    amp_sq = np.abs(h_row * x) ** 2
+    amp_sq = np.abs(h * x) ** 2
     if mode == "consistent":
         return rho * amp_sq / sigma0_sq
     if mode == "printed":
@@ -260,6 +257,35 @@ def _noncentralities(
 # Half-width, in r = sqrt(g), of the window around the true pair's bulk:
 # P(r > sqrt(lam_m) + 9) <= exp(-81/2) < 3e-18, far under any ``tol``.
 _BULK_HALF_WIDTH = 9
+
+
+def _detection_integral(lam_own: float, factors: np.ndarray, rows: np.ndarray, tol: float) -> float:
+    """Mean detection probability of rows that share the true pair's
+    noncentrality ``lam_own``.
+
+    Row i's other pairs have amplitudes factors[rows[i]], so the value is
+    the integral over r of ncx2_pdf(r^2, lam_own) 2r times the row mean of
+    prod_j (1 - Q1(factors[rows[i, j]], r)), to an absolute quadrature
+    error of at most ``tol``.  Each 1 - Q1(a, r) is evaluated once per
+    integrand call, however many rows share it.  In r the true pair's
+    density is Rician: a bump of unit width at c = sqrt(lam_own) whatever
+    the SNR, so unit-width panels over [max(0, c - 9), c + 9], plus one
+    panel on [0, c - 9] when c > 9, resolve it in the first quadrature pass
+    at every SNR.  The integral stops at c + 9: r = |c + z| <= c + |z| for
+    the unit complex Gaussian z, so P(r > c + 9) <= P(|z| > 9) =
+    exp(-81/2) < 3e-18.  The panel below carries P(r < c - 9) <= Q(9) <
+    1.2e-19, so its error bound vanishes at once.
+    """
+    c = math.sqrt(lam_own)
+    edges = c + np.arange(-_BULK_HALF_WIDTH, _BULK_HALF_WIDTH + 1.0)
+
+    def integrand(r):
+        r = np.asarray(r, dtype=float)
+        cdf = np.array([1.0 - marcum_q1(float(a), r) for a in factors])
+        return ncx2_pdf(r * r, lam_own) * (2.0 * r) * cdf[rows].prod(axis=1).mean(axis=0)
+
+    value = integrate(integrand, 0.0, edges[-1], tol=tol, breakpoints=edges[edges > 0.0])
+    return float(min(max(value, 0.0), 1.0))
 
 
 def antenna_detection_prob(
@@ -274,36 +300,27 @@ def antenna_detection_prob(
 ) -> float:
     """Probability that the strongest-pair rule picks the true antenna.
 
-    With r = sqrt(g) the amplitude of the true pair's statistic and
-    c = sqrt(lam_m), the probability is the integral over r of
-    ncx2_pdf(r^2, lam_m) 2r prod_j (1 - Q1(sqrt(lam_j), r)) over the other
-    pairs j.  In r the true pair's density is Rician: a bump of unit width
-    at c whatever the SNR, so unit-width panels over
-    [max(0, c - 9), c + 9], plus one panel on [0, c - 9] when c > 9, resolve
-    it in the first quadrature pass at every SNR.  The integral stops at
-    c + 9: r = |c + z| <= c + |z| for the unit complex Gaussian z, so
-    P(r > c + 9) <= P(|z| > 9) = exp(-81/2) < 3e-18.  The panel below
-    carries P(r < c - 9) <= Q(9) < 1.2e-19, so its error bound vanishes at
-    once.
+    With r = sqrt(g) the amplitude of the true pair's statistic, the
+    probability is the integral over r of ncx2_pdf(r^2, lam_m) 2r
+    prod_j (1 - Q1(sqrt(lam_j), r)) over the other pairs j: the true pair's
+    density times the chance that every other statistic stays below it.
+    It is one row of ``_detection_integral``, with one factor per other
+    pair, and its absolute quadrature error is at most ``tol``.
     """
-    lam = _noncentralities(tensor, m, l, x, rho, noise_var, mode)
-    M = lam.size
-    if M == 1:
+    lam = _noncentralities(tensor.entries[m - 1, tensor.state_index(l), :, 0], x, rho, noise_var, mode)
+    if lam.size == 1:
         return 1.0
-    lam_m = float(lam[m - 1])
-    sqrt_others = np.sqrt(np.delete(lam, m - 1))
-    c = math.sqrt(lam_m)
-    edges = c + np.arange(-_BULK_HALF_WIDTH, _BULK_HALF_WIDTH + 1.0)
+    others = np.sqrt(np.delete(lam, m - 1))
+    return _detection_integral(float(lam[m - 1]), others, np.arange(others.size)[None, :], tol)
 
-    def integrand(r):
-        r = np.asarray(r, dtype=float)
-        vals = ncx2_pdf(r * r, lam_m) * (2.0 * r)
-        for a in sqrt_others:
-            vals = vals * (1.0 - marcum_q1(float(a), r))
-        return vals
 
-    value = integrate(integrand, 0.0, edges[-1], tol=tol, breakpoints=edges[edges > 0.0])
-    return float(min(max(value, 0.0), 1.0))
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of a 1-D array, keyed to 12 significant digits
+    (mirrored geometry reproduces the noncentralities only to rounding):
+    the first entry with each key, and the key index of every entry."""
+    keys: dict[str, int] = {}
+    inverse = np.array([keys.setdefault(f"{v:.11e}", len(keys)) for v in values.tolist()])
+    return values[np.unique(inverse, return_index=True)[1]], inverse
 
 
 def antenna_detection_prob_avg(
@@ -312,30 +329,38 @@ def antenna_detection_prob_avg(
     """Detection probability marginalized uniformly over (m, l, p).
 
     All constellation points are unit modulus, so the average over p is
-    implicit; (m, l) are enumerated.  The integral depends only on the true
-    pair's noncentrality and the multiset of the others, so (m, l) that
-    share both, such as +l and -l or mirrored pairs m and M + 1 - m, are
-    integrated once.  The key rounds to 12 significant digits: mirrored
-    geometry reproduces the noncentralities only to rounding.
+    implicit; (m, l) are enumerated.  The (m, l) whose true pair has the
+    same noncentrality lam share its density f_lam(r), so by linearity the
+    mean of their integrals of f_lam(r) prod_j F_j(r), F = 1 - Q1, is one
+    integral of f_lam(r) times the mean of their products.  One integral is
+    taken per distinct lam; every config the package builds has a single
+    one.  Each integral's absolute quadrature error is at most ``tol``, so
+    that of the average, their weighted mean, is too.  Inside the integrand
+    each distinct other-pair amplitude sqrt(lam_j) is evaluated once.  Both
+    keys round sqrt(lam) to 12 significant digits, and each key is
+    represented by its first (m, l).
     """
     cfg = tensor.config
     points = np.asarray(cfg.constellation().points)
     if not np.allclose(np.abs(points), 1.0, atol=1e-12):
         raise ConfigError("antenna detection average assumes unit-modulus constellations")
-    x = 1.0 + 0.0j
-    known: dict[tuple, float] = {}
+    # lam[m, l, j]: pair j's noncentrality when antenna m sends in state l.
+    lam = _noncentralities(tensor.entries[..., 0], 1.0 + 0.0j, rho, noise_var, mode)
+    M, L = lam.shape[:2]
+    if M == 1:
+        return 1.0
+    pair = np.arange(M)
+    own = lam[pair, :, pair].ravel()
+    off_pair = np.broadcast_to(~np.eye(M, dtype=bool)[:, None, :], lam.shape)
+    others = np.sqrt(lam[off_pair]).reshape(M * L, M - 1)
+    groups = _distinct(np.sqrt(own))[1]
     total = 0.0
-    count = 0
-    for m in range(1, cfg.tx_antennas + 1):
-        for l in tensor.states:
-            lam = _noncentralities(tensor, m, l, x, rho, noise_var, mode)
-            others = np.sort(np.delete(lam, m - 1))
-            key = tuple(f"{v:.11e}" for v in (lam[m - 1], *others))
-            if key not in known:
-                known[key] = antenna_detection_prob(tensor, m, l, x, rho, noise_var, mode, tol)
-            total += known[key]
-            count += 1
-    return total / count
+    for g in range(groups.max() + 1):
+        members = np.flatnonzero(groups == g)
+        factors, inverse = _distinct(others[members].ravel())
+        rows = inverse.reshape(members.size, M - 1)
+        total += members.size * _detection_integral(float(own[members[0]]), factors, rows, tol)
+    return total / own.size
 
 
 def gray_gamma(n: int) -> float:
@@ -442,12 +467,17 @@ def abep(
     if const.order == 1:
         e_mod = 0.0
     else:
+        # mod_bep depends on h through |h| only: one call per distinct gain,
+        # summed in (m, l) order.
+        by_gain: dict[float, float] = {}
         total = 0.0
         count = 0
         for m in range(1, cfg.tx_antennas + 1):
             for l in tensor.states:
                 h = tensor.response(m, l, m, 1)
-                total += mod_bep(h, rho, noise_var, const, cfg.distance_mode)
+                if abs(h) not in by_gain:
+                    by_gain[abs(h)] = mod_bep(h, rho, noise_var, const, cfg.distance_mode)
+                total += by_gain[abs(h)]
                 count += 1
         e_mod = total / count
     return 1.0 - (1.0 - ant.bit_error) * (1.0 - e_mod)

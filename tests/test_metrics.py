@@ -276,6 +276,14 @@ class TestMimoBaseline:
             mimo_capacity_baseline(default_config, 1.0, 1.0, mode="walrus")
 
 
+def scaled_first_antenna(tensor):
+    """``tensor`` with transmit antenna 1's entries scaled by 1.5, so that its
+    true pair's noncentrality (2.25 times the others') makes a second one."""
+    entries = tensor.entries.copy()
+    entries[0] *= 1.5
+    return dataclasses.replace(tensor, entries=entries)
+
+
 class TestAntennaDetectionProb:
     def test_single_antenna_is_certain(self):
         cfg = dataclasses.replace(
@@ -316,10 +324,12 @@ class TestAntennaDetectionProb:
             with pytest.raises(ValueError):
                 antenna_detection_prob(default_tensor, 1, 1, 1 + 0j, bad, nv)
 
-    @pytest.mark.parametrize("M", [2, 4, 8])
-    def test_average_equals_plain_mean_over_every_pair_and_state(self, M):
+    @pytest.mark.parametrize("M, scaled", [(2, False), (4, False), (8, False), (4, True)])
+    def test_average_equals_plain_mean_over_every_pair_and_state(self, M, scaled):
         cfg = dataclasses.replace(SystemConfig(), tx_antennas=M)
         tensor = build_channel_tensor(cfg)
+        if scaled:
+            tensor = scaled_first_antenna(tensor)
         nv = cfg.noise_power_w
         for snr in (-10.0, 10.0, 30.0):
             rho = cfg.rho_for_snr_db(snr)
@@ -335,8 +345,8 @@ class TestAntennaDetectionProb:
     def test_average_integrates_each_distinct_integral_once(
         self, default_tensor, default_config, monkeypatch
     ):
-        # 32 (m, l) at M = 4, L = 8: +l and -l, and mirrored pairs m and
-        # 5 - m, leave 8 distinct integrals.
+        # One integral per distinct true-pair noncentrality: all 32 (m, l)
+        # at M = 4, L = 8 share it; scaling antenna 1 splits off its 8.
         calls = []
         real = metrics.integrate
 
@@ -346,10 +356,11 @@ class TestAntennaDetectionProb:
 
         monkeypatch.setattr(metrics, "integrate", counting)
         nv = default_config.noise_power_w
-        for snr in (-10.0, 10.0, 30.0):
-            calls.clear()
-            antenna_detection_prob_avg(default_tensor, default_config.rho_for_snr_db(snr), nv)
-            assert len(calls) == 8
+        for tensor, integrals in ((default_tensor, 1), (scaled_first_antenna(default_tensor), 2)):
+            for snr in (-10.0, 10.0, 30.0):
+                calls.clear()
+                antenna_detection_prob_avg(tensor, default_config.rho_for_snr_db(snr), nv)
+                assert len(calls) == integrals
 
     @pytest.mark.parametrize("snr", [40.0, 50.0, 60.0, 70.0, 80.0])
     @pytest.mark.parametrize("m,l", [(2, 1), (1, 4)])
@@ -388,11 +399,12 @@ class TestAntennaDetectionProb:
 
         monkeypatch.setattr(metrics, "integrate", counting)
         nv = default_config.noise_power_w
-        for snr in (0.0, 40.0, 80.0):
-            integrand_calls.clear()
-            antenna_detection_prob_avg(default_tensor, default_config.rho_for_snr_db(snr), nv)
-            assert len(integrand_calls) == 8
-            assert max(integrand_calls) <= 2
+        for tensor, integrals in ((default_tensor, 1), (scaled_first_antenna(default_tensor), 2)):
+            for snr in (0.0, 40.0, 80.0):
+                integrand_calls.clear()
+                antenna_detection_prob_avg(tensor, default_config.rho_for_snr_db(snr), nv)
+                assert len(integrand_calls) == integrals
+                assert max(integrand_calls) <= 2
 
     def test_within_unit_interval_and_above_chance(self, default_tensor, default_config):
         nv = default_config.noise_power_w
@@ -520,6 +532,19 @@ class TestAbep:
         ]
         e_mod = float(np.mean(mods))
         assert total == pytest.approx(1.0 - (1.0 - ant.bit_error) * (1.0 - e_mod), abs=1e-12)
+
+    def test_constellation_stage_once_per_distinct_gain(self, default_config, default_tensor, monkeypatch):
+        # Every in-ring entry of the default tensor has the same |h|.
+        calls = []
+        real = metrics.mod_bep
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "mod_bep", counting)
+        abep(default_config, default_config.rho_for_snr_db(10.0), tensor=default_tensor)
+        assert len(calls) == 1
 
     def test_nonincreasing_in_snr(self, default_config, default_tensor):
         cfg = default_config.resolved()

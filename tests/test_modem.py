@@ -3,7 +3,6 @@
 import dataclasses
 import math
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -252,7 +251,7 @@ def unblocked_ber(config, tensor, snr_db, trials, seed, detector, rows=None):
     n_states, P = len(tensor.states), points.size
     s_bits, p_bits = n_states.bit_length() - 1, P.bit_length() - 1
     bits = (M.bit_length() - 1) + s_bits + p_bits
-    gray = np.asarray([int(lbl, 2) for lbl in const.bit_labels])
+    gray = np.asarray([int(lbl, 2) if lbl else 0 for lbl in const.bit_labels])
     rho = config.rho_for_snr_db(snr_db)
     sigma = math.sqrt(config.noise_power_w / 2.0)
     errors = np.zeros(4, dtype=np.int64)  # bits, antenna, state, symbol
@@ -299,25 +298,6 @@ def reference_report(config, tensor, snr_db, trials, seed, detector, rows=None):
         snr_db=snr_db,
         seed=seed,
     )
-
-
-class _SinglePointLabelled:
-    """``config`` whose single constellation point carries the label "0".
-
-    ``unblocked_ber`` parses each bit label with int(label, 2), which the
-    empty label of an order-1 constellation cannot pass.  With one point the
-    label never differs between sent and decided, so the error counts and
-    the bit total are those of ``config``.
-    """
-
-    def __init__(self, config):
-        self._config = config
-
-    def __getattr__(self, name):
-        return getattr(self._config, name)
-
-    def constellation(self):
-        return types.SimpleNamespace(points=(1.0 + 0.0j,), bit_labels=("0",))
 
 
 class TestSimulateBer:
@@ -450,8 +430,7 @@ class TestSimulateBer:
         }[name]
         tensor = build_channel_tensor(cfg)
         rep = simulate_ber(cfg, snr, 9000, 37, "stepwise", tensor=tensor)
-        ref_cfg = _SinglePointLabelled(cfg) if cfg.constellation_order == 1 else cfg
-        assert rep == reference_report(ref_cfg, tensor, snr, 9000, 37, "stepwise")
+        assert rep == reference_report(cfg, tensor, snr, 9000, 37, "stepwise")
 
     @pytest.mark.parametrize(
         "detector, cfg, snr, trials, seed, bound_mib",
