@@ -15,7 +15,6 @@ from .channel import ChannelTensor, build_channel_tensor
 from .config import PROVENANCE, SystemConfig, default_states, load_config
 from .errors import ConfigError, NumericError
 from .metrics import (
-    AntennaErrorSummary,
     CapacityEstimate,
     PowerModel,
     abep,
@@ -29,7 +28,7 @@ from .metrics import (
     mimo_channel_matrix,
     mod_bep,
 )
-from .modem import BerReport, OamSymbol, SymbolMap, demodulate_ml, demodulate_stepwise, simulate_ber, transmit
+from .modem import BerReport, SymbolMap, demodulate_ml, demodulate_stepwise, simulate_ber, transmit
 from .numerics import (
     Constellation,
     integrate,
@@ -42,7 +41,6 @@ from .numerics import (
 
 __all__ = [
     "__version__",
-    "AntennaErrorSummary",
     "BeamParams",
     "BerReport",
     "CapacityEstimate",
@@ -51,7 +49,6 @@ __all__ = [
     "Constellation",
     "NoMatchingWaistError",
     "NumericError",
-    "OamSymbol",
     "PROVENANCE",
     "PowerModel",
     "SymbolMap",

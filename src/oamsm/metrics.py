@@ -64,16 +64,6 @@ class CapacityEstimate:
     samples: int
 
 
-def _signal_table(tensor: ChannelTensor, rho: float) -> np.ndarray:
-    """Noise-free received frame for every (m, l, p) hypothesis, flattened
-    over (pair, antenna-in-pair); shape (M * L * P, 2M), rows ordered as
-    (m, l, p)."""
-    points = np.asarray(tensor.config.constellation().points)
-    h = tensor.entries.reshape(tensor.entries.shape[0], tensor.entries.shape[1], -1)
-    s = math.sqrt(rho) * h[:, :, None, :] * points[None, None, :, None]
-    return s.reshape(-1, h.shape[-1])
-
-
 def _check_link(rho: float, noise_var: float) -> None:
     """Reject a transmit power or noise variance no metric can be computed
     from: NaN, infinite, a negative power or a noise variance <= 0."""
@@ -90,24 +80,28 @@ _PRUNE_LN_BUDGET = 60.0 * _LN2
 
 
 def _mutual_information(
-    signals: np.ndarray, noise_var: float, samples: int, seed: int, stream: int
+    reps: np.ndarray, rotations: np.ndarray, noise_var: float, samples: int, seed: int, stream: int
 ) -> CapacityEstimate:
     """Mutual information I(X; Y) of a uniform discrete input X and the
-    received vector Y = signals[X] + noise, by Monte Carlo over the noise.
+    received vector Y = s_X + noise, by Monte Carlo over the noise.
 
-    ``signals[i]`` is the clean received vector of input i; the noise is
-    circularly symmetric complex Gaussian with variance ``noise_var`` per
-    complex dimension.  Each draw evaluates log2(n_inputs) minus the
-    input-averaged log-sum-exp over all candidate inputs of
-    ln F_ij = -(|d_ij|^2 + 2 Re(d_ij . conj(w))) / noise_var, with
-    d_ij = signals[i] - signals[j]; each log-sum-exp includes the zero term
-    of the true input, so no draw exceeds log2(n_inputs).  The same noise
-    draws serve every input, a common-random-numbers scheme that removes
-    inter-term jitter.
+    Input (k, p) has the clean received vector s = rotations[p] reps[k],
+    and w is circularly symmetric complex Gaussian noise of variance
+    ``noise_var`` per complex dimension.  ``rotations`` (the PSK points
+    over the first, or just 1) is a group of unit-modulus scalars, so
+    multiplying by one permutes the inputs, and rotations[p]^-1 w has the
+    law of w.  Hence the expected log-sum-exp over all candidates j of
+    ln F_ij = -(|d_ij|^2 + 2 Re(d_ij . conj(w))) / noise_var, d_ij = s_i -
+    s_j, is the same for (k, p) as for (k, 0), and each draw subtracts from
+    log2(n_inputs) its mean over the representatives only: the expectation
+    is unchanged, the per-draw variance differs.  At low received SNR it is
+    larger, as the part of each log-sum-exp linear in w cancels in the mean
+    over every input but not over the representatives.  The true input's
+    zero term keeps draws <= log2(n_inputs).
 
     Two exact reductions keep the arithmetic small.  The cross term
-    factors as Re(d_ij . conj(w)) = R_i - R_j with R = Re(signals . w^H),
-    one matrix product per chunk of draws.  By Cauchy-Schwarz,
+    factors as Re(d_ij . conj(w)) = R_i - R_j with R = Re(s . w^H), one
+    matrix product per chunk of draws.  By Cauchy-Schwarz,
     F_ij <= exp(-(|d_ij|^2 - 2 |d_ij| |w|max) / noise_var), where |w|max is
     the largest noise norm in the chunk; neighbour j of input i is dropped
     when that bound is below 2^-60 / n_inputs.  The dropped terms of one
@@ -116,6 +110,8 @@ def _mutual_information(
     rounding.  An input whose only remaining term is its own adds exactly
     ln 1 = 0 and is skipped, so saturated draws cost almost nothing.
     """
+    # Input (k, p) at row k P + p: the representatives are every P-th row.
+    signals = (reps[:, None, :] * rotations[:, None]).reshape(-1, reps.shape[1])
     n_inputs, dims = signals.shape
     log2_inputs = math.log2(n_inputs)
     cut_ln = _PRUNE_LN_BUDGET + math.log(n_inputs)
@@ -137,7 +133,7 @@ def _mutual_information(
         # q[j] = 2 R_j / noise_var, so ln F_ij = q[j] - |d_ij|^2 / noise_var - q[i].
         q = (sig @ w.T) * (2.0 / noise_var)
         acc = np.zeros(n)
-        for i in range(n_inputs):
+        for i in range(0, n_inputs, rotations.size):
             diff = sig[i] - sig
             d2 = np.sum(diff * diff, axis=1) / noise_var  # |d_ij|^2 / noise_var
             near = np.flatnonzero(d2 - 2.0 * w_max * np.sqrt(d2) < cut_ln)
@@ -149,7 +145,7 @@ def _mutual_information(
             t -= m
             np.exp(t, out=t)
             acc += m - q[i] + np.log(np.sum(t, axis=0))
-        per_draw[done : done + n] = log2_inputs - acc / (n_inputs * _LN2)
+        per_draw[done : done + n] = log2_inputs - acc / (reps.shape[0] * _LN2)
         done += n
         chunk_index += 1
     value = float(np.mean(per_draw))
@@ -165,14 +161,19 @@ def dcmc_capacity(
     The observation is the full (M, 2) received frame, the same one the
     maximum-likelihood detector reads, so the value is I(X; Y) of the
     codeword and the frame, between 0 and log2(M * L * P).  ``rho = 0``
-    returns exactly zero (every likelihood ratio is 1).
+    returns exactly zero (every likelihood ratio is 1).  Input (m, l, p) is
+    x_p / x_0 times input (m, l, 0), so each draw scores only p = 0 (see
+    ``_mutual_information``): same expectation, different variance.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
     _check_link(rho, noise_var)
     if rho == 0.0:
         return CapacityEstimate(value=0.0, std_error=0.0, samples=samples)
-    return _mutual_information(_signal_table(tensor, rho), noise_var, samples, seed, stream=0xCA9)
+    points = np.asarray(tensor.config.constellation().points)
+    # Frame of (m, l, 0) at row m * L + l, flattened over (pair, antenna-in-pair).
+    reps = math.sqrt(rho) * points[0] * tensor.entries.reshape(-1, 2 * tensor.entries.shape[0])
+    return _mutual_information(reps, points / points[0], noise_var, samples, seed, stream=0xCA9)
 
 
 def mimo_channel_matrix(config: SystemConfig) -> np.ndarray:
@@ -205,10 +206,14 @@ def mimo_capacity_baseline(
 ) -> CapacityEstimate:
     """Capacity of the M x M conventional array at total-power parity.
 
-    ``logdet`` evaluates log2 det(I + rho_total/(M sigma^2) H H*) for the
-    deterministic line-of-sight channel (exact, no sampling).  ``dcmc_psk``
-    estimates the mutual information with independent uniform PSK inputs on
-    each antenna by Monte Carlo, upper-bounded by M log2 P.
+    ``logdet`` evaluates log2 det(I + c H H*), c = rho_total/(M sigma^2),
+    for the deterministic line-of-sight channel (exact, no sampling) as
+    the sum of log2(1 + c mu_k) over the squared singular values mu_k of H,
+    taking ln c = ln rho_total - ln(M sigma^2) so that no ratio overflows.
+    ``dcmc_psk`` estimates the mutual information with independent uniform
+    PSK inputs on each antenna by Monte Carlo, upper-bounded by M log2 P.
+    It scores every x (rotations = 1): at its received SNR, ~100 dB below
+    rho_total / sigma^2, one x per orbit is far noisier (``_mutual_information``).
     """
     _check_link(rho_total, noise_var)
     H = mimo_channel_matrix(config)
@@ -216,23 +221,20 @@ def mimo_capacity_baseline(
     if mode == "logdet":
         if rho_total == 0.0:
             return CapacityEstimate(0.0, 0.0, 0)
-        gram = np.eye(M) + (rho_total / (M * noise_var)) * (H @ H.conj().T)
-        sign, logdet = np.linalg.slogdet(gram)
-        return CapacityEstimate(float(logdet / _LN2), 0.0, 0)
+        sv = np.linalg.svd(H, compute_uv=False)
+        ln_terms = math.log(rho_total) - math.log(M * noise_var) + 2.0 * np.log(sv)
+        return CapacityEstimate(float(np.sum(np.logaddexp(0.0, ln_terms))) / _LN2, 0.0, 0)
     if mode != "dcmc_psk":
         raise ConfigError(f"mimo capacity mode must be logdet|dcmc_psk, got {mode!r}")
     if rho_total == 0.0:
         return CapacityEstimate(0.0, 0.0, samples)
-    const = config.constellation()
-    points = np.asarray(const.points)
-    P = points.size
-    n_inputs = P**M
-    if n_inputs > 4096:
-        raise ConfigError(f"dcmc_psk baseline limited to P^M <= 4096 inputs, got {n_inputs}")
+    points = np.asarray(config.constellation().points)
+    if points.size**M > 4096:
+        raise ConfigError(f"dcmc_psk baseline limited to P^M <= 4096 inputs, got {points.size**M}")
     grids = np.meshgrid(*([points] * M), indexing="ij")
-    x = np.stack([g.ravel() for g in grids], axis=1)  # (n_inputs, M)
-    s = math.sqrt(rho_total / M) * x @ H.T  # (n_inputs, M) received vectors
-    return _mutual_information(s, noise_var, samples, seed, stream=0x313)
+    x = np.stack([g.ravel() for g in grids], axis=1)  # (P^M, M)
+    s = math.sqrt(rho_total / M) * x @ H.T  # received vectors
+    return _mutual_information(s, np.ones(1), noise_var, samples, seed, stream=0x313)
 
 
 def _noncentralities(h: np.ndarray, x: complex, rho: float, noise_var: float, mode: str) -> np.ndarray:
@@ -449,7 +451,6 @@ def abep(
     config: SystemConfig,
     rho: float,
     tensor: ChannelTensor | None = None,
-    tol: float = 1e-9,
 ) -> float:
     """Average bit error probability of the full demodulation chain.
 

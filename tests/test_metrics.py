@@ -71,11 +71,14 @@ def gauss_hermite_capacity(tensor, rho, noise_var, nodes=5):
     return math.log2(n_in) - total / (n_in * math.log(2.0))
 
 
-def einsum_mutual_information(signals, noise_var, samples, seed, stream):
+def einsum_mutual_information(signals, noise_var, samples, seed, stream, rows):
     """Reference for the capacity kernel: the same noise draws (512-draw
-    chunks, one Philox substream per chunk), every candidate input kept,
-    and the cross term Re(d . conj(w)) summed over the frame for each input
-    separately."""
+    chunks, one Philox substream per chunk), each input in ``rows`` scored
+    as the true input against every candidate input, and the cross term
+    Re(d . conj(w)) summed over the frame for each input separately.  With
+    ``rows`` every input, this is the full-input estimator, which the
+    ``dcmc_psk`` baseline uses; ``dcmc_capacity`` scores one representative
+    per rotation orbit."""
     n_in, dims = signals.shape
     per_draw = np.empty(samples)
     done = 0
@@ -88,7 +91,7 @@ def einsum_mutual_information(signals, noise_var, samples, seed, stream):
             rng.standard_normal((n, dims)) + 1j * rng.standard_normal((n, dims))
         )
         acc = np.zeros(n)
-        for i in range(n_in):
+        for i in rows:
             d = signals[i][None, :] - signals
             ln_f = -(
                 np.sum(np.abs(d) ** 2, axis=1)[:, None]
@@ -96,7 +99,7 @@ def einsum_mutual_information(signals, noise_var, samples, seed, stream):
             ) / noise_var
             m = np.max(ln_f, axis=0)
             acc += m + np.log(np.sum(np.exp(ln_f - m[None, :]), axis=0))
-        per_draw[done : done + n] = math.log2(n_in) - acc / (n_in * math.log(2.0))
+        per_draw[done : done + n] = math.log2(n_in) - acc / (len(rows) * math.log(2.0))
         done += n
         chunk += 1
     value = min(max(0.0, float(np.mean(per_draw))), math.log2(n_in))
@@ -153,10 +156,25 @@ class TestDcmcCapacity:
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+def orbit_rows(tensor):
+    """Rows of ``clean_frames`` with p = 0: one input per rotation orbit."""
+    P = tensor.config.constellation().order
+    return range(0, tensor.entries.shape[0] * tensor.entries.shape[1] * P, P)
+
+
+def psk_baseline_frames(cfg, rho):
+    """Received vectors of every x in PSK^M, first antenna slowest."""
+    points = np.asarray(cfg.constellation().points)
+    M = cfg.tx_antennas
+    x = np.array(list(itertools.product(points, repeat=M)))  # (P^M, M)
+    return math.sqrt(rho / M) * x @ mimo_channel_matrix(cfg).T
+
+
 class TestMutualInformationKernel:
     """``dcmc_capacity`` and the ``dcmc_psk`` baseline against the per-input
-    reference loop on the same draws: factoring the cross term and dropping
-    neighbours below 2^-60 / n_inputs may move only the last digits."""
+    reference loop on the same draws, scoring the same representatives:
+    factoring the cross term and dropping neighbours below 2^-60 / n_inputs
+    may move only the last digits."""
 
     CONFIGS = {
         "tiny": (dict(tx_antennas=2, oam_states=(-1, 1), constellation_order=2), 1100),
@@ -180,7 +198,7 @@ class TestMutualInformationKernel:
         samples = self.CONFIGS[name][1]
         est = dcmc_capacity(tensor, rho, cfg.noise_power_w, samples, 21)
         value, stderr = einsum_mutual_information(
-            clean_frames(tensor, rho), cfg.noise_power_w, samples, 21, 0xCA9
+            clean_frames(tensor, rho), cfg.noise_power_w, samples, 21, 0xCA9, orbit_rows(tensor)
         )
         assert est.value == pytest.approx(value, abs=1e-12)
         assert est.std_error == pytest.approx(stderr, abs=1e-12)
@@ -190,13 +208,52 @@ class TestMutualInformationKernel:
         cfg = default_config
         rho = cfg.rho_for_snr_db(snr)
         est = mimo_capacity_baseline(cfg, rho, cfg.noise_power_w, mode="dcmc_psk", samples=40, seed=4)
-        points = np.asarray(cfg.constellation().points)
-        M = cfg.tx_antennas
-        x = np.array(list(itertools.product(points, repeat=M)))  # (P^M, M), first antenna slowest
-        frames = math.sqrt(rho / M) * x @ mimo_channel_matrix(cfg).T
-        value, stderr = einsum_mutual_information(frames, cfg.noise_power_w, 40, 4, 0x313)
+        frames = psk_baseline_frames(cfg, rho)
+        value, stderr = einsum_mutual_information(
+            frames, cfg.noise_power_w, 40, 4, 0x313, range(frames.shape[0])
+        )
         assert est.value == pytest.approx(value, abs=1e-12)
         assert est.std_error == pytest.approx(stderr, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "fields, samples",
+        [
+            (dict(tx_antennas=2, oam_states=(-1, 1), constellation_order=2), 4000),  # tiny, BPSK
+            ({}, 1000),  # default, QPSK
+            (dict(constellation_order=8), 400),
+        ],
+        ids=["tiny", "default", "8psk"],
+    )
+    @pytest.mark.parametrize("snr", [-10.0, 0.0, 6.0])
+    def test_orbit_estimate_is_unbiased(self, fields, samples, snr):
+        # The full-input estimator scores every input as the true one, on
+        # draws independent of the kernel's; by the rotation symmetry both
+        # have the same expectation.
+        tensor = build_channel_tensor(dataclasses.replace(SystemConfig(), **fields))
+        cfg = tensor.config
+        rho = cfg.rho_for_snr_db(snr)
+        frames = clean_frames(tensor, rho)
+        est = dcmc_capacity(tensor, rho, cfg.noise_power_w, samples, 31)
+        value, stderr = einsum_mutual_information(
+            frames, cfg.noise_power_w, samples, 32, 0xCA9, range(frames.shape[0])
+        )
+        assert est.std_error > 0.0
+        assert abs(est.value - value) < 3.0 * math.hypot(est.std_error, stderr)
+
+    # The baseline has no ring gain: 0 dB transmit SNR is about -102 dB at
+    # its receiver, and 102 dB is about 0 dB there.  At -102 dB one input
+    # per rotation orbit reads ~5e4 times the full-input standard error.
+    @pytest.mark.parametrize("snr", [0.0, 102.0])
+    def test_dcmc_psk_as_precise_as_full_input_reference(self, default_config, snr):
+        cfg = default_config
+        rho = cfg.rho_for_snr_db(snr)
+        est = mimo_capacity_baseline(cfg, rho, cfg.noise_power_w, mode="dcmc_psk", samples=600, seed=31)
+        frames = psk_baseline_frames(cfg, rho)
+        value, stderr = einsum_mutual_information(
+            frames, cfg.noise_power_w, 600, 32, 0x313, range(frames.shape[0])
+        )
+        assert 0.0 < est.std_error <= 2.0 * stderr
+        assert abs(est.value - value) < 3.0 * math.hypot(est.std_error, stderr)
 
     def test_saturated_point_is_exact(self, default_tensor, default_config):
         est = dcmc_capacity(
@@ -226,11 +283,13 @@ class TestMutualInformationKernel:
         nv = default_config.noise_power_w
         est = dcmc_capacity(default_tensor, rho, nv, 600, 8)
         monkeypatch.undo()
-        n_in = 128
-        assert len(kept) == 2 * n_in  # one neighbour set per input and chunk
+        n_in, P = 128, 4
+        assert len(kept) == 2 * n_in // P  # one neighbour set per representative and chunk
         assert min(kept) < n_in, "no neighbour was dropped"
         assert max(kept) > 1, "every neighbour was dropped"
-        value, stderr = einsum_mutual_information(clean_frames(default_tensor, rho), nv, 600, 8, 0xCA9)
+        value, stderr = einsum_mutual_information(
+            clean_frames(default_tensor, rho), nv, 600, 8, 0xCA9, orbit_rows(default_tensor)
+        )
         assert est.value == pytest.approx(value, abs=1e-14)
         assert est.std_error == pytest.approx(stderr, abs=1e-14)
 
@@ -274,6 +333,28 @@ class TestMimoBaseline:
     def test_unknown_mode(self, default_config):
         with pytest.raises(ConfigError):
             mimo_capacity_baseline(default_config, 1.0, 1.0, mode="walrus")
+
+    def test_logdet_matches_determinant(self, default_config):
+        cfg = default_config
+        H = mimo_channel_matrix(cfg)
+        M = cfg.tx_antennas
+        for snr in (104.0, 130.0):
+            rho = cfg.rho_for_snr_db(snr)
+            gram = np.eye(M) + rho / (M * cfg.noise_power_w) * (H @ H.conj().T)
+            expected = np.linalg.slogdet(gram)[1] / math.log(2.0)
+            est = mimo_capacity_baseline(cfg, rho, cfg.noise_power_w, mode="logdet")
+            assert est.value == pytest.approx(expected, rel=1e-12)
+
+    def test_logdet_finite_when_power_ratio_overflows(self, default_config):
+        # rho / (M sigma^2) = 1e600 / M overflows a float; every c mu_k is
+        # then huge, so the sum is M log2 c + log2 det(H H*).
+        H = mimo_channel_matrix(default_config)
+        M = default_config.tx_antennas
+        est = mimo_capacity_baseline(default_config, 1e300, 1e-300, mode="logdet")
+        log2_c = (math.log(1e300) - math.log(M * 1e-300)) / math.log(2.0)
+        expected = M * log2_c + np.linalg.slogdet(H @ H.conj().T)[1] / math.log(2.0)
+        assert math.isfinite(est.value)
+        assert est.value == pytest.approx(expected, rel=1e-12)
 
 
 def scaled_first_antenna(tensor):

@@ -202,7 +202,7 @@ class TestMarcumQ1LargeArgument:
         assert np.max(np.abs(below - marcum_q1(A_SWITCH, bs))) <= 1e-12
 
     def test_monotone_across_the_switch(self):
-        # The window side carries up to ~7e-14 of rounding where Q1 is near 1.
+        # The window side carries up to ~1e-15 of rounding where Q1 is near 1.
         a_grid = np.linspace(A_SWITCH - 0.5, A_SWITCH + 0.5, 101)
         for b in (4.0, 9.0, 12.0, 15.0, 20.0):
             vals = np.array([marcum_q1(float(a), b) for a in a_grid])
