@@ -68,13 +68,28 @@ class ChannelTensor:
         except ValueError:
             raise ConfigError(f"state {l!r} not in the configured set {self.states}") from None
 
+    def antenna_index(self, m: int) -> int:
+        """0-based row of the 1-based transmit antenna ``m``."""
+        return _position("antenna", m, self.entries.shape[0])
+
     def response(self, m: int, l: int, j: int, antenna: int) -> complex:
         """1-based accessor mirroring the (m, l, j, antenna) index notation."""
-        return complex(self.entries[m - 1, self.state_index(l), j - 1, antenna - 1])
+        M = self.entries.shape[0]
+        return complex(
+            self.entries[
+                _position("antenna", m, M),
+                self.state_index(l),
+                _position("receive pair", j, M),
+                _position("antenna-in-pair", antenna, 2),
+            ]
+        )
 
-    @property
-    def n_antennas(self) -> int:
-        return self.entries.shape[0]
+
+def _position(name: str, index: int, size: int) -> int:
+    """0-based position of the 1-based ``index``; ConfigError outside 1..size."""
+    if not 1 <= index <= size:
+        raise ConfigError(f"{name} index {index!r} not in 1..{size}")
+    return index - 1
 
 
 def matched_beams(config: SystemConfig) -> dict:

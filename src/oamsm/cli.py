@@ -39,8 +39,27 @@ from .modem import simulate_ber
 
 __all__ = ["main", "run_sweep", "preset", "PRESETS"]
 
-_SWEEP_KINDS = ("snr", "distance", "antennas", "states", "constellation")
-_OUTPUT_KINDS = ("capacity", "abep", "ber", "ee")
+# Sweep kind: (CSV column, the SystemConfig field a grid value sets, or None
+# for the operating SNR, grid value -> field value).  Kinds whose values are
+# counts, parsed by something other than ``float``, run on power-of-two grids.
+_SWEEPS = {
+    "snr": ("snr_db", None, float),
+    "distance": ("distance_m", "distance_m", float),
+    "antennas": ("antennas", "tx_antennas", int),
+    "states": ("states", "oam_states", lambda v: default_states(int(v))),
+    "constellation": ("constellation", "constellation_order", int),
+}
+
+# Output: its CSV columns, written in this table's order.
+_OUTPUT_COLUMNS = {
+    "capacity": ("capacity_oam_bits", "capacity_oam_stderr", "capacity_mimo_bits"),
+    "abep": ("abep",),
+    "ber": ("ber_sim", "ber_sim_stderr", "antenna_err_rate", "state_err_rate", "symbol_err_rate"),
+    "ee": ("ee_oam_bits_per_joule", "ee_mimo_bits_per_joule"),
+}
+
+# SystemConfig fields that a command-line flag of the same name overrides.
+_OVERRIDES = ("seed", "trials", "samples", "detector", "coeff_mode", "distance_mode")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -172,7 +191,7 @@ def _grid_values(sweep: str, start: float, stop: float, step: float, config: Sys
         raise ConfigError("sweep range must be finite")
     if stop < start or step <= 0:
         raise ConfigError(f"sweep range must be monotone: from={start} to={stop} step={step}")
-    if sweep in ("antennas", "states", "constellation"):
+    if _SWEEPS[sweep][2] is not float:
         # Discrete power-of-two grids; the step is implicit doubling.
         values = []
         v = 2
@@ -194,54 +213,16 @@ def _grid_values(sweep: str, start: float, stop: float, step: float, config: Sys
     return values
 
 
-def _point_config(cfg: SystemConfig, sweep: str, value) -> tuple[SystemConfig, float]:
-    """Derive the per-grid-point config and its operating SNR (dB)."""
-    if sweep == "snr":
-        return cfg, float(value)
-    if sweep == "distance":
-        return dataclasses.replace(cfg, distance_m=float(value)), cfg.snr_db
-    if sweep == "antennas":
-        return dataclasses.replace(cfg, tx_antennas=int(value)), cfg.snr_db
-    if sweep == "states":
-        return dataclasses.replace(cfg, oam_states=default_states(int(value))), cfg.snr_db
-    if sweep == "constellation":
-        return dataclasses.replace(cfg, constellation_order=int(value)), cfg.snr_db
-    raise ConfigError(f"unknown sweep kind {sweep!r}")
-
-
 def _point_seed(seed: int, *indices: int) -> int:
     ss = np.random.SeedSequence(entropy=(int(seed) & (2**64 - 1), *indices))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-_SWEEP_COLUMN = {
-    "snr": "snr_db",
-    "distance": "distance_m",
-    "antennas": "antennas",
-    "states": "states",
-    "constellation": "constellation",
-}
-
-
 def _columns(spec: SweepSpec) -> list:
-    cols = [_SWEEP_COLUMN[spec.sweep]]
-    if spec.variants:
-        cols.append("variant")
-    cols.append("rho_w")
-    if "capacity" in spec.outputs:
-        cols += ["capacity_oam_bits", "capacity_oam_stderr", "capacity_mimo_bits"]
-    if "abep" in spec.outputs:
-        cols += ["abep"]
-    if "ber" in spec.outputs:
-        cols += [
-            "ber_sim",
-            "ber_sim_stderr",
-            "antenna_err_rate",
-            "state_err_rate",
-            "symbol_err_rate",
-        ]
-    if "ee" in spec.outputs:
-        cols += ["ee_oam_bits_per_joule", "ee_mimo_bits_per_joule"]
+    cols = [_SWEEPS[spec.sweep][0]] + (["variant"] if spec.variants else []) + ["rho_w"]
+    for out, out_cols in _OUTPUT_COLUMNS.items():
+        if out in spec.outputs:
+            cols += out_cols
     return cols
 
 
@@ -250,24 +231,33 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, out_path: str, command: str
 
     The base gain is materialized once before sweeping, so distance grids
     see genuine attenuation rather than a re-normalized channel at every
-    point.  Returns the rows as dictionaries (same order as the CSV).
+    point; the headers show the gain as configured, its value on the
+    ``resolved_gain`` line.  Returns the rows as dictionaries (same order
+    as the CSV).
     """
+    if spec.sweep not in _SWEEPS:
+        raise ConfigError(f"unknown sweep kind {spec.sweep!r}; expected one of {tuple(_SWEEPS)}")
     for out in spec.outputs:
-        if out not in _OUTPUT_KINDS:
-            raise ConfigError(f"unknown output {out!r}; expected one of {_OUTPUT_KINDS}")
+        if out not in _OUTPUT_COLUMNS:
+            raise ConfigError(f"unknown output {out!r}; expected one of {tuple(_OUTPUT_COLUMNS)}")
     base = dataclasses.replace(config, **spec.overrides)
-    base = dataclasses.replace(base, gain=base.gain_value)
+    pinned = dataclasses.replace(base, gain=base.gain_value)
     grid = _grid_values(spec.sweep, spec.start, spec.stop, spec.step, base)
+    _, field, parse = _SWEEPS[spec.sweep]
     variants = spec.variants or (("", {}),)
     columns = _columns(spec)
     rows = []
     for vi, (label, changes) in enumerate(variants):
-        variant_cfg = dataclasses.replace(base, **changes) if changes else base
+        variant_cfg = dataclasses.replace(pinned, **changes) if changes else pinned
         # Every output reads the tensor; an SNR sweep keeps the config
         # object, so it builds the tensor once per variant.
         tensor = tensor_cfg = None
         for gi, value in enumerate(grid):
-            cfg, snr_db = _point_config(variant_cfg, spec.sweep, value)
+            if field is None:
+                cfg, snr_db = variant_cfg, parse(value)
+            else:
+                cfg = dataclasses.replace(variant_cfg, **{field: parse(value)})
+                snr_db = cfg.snr_db
             rho = cfg.rho_for_snr_db(snr_db)
             noise_var = cfg.noise_power_w
             seed_i = _point_seed(cfg.seed, vi, gi)
@@ -292,14 +282,12 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, out_path: str, command: str
                 row["state_err_rate"] = rep.state_error_rate
                 row["symbol_err_rate"] = rep.symbol_error_rate
             if "ee" in spec.outputs:
-                model = PowerModel(cfg.circuit_power_w, cfg.power_slope, 1)
-                model_mimo = PowerModel(cfg.circuit_power_w, cfg.power_slope, cfg.tx_antennas)
-                row["ee_oam_bits_per_joule"] = energy_efficiency(
-                    row["capacity_oam_bits"], cfg.bandwidth_hz, rho, model, "oam_sm"
-                )
-                row["ee_mimo_bits_per_joule"] = energy_efficiency(
-                    row["capacity_mimo_bits"], cfg.bandwidth_hz, rho, model_mimo, "mimo"
-                )
+                # OAM-SM drives one chain; the array drives all M.
+                for system, n_active in (("oam", 1), ("mimo", cfg.tx_antennas)):
+                    model = PowerModel(cfg.circuit_power_w, cfg.power_slope, n_active)
+                    row[f"ee_{system}_bits_per_joule"] = energy_efficiency(
+                        row[f"capacity_{system}_bits"], cfg.bandwidth_hz, rho, model
+                    )
             rows.append(row)
     _write_csv(out_path, base, spec, columns, rows)
     _write_meta(out_path + ".meta", base, spec, command)
@@ -367,20 +355,7 @@ def preset(figure: str) -> SweepSpec:
 
 
 def _cli_changes(args) -> dict:
-    changes = {}
-    if args.seed is not None:
-        changes["seed"] = args.seed
-    if args.trials is not None:
-        changes["trials"] = args.trials
-    if args.samples is not None:
-        changes["samples"] = args.samples
-    if args.detector is not None:
-        changes["detector"] = args.detector
-    if args.coeff_mode is not None:
-        changes["coeff_mode"] = args.coeff_mode
-    if args.distance_mode is not None:
-        changes["distance_mode"] = args.distance_mode
-    return changes
+    return {name: getattr(args, name) for name in _OVERRIDES if getattr(args, name) is not None}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -400,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one sweep from a config file")
     run_p.add_argument("--config", default=None, help="flat key=value config file")
-    run_p.add_argument("--sweep", required=True, choices=_SWEEP_KINDS)
+    run_p.add_argument("--sweep", required=True, choices=tuple(_SWEEPS))
     run_p.add_argument("--from", dest="start", type=float, required=True)
     run_p.add_argument("--to", dest="stop", type=float, required=True)
     run_p.add_argument("--step", dest="step", type=float, default=1.0)

@@ -43,7 +43,6 @@ PROVENANCE = {
     "snr_db": "decision",
     "coeff_mode": "decision",
     "distance_mode": "decision",
-    "noncentrality_mode": "decision",
     "detector": "decision",
     "seed": "decision",
     "trials": "decision",
@@ -103,7 +102,6 @@ class SystemConfig:
     snr_db: float = 20.0
     coeff_mode: str = "rederived"
     distance_mode: str = "euclidean"
-    noncentrality_mode: str = "consistent"
     detector: str = "stepwise"
     seed: int = 12345
     trials: int = 100000
@@ -258,10 +256,6 @@ class SystemConfig:
             raise ConfigError(f"coeff_mode must be printed|rederived, got {self.coeff_mode!r}")
         if self.distance_mode not in ("printed", "euclidean"):
             raise ConfigError(f"distance_mode must be printed|euclidean, got {self.distance_mode!r}")
-        if self.noncentrality_mode not in ("printed", "consistent"):
-            raise ConfigError(
-                f"noncentrality_mode must be printed|consistent, got {self.noncentrality_mode!r}"
-            )
         if self.detector not in ("stepwise", "ml"):
             raise ConfigError(f"detector must be stepwise|ml, got {self.detector!r}")
         if not isinstance(self.seed, int):
@@ -289,43 +283,36 @@ def _parse_spacing(text: str) -> float:
     return factor
 
 
-_INT_KEYS = {"antennas", "constellation", "ref_state", "seed", "trials", "samples"}
-_FLOAT_KEYS = {
-    "carrier_freq",
-    "bandwidth",
-    "noise_psd",
-    "distance",
-    "beta",
-    "waist",
-    "circuit_power",
-    "power_slope",
-    "snr",
-}
-_STR_KEYS = {"coeff_mode", "distance_mode", "noncentrality_mode", "detector"}
+def _spacing_value(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text  # symbolic, e.g. "20lambda"; validated at use
 
-_KEY_TO_FIELD = {
-    "carrier_freq": "carrier_freq_hz",
-    "bandwidth": "bandwidth_hz",
-    "noise_psd": "noise_psd_dbm_hz",
-    "antennas": "tx_antennas",
-    "oam_states": "oam_states",
-    "constellation": "constellation_order",
-    "distance": "distance_m",
-    "xi": "element_spacing",
-    "beta": "beta_rad",
-    "waist": "waist_m",
-    "ref_state": "ref_state",
-    "gain": "gain",
-    "circuit_power": "circuit_power_w",
-    "power_slope": "power_slope",
-    "snr": "snr_db",
-    "coeff_mode": "coeff_mode",
-    "distance_mode": "distance_mode",
-    "noncentrality_mode": "noncentrality_mode",
-    "detector": "detector",
-    "seed": "seed",
-    "trials": "trials",
-    "samples": "samples",
+
+#: Config-file key: (SystemConfig field, text -> value).
+_KEYS = {
+    "carrier_freq": ("carrier_freq_hz", float),
+    "bandwidth": ("bandwidth_hz", float),
+    "noise_psd": ("noise_psd_dbm_hz", float),
+    "antennas": ("tx_antennas", int),
+    "oam_states": ("oam_states", lambda v: tuple(int(tok) for tok in v.replace(",", " ").split())),
+    "constellation": ("constellation_order", int),
+    "distance": ("distance_m", float),
+    "xi": ("element_spacing", _spacing_value),
+    "beta": ("beta_rad", float),
+    "waist": ("waist_m", float),
+    "ref_state": ("ref_state", int),
+    "gain": ("gain", lambda v: "auto" if v.lower() == "auto" else float(v)),
+    "circuit_power": ("circuit_power_w", float),
+    "power_slope": ("power_slope", float),
+    "snr": ("snr_db", float),
+    "coeff_mode": ("coeff_mode", str),
+    "distance_mode": ("distance_mode", str),
+    "detector": ("detector", str),
+    "seed": ("seed", int),
+    "trials": ("trials", int),
+    "samples": ("samples", int),
 }
 
 
@@ -345,33 +332,11 @@ def load_config(path) -> SystemConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _KEY_TO_FIELD:
+            if key not in _KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key: {key}")
+            field, parse = _KEYS[key]
             try:
-                kwargs[_KEY_TO_FIELD[key]] = _parse_value(key, value)
-            except ConfigError:
-                raise
+                kwargs[field] = parse(value)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r} ({exc})") from exc
     return SystemConfig(**kwargs)
-
-
-def _parse_value(key: str, value: str):
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key in _STR_KEYS:
-        return value
-    if key == "oam_states":
-        return tuple(int(tok) for tok in value.replace(",", " ").split())
-    if key == "xi":
-        try:
-            return float(value)
-        except ValueError:
-            return value  # symbolic, e.g. "20lambda"; validated at use
-    if key == "gain":
-        if value.strip().lower() == "auto":
-            return "auto"
-        return float(value)
-    raise ConfigError(f"unknown config key: {key}")

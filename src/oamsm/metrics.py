@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelTensor, build_channel_tensor
+from .channel import ChannelTensor, _pair_geometry, build_channel_tensor
 from .config import SystemConfig
 from .errors import ConfigError
 from .numerics import Constellation, _chunk_rng, integrate, marcum_q1, ncx2_pdf, q_function
@@ -186,13 +186,8 @@ def mimo_channel_matrix(config: SystemConfig) -> np.ndarray:
     cfg = config
     lam = cfg.wavelength_m
     k = 2.0 * math.pi / lam
-    xi = cfg.element_spacing_m
-    ring = cfg.ring_radius_m
-    z = cfg.distance_m
-    M = cfg.tx_antennas
-    idx = np.arange(M)
-    dx = (idx[:, None] - idx[None, :]) * xi
-    d = np.sqrt(z**2 + dx**2 + ring**2)
+    geometry = (cfg.tx_antennas, cfg.element_spacing_m, cfg.distance_m, cfg.ring_radius_m, cfg.beta_value)
+    d = _pair_geometry(*geometry)[0][..., 0].T
     return lam / (4.0 * math.pi * d) * np.exp(-1j * k * d)
 
 
@@ -237,23 +232,16 @@ def mimo_capacity_baseline(
     return _mutual_information(s, np.ones(1), noise_var, samples, seed, stream=0x313)
 
 
-def _noncentralities(h: np.ndarray, x: complex, rho: float, noise_var: float, mode: str) -> np.ndarray:
-    """Detection-statistic noncentralities of the responses ``h``, elementwise.
+def _noncentralities(h: np.ndarray, x: complex, rho: float, noise_var: float) -> np.ndarray:
+    """Detection-statistic noncentralities rho |h x|^2 / sigma0^2 of the
+    responses ``h``, elementwise.
 
     The statistic |y|^2 / sigma0^2 with sigma0^2 = noise_var / 2 follows the
-    two-degree noncentral chi-square law.  Mode ``consistent`` uses
-    rho |h x|^2 / sigma0^2, the value implied by the transmit model; mode
-    ``printed`` uses |rho h x|^2 / sigma0^2, a circulated variant kept for
-    faithful reproduction.
+    two-degree noncentral chi-square law with this noncentrality.
     """
     _check_link(rho, noise_var)
     sigma0_sq = noise_var / 2.0
-    amp_sq = np.abs(h * x) ** 2
-    if mode == "consistent":
-        return rho * amp_sq / sigma0_sq
-    if mode == "printed":
-        return rho**2 * amp_sq / sigma0_sq
-    raise ConfigError(f"noncentrality mode must be consistent|printed, got {mode!r}")
+    return rho * np.abs(h * x) ** 2 / sigma0_sq
 
 
 # Half-width, in r = sqrt(g), of the window around the true pair's bulk:
@@ -297,7 +285,6 @@ def antenna_detection_prob(
     x: complex,
     rho: float,
     noise_var: float,
-    mode: str = "consistent",
     tol: float = 1e-9,
 ) -> float:
     """Probability that the strongest-pair rule picks the true antenna.
@@ -309,11 +296,12 @@ def antenna_detection_prob(
     It is one row of ``_detection_integral``, with one factor per other
     pair, and its absolute quadrature error is at most ``tol``.
     """
-    lam = _noncentralities(tensor.entries[m - 1, tensor.state_index(l), :, 0], x, rho, noise_var, mode)
+    i = tensor.antenna_index(m)
+    lam = _noncentralities(tensor.entries[i, tensor.state_index(l), :, 0], x, rho, noise_var)
     if lam.size == 1:
         return 1.0
-    others = np.sqrt(np.delete(lam, m - 1))
-    return _detection_integral(float(lam[m - 1]), others, np.arange(others.size)[None, :], tol)
+    others = np.sqrt(np.delete(lam, i))
+    return _detection_integral(float(lam[i]), others, np.arange(others.size)[None, :], tol)
 
 
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -326,7 +314,7 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def antenna_detection_prob_avg(
-    tensor: ChannelTensor, rho: float, noise_var: float, mode: str = "consistent", tol: float = 1e-9
+    tensor: ChannelTensor, rho: float, noise_var: float, tol: float = 1e-9
 ) -> float:
     """Detection probability marginalized uniformly over (m, l, p).
 
@@ -347,7 +335,7 @@ def antenna_detection_prob_avg(
     if not np.allclose(np.abs(points), 1.0, atol=1e-12):
         raise ConfigError("antenna detection average assumes unit-modulus constellations")
     # lam[m, l, j]: pair j's noncentrality when antenna m sends in state l.
-    lam = _noncentralities(tensor.entries[..., 0], 1.0 + 0.0j, rho, noise_var, mode)
+    lam = _noncentralities(tensor.entries[..., 0], 1.0 + 0.0j, rho, noise_var)
     M, L = lam.shape[:2]
     if M == 1:
         return 1.0
@@ -387,9 +375,7 @@ class AntennaErrorSummary:
     bit_success: float
 
 
-def antenna_abep(
-    tensor: ChannelTensor, rho: float, noise_var: float, mode: str = "consistent"
-) -> AntennaErrorSummary:
+def antenna_abep(tensor: ChannelTensor, rho: float, noise_var: float) -> AntennaErrorSummary:
     """Bit error probability of the antenna-index bits.
 
     The stage symbol error is 1 minus the averaged detection probability;
@@ -399,7 +385,7 @@ def antenna_abep(
     M = tensor.config.tx_antennas
     if M == 1:
         return AntennaErrorSummary(symbol_error=0.0, bit_error=0.0, bit_success=1.0)
-    p_correct = antenna_detection_prob_avg(tensor, rho, noise_var, mode)
+    p_correct = antenna_detection_prob_avg(tensor, rho, noise_var)
     e_symbol = 1.0 - p_correct
     nbits = M.bit_length() - 1
     e_bit = e_symbol * gray_gamma(nbits) / nbits
@@ -463,7 +449,7 @@ def abep(
     if tensor is None:
         tensor = build_channel_tensor(cfg)
     noise_var = cfg.noise_power_w
-    ant = antenna_abep(tensor, rho, noise_var, cfg.noncentrality_mode)
+    ant = antenna_abep(tensor, rho, noise_var)
     const = cfg.constellation()
     if const.order == 1:
         e_mod = 0.0
@@ -484,28 +470,16 @@ def abep(
     return 1.0 - (1.0 - ant.bit_error) * (1.0 - e_mod)
 
 
-def energy_efficiency(
-    capacity_bits: float,
-    bandwidth_hz: float,
-    rho: float,
-    model: PowerModel,
-    system: str,
-) -> float:
+def energy_efficiency(capacity_bits: float, bandwidth_hz: float, rho: float, model: PowerModel) -> float:
     """Delivered bits per joule of transmitter power.
 
-    ``oam_sm`` keeps a single antenna active: denominator
-    circuit_power + slope * rho.  ``mimo`` activates ``model.n_active``
-    chains sharing the same total transmit power: denominator
-    n_active * circuit_power + slope * rho.
+    ``model.n_active`` chains share the total transmit power ``rho``:
+    denominator n_active * circuit_power + slope * rho.  OAM-SM keeps one
+    antenna active; the conventional array drives all M.
     """
-    if system not in ("oam_sm", "mimo"):
-        raise ConfigError(f"system must be oam_sm|mimo, got {system!r}")
     if not (math.isfinite(rho) and rho >= 0.0):
         raise ValueError(f"rho must be finite and >= 0, got {rho!r}")
-    if system == "oam_sm":
-        denom = model.circuit_power_w + model.slope * rho
-    else:
-        denom = model.n_active * model.circuit_power_w + model.slope * rho
+    denom = model.n_active * model.circuit_power_w + model.slope * rho
     if denom <= 0.0:
         raise ConfigError(f"power denominator must be > 0, got {denom!r}")
     return bandwidth_hz * capacity_bits / denom

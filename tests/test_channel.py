@@ -147,3 +147,19 @@ class TestBuildChannelTensor:
         with pytest.raises(ConfigError):
             default_tensor.state_index(7)
 
+
+    @pytest.mark.parametrize(
+        "index, name",
+        [
+            ((0, 1, 1, 1), "antenna index 0 "),
+            ((5, 1, 1, 1), "antenna index 5 "),
+            ((1, 1, 0, 1), "receive pair index 0 "),
+            ((1, 1, 5, 1), "receive pair index 5 "),
+            ((1, 1, 1, 0), "antenna-in-pair index 0 "),
+            ((1, 1, 1, 3), "antenna-in-pair index 3 "),
+        ],
+    )
+    def test_response_rejects_index_outside_range(self, default_tensor, index, name):
+        # 0 used to read the last entry through the -1 wrap, M + 1 an IndexError.
+        with pytest.raises(ConfigError, match=name):
+            default_tensor.response(*index)

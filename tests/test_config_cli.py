@@ -13,7 +13,7 @@ import pytest
 import oamsm.cli
 from oamsm import PROVENANCE, ConfigError, SystemConfig, load_config
 from oamsm.cli import PRESETS, SweepSpec, main, preset, run_sweep
-from oamsm.config import SPEED_OF_LIGHT, default_states
+from oamsm.config import _KEYS, SPEED_OF_LIGHT, default_states
 
 
 class TestSystemConfig:
@@ -176,6 +176,72 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_keys_name_every_field_once(self):
+        fields = [field for field, _ in _KEYS.values()]
+        assert len(fields) == len(set(fields))
+        assert set(fields) == {f.name for f in dataclasses.fields(SystemConfig)}
+
+    def test_every_key_loads_value_and_type(self, tmp_path):
+        text = {
+            "carrier_freq": "28e9",
+            "bandwidth": "1e8",
+            "noise_psd": "-170",
+            "antennas": "2",
+            "oam_states": "-2, -1 1 2",
+            "constellation": "8",
+            "distance": "30",
+            "xi": "0.2",
+            "beta": "0.5",
+            "waist": "0.05",
+            "ref_state": "2",
+            "gain": "1000",
+            "circuit_power": "5",
+            "power_slope": "3",
+            "snr": "15",
+            "coeff_mode": "printed",
+            "distance_mode": "printed",
+            "detector": "ml",
+            "seed": "7",
+            "trials": "300",
+            "samples": "400",
+        }
+        assert set(text) == set(_KEYS)
+        path = tmp_path / "all.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in text.items()))
+        cfg = load_config(path)
+        expected = {
+            "carrier_freq_hz": 28e9,
+            "bandwidth_hz": 1e8,
+            "noise_psd_dbm_hz": -170.0,
+            "tx_antennas": 2,
+            "oam_states": (-2, -1, 1, 2),
+            "constellation_order": 8,
+            "distance_m": 30.0,
+            "element_spacing": 0.2,
+            "beta_rad": 0.5,
+            "waist_m": 0.05,
+            "ref_state": 2,
+            "gain": 1000.0,
+            "circuit_power_w": 5.0,
+            "power_slope": 3.0,
+            "snr_db": 15.0,
+            "coeff_mode": "printed",
+            "distance_mode": "printed",
+            "detector": "ml",
+            "seed": 7,
+            "trials": 300,
+            "samples": 400,
+        }
+        assert set(expected) == {f.name for f in dataclasses.fields(SystemConfig)}
+        for name, value in expected.items():
+            got = getattr(cfg, name)
+            assert got == value and type(got) is type(value), name
+
+    def test_gain_auto_any_case(self, tmp_path):
+        path = tmp_path / "auto.cfg"
+        path.write_text("gain = AUTO\n")
+        assert load_config(path).gain == "auto"
+
     def test_bad_value_reports_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("antennas = four\n")
@@ -233,6 +299,26 @@ class TestRunSweep:
         assert caps[2] < caps[4] < caps[8]
         for count, cap in caps.items():
             assert cap <= math.log2(4 * count * 4)
+
+    def test_unknown_sweep_kind_rejected(self, tmp_path):
+        # Used to raise a bare KeyError while naming the CSV columns.
+        spec = SweepSpec("spacing", 1, 2, 1, ("capacity",))
+        with pytest.raises(ConfigError, match="spacing"):
+            run_sweep(SystemConfig(), spec, str(tmp_path / "x.csv"))
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_headers_tag_gain_as_configured(self, tmp_path):
+        # The sweep pins the gain to a number internally; the headers show
+        # the configured 'auto' and the number on the resolved_gain line.
+        out = tmp_path / "g.csv"
+        run_sweep(SystemConfig(), tiny_spec(), str(out))
+        gain = SystemConfig().gain_value
+        for text in (out.read_text(), (tmp_path / "g.csv.meta").read_text()):
+            assert "gain = 'auto'  [decision]" in text
+            assert f"resolved_gain = {gain!r}" in text
+            assert "[override]" not in text.replace("samples = 60  [override]", "")
+        run_sweep(SystemConfig(gain=2.5), tiny_spec(), str(out))
+        assert "gain = 2.5  [override]" in out.read_text()
 
     def test_unknown_output_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -405,6 +405,13 @@ class TestAntennaDetectionProb:
             with pytest.raises(ValueError):
                 antenna_detection_prob(default_tensor, 1, 1, 1 + 0j, bad, nv)
 
+    @pytest.mark.parametrize("m", [0, 5])
+    def test_rejects_antenna_index_outside_one_to_m(self, default_tensor, default_config, m):
+        # m = 0 used to read antenna 4 through the -1 wrap, m = 5 an IndexError.
+        rho = default_config.rho_for_snr_db(10.0)
+        with pytest.raises(ConfigError, match=f"antenna index {m} "):
+            antenna_detection_prob(default_tensor, m, 1, 1 + 0j, rho, default_config.noise_power_w)
+
     @pytest.mark.parametrize("M, scaled", [(2, False), (4, False), (8, False), (4, True)])
     def test_average_equals_plain_mean_over_every_pair_and_state(self, M, scaled):
         cfg = dataclasses.replace(SystemConfig(), tx_antennas=M)
@@ -604,7 +611,7 @@ class TestAbep:
         rho = cfg.rho_for_snr_db(10.0)
         nv = cfg.noise_power_w
         total = abep(cfg, rho, tensor=default_tensor)
-        ant = antenna_abep(default_tensor, rho, nv, cfg.noncentrality_mode)
+        ant = antenna_abep(default_tensor, rho, nv)
         const = cfg.constellation()
         mods = [
             mod_bep(default_tensor.response(m, l, m, 1), rho, nv, const, cfg.distance_mode)
@@ -654,17 +661,17 @@ class TestAbep:
 class TestEnergyEfficiency:
     def test_zero_capacity(self):
         model = PowerModel(6.8, 4.0, 1)
-        assert energy_efficiency(0.0, 20e6, 1.0, model, "oam_sm") == 0.0
+        assert energy_efficiency(0.0, 20e6, 1.0, model) == 0.0
 
     def test_single_chain_arithmetic(self):
         model = PowerModel(6.8, 4.0, 1)
-        eta = energy_efficiency(7.0, 20e6, 1.0, model, "oam_sm")
+        eta = energy_efficiency(7.0, 20e6, 1.0, model)
         assert eta == pytest.approx(20e6 * 7.0 / (6.8 + 4.0), rel=1e-12)
         assert eta == pytest.approx(1.296e7, rel=1e-3)
 
     def test_array_denominator(self):
         model = PowerModel(6.8, 4.0, 4)
-        eta = energy_efficiency(7.0, 20e6, 1.0, model, "mimo")
+        eta = energy_efficiency(7.0, 20e6, 1.0, model)
         assert eta == pytest.approx(20e6 * 7.0 / 31.2, rel=1e-12)
 
     def test_single_chain_denominator_strictly_smaller(self):
@@ -674,24 +681,18 @@ class TestEnergyEfficiency:
         d1 = 6.8 + 4.0 * rho
         d2 = 4 * 6.8 + 4.0 * rho
         assert d1 < d2
-        assert energy_efficiency(1.0, 1.0, rho, single, "oam_sm") > energy_efficiency(
-            1.0, 1.0, rho, array, "mimo"
-        )
+        assert energy_efficiency(1.0, 1.0, rho, single) > energy_efficiency(1.0, 1.0, rho, array)
 
     def test_rejects_zero_denominator(self):
         model = PowerModel(0.0, 0.0, 1)
         with pytest.raises(ConfigError):
-            energy_efficiency(1.0, 1.0, 0.0, model, "oam_sm")
-
-    def test_rejects_unknown_system(self):
-        with pytest.raises(ConfigError):
-            energy_efficiency(1.0, 1.0, 1.0, PowerModel(1.0, 1.0, 1), "simo")
+            energy_efficiency(1.0, 1.0, 0.0, model)
 
     @pytest.mark.parametrize("rho", [math.inf, math.nan, -1.0])
     def test_rejects_bad_rho(self, rho):
         # rho = inf used to give 0.0 and nan a nan, both without an error.
         with pytest.raises(ValueError):
-            energy_efficiency(1.0, 1.0, rho, PowerModel(6.8, 4.0, 1), "oam_sm")
+            energy_efficiency(1.0, 1.0, rho, PowerModel(6.8, 4.0, 1))
 
     @pytest.mark.parametrize(
         "power, slope", [(math.nan, 4.0), (math.inf, 4.0), (6.8, math.nan), (6.8, math.inf)]
