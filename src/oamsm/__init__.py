@@ -16,7 +16,6 @@ from .config import PROVENANCE, SystemConfig, default_states, load_config
 from .errors import ConfigError, NumericError
 from .metrics import (
     CapacityEstimate,
-    PowerModel,
     abep,
     antenna_abep,
     antenna_detection_prob,
@@ -50,7 +49,6 @@ __all__ = [
     "NoMatchingWaistError",
     "NumericError",
     "PROVENANCE",
-    "PowerModel",
     "SymbolMap",
     "SystemConfig",
     "abep",

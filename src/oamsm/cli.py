@@ -22,20 +22,13 @@ import datetime
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from .channel import build_channel_tensor
 from .config import PROVENANCE, SystemConfig, default_states, load_config
 from .errors import ConfigError, NumericError
-from .metrics import (
-    PowerModel,
-    abep,
-    dcmc_capacity,
-    energy_efficiency,
-    mimo_capacity_baseline,
-)
+from .metrics import abep, dcmc_capacity, energy_efficiency, mimo_capacity_baseline
 from .modem import simulate_ber
+from .numerics import _substream
 
 __all__ = ["main", "run_sweep", "preset", "PRESETS"]
 
@@ -59,7 +52,7 @@ _OUTPUT_COLUMNS = {
 }
 
 # SystemConfig fields that a command-line flag of the same name overrides.
-_OVERRIDES = ("seed", "trials", "samples", "detector", "coeff_mode", "distance_mode")
+_OVERRIDES = tuple(f for f in dataclasses.fields(SystemConfig) if f.metadata["flag"])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -193,6 +186,8 @@ def _grid_values(sweep: str, start: float, stop: float, step: float, config: Sys
         raise ConfigError(f"sweep range must be monotone: from={start} to={stop} step={step}")
     if _SWEEPS[sweep][2] is not float:
         # Discrete power-of-two grids; the step is implicit doubling.
+        if step != 1:
+            raise ConfigError(f"{sweep} sweeps double from point to point; their step must be 1, got {step}")
         values = []
         v = 2
         while v <= stop:
@@ -211,11 +206,6 @@ def _grid_values(sweep: str, start: float, stop: float, step: float, config: Sys
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
     return values
-
-
-def _point_seed(seed: int, *indices: int) -> int:
-    ss = np.random.SeedSequence(entropy=(int(seed) & (2**64 - 1), *indices))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def _columns(spec: SweepSpec) -> list:
@@ -260,7 +250,7 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, out_path: str, command: str
                 snr_db = cfg.snr_db
             rho = cfg.rho_for_snr_db(snr_db)
             noise_var = cfg.noise_power_w
-            seed_i = _point_seed(cfg.seed, vi, gi)
+            seed_i = int(_substream(cfg.seed, vi, gi).generate_state(1, "uint64")[0])
             row = {columns[0]: value, "rho_w": rho}
             if spec.variants:
                 row["variant"] = label
@@ -268,7 +258,7 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, out_path: str, command: str
                 tensor, tensor_cfg = build_channel_tensor(cfg), cfg
             if "capacity" in spec.outputs or "ee" in spec.outputs:
                 cap = dcmc_capacity(tensor, rho, noise_var, cfg.samples, seed_i)
-                cap_mimo = mimo_capacity_baseline(cfg, rho, noise_var, mode=spec.mimo_mode)
+                cap_mimo = mimo_capacity_baseline(cfg, rho, noise_var, spec.mimo_mode, cfg.samples, seed_i)
                 row["capacity_oam_bits"] = cap.value
                 row["capacity_oam_stderr"] = cap.std_error
                 row["capacity_mimo_bits"] = cap_mimo.value
@@ -284,9 +274,8 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, out_path: str, command: str
             if "ee" in spec.outputs:
                 # OAM-SM drives one chain; the array drives all M.
                 for system, n_active in (("oam", 1), ("mimo", cfg.tx_antennas)):
-                    model = PowerModel(cfg.circuit_power_w, cfg.power_slope, n_active)
                     row[f"ee_{system}_bits_per_joule"] = energy_efficiency(
-                        row[f"capacity_{system}_bits"], cfg.bandwidth_hz, rho, model
+                        row[f"capacity_{system}_bits"], rho, cfg, n_active
                     )
             rows.append(row)
     _write_csv(out_path, base, spec, columns, rows)
@@ -339,6 +328,7 @@ def _write_meta(path: str, cfg: SystemConfig, spec: SweepSpec, command: str) -> 
             fh.write(f"sweep = {spec.sweep}\n")
             fh.write(f"grid = from {spec.start} to {spec.stop} step {spec.step}\n")
             fh.write(f"outputs = {','.join(spec.outputs)}\n")
+            fh.write(f"mimo_mode = {spec.mimo_mode}\n")
             if spec.variants:
                 fh.write(f"variants = {', '.join(label for label, _ in spec.variants)}\n")
             for line in _config_lines(cfg):
@@ -355,7 +345,7 @@ def preset(figure: str) -> SweepSpec:
 
 
 def _cli_changes(args) -> dict:
-    return {name: getattr(args, name) for name in _OVERRIDES if getattr(args, name) is not None}
+    return {f.name: getattr(args, f.name) for f in _OVERRIDES if getattr(args, f.name) is not None}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -364,21 +354,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--out", required=True, help="output CSV path")
-        p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--trials", type=int, default=None, help="Monte Carlo BER trials per point")
-        p.add_argument("--samples", type=int, default=None, help="capacity noise draws per point")
-        p.add_argument("--detector", choices=("stepwise", "ml"), default=None)
-        p.add_argument("--coeff-mode", dest="coeff_mode", choices=("printed", "rederived"), default=None)
-        p.add_argument(
-            "--distance-mode", dest="distance_mode", choices=("printed", "euclidean"), default=None
-        )
+        for f in _OVERRIDES:
+            flag, parse, choices = f.metadata["flag"], f.metadata["parse"], f.metadata["choices"]
+            help_text = None if flag is True else flag
+            p.add_argument("--" + f.name.replace("_", "-"), type=parse, choices=choices, help=help_text)
 
     run_p = sub.add_parser("run", help="run one sweep from a config file")
     run_p.add_argument("--config", default=None, help="flat key=value config file")
     run_p.add_argument("--sweep", required=True, choices=tuple(_SWEEPS))
     run_p.add_argument("--from", dest="start", type=float, required=True)
     run_p.add_argument("--to", dest="stop", type=float, required=True)
-    run_p.add_argument("--step", dest="step", type=float, default=1.0)
+    run_p.add_argument(
+        "--step",
+        type=float,
+        default=1.0,
+        help="grid step; antennas, states and constellation double from point to point and take only 1",
+    )
     run_p.add_argument(
         "--outputs",
         default="capacity",

@@ -1,10 +1,13 @@
 """System configuration: defaults, validation, and the flat key=value loader.
 
-Every run is parameterized by a single ``SystemConfig``.  Fields whose
-defaults trace to the standard 60 GHz evaluation setup are tagged
-``paper`` in ``PROVENANCE``; values the setup leaves open (beam waist, ring
-gain, pair separation, power grid) are tagged ``decision`` so every output
-file can state where its numbers come from.
+Every run is parameterized by a single ``SystemConfig``.  Each field is
+declared once, with ``_option``: its default, its provenance tag, its
+config-file key and parser, its allowed values, and whether a command-line
+flag overrides it.  Defaults that trace to the standard 60 GHz evaluation
+setup are tagged ``paper``; values the setup leaves open (beam waist, ring
+gain, pair separation, power grid) are tagged ``decision``, so every output
+file can state where its numbers come from.  ``PROVENANCE``, the loader's
+key table and the command-line overrides are all read off these fields.
 """
 
 from __future__ import annotations
@@ -22,32 +25,6 @@ from .numerics import Constellation, _is_power_of_two, psk_constellation
 __all__ = ["SystemConfig", "load_config", "default_states", "PROVENANCE", "SPEED_OF_LIGHT"]
 
 SPEED_OF_LIGHT = 299792458.0
-
-#: Where each default comes from: the published evaluation setup ("paper")
-#: or a documented choice of this implementation ("decision").
-PROVENANCE = {
-    "carrier_freq_hz": "paper",
-    "bandwidth_hz": "paper",
-    "noise_psd_dbm_hz": "paper",
-    "tx_antennas": "paper",
-    "oam_states": "decision",
-    "constellation_order": "paper",
-    "distance_m": "paper",
-    "element_spacing": "paper",
-    "beta_rad": "decision",
-    "waist_m": "decision",
-    "ref_state": "decision",
-    "gain": "decision",
-    "circuit_power_w": "paper",
-    "power_slope": "paper",
-    "snr_db": "decision",
-    "coeff_mode": "decision",
-    "distance_mode": "decision",
-    "detector": "decision",
-    "seed": "decision",
-    "trials": "decision",
-    "samples": "decision",
-}
 
 
 def default_states(count: int) -> tuple[int, ...]:
@@ -73,6 +50,34 @@ def _check_symbol_axes(n_antennas, states) -> None:
         raise ConfigError("OAM states must be distinct")
 
 
+def _spacing_value(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text  # symbolic, e.g. "20lambda"; validated at use
+
+
+def _states_value(text: str) -> tuple:
+    return tuple(int(tok) for tok in text.replace(",", " ").split())
+
+
+def _gain_value(text: str):
+    return "auto" if text.lower() == "auto" else float(text)
+
+
+def _option(default, provenance: str, key: str, parse, choices=None, flag=False):
+    """A SystemConfig field with everything said about it in one place.
+
+    ``provenance`` is "paper" (the published evaluation setup) or
+    "decision" (a documented choice of this implementation); ``key`` is the
+    config-file key, read with ``parse``; ``choices``, if given, are the
+    allowed values; ``flag`` (True, or the flag's help text) adds a
+    same-named command-line override.
+    """
+    meta = {"provenance": provenance, "key": key, "parse": parse, "choices": choices, "flag": flag}
+    return dataclasses.field(default=default, metadata=meta)
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Full experiment parameterization.
@@ -85,27 +90,27 @@ class SystemConfig:
     SNR there; pass a float to override.
     """
 
-    carrier_freq_hz: float = 60e9
-    bandwidth_hz: float = 20e6
-    noise_psd_dbm_hz: float = -174.0
-    tx_antennas: int = 4
-    oam_states: tuple = default_states(8)
-    constellation_order: int = 4
-    distance_m: float = 50.0
-    element_spacing: object = "20lambda"
-    beta_rad: object = None
-    waist_m: float = 0.04
-    ref_state: int = 1
-    gain: object = "auto"
-    circuit_power_w: float = 6.8
-    power_slope: float = 4.0
-    snr_db: float = 20.0
-    coeff_mode: str = "rederived"
-    distance_mode: str = "euclidean"
-    detector: str = "stepwise"
-    seed: int = 12345
-    trials: int = 100000
-    samples: int = 20000
+    carrier_freq_hz: float = _option(60e9, "paper", "carrier_freq", float)
+    bandwidth_hz: float = _option(20e6, "paper", "bandwidth", float)
+    noise_psd_dbm_hz: float = _option(-174.0, "paper", "noise_psd", float)
+    tx_antennas: int = _option(4, "paper", "antennas", int)
+    oam_states: tuple = _option(default_states(8), "decision", "oam_states", _states_value)
+    constellation_order: int = _option(4, "paper", "constellation", int)
+    distance_m: float = _option(50.0, "paper", "distance", float)
+    element_spacing: object = _option("20lambda", "paper", "xi", _spacing_value)
+    beta_rad: object = _option(None, "decision", "beta", float)
+    waist_m: float = _option(0.04, "decision", "waist", float)
+    ref_state: int = _option(1, "decision", "ref_state", int)
+    gain: object = _option("auto", "decision", "gain", _gain_value)
+    circuit_power_w: float = _option(6.8, "paper", "circuit_power", float)
+    power_slope: float = _option(4.0, "paper", "power_slope", float)
+    snr_db: float = _option(20.0, "decision", "snr", float)
+    coeff_mode: str = _option("rederived", "decision", "coeff_mode", str, ("printed", "rederived"), flag=True)
+    distance_mode: str = _option("euclidean", "decision", "distance_mode", str, ("printed", "euclidean"), flag=True)
+    detector: str = _option("stepwise", "decision", "detector", str, ("stepwise", "ml"), flag=True)
+    seed: int = _option(12345, "decision", "seed", int, flag="master seed override")
+    trials: int = _option(100000, "decision", "trials", int, flag="Monte Carlo BER trials per point")
+    samples: int = _option(20000, "decision", "samples", int, flag="capacity noise draws per point")
 
     def __post_init__(self):
         # Canonical ascending order; the bit mapping indexes this table.
@@ -252,12 +257,10 @@ class SystemConfig:
                 raise ConfigError(f"gain must be > 0 or 'auto', got {self.gain!r}")
         elif self.gain != "auto":
             raise ConfigError(f"gain must be a number or 'auto', got {self.gain!r}")
-        if self.coeff_mode not in ("printed", "rederived"):
-            raise ConfigError(f"coeff_mode must be printed|rederived, got {self.coeff_mode!r}")
-        if self.distance_mode not in ("printed", "euclidean"):
-            raise ConfigError(f"distance_mode must be printed|euclidean, got {self.distance_mode!r}")
-        if self.detector not in ("stepwise", "ml"):
-            raise ConfigError(f"detector must be stepwise|ml, got {self.detector!r}")
+        for f in dataclasses.fields(self):
+            choices = f.metadata["choices"]
+            if choices and getattr(self, f.name) not in choices:
+                raise ConfigError(f"{f.name} must be {'|'.join(choices)}, got {getattr(self, f.name)!r}")
         if not isinstance(self.seed, int):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         for name in ("trials", "samples"):
@@ -283,47 +286,22 @@ def _parse_spacing(text: str) -> float:
     return factor
 
 
-def _spacing_value(text: str):
-    try:
-        return float(text)
-    except ValueError:
-        return text  # symbolic, e.g. "20lambda"; validated at use
-
+#: Where each default comes from, field by field: "paper" or "decision".
+PROVENANCE = {f.name: f.metadata["provenance"] for f in dataclasses.fields(SystemConfig)}
 
 #: Config-file key: (SystemConfig field, text -> value).
-_KEYS = {
-    "carrier_freq": ("carrier_freq_hz", float),
-    "bandwidth": ("bandwidth_hz", float),
-    "noise_psd": ("noise_psd_dbm_hz", float),
-    "antennas": ("tx_antennas", int),
-    "oam_states": ("oam_states", lambda v: tuple(int(tok) for tok in v.replace(",", " ").split())),
-    "constellation": ("constellation_order", int),
-    "distance": ("distance_m", float),
-    "xi": ("element_spacing", _spacing_value),
-    "beta": ("beta_rad", float),
-    "waist": ("waist_m", float),
-    "ref_state": ("ref_state", int),
-    "gain": ("gain", lambda v: "auto" if v.lower() == "auto" else float(v)),
-    "circuit_power": ("circuit_power_w", float),
-    "power_slope": ("power_slope", float),
-    "snr": ("snr_db", float),
-    "coeff_mode": ("coeff_mode", str),
-    "distance_mode": ("distance_mode", str),
-    "detector": ("detector", str),
-    "seed": ("seed", int),
-    "trials": ("trials", int),
-    "samples": ("samples", int),
-}
+_KEYS = {f.metadata["key"]: (f.name, f.metadata["parse"]) for f in dataclasses.fields(SystemConfig)}
 
 
 def load_config(path) -> SystemConfig:
     """Read a flat ``key = value`` file into a validated SystemConfig.
 
     Blank lines and ``#`` comments are ignored.  An empty file yields the
-    full default configuration.  Unknown keys and constraint violations
-    raise ConfigError naming the offender.
+    full default configuration.  Unknown or repeated keys and constraint
+    violations raise ConfigError naming the offender.
     """
     kwargs: dict = {}
+    seen: dict = {}  # key -> line that set it
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -334,6 +312,9 @@ def load_config(path) -> SystemConfig:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key: {key}")
+            if key in seen:
+                raise ConfigError(f"{path}:{lineno}: repeated config key {key} (first set on line {seen[key]})")
+            seen[key] = lineno
             field, parse = _KEYS[key]
             try:
                 kwargs[field] = parse(value)

@@ -20,7 +20,6 @@ from .errors import ConfigError
 from .numerics import Constellation, _chunk_rng, integrate, marcum_q1, ncx2_pdf, q_function
 
 __all__ = [
-    "PowerModel",
     "CapacityEstimate",
     "dcmc_capacity",
     "mimo_channel_matrix",
@@ -36,23 +35,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class PowerModel:
-    """Transmitter power draw: per-antenna circuit power plus a load slope."""
-
-    circuit_power_w: float
-    slope: float
-    n_active: int = 1
-
-    def __post_init__(self):
-        if not (math.isfinite(self.circuit_power_w) and self.circuit_power_w >= 0.0):
-            raise ConfigError(f"circuit power must be finite and >= 0, got {self.circuit_power_w!r}")
-        if not (math.isfinite(self.slope) and self.slope >= 0.0):
-            raise ConfigError(f"power slope must be finite and >= 0, got {self.slope!r}")
-        if not isinstance(self.n_active, int) or self.n_active < 1:
-            raise ConfigError(f"n_active must be a positive integer, got {self.n_active!r}")
 
 
 @dataclass(frozen=True)
@@ -470,16 +452,19 @@ def abep(
     return 1.0 - (1.0 - ant.bit_error) * (1.0 - e_mod)
 
 
-def energy_efficiency(capacity_bits: float, bandwidth_hz: float, rho: float, model: PowerModel) -> float:
+def energy_efficiency(capacity_bits: float, rho: float, config: SystemConfig, n_active: int) -> float:
     """Delivered bits per joule of transmitter power.
 
-    ``model.n_active`` chains share the total transmit power ``rho``:
-    denominator n_active * circuit_power + slope * rho.  OAM-SM keeps one
-    antenna active; the conventional array drives all M.
+    ``n_active`` chains share the total transmit power ``rho``: denominator
+    n_active * circuit_power_w + power_slope * rho, over the configured
+    bandwidth.  OAM-SM keeps one antenna active; the conventional array
+    drives all M.
     """
     if not (math.isfinite(rho) and rho >= 0.0):
         raise ValueError(f"rho must be finite and >= 0, got {rho!r}")
-    denom = model.n_active * model.circuit_power_w + model.slope * rho
+    if not isinstance(n_active, int) or n_active < 1:
+        raise ValueError(f"n_active must be a positive integer, got {n_active!r}")
+    denom = n_active * config.circuit_power_w + config.power_slope * rho
     if denom <= 0.0:
         raise ConfigError(f"power denominator must be > 0, got {denom!r}")
-    return bandwidth_hz * capacity_bits / denom
+    return config.bandwidth_hz * capacity_bits / denom

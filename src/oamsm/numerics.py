@@ -5,7 +5,7 @@ Contents
 q_function          Gaussian tail probability.
 marcum_q1           First-order Marcum Q: Poisson-window series, large-a expansion.
 ncx2_pdf, ncx2_cdf  Noncentral chi-square with two degrees of freedom.
-integrate           Adaptive Gauss-Kronrod quadrature, finite or semi-infinite,
+integrate           Adaptive Gauss-Kronrod quadrature on a finite interval,
                     seeded at caller-given breakpoints.
 psk_constellation   Unit-power PSK points with binary-reflected Gray labels.
 
@@ -348,13 +348,9 @@ def integrate(
     elementwise.  The first pass applies the 15-point Gauss-Kronrod rule to
     every panel between consecutive seeds, in one call of ``f``; while the
     summed |K15 - G7| bound exceeds ``tol``, the worst panels are halved.
-    With a finite ``upper``, the seeds are ``lower``, the ``breakpoints``
-    (each within [lower, upper]) and ``upper``: a caller that knows where
-    the integrand lives can seed panels there.  A semi-infinite upper limit
-    is mapped through g = lower + t/(1-t) onto t in [0, 1) and takes no
-    breakpoints; Kronrod nodes are interior, so the transformed integrand is
-    never evaluated at the endpoint, and refinement toward t=1 truncates
-    the tail once its contribution drops below the error budget.
+    Both limits must be finite.  The seeds are ``lower``, the
+    ``breakpoints`` (each within [lower, upper]) and ``upper``: a caller
+    that knows where the integrand lives can seed panels there.
 
     Raises
     ------
@@ -364,22 +360,9 @@ def integrate(
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if not math.isfinite(lower):
-        raise ValueError("lower limit must be finite")
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise ValueError("integration limits must be finite")
     inner = np.asarray(breakpoints, dtype=float).ravel()
-    if math.isinf(upper):
-        if inner.size:
-            raise ValueError("breakpoints need a finite upper limit")
-        a = lower
-
-        def transformed(t):
-            t = np.asarray(t, dtype=float)
-            u = 1.0 - t
-            g = a + t / u
-            return np.asarray(f(g), dtype=float) / (u * u)
-
-        seeds = np.array([0.0, 0.5, 0.9, 0.99, 0.999, 0.9999, 1.0])
-        return _adaptive(transformed, seeds, tol, max_intervals)
     if upper < lower:
         raise ValueError("upper limit must be >= lower limit")
     if not np.all((inner >= lower) & (inner <= upper)):
@@ -417,11 +400,15 @@ def _adaptive(f, seeds: np.ndarray, tol: float, max_intervals: int) -> float:
     raise NumericError("quadrature refinement stalled", float(np.sum(vals)), float(np.sum(errs)))
 
 
+def _substream(seed: int, *keys: int) -> np.random.SeedSequence:
+    # Substreams keyed by (seed, *keys), e.g. a sweep's (variant, grid point)
+    # or a Monte Carlo (stream, chunk), make every reported number
+    # independent of execution order.
+    return np.random.SeedSequence(entropy=(int(seed) & (2**64 - 1), *keys))
+
+
 def _chunk_rng(seed: int, stream: int, chunk_index: int) -> np.random.Generator:
-    # Fixed-size chunks with per-chunk substreams keyed by (seed, stream,
-    # chunk) make every reported number independent of execution order.
-    ss = np.random.SeedSequence(entropy=(int(seed) & (2**64 - 1), stream, chunk_index))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(_substream(seed, stream, chunk_index)))
 
 
 def _is_power_of_two(n: int) -> bool:

@@ -74,6 +74,12 @@ class TestSystemConfig:
             ("distance_m", -1.0),
             ("circuit_power_w", math.nan),
             ("circuit_power_w", math.inf),
+            ("power_slope", math.nan),
+            ("power_slope", math.inf),
+            ("power_slope", 0.0),
+            ("coeff_mode", "walrus"),
+            ("distance_mode", "walrus"),
+            ("detector", "walrus"),
             ("noise_psd_dbm_hz", math.nan),
             ("noise_psd_dbm_hz", -math.inf),
             ("noise_psd_dbm_hz", -4000.0),
@@ -241,6 +247,13 @@ class TestLoadConfig:
         path = tmp_path / "auto.cfg"
         path.write_text("gain = AUTO\n")
         assert load_config(path).gain == "auto"
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        # Used to keep the last value silently: this file loaded 8 antennas.
+        path = tmp_path / "twice.cfg"
+        path.write_text("antennas = 2\n# second thoughts\nantennas = 8\n")
+        with pytest.raises(ConfigError, match=r"twice.cfg:3: repeated config key antennas \(first set on line 1\)"):
+            load_config(path)
 
     def test_bad_value_reports_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -463,6 +476,46 @@ class TestCliMain:
         )
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sweep", ["antennas", "states", "constellation"])
+    def test_count_sweep_rejects_step(self, tmp_path, capsys, sweep):
+        # Count sweeps double from point to point; --step 3 used to be
+        # ignored, writing rows 2, 4, 8.
+        out = tmp_path / "o.csv"
+        argv = ["run", "--sweep", sweep, "--from", "2", "--to", "8", "--step", "3", "--out", str(out)]
+        assert main(argv) == 2
+        assert "step must be 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dcmc_psk_baseline_reads_samples_and_seed(self, tmp_path):
+        # The dcmc_psk baseline used to run 20000 draws at seed 0 whatever
+        # --samples and --seed said.
+        def mimo_bits(*flags):
+            out = tmp_path / "o.csv"
+            argv = ["run", "--sweep", "snr", "--from", "100", "--to", "100", "--outputs", "capacity"]
+            assert main(argv + ["--mimo-mode", "dcmc_psk", "--out", str(out), *flags]) == 0
+            assert "mimo_mode = dcmc_psk" in (tmp_path / "o.csv.meta").read_text().splitlines()
+            body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+            return dict(zip(body[0].split(","), body[1].split(",")))["capacity_mimo_bits"]
+
+        first = mimo_bits("--samples", "50", "--seed", "1")
+        assert first == mimo_bits("--samples", "50", "--seed", "1")
+        assert first != mimo_bits("--samples", "50", "--seed", "2")
+        assert first != mimo_bits("--samples", "60", "--seed", "1")
+
+    def test_override_flags_follow_field_declarations(self, capsys):
+        # Each flag-declared field has its --dashed-name flag, typed by the
+        # field's parser and limited to its choices.
+        parser = oamsm.cli._build_parser()
+        overrides = [f for f in dataclasses.fields(SystemConfig) if f.metadata["flag"]]
+        assert {f.name for f in overrides} == {"seed", "trials", "samples", "detector", "coeff_mode", "distance_mode"}
+        for f in overrides:
+            flag = "--" + f.name.replace("_", "-")
+            got = getattr(parser.parse_args(["preset", "fig8", "--out", "o.csv", flag, str(f.default)]), f.name)
+            assert got == f.default and type(got) is type(f.default)
+            if f.metadata["choices"]:
+                with pytest.raises(SystemExit):
+                    parser.parse_args(["preset", "fig8", "--out", "o.csv", flag, "walrus"])
 
     def test_overflowing_snr_sweep_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "o.csv"

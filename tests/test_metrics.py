@@ -10,7 +10,6 @@ import pytest
 from oamsm import metrics
 from oamsm import (
     ConfigError,
-    PowerModel,
     SystemConfig,
     abep,
     antenna_abep,
@@ -659,44 +658,50 @@ class TestAbep:
 
 
 class TestEnergyEfficiency:
+    # The default config: 20 MHz, 6.8 W circuit power per chain, slope 4.
     def test_zero_capacity(self):
-        model = PowerModel(6.8, 4.0, 1)
-        assert energy_efficiency(0.0, 20e6, 1.0, model) == 0.0
+        assert energy_efficiency(0.0, 1.0, SystemConfig(), 1) == 0.0
 
     def test_single_chain_arithmetic(self):
-        model = PowerModel(6.8, 4.0, 1)
-        eta = energy_efficiency(7.0, 20e6, 1.0, model)
+        eta = energy_efficiency(7.0, 1.0, SystemConfig(), 1)
         assert eta == pytest.approx(20e6 * 7.0 / (6.8 + 4.0), rel=1e-12)
         assert eta == pytest.approx(1.296e7, rel=1e-3)
 
     def test_array_denominator(self):
-        model = PowerModel(6.8, 4.0, 4)
-        eta = energy_efficiency(7.0, 20e6, 1.0, model)
+        eta = energy_efficiency(7.0, 1.0, SystemConfig(), 4)
         assert eta == pytest.approx(20e6 * 7.0 / 31.2, rel=1e-12)
+
+    def test_reads_the_config(self):
+        cfg = SystemConfig(bandwidth_hz=1e6, circuit_power_w=2.0, power_slope=0.5)
+        assert energy_efficiency(3.0, 4.0, cfg, 2) == pytest.approx(1e6 * 3.0 / (2 * 2.0 + 0.5 * 4.0), rel=1e-15)
 
     def test_single_chain_denominator_strictly_smaller(self):
         rho = 0.37
-        single = PowerModel(6.8, 4.0, 1)
-        array = PowerModel(6.8, 4.0, 4)
         d1 = 6.8 + 4.0 * rho
         d2 = 4 * 6.8 + 4.0 * rho
         assert d1 < d2
-        assert energy_efficiency(1.0, 1.0, rho, single) > energy_efficiency(1.0, 1.0, rho, array)
+        cfg = SystemConfig()
+        assert energy_efficiency(1.0, rho, cfg, 1) > energy_efficiency(1.0, rho, cfg, 4)
 
     def test_rejects_zero_denominator(self):
-        model = PowerModel(0.0, 0.0, 1)
         with pytest.raises(ConfigError):
-            energy_efficiency(1.0, 1.0, 0.0, model)
+            energy_efficiency(1.0, 0.0, SystemConfig(circuit_power_w=0.0), 1)
 
     @pytest.mark.parametrize("rho", [math.inf, math.nan, -1.0])
     def test_rejects_bad_rho(self, rho):
         # rho = inf used to give 0.0 and nan a nan, both without an error.
         with pytest.raises(ValueError):
-            energy_efficiency(1.0, 1.0, rho, PowerModel(6.8, 4.0, 1))
+            energy_efficiency(1.0, rho, SystemConfig(), 1)
+
+    @pytest.mark.parametrize("n_active", [0, -1, 1.0])
+    def test_rejects_bad_chain_count(self, n_active):
+        with pytest.raises(ValueError):
+            energy_efficiency(1.0, 1.0, SystemConfig(), n_active)
 
     @pytest.mark.parametrize(
         "power, slope", [(math.nan, 4.0), (math.inf, 4.0), (6.8, math.nan), (6.8, math.inf)]
     )
     def test_power_model_rejects_non_finite(self, power, slope):
+        # The power model is the config's circuit_power_w and power_slope.
         with pytest.raises(ConfigError):
-            PowerModel(power, slope, 1)
+            SystemConfig(circuit_power_w=power, power_slope=slope)

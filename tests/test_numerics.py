@@ -253,7 +253,8 @@ class TestNoncentralChiSq2:
                 assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_normalization(self):
-        v = integrate(lambda g: ncx2_pdf(g, 4.0), 0.0, math.inf, tol=1e-9)
+        # The mass beyond 200 is below exp(-70) at noncentrality 4.
+        v = integrate(lambda g: ncx2_pdf(g, 4.0), 0.0, 200.0, tol=1e-9)
         assert v == pytest.approx(1.0, abs=1e-9)
 
     def test_cdf_monotone(self):
@@ -280,13 +281,10 @@ class TestIntegrate:
     def test_polynomial(self):
         assert integrate(lambda g: 3 * g**2, 0.0, 1.0, tol=1e-10) == pytest.approx(1.0, abs=1e-10)
 
-    def test_semi_infinite_exponential(self):
-        v = integrate(lambda g: 0.5 * np.exp(-g / 2.0), 0.0, math.inf, tol=1e-9)
-        assert v == pytest.approx(1.0, abs=1e-9)
-
-    def test_semi_infinite_from_offset(self):
-        v = integrate(lambda g: np.exp(-g), 1.0, math.inf, tol=1e-10)
-        assert v == pytest.approx(math.exp(-1.0), abs=1e-10)
+    @pytest.mark.parametrize("lower, upper", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)])
+    def test_rejects_infinite_limits(self, lower, upper):
+        with pytest.raises(ValueError, match="finite"):
+            integrate(lambda g: np.exp(-g), lower, upper)
 
     def test_empty_interval(self):
         assert integrate(lambda g: g, 2.0, 2.0) == 0.0
@@ -316,8 +314,6 @@ class TestIntegrate:
         for bad in ([-1.0], [2.0], [math.nan]):
             with pytest.raises(ValueError):
                 integrate(lambda g: g, 0.0, 1.0, breakpoints=bad)
-        with pytest.raises(ValueError):
-            integrate(lambda g: np.exp(-g), 0.0, math.inf, breakpoints=[1.0])
 
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
