@@ -17,7 +17,6 @@ from .errors import ConfigError, NumericError
 from .metrics import (
     CapacityEstimate,
     abep,
-    antenna_abep,
     antenna_detection_prob,
     antenna_detection_prob_avg,
     dcmc_capacity,
@@ -52,7 +51,6 @@ __all__ = [
     "SymbolMap",
     "SystemConfig",
     "abep",
-    "antenna_abep",
     "antenna_detection_prob",
     "antenna_detection_prob_avg",
     "build_channel_tensor",

@@ -60,17 +60,20 @@ class BeamParams:
         return math.sqrt(1.0 / (math.pi * math.factorial(abs(self.state))))
 
 
+def _check_z(z: float, positive: bool = False) -> None:
+    if not (math.isfinite(z) and (z > 0.0 if positive else z >= 0.0)):
+        raise ValueError(f"z must be finite and {'> 0' if positive else '>= 0'}, got {z!r}")
+
+
 def spot_size(beam: BeamParams, z: float) -> float:
     """1/e field radius at distance z; equals the waist at z = 0."""
-    if z < 0.0:
-        raise ValueError(f"z must be >= 0, got {z!r}")
+    _check_z(z)
     return beam.waist * math.sqrt(1.0 + (z / beam.rayleigh_distance) ** 2)
 
 
 def ring_radius(beam: BeamParams, z: float) -> float:
     """Radius of the annular intensity maximum, sqrt(|l|/2) * spot size."""
-    if z < 0.0:
-        raise ValueError(f"z must be >= 0, got {z!r}")
+    _check_z(z)
     return math.sqrt(abs(beam.state) / 2.0) * spot_size(beam, z)
 
 
@@ -79,16 +82,14 @@ def curvature_radius(beam: BeamParams, z: float) -> float:
 
     The wavefront is flat at the source plane, so z = 0 is a singularity.
     """
-    if z <= 0.0:
-        raise ValueError(f"curvature radius is undefined at z <= 0 (flat wavefront), got z={z!r}")
+    _check_z(z, positive=True)
     zr = beam.rayleigh_distance
     return z * (1.0 + (zr / z) ** 2)
 
 
 def gouy_phase(beam: BeamParams, z: float) -> float:
     """Axial phase anomaly arctan(z / z_R)."""
-    if z < 0.0:
-        raise ValueError(f"z must be >= 0, got {z!r}")
+    _check_z(z)
     return math.atan(z / beam.rayleigh_distance)
 
 
@@ -115,8 +116,7 @@ def waist_for_state(
         raise ValueError(f"coeff_mode must be 'printed' or 'rederived', got {coeff_mode!r}")
     if not isinstance(l_prime, int) or l_prime == 0:
         raise ConfigError(f"l_prime must be a nonzero integer, got {l_prime!r}")
-    if z < 0.0:
-        raise ValueError(f"z must be >= 0, got {z!r}")
+    _check_z(z)
     l_abs = abs(ref.state)
     lp_abs = abs(l_prime)
     if lp_abs == l_abs:
@@ -151,11 +151,10 @@ def lg_field(beam: BeamParams, r, phi, z: float):
     wavefront is flat), the axial anomaly phase (|l|+1) * arctan(z/z_R), and
     the helical phase exp(-i l phi).  ``r`` and ``phi`` broadcast.
     """
-    if z < 0.0:
-        raise ValueError(f"z must be >= 0, got {z!r}")
+    _check_z(z)
     r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 0.0):
-        raise ValueError("r must be >= 0")
+    if not np.all(r_arr >= 0.0):
+        raise ValueError("r must be >= 0 and not NaN")
     phi_arr = np.asarray(phi, dtype=float)
     l_abs = abs(beam.state)
     w_z = spot_size(beam, z)

@@ -26,7 +26,7 @@ from . import __version__
 from .channel import build_channel_tensor
 from .config import PROVENANCE, SystemConfig, default_states, load_config
 from .errors import ConfigError, NumericError
-from .metrics import abep, dcmc_capacity, energy_efficiency, mimo_capacity_baseline
+from .metrics import _MIMO_MODES, abep, dcmc_capacity, energy_efficiency, mimo_capacity_baseline
 from .modem import simulate_ber
 from .numerics import _substream
 
@@ -69,6 +69,13 @@ class SweepSpec:
     mimo_mode: str = "logdet"
 
 
+# Variant families: antenna counts, state-set sizes, constellation orders
+# and distances.
+_M = tuple((f"M={n}", {"tx_antennas": n}) for n in (2, 4, 8))
+_L = tuple((f"L={n}", {"oam_states": default_states(n)}) for n in (2, 4, 8))
+_P = tuple((f"P={n}", {"constellation_order": n}) for n in (2, 4, 8))
+_D = tuple((f"d={d:g}", {"distance_m": d}) for d in (25.0, 50.0, 100.0))
+
 PRESETS: dict[str, SweepSpec] = {
     # Capacity vs transmit SNR for both systems.
     "fig2": SweepSpec("snr", -20, 40, 2, ("capacity",), {"samples": 12000}),
@@ -77,103 +84,19 @@ PRESETS: dict[str, SweepSpec] = {
     # the two systems is visible (decision, recorded in metadata).
     "fig3": SweepSpec("distance", 10, 150, 5, ("capacity",), {"samples": 6000, "snr_db": 104.0}),
     # Capacity vs SNR for several antenna counts and state-set sizes.
-    "fig4": SweepSpec(
-        "snr",
-        -20,
-        40,
-        4,
-        ("capacity",),
-        {"samples": 2000},
-        (
-            ("M=2", {"tx_antennas": 2}),
-            ("M=4", {"tx_antennas": 4}),
-            ("M=8", {"tx_antennas": 8}),
-            ("L=2", {"oam_states": default_states(2)}),
-            ("L=4", {"oam_states": default_states(4)}),
-            ("L=8", {"oam_states": default_states(8)}),
-        ),
-    ),
+    "fig4": SweepSpec("snr", -20, 40, 4, ("capacity",), {"samples": 2000}, _M + _L),
     # Capacity vs SNR for several constellation orders.
-    "fig5": SweepSpec(
-        "snr",
-        -20,
-        40,
-        4,
-        ("capacity",),
-        {"samples": 4000},
-        (
-            ("P=2", {"constellation_order": 2}),
-            ("P=4", {"constellation_order": 4}),
-            ("P=8", {"constellation_order": 8}),
-        ),
-    ),
+    "fig5": SweepSpec("snr", -20, 40, 4, ("capacity",), {"samples": 4000}, _P),
     # Capacity vs distance for several antenna counts and state-set sizes.
-    "fig6": SweepSpec(
-        "distance",
-        10,
-        150,
-        10,
-        ("capacity",),
-        {"samples": 2000},
-        (
-            ("M=2", {"tx_antennas": 2}),
-            ("M=4", {"tx_antennas": 4}),
-            ("M=8", {"tx_antennas": 8}),
-            ("L=2", {"oam_states": default_states(2)}),
-            ("L=4", {"oam_states": default_states(4)}),
-            ("L=8", {"oam_states": default_states(8)}),
-        ),
-    ),
+    "fig6": SweepSpec("distance", 10, 150, 10, ("capacity",), {"samples": 2000}, _M + _L),
     # Capacity vs distance for several constellation orders.
-    "fig7": SweepSpec(
-        "distance",
-        10,
-        150,
-        10,
-        ("capacity",),
-        {"samples": 4000},
-        (
-            ("P=2", {"constellation_order": 2}),
-            ("P=4", {"constellation_order": 4}),
-            ("P=8", {"constellation_order": 8}),
-        ),
-    ),
+    "fig7": SweepSpec("distance", 10, 150, 10, ("capacity",), {"samples": 4000}, _P),
     # Analytic bit error probability and measured BER vs SNR.
     "fig8": SweepSpec("snr", -10, 30, 2, ("abep", "ber"), {"trials": 30000}),
     # Same, for several antenna counts and constellation orders.
-    "fig9": SweepSpec(
-        "snr",
-        -10,
-        30,
-        4,
-        ("abep", "ber"),
-        {"trials": 15000},
-        (
-            ("M=2", {"tx_antennas": 2}),
-            ("M=4", {"tx_antennas": 4}),
-            ("M=8", {"tx_antennas": 8}),
-            ("P=2", {"constellation_order": 2}),
-            ("P=4", {"constellation_order": 4}),
-            ("P=8", {"constellation_order": 8}),
-        ),
-    ),
+    "fig9": SweepSpec("snr", -10, 30, 4, ("abep", "ber"), {"trials": 15000}, _M + _P),
     # Same, for several distances and state-set sizes.
-    "fig10": SweepSpec(
-        "snr",
-        -10,
-        30,
-        4,
-        ("abep", "ber"),
-        {"trials": 15000},
-        (
-            ("d=25", {"distance_m": 25.0}),
-            ("d=50", {"distance_m": 50.0}),
-            ("d=100", {"distance_m": 100.0}),
-            ("L=2", {"oam_states": default_states(2)}),
-            ("L=4", {"oam_states": default_states(4)}),
-            ("L=8", {"oam_states": default_states(8)}),
-        ),
-    ),
+    "fig10": SweepSpec("snr", -10, 30, 4, ("abep", "ber"), {"trials": 15000}, _D + _L),
     # Energy efficiency vs SNR for both systems.
     "fig11": SweepSpec("snr", 0, 40, 2, ("capacity", "ee"), {"samples": 8000}),
 }
@@ -230,6 +153,8 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, out_path: str, command: str
     for out in spec.outputs:
         if out not in _OUTPUT_COLUMNS:
             raise ConfigError(f"unknown output {out!r}; expected one of {tuple(_OUTPUT_COLUMNS)}")
+    if spec.mimo_mode not in _MIMO_MODES:
+        raise ConfigError(f"unknown mimo mode {spec.mimo_mode!r}; expected one of {_MIMO_MODES}")
     base = dataclasses.replace(config, **spec.overrides)
     pinned = dataclasses.replace(base, gain=base.gain_value)
     grid = _grid_values(spec.sweep, spec.start, spec.stop, spec.step, base)
@@ -375,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="capacity",
         help="comma list of outputs: capacity,abep,ber,ee",
     )
-    run_p.add_argument("--mimo-mode", dest="mimo_mode", choices=("logdet", "dcmc_psk"), default="logdet")
+    run_p.add_argument("--mimo-mode", dest="mimo_mode", choices=_MIMO_MODES, default="logdet")
     add_common(run_p)
 
     preset_p = sub.add_parser("preset", help="run a canned figure sweep")

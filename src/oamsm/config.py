@@ -166,14 +166,6 @@ class SystemConfig:
             return 4.0 * math.pi * self.in_ring_distance_m / self.wavelength_m
         return float(self.gain)
 
-    @property
-    def bits_per_symbol(self) -> int:
-        return (
-            (self.tx_antennas.bit_length() - 1)
-            + (self.n_states.bit_length() - 1)
-            + (self.constellation_order.bit_length() - 1)
-        )
-
     def rho_for_snr_db(self, snr_db: float) -> float:
         """Transmit power (watts) realizing the given transmit SNR, defined
         as rho / noise_power over the configured bandwidth.  Raises

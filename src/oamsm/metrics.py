@@ -27,14 +27,15 @@ __all__ = [
     "antenna_detection_prob",
     "antenna_detection_prob_avg",
     "gray_gamma",
-    "AntennaErrorSummary",
-    "antenna_abep",
     "mod_bep",
     "abep",
     "energy_efficiency",
 ]
 
 _LN2 = math.log(2.0)
+
+# Capacity modes of the conventional-array baseline.
+_MIMO_MODES = ("logdet", "dcmc_psk")
 
 
 @dataclass(frozen=True)
@@ -192,6 +193,8 @@ def mimo_capacity_baseline(
     It scores every x (rotations = 1): at its received SNR, ~100 dB below
     rho_total / sigma^2, one x per orbit is far noisier (``_mutual_information``).
     """
+    if mode not in _MIMO_MODES:
+        raise ConfigError(f"mimo capacity mode must be {'|'.join(_MIMO_MODES)}, got {mode!r}")
     _check_link(rho_total, noise_var)
     H = mimo_channel_matrix(config)
     M = config.tx_antennas
@@ -201,8 +204,6 @@ def mimo_capacity_baseline(
         sv = np.linalg.svd(H, compute_uv=False)
         ln_terms = math.log(rho_total) - math.log(M * noise_var) + 2.0 * np.log(sv)
         return CapacityEstimate(float(np.sum(np.logaddexp(0.0, ln_terms))) / _LN2, 0.0, 0)
-    if mode != "dcmc_psk":
-        raise ConfigError(f"mimo capacity mode must be logdet|dcmc_psk, got {mode!r}")
     if rho_total == 0.0:
         return CapacityEstimate(0.0, 0.0, samples)
     points = np.asarray(config.constellation().points)
@@ -348,32 +349,6 @@ def gray_gamma(n: int) -> float:
     return gamma
 
 
-@dataclass(frozen=True)
-class AntennaErrorSummary:
-    """Antenna-index stage errors: symbol level, bit level, bit success."""
-
-    symbol_error: float
-    bit_error: float
-    bit_success: float
-
-
-def antenna_abep(tensor: ChannelTensor, rho: float, noise_var: float) -> AntennaErrorSummary:
-    """Bit error probability of the antenna-index bits.
-
-    The stage symbol error is 1 minus the averaged detection probability;
-    the bit conversion weights it by gamma_{log2 M} / log2 M.  A single
-    antenna carries no index bits, so M = 1 is pinned to zero error.
-    """
-    M = tensor.config.tx_antennas
-    if M == 1:
-        return AntennaErrorSummary(symbol_error=0.0, bit_error=0.0, bit_success=1.0)
-    p_correct = antenna_detection_prob_avg(tensor, rho, noise_var)
-    e_symbol = 1.0 - p_correct
-    nbits = M.bit_length() - 1
-    e_bit = e_symbol * gray_gamma(nbits) / nbits
-    return AntennaErrorSummary(symbol_error=e_symbol, bit_error=e_bit, bit_success=1.0 - e_bit)
-
-
 def mod_bep(
     h: complex,
     rho: float,
@@ -424,32 +399,35 @@ def abep(
 
     Composes the antenna-index stage with the constellation stage as
     1 - (1 - e_ant)(1 - e_mod); the state stage is error-free under the
-    pair-angle constraint once the antenna index is right.  Channel-
-    dependent terms are averaged uniformly over (m, l, p).
+    pair-angle constraint once the antenna index is right.  The antenna
+    stage is the averaged detection miss weighted by gamma_{log2 M} / log2 M,
+    and 0 for a single antenna, which carries no index bits.  The
+    constellation stage is ``mod_bep`` averaged uniformly over the in-ring
+    gains of every (m, l).
     """
-    cfg = config.resolved()
+    noise_var = config.noise_power_w
+    _check_link(rho, noise_var)
     if tensor is None:
-        tensor = build_channel_tensor(cfg)
-    noise_var = cfg.noise_power_w
-    ant = antenna_abep(tensor, rho, noise_var)
-    const = cfg.constellation()
-    if const.order == 1:
-        e_mod = 0.0
-    else:
+        tensor = build_channel_tensor(config)
+    M = tensor.entries.shape[0]
+    e_ant = 0.0
+    if M > 1:
+        nbits = M.bit_length() - 1
+        e_ant = (1.0 - antenna_detection_prob_avg(tensor, rho, noise_var)) * gray_gamma(nbits) / nbits
+    const = config.constellation()
+    e_mod = 0.0
+    if const.order > 1:
         # mod_bep depends on h through |h| only: one call per distinct gain,
         # summed in (m, l) order.
         by_gain: dict[float, float] = {}
         total = 0.0
-        count = 0
-        for m in range(1, cfg.tx_antennas + 1):
-            for l in tensor.states:
-                h = tensor.response(m, l, m, 1)
+        for d in range(M):
+            for h in tensor.entries[d, :, d, 0].tolist():
                 if abs(h) not in by_gain:
-                    by_gain[abs(h)] = mod_bep(h, rho, noise_var, const, cfg.distance_mode)
+                    by_gain[abs(h)] = mod_bep(h, rho, noise_var, const, config.distance_mode)
                 total += by_gain[abs(h)]
-                count += 1
-        e_mod = total / count
-    return 1.0 - (1.0 - ant.bit_error) * (1.0 - e_mod)
+        e_mod = total / (M * len(tensor.states))
+    return 1.0 - (1.0 - e_ant) * (1.0 - e_mod)
 
 
 def energy_efficiency(capacity_bits: float, rho: float, config: SystemConfig, n_active: int) -> float:
@@ -460,8 +438,9 @@ def energy_efficiency(capacity_bits: float, rho: float, config: SystemConfig, n_
     bandwidth.  OAM-SM keeps one antenna active; the conventional array
     drives all M.
     """
-    if not (math.isfinite(rho) and rho >= 0.0):
-        raise ValueError(f"rho must be finite and >= 0, got {rho!r}")
+    for name, value in (("capacity_bits", capacity_bits), ("rho", rho)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
     if not isinstance(n_active, int) or n_active < 1:
         raise ValueError(f"n_active must be a positive integer, got {n_active!r}")
     denom = n_active * config.circuit_power_w + config.power_slope * rho

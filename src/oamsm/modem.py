@@ -10,10 +10,11 @@ state off the pair phase difference, then decide the constellation point.
 Each rule is one batched function (``_detector``) that scores every
 candidate by a small real matrix product, in row blocks bounded by one
 element budget; the single-frame detectors are 1-row calls into it.
-``simulate_ber`` builds each chunk's (n, M, 2) complex frames by gathering
-the clean frames sqrt(rho) * h of the drawn (antenna, state) pairs, scaling
-them by the drawn points, and adding in place one noise draw laid out as
-(2, n, M, 2): the real plane, then the imaginary plane.
+One frame builder (``_frames``) makes the (n, M, 2) complex frames by
+gathering the clean frames sqrt(rho) * h of the drawn (antenna, state)
+pairs, scaling them by the drawn points, and adding in place one noise draw
+laid out as (2, n, M, 2): the real plane, then the imaginary plane.
+``simulate_ber`` calls it once per chunk and ``transmit`` for one row.
 """
 
 from __future__ import annotations
@@ -107,6 +108,11 @@ class SymbolMap:
             yield self.encode(format(i, "b").zfill(self.bits_per_symbol) if self.bits_per_symbol else "")
 
 
+def _check_rho(rho: float) -> None:
+    if not (math.isfinite(rho) and rho >= 0.0):
+        raise ValueError(f"rho must be finite and >= 0, got {rho!r}")
+
+
 def transmit(
     symbol: OamSymbol,
     tensor: ChannelTensor,
@@ -120,18 +126,26 @@ def transmit(
     ``noise_var`` per sample; 0 is allowed and gives the noiseless frame.
     Deterministic given the generator state.
     """
-    if not (math.isfinite(rho) and rho >= 0.0):
-        raise ValueError(f"rho must be finite and >= 0, got {rho!r}")
+    _check_rho(rho)
     if not (math.isfinite(noise_var) and noise_var >= 0.0):
         raise ValueError(f"noise_var must be finite and >= 0, got {noise_var!r}")
     h = tensor.entries[symbol.antenna - 1, tensor.state_index(symbol.state)]
-    frame = math.sqrt(rho) * h * symbol.point
-    if noise_var > 0.0:
-        scale = math.sqrt(noise_var / 2.0)
-        frame = frame + scale * (
-            rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
-        )
-    return frame
+    rows, points = np.zeros(1, dtype=np.intp), np.array([symbol.point])
+    return _frames(math.sqrt(rho) * h[None], rows, points, math.sqrt(noise_var / 2.0), rng)[0]
+
+
+def _frames(clean: np.ndarray, rows: np.ndarray, points: np.ndarray, sigma: float, rng) -> np.ndarray:
+    """The (n, M, 2) frames clean[rows] * points, plus noise of standard
+    deviation ``sigma`` per real dimension when sigma > 0, drawn and added
+    plane by plane as the module docstring describes."""
+    y = clean.take(rows, axis=0)
+    y *= points[:, None, None]
+    if sigma > 0.0:
+        noise = rng.standard_normal((2, *y.shape))
+        noise *= sigma
+        y.real += noise[0]
+        y.imag += noise[1]
+    return y
 
 
 # Elements per decision block: each block holds rows x hypotheses ML scores
@@ -219,7 +233,13 @@ def _detector(tensor: ChannelTensor, rho: float, rule: str):
 
 
 def _demodulate(frame: np.ndarray, tensor: ChannelTensor, rho: float, rule: str) -> OamSymbol:
+    """Decide one frame by the batched ``rule``.  The frame and rho are
+    checked here, not in ``_detector``, so batched trials pay nothing."""
     frames = np.asarray(frame, dtype=complex)[None]
+    shape = (1, tensor.entries.shape[0], 2)
+    if frames.shape != shape or not np.all(np.isfinite(frames)):
+        raise ValueError(f"frame must be a finite array of shape {shape[1:]}")
+    _check_rho(rho)
     indices = (i[0] for i in _detector(tensor, rho, rule)(frames))
     return _symbol(tensor.states, tensor.config.constellation().points, *indices)
 
@@ -281,19 +301,18 @@ def simulate_ber(
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     if detector not in ("stepwise", "ml"):
         raise ConfigError(f"detector must be stepwise|ml, got {detector!r}")
-    cfg = config.resolved()
     if tensor is None:
-        tensor = build_channel_tensor(cfg)
-    const = cfg.constellation()
-    smap = SymbolMap(cfg.tx_antennas, cfg.oam_states, const)
-    rho = cfg.rho_for_snr_db(snr_db)
+        tensor = build_channel_tensor(config)
+    const = config.constellation()
+    smap = SymbolMap(config.tx_antennas, config.oam_states, const)
+    rho = config.rho_for_snr_db(snr_db)
     decide = _detector(tensor, rho, detector)
 
-    M, n_states, P = cfg.tx_antennas, len(tensor.states), const.order
+    M, n_states, P = config.tx_antennas, len(tensor.states), const.order
     points = np.asarray(const.points)
     # Clean frames of every (antenna, state), gathered by m * L + l.
     clean = (math.sqrt(rho) * tensor.entries).reshape(M * n_states, M, 2)
-    sigma = math.sqrt(cfg.noise_power_w / 2.0)
+    sigma = math.sqrt(config.noise_power_w / 2.0)
 
     bit_errors = ant_errors = state_errors = sym_errors = 0
     done = 0
@@ -304,18 +323,10 @@ def simulate_ber(
         m_idx = rng.integers(0, M, size=n)
         l_idx = rng.integers(0, n_states, size=n)
         p_idx = rng.integers(0, P, size=n)
-        y = clean.take(m_idx * n_states + l_idx, axis=0)
-        y *= points[p_idx][:, None, None]
-        # One draw fills the real noise plane, then the imaginary one.  Each
-        # plane is added in place into the clean signal, which becomes the
-        # frames, and the noise is dropped before the decision; the previous
-        # chunk's frames are released before the noise is drawn.
-        noise = rng.standard_normal((2, n, M, 2))
-        noise *= sigma
-        y.real += noise[0]
-        y.imag += noise[1]
-        del noise
+        y = _frames(clean, m_idx * n_states + l_idx, points[p_idx], sigma, rng)
         m_hat, l_hat, p_hat = decide(y)
+        # Release the frames before the next chunk's noise is drawn.
+        del y
 
         ant_err = m_hat != m_idx
         st_err = l_hat != l_idx

@@ -358,8 +358,8 @@ def integrate(
         If the interval budget is exhausted before the error bound reaches
         ``tol``; the exception carries the best estimate and its bound.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     if not (math.isfinite(lower) and math.isfinite(upper)):
         raise ValueError("integration limits must be finite")
     inner = np.asarray(breakpoints, dtype=float).ravel()

@@ -15,6 +15,7 @@ from oamsm import (
     spot_size,
     waist_for_state,
 )
+from oamsm.beam import gouy_phase
 
 WAVELENGTH = 5e-3
 
@@ -201,5 +202,25 @@ class TestLgField:
         assert np.angle(v) == pytest.approx(0.0, abs=1e-15)
 
     def test_rejects_negative_radius(self):
-        with pytest.raises(ValueError):
-            lg_field(beam(), -0.1, 0.0, 1.0)
+        for r in (-0.1, math.nan, [0.1, math.nan]):
+            with pytest.raises(ValueError):
+                lg_field(beam(), r, 0.0, 1.0)
+
+
+PLANE_FUNCTIONS = {
+    "spot_size": spot_size,
+    "ring_radius": ring_radius,
+    "curvature_radius": curvature_radius,
+    "gouy_phase": gouy_phase,
+    "waist_for_state": lambda b, z: waist_for_state(b, 2, z),
+    "lg_field": lambda b, z: lg_field(b, 0.1, 0.0, z),
+}
+
+
+@pytest.mark.parametrize("name", PLANE_FUNCTIONS)
+@pytest.mark.parametrize("z", [math.nan, math.inf, -1.0])
+def test_rejects_plane_outside_range(name, z):
+    # NaN and inf used to pass the z < 0 checks: spot_size(b, nan) gave nan
+    # and ring_radius(b, inf) gave inf.
+    with pytest.raises(ValueError):
+        PLANE_FUNCTIONS[name](beam(), z)

@@ -50,9 +50,6 @@ class TestSystemConfig:
         tensor = build_channel_tensor(cfg)
         assert abs(tensor.response(1, 1, 1, 1)) == pytest.approx(1.0, rel=1e-12)
 
-    def test_bits_per_symbol(self):
-        assert SystemConfig().bits_per_symbol == 7
-
     def test_rejects_wide_beta(self):
         with pytest.raises(ConfigError):
             SystemConfig(beta_rad=math.pi / 2)  # limit is pi/4 for |l|max = 4
@@ -336,6 +333,13 @@ class TestRunSweep:
     def test_unknown_output_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             run_sweep(SystemConfig(), tiny_spec(outputs=("entropy",)), str(tmp_path / "x.csv"))
+
+    def test_unknown_mimo_mode_rejected(self, tmp_path):
+        # Used to succeed and write "mimo_mode = walrus" to the .meta.
+        spec = SweepSpec("snr", 0, 0, 1, ("abep",), {}, (), "walrus")
+        with pytest.raises(ConfigError, match="walrus"):
+            run_sweep(SystemConfig(), spec, str(tmp_path / "x.csv"))
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "sweep, variants, builds",

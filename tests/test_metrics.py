@@ -12,7 +12,6 @@ from oamsm import (
     ConfigError,
     SystemConfig,
     abep,
-    antenna_abep,
     antenna_detection_prob,
     antenna_detection_prob_avg,
     build_channel_tensor,
@@ -512,40 +511,31 @@ class TestGrayGamma:
 
 
 class TestAntennaAbep:
+    # With a single constellation point abep is the antenna-index stage alone.
     def test_single_antenna_pinned_to_zero(self):
-        cfg = dataclasses.replace(
-            SystemConfig(), tx_antennas=1, oam_states=(-1, 1), constellation_order=2
-        )
-        tensor = build_channel_tensor(cfg)
-        out = antenna_abep(tensor, 1.0, cfg.noise_power_w)
-        assert out.bit_error == 0.0 and out.bit_success == 1.0
+        cfg = SystemConfig(tx_antennas=1, oam_states=(-1, 1), constellation_order=1)
+        assert abep(cfg, 1.0) == 0.0
 
     def test_two_antennas_bit_equals_symbol(self):
-        cfg = dataclasses.replace(SystemConfig(), tx_antennas=2)
+        cfg = SystemConfig(tx_antennas=2, constellation_order=1)
         tensor = build_channel_tensor(cfg)
-        out = antenna_abep(tensor, cfg.rho_for_snr_db(10.0), cfg.noise_power_w)
-        assert out.bit_error == pytest.approx(out.symbol_error, rel=1e-12)
+        rho = cfg.rho_for_snr_db(10.0)
+        e_symbol = 1.0 - antenna_detection_prob_avg(tensor, rho, cfg.noise_power_w)
+        assert abep(cfg, rho, tensor=tensor) == pytest.approx(e_symbol, rel=1e-12)
 
     def test_four_antennas_weighting(self, default_tensor, default_config):
-        out = antenna_abep(
-            default_tensor, default_config.rho_for_snr_db(10.0), default_config.noise_power_w
-        )
-        assert out.bit_error == pytest.approx(out.symbol_error * (2.0 / 3.0), rel=1e-12)
+        cfg = dataclasses.replace(default_config, constellation_order=1)
+        rho = cfg.rho_for_snr_db(10.0)
+        e_symbol = 1.0 - antenna_detection_prob_avg(default_tensor, rho, cfg.noise_power_w)
+        assert abep(cfg, rho, tensor=default_tensor) == pytest.approx(e_symbol * (2.0 / 3.0), rel=1e-12)
 
     def test_vanishes_at_high_snr_resolvable_geometry(self, short_range_tensor, short_range_config):
-        out = antenna_abep(
-            short_range_tensor,
-            short_range_config.rho_for_snr_db(40.0),
-            short_range_config.noise_power_w,
-        )
-        assert out.bit_error < 1e-6
+        cfg = dataclasses.replace(short_range_config, constellation_order=1)
+        assert abep(cfg, cfg.rho_for_snr_db(40.0), tensor=short_range_tensor) < 1e-6
 
     def test_decreasing_in_snr(self, short_range_tensor, short_range_config):
-        nv = short_range_config.noise_power_w
-        vals = [
-            antenna_abep(short_range_tensor, short_range_config.rho_for_snr_db(s), nv).bit_error
-            for s in (5.0, 15.0, 25.0, 35.0)
-        ]
+        cfg = dataclasses.replace(short_range_config, constellation_order=1)
+        vals = [abep(cfg, cfg.rho_for_snr_db(s), tensor=short_range_tensor) for s in (5.0, 15.0, 25.0, 35.0)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
@@ -610,7 +600,7 @@ class TestAbep:
         rho = cfg.rho_for_snr_db(10.0)
         nv = cfg.noise_power_w
         total = abep(cfg, rho, tensor=default_tensor)
-        ant = antenna_abep(default_tensor, rho, nv)
+        e_ant = (1.0 - antenna_detection_prob_avg(default_tensor, rho, nv)) * gray_gamma(2) / 2
         const = cfg.constellation()
         mods = [
             mod_bep(default_tensor.response(m, l, m, 1), rho, nv, const, cfg.distance_mode)
@@ -618,7 +608,14 @@ class TestAbep:
             for l in default_tensor.states
         ]
         e_mod = float(np.mean(mods))
-        assert total == pytest.approx(1.0 - (1.0 - ant.bit_error) * (1.0 - e_mod), abs=1e-12)
+        assert total == pytest.approx(1.0 - (1.0 - e_ant) * (1.0 - e_mod), abs=1e-12)
+
+    @pytest.mark.parametrize("rho", BAD_POWERS)
+    def test_rejects_bad_power(self, rho):
+        # A single antenna and point skip both stages; the power used to be
+        # read by neither, so nan, -1 and inf returned 0.0.
+        with pytest.raises(ValueError):
+            abep(SystemConfig(tx_antennas=1, constellation_order=1), rho)
 
     def test_constellation_stage_once_per_distinct_gain(self, default_config, default_tensor, monkeypatch):
         # Every in-ring entry of the default tensor has the same |h|.
@@ -692,6 +689,12 @@ class TestEnergyEfficiency:
         # rho = inf used to give 0.0 and nan a nan, both without an error.
         with pytest.raises(ValueError):
             energy_efficiency(1.0, rho, SystemConfig(), 1)
+
+    @pytest.mark.parametrize("capacity", [math.inf, -math.inf, math.nan, -1.0])
+    def test_rejects_bad_capacity(self, capacity):
+        # nan used to give nan, and -1.0 bit a negative efficiency.
+        with pytest.raises(ValueError):
+            energy_efficiency(capacity, 1.0, SystemConfig(), 1)
 
     @pytest.mark.parametrize("n_active", [0, -1, 1.0])
     def test_rejects_bad_chain_count(self, n_active):

@@ -228,6 +228,26 @@ class TestDetectors:
             out = demodulate_stepwise(np.zeros((4, 2), dtype=dtype), default_tensor, rho)
             assert (out.antenna, out.state, out.point_index) == (1, default_tensor.states[0], 0)
 
+    @pytest.mark.parametrize("detect", [demodulate_stepwise, demodulate_ml])
+    @pytest.mark.parametrize(
+        "frame, rho",
+        [
+            (np.zeros((3, 2)), 1.0),
+            (np.zeros((4, 3)), 1.0),
+            (np.full((4, 2), np.nan), 1.0),
+            (np.array([[np.inf, 0.0]] * 4), 1.0),
+            (np.zeros((4, 2)), math.inf),
+            (np.zeros((4, 2)), math.nan),
+            (np.zeros((4, 2)), -1.0),
+        ],
+        ids=["3x2", "4x3", "nan-frame", "inf-frame", "rho-inf", "rho-nan", "rho-negative"],
+    )
+    def test_rejects_bad_frame_or_power(self, default_tensor, detect, frame, rho):
+        # These used to decide a symbol (a wrong-shaped or all-NaN frame,
+        # ML at rho = inf) or raise a bare "math domain error" (rho = -1).
+        with pytest.raises(ValueError):
+            detect(frame, default_tensor, rho)
+
     def test_single_hypothesis_returns_it(self):
         cfg = dataclasses.replace(
             SystemConfig(), tx_antennas=1, oam_states=(1,), constellation_order=1

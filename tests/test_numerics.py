@@ -316,8 +316,11 @@ class TestIntegrate:
                 integrate(lambda g: g, 0.0, 1.0, breakpoints=bad)
 
     def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            integrate(lambda g: g, 0.0, 1.0, tol=0.0)
+        # tol = nan used to pass the check, exhaust the interval budget and
+        # raise NumericError "did not converge".
+        for tol in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                integrate(lambda g: g, 0.0, 1.0, tol=tol)
 
 
 def _hamming(a: str, b: str) -> int:
