@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require
 
 __all__ = [
     "BeamParams",
@@ -43,12 +43,9 @@ class BeamParams:
     wavelength: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.waist) and self.waist > 0.0):
-            raise ConfigError(f"waist must be finite and > 0, got {self.waist!r}")
-        if not (math.isfinite(self.wavelength) and self.wavelength > 0.0):
-            raise ConfigError(f"wavelength must be finite and > 0, got {self.wavelength!r}")
-        if not isinstance(self.state, int) or self.state == 0:
-            raise ConfigError(f"beam state must be a nonzero integer, got {self.state!r}")
+        require("waist", self.waist, "finite and > 0", ConfigError)
+        require("wavelength", self.wavelength, "finite and > 0", ConfigError)
+        require("beam state", self.state, "a nonzero integer", ConfigError)
 
     @property
     def rayleigh_distance(self) -> float:
@@ -61,8 +58,7 @@ class BeamParams:
 
 
 def _check_z(z: float, positive: bool = False) -> None:
-    if not (math.isfinite(z) and (z > 0.0 if positive else z >= 0.0)):
-        raise ValueError(f"z must be finite and {'> 0' if positive else '>= 0'}, got {z!r}")
+    require("z", z, "finite and > 0" if positive else "finite and >= 0")
 
 
 def spot_size(beam: BeamParams, z: float) -> float:
@@ -114,8 +110,7 @@ def waist_for_state(
     """
     if coeff_mode not in ("printed", "rederived"):
         raise ValueError(f"coeff_mode must be 'printed' or 'rederived', got {coeff_mode!r}")
-    if not isinstance(l_prime, int) or l_prime == 0:
-        raise ConfigError(f"l_prime must be a nonzero integer, got {l_prime!r}")
+    require("l_prime", l_prime, "a nonzero integer", ConfigError)
     _check_z(z)
     l_abs = abs(ref.state)
     lp_abs = abs(l_prime)

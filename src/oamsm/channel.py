@@ -86,8 +86,9 @@ class ChannelTensor:
 
 
 def _position(name: str, index: int, size: int) -> int:
-    """0-based position of the 1-based ``index``; ConfigError outside 1..size."""
-    if not 1 <= index <= size:
+    """0-based position of the 1-based ``index``; ConfigError for a
+    non-integer or one outside 1..size."""
+    if not (isinstance(index, (int, np.integer)) and 1 <= index <= size):
         raise ConfigError(f"{name} index {index!r} not in 1..{size}")
     return index - 1
 

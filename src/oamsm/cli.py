@@ -203,8 +203,22 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, out_path: str, command: str
                         row[f"capacity_{system}_bits"], rho, cfg, n_active
                     )
             rows.append(row)
-    _write_csv(out_path, base, spec, columns, rows)
-    _write_meta(out_path + ".meta", base, spec, command)
+    config_lines = _config_lines(base)
+    head = [f"oamsm {__version__} sweep={spec.sweep} outputs={','.join(spec.outputs)}"]
+    _write(out_path, [f"# {line}" for line in head + config_lines], columns, rows)
+    now = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    meta = [
+        f"code_version = {__version__}",
+        f"command = {command}",
+        f"timestamp = {now}",
+        f"sweep = {spec.sweep}",
+        f"grid = from {spec.start} to {spec.stop} step {spec.step}",
+        f"outputs = {','.join(spec.outputs)}",
+        f"mimo_mode = {spec.mimo_mode}",
+    ]
+    if spec.variants:
+        meta.append(f"variants = {', '.join(label for label, _ in spec.variants)}")
+    _write(out_path + ".meta", meta + config_lines)
     return rows
 
 
@@ -222,16 +236,16 @@ def _config_lines(cfg: SystemConfig) -> list:
     return lines
 
 
-def _write_csv(path: str, cfg: SystemConfig, spec: SweepSpec, columns: list, rows: list) -> None:
+def _write(path: str, lines: list, columns=(), rows=()) -> None:
+    """Write ``lines``, then, if ``columns`` are given, a CSV table of
+    ``rows`` under that header."""
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(f"# oamsm {__version__} sweep={spec.sweep} outputs={','.join(spec.outputs)}\n")
-            for line in _config_lines(cfg):
-                fh.write(f"# {line}\n")
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_fmt(row.get(c)) for c in columns])
+            fh.writelines(line + "\n" for line in lines)
+            if columns:
+                writer = csv.writer(fh)
+                writer.writerow(columns)
+                writer.writerows([_fmt(row.get(c)) for c in columns] for row in rows)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
@@ -242,24 +256,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _write_meta(path: str, cfg: SystemConfig, spec: SweepSpec, command: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"code_version = {__version__}\n")
-            fh.write(f"command = {command}\n")
-            fh.write(f"timestamp = {datetime.datetime.now(datetime.timezone.utc).isoformat()}\n")
-            fh.write(f"sweep = {spec.sweep}\n")
-            fh.write(f"grid = from {spec.start} to {spec.stop} step {spec.step}\n")
-            fh.write(f"outputs = {','.join(spec.outputs)}\n")
-            fh.write(f"mimo_mode = {spec.mimo_mode}\n")
-            if spec.variants:
-                fh.write(f"variants = {', '.join(label for label, _ in spec.variants)}\n")
-            for line in _config_lines(cfg):
-                fh.write(line + "\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def preset(figure: str) -> SweepSpec:

@@ -2,11 +2,12 @@
 
 Every run is parameterized by a single ``SystemConfig``.  Each field is
 declared once, with ``_option``: its default, its provenance tag, its
-config-file key and parser, its allowed values, and whether a command-line
-flag overrides it.  Defaults that trace to the standard 60 GHz evaluation
-setup are tagged ``paper``; values the setup leaves open (beam waist, ring
-gain, pair separation, power grid) are tagged ``decision``, so every output
-file can state where its numbers come from.  ``PROVENANCE``, the loader's
+config-file key and parser, its allowed values or the ``errors.require``
+rule it must meet, and whether a command-line flag overrides it.  Defaults
+that trace to the standard 60 GHz evaluation setup are tagged ``paper``;
+values the setup leaves open (beam waist, ring gain, pair separation, power
+grid) are tagged ``decision``, so every output file can state where its
+numbers come from.  ``PROVENANCE``, the loader's
 key table and the command-line overrides are all read off these fields.
 """
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import beam as beam_mod
-from .errors import ConfigError
+from .errors import ConfigError, require
 from .numerics import Constellation, _is_power_of_two, psk_constellation
 
 __all__ = ["SystemConfig", "load_config", "default_states", "PROVENANCE", "SPEED_OF_LIGHT"]
@@ -65,16 +66,23 @@ def _gain_value(text: str):
     return "auto" if text.lower() == "auto" else float(text)
 
 
-def _option(default, provenance: str, key: str, parse, choices=None, flag=False):
+def _state(value) -> int:
+    if not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"OAM state {value!r} is not an integer")
+    return int(value)
+
+
+def _option(default, provenance: str, key: str, parse, choices=None, flag=False, rule=None):
     """A SystemConfig field with everything said about it in one place.
 
     ``provenance`` is "paper" (the published evaluation setup) or
     "decision" (a documented choice of this implementation); ``key`` is the
     config-file key, read with ``parse``; ``choices``, if given, are the
-    allowed values; ``flag`` (True, or the flag's help text) adds a
+    allowed values, and ``rule``, if given, the ``errors.require`` rule the
+    value must meet; ``flag`` (True, or the flag's help text) adds a
     same-named command-line override.
     """
-    meta = {"provenance": provenance, "key": key, "parse": parse, "choices": choices, "flag": flag}
+    meta = {"provenance": provenance, "key": key, "parse": parse, "choices": choices, "flag": flag, "rule": rule}
     return dataclasses.field(default=default, metadata=meta)
 
 
@@ -90,31 +98,35 @@ class SystemConfig:
     SNR there; pass a float to override.
     """
 
-    carrier_freq_hz: float = _option(60e9, "paper", "carrier_freq", float)
-    bandwidth_hz: float = _option(20e6, "paper", "bandwidth", float)
-    noise_psd_dbm_hz: float = _option(-174.0, "paper", "noise_psd", float)
+    carrier_freq_hz: float = _option(60e9, "paper", "carrier_freq", float, rule="finite and > 0")
+    bandwidth_hz: float = _option(20e6, "paper", "bandwidth", float, rule="finite and > 0")
+    noise_psd_dbm_hz: float = _option(-174.0, "paper", "noise_psd", float, rule="finite")
     tx_antennas: int = _option(4, "paper", "antennas", int)
     oam_states: tuple = _option(default_states(8), "decision", "oam_states", _states_value)
     constellation_order: int = _option(4, "paper", "constellation", int)
-    distance_m: float = _option(50.0, "paper", "distance", float)
+    distance_m: float = _option(50.0, "paper", "distance", float, rule="finite and > 0")
     element_spacing: object = _option("20lambda", "paper", "xi", _spacing_value)
     beta_rad: object = _option(None, "decision", "beta", float)
-    waist_m: float = _option(0.04, "decision", "waist", float)
-    ref_state: int = _option(1, "decision", "ref_state", int)
+    waist_m: float = _option(0.04, "decision", "waist", float, rule="finite and > 0")
+    ref_state: int = _option(1, "decision", "ref_state", int, rule="a nonzero integer")
     gain: object = _option("auto", "decision", "gain", _gain_value)
-    circuit_power_w: float = _option(6.8, "paper", "circuit_power", float)
-    power_slope: float = _option(4.0, "paper", "power_slope", float)
-    snr_db: float = _option(20.0, "decision", "snr", float)
+    circuit_power_w: float = _option(6.8, "paper", "circuit_power", float, rule="finite and >= 0")
+    power_slope: float = _option(4.0, "paper", "power_slope", float, rule="finite and > 0")
+    snr_db: float = _option(20.0, "decision", "snr", float, rule="finite")
     coeff_mode: str = _option("rederived", "decision", "coeff_mode", str, ("printed", "rederived"), flag=True)
     distance_mode: str = _option("euclidean", "decision", "distance_mode", str, ("printed", "euclidean"), flag=True)
     detector: str = _option("stepwise", "decision", "detector", str, ("stepwise", "ml"), flag=True)
-    seed: int = _option(12345, "decision", "seed", int, flag="master seed override")
-    trials: int = _option(100000, "decision", "trials", int, flag="Monte Carlo BER trials per point")
-    samples: int = _option(20000, "decision", "samples", int, flag="capacity noise draws per point")
+    seed: int = _option(12345, "decision", "seed", int, flag="master seed override", rule="an integer")
+    trials: int = _option(
+        100000, "decision", "trials", int, flag="Monte Carlo BER trials per point", rule="a positive integer"
+    )
+    samples: int = _option(
+        20000, "decision", "samples", int, flag="capacity noise draws per point", rule="a positive integer"
+    )
 
     def __post_init__(self):
         # Canonical ascending order; the bit mapping indexes this table.
-        object.__setattr__(self, "oam_states", tuple(sorted(int(v) for v in self.oam_states)))
+        object.__setattr__(self, "oam_states", tuple(sorted(_state(v) for v in self.oam_states)))
         self._validate()
 
     # -- derived quantities -------------------------------------------------
@@ -170,8 +182,7 @@ class SystemConfig:
         """Transmit power (watts) realizing the given transmit SNR, defined
         as rho / noise_power over the configured bandwidth.  Raises
         ``ValueError`` for a non-finite SNR or a power that overflows a float."""
-        if not math.isfinite(snr_db):
-            raise ValueError(f"snr_db must be finite, got {snr_db!r}")
+        require("snr_db", snr_db, "finite")
         try:
             rho = self.noise_power_w * 10.0 ** (snr_db / 10.0)
         except OverflowError:
@@ -191,9 +202,9 @@ class SystemConfig:
     def resolved(self) -> "SystemConfig":
         """Copy with spacing, pair angle, and gain pinned to numbers.
 
-        Sweeps resolve once and then vary fields, so e.g. a distance sweep
+        A config varied from the copy (e.g. moved to another distance)
         keeps the gain fixed at its value for the base geometry instead of
-        silently re-normalizing at every grid point.
+        re-normalizing; ``run_sweep`` pins only the gain, the same way.
         """
         return dataclasses.replace(
             self,
@@ -205,21 +216,17 @@ class SystemConfig:
     # -- validation ----------------------------------------------------------
 
     def _validate(self):
+        for f in dataclasses.fields(self):
+            value, rule, choices = getattr(self, f.name), f.metadata["rule"], f.metadata["choices"]
+            if rule:
+                require(f.name, value, rule, ConfigError)
+            if choices and value not in choices:
+                raise ConfigError(f"{f.name} must be {'|'.join(choices)}, got {value!r}")
+        if self.gain != "auto":
+            require("gain", self.gain, "finite and > 0", ConfigError)
         _check_symbol_axes(self.tx_antennas, self.oam_states)
-        if not isinstance(self.constellation_order, int) or not _is_power_of_two(
-            self.constellation_order
-        ):
-            raise ConfigError(
-                f"constellation_order must be a power of two, got {self.constellation_order!r}"
-            )
-        for name in ("carrier_freq_hz", "bandwidth_hz", "distance_m", "waist_m", "power_slope"):
-            v = float(getattr(self, name))
-            if not (math.isfinite(v) and v > 0.0):
-                raise ConfigError(f"{name} must be finite and > 0, got {v!r}")
-        for name in ("noise_psd_dbm_hz", "snr_db"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ConfigError(f"{name} must be finite, got {v!r}")
+        if not isinstance(self.constellation_order, int) or not _is_power_of_two(self.constellation_order):
+            raise ConfigError(f"constellation_order must be a power of two, got {self.constellation_order!r}")
         try:
             noise = self.noise_power_w
         except OverflowError:
@@ -233,32 +240,19 @@ class SystemConfig:
             self.rho_for_snr_db(self.snr_db)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if not (math.isfinite(self.circuit_power_w) and self.circuit_power_w >= 0.0):
-            raise ConfigError(f"circuit_power_w must be finite and >= 0, got {self.circuit_power_w!r}")
         if not (math.isfinite(self.element_spacing_m) and self.element_spacing_m > 0.0):
             raise ConfigError(f"element spacing must be finite and > 0, got {self.element_spacing!r}")
-        if self.ref_state == 0 or not isinstance(self.ref_state, int):
-            raise ConfigError(f"ref_state must be a nonzero integer, got {self.ref_state!r}")
+        try:  # the Rayleigh distance can underflow, or (z / z_R)^2 overflow
+            ring = self.ring_radius_m
+        except ArithmeticError:
+            ring = math.inf
+        where = f"ring radius at waist_m={self.waist_m!r}, distance_m={self.distance_m!r}"
+        require(where, ring, "finite and > 0", ConfigError)
         beta = self.beta_value
         if not (0.0 < beta < math.pi / self.l_max):
             raise ConfigError(
                 f"beta={beta!r} violates the measurement constraint (0, pi/{self.l_max})"
             )
-        if not isinstance(self.gain, str):
-            if not (math.isfinite(float(self.gain)) and float(self.gain) > 0.0):
-                raise ConfigError(f"gain must be > 0 or 'auto', got {self.gain!r}")
-        elif self.gain != "auto":
-            raise ConfigError(f"gain must be a number or 'auto', got {self.gain!r}")
-        for f in dataclasses.fields(self):
-            choices = f.metadata["choices"]
-            if choices and getattr(self, f.name) not in choices:
-                raise ConfigError(f"{f.name} must be {'|'.join(choices)}, got {getattr(self, f.name)!r}")
-        if not isinstance(self.seed, int):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        for name in ("trials", "samples"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
         # Distinct wrapped pair-phase signatures for every state; guaranteed
         # by the beta constraint but asserted so a future relaxation fails loud.
         sigs = [math.remainder(beta * l, 2.0 * math.pi) for l in self.oam_states]

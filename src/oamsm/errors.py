@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one scalar check."""
+
+import cmath
+import math
 
 
 class ConfigError(ValueError):
@@ -17,3 +20,27 @@ class NumericError(RuntimeError):
         super().__init__(f"{message} (estimate={estimate!r}, bound={bound!r})")
         self.estimate = estimate
         self.bound = bound
+
+
+# Rule: what a value must be; the key is also the message's wording.
+_RULES = {
+    "finite": math.isfinite,
+    "finite and > 0": lambda v: math.isfinite(v) and v > 0.0,
+    "finite and >= 0": lambda v: math.isfinite(v) and v >= 0.0,
+    "a finite number": cmath.isfinite,  # real or complex
+    "an integer": lambda v: isinstance(v, int),
+    "a positive integer": lambda v: isinstance(v, int) and v >= 1,
+    "a nonnegative integer": lambda v: isinstance(v, int) and v >= 0,
+    "a nonzero integer": lambda v: isinstance(v, int) and v != 0,
+}
+
+
+def require(name: str, value, rule: str, error=ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` meets ``rule``, a key of
+    ``_RULES``; a wrong type, or an int too large for a float, fails it."""
+    try:
+        ok = _RULES[rule](value)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise error(f"{name} must be {rule}, got {value!r}")

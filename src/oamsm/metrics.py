@@ -16,8 +16,8 @@ import numpy as np
 
 from .channel import ChannelTensor, _pair_geometry, build_channel_tensor
 from .config import SystemConfig
-from .errors import ConfigError
-from .numerics import Constellation, _chunk_rng, integrate, marcum_q1, ncx2_pdf, q_function
+from .errors import ConfigError, require
+from .numerics import Constellation, _chunks, integrate, marcum_q1, ncx2_pdf, q_function
 
 __all__ = [
     "CapacityEstimate",
@@ -50,10 +50,8 @@ class CapacityEstimate:
 def _check_link(rho: float, noise_var: float) -> None:
     """Reject a transmit power or noise variance no metric can be computed
     from: NaN, infinite, a negative power or a noise variance <= 0."""
-    if not (math.isfinite(rho) and rho >= 0.0):
-        raise ValueError(f"rho must be finite and >= 0, got {rho!r}")
-    if not (math.isfinite(noise_var) and noise_var > 0.0):
-        raise ValueError(f"noise_var must be finite and > 0, got {noise_var!r}")
+    require("rho", rho, "finite and >= 0")
+    require("noise_var", noise_var, "finite and > 0")
 
 
 _CAP_CHUNK = 512
@@ -80,7 +78,8 @@ def _mutual_information(
     is unchanged, the per-draw variance differs.  At low received SNR it is
     larger, as the part of each log-sum-exp linear in w cancels in the mean
     over every input but not over the representatives.  The true input's
-    zero term keeps draws <= log2(n_inputs).
+    zero term keeps draws <= log2(n_inputs).  All-zero signals (rho = 0)
+    give exactly 0: every likelihood ratio is 1.
 
     Two exact reductions keep the arithmetic small.  The cross term
     factors as Re(d_ij . conj(w)) = R_i - R_j with R = Re(s . w^H), one
@@ -93,6 +92,9 @@ def _mutual_information(
     rounding.  An input whose only remaining term is its own adds exactly
     ln 1 = 0 and is skipped, so saturated draws cost almost nothing.
     """
+    require("samples", samples, "a positive integer")
+    if not np.any(reps):
+        return CapacityEstimate(value=0.0, std_error=0.0, samples=samples)
     # Input (k, p) at row k P + p: the representatives are every P-th row.
     signals = (reps[:, None, :] * rotations[:, None]).reshape(-1, reps.shape[1])
     n_inputs, dims = signals.shape
@@ -103,11 +105,7 @@ def _mutual_information(
     sig = np.concatenate([signals.real, signals.imag], axis=1)
     buf = np.empty((n_inputs, min(_CAP_CHUNK, samples)))
     per_draw = np.empty(samples)
-    done = 0
-    chunk_index = 0
-    while done < samples:
-        n = min(_CAP_CHUNK, samples - done)
-        rng = _chunk_rng(seed, stream, chunk_index)
+    for done, n, rng in _chunks(samples, _CAP_CHUNK, seed, stream):
         # [Re w, Im w]: the real parts are drawn first, then the imaginary.
         w = math.sqrt(noise_var / 2.0) * np.concatenate(
             [rng.standard_normal((n, dims)), rng.standard_normal((n, dims))], axis=1
@@ -129,8 +127,6 @@ def _mutual_information(
             np.exp(t, out=t)
             acc += m - q[i] + np.log(np.sum(t, axis=0))
         per_draw[done : done + n] = log2_inputs - acc / (reps.shape[0] * _LN2)
-        done += n
-        chunk_index += 1
     value = float(np.mean(per_draw))
     stderr = float(np.std(per_draw, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return CapacityEstimate(value=min(max(0.0, value), log2_inputs), std_error=stderr, samples=samples)
@@ -148,11 +144,7 @@ def dcmc_capacity(
     x_p / x_0 times input (m, l, 0), so each draw scores only p = 0 (see
     ``_mutual_information``): same expectation, different variance.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples!r}")
     _check_link(rho, noise_var)
-    if rho == 0.0:
-        return CapacityEstimate(value=0.0, std_error=0.0, samples=samples)
     points = np.asarray(tensor.config.constellation().points)
     # Frame of (m, l, 0) at row m * L + l, flattened over (pair, antenna-in-pair).
     reps = math.sqrt(rho) * points[0] * tensor.entries.reshape(-1, 2 * tensor.entries.shape[0])
@@ -204,8 +196,6 @@ def mimo_capacity_baseline(
         sv = np.linalg.svd(H, compute_uv=False)
         ln_terms = math.log(rho_total) - math.log(M * noise_var) + 2.0 * np.log(sv)
         return CapacityEstimate(float(np.sum(np.logaddexp(0.0, ln_terms))) / _LN2, 0.0, 0)
-    if rho_total == 0.0:
-        return CapacityEstimate(0.0, 0.0, samples)
     points = np.asarray(config.constellation().points)
     if points.size**M > 4096:
         raise ConfigError(f"dcmc_psk baseline limited to P^M <= 4096 inputs, got {points.size**M}")
@@ -228,23 +218,25 @@ def _noncentralities(h: np.ndarray, x: complex, rho: float, noise_var: float) ->
 
 
 # Half-width, in r = sqrt(g), of the window around the true pair's bulk:
-# P(r > sqrt(lam_m) + 9) <= exp(-81/2) < 3e-18, far under any ``tol``.
+# P(r > sqrt(lam_m) + 9) <= exp(-81/2) < 3e-18, far under _DETECTION_TOL.
 _BULK_HALF_WIDTH = 9
+# Absolute quadrature error allowed in each detection integral.
+_DETECTION_TOL = 1e-9
 
 
-def _detection_integral(lam_own: float, factors: np.ndarray, rows: np.ndarray, tol: float) -> float:
+def _detection_integral(lam_own: float, factors: np.ndarray, rows: np.ndarray) -> float:
     """Mean detection probability of rows that share the true pair's
     noncentrality ``lam_own``.
 
     Row i's other pairs have amplitudes factors[rows[i]], so the value is
     the integral over r of ncx2_pdf(r^2, lam_own) 2r times the row mean of
     prod_j (1 - Q1(factors[rows[i, j]], r)), to an absolute quadrature
-    error of at most ``tol``.  Each 1 - Q1(a, r) is evaluated once per
-    integrand call, however many rows share it.  In r the true pair's
-    density is Rician: a bump of unit width at c = sqrt(lam_own) whatever
-    the SNR, so unit-width panels over [max(0, c - 9), c + 9], plus one
-    panel on [0, c - 9] when c > 9, resolve it in the first quadrature pass
-    at every SNR.  The integral stops at c + 9: r = |c + z| <= c + |z| for
+    error of at most ``_DETECTION_TOL``.  Each 1 - Q1(a, r) is evaluated
+    once per integrand call, however many rows share it.  In r the true
+    pair's density is Rician: a bump of unit width at c = sqrt(lam_own)
+    whatever the SNR, so unit-width panels over [max(0, c - 9), c + 9],
+    plus one panel on [0, c - 9] when c > 9, resolve it in the first
+    quadrature pass at every SNR.  The integral stops at c + 9: r = |c + z| <= c + |z| for
     the unit complex Gaussian z, so P(r > c + 9) <= P(|z| > 9) =
     exp(-81/2) < 3e-18.  The panel below carries P(r < c - 9) <= Q(9) <
     1.2e-19, so its error bound vanishes at once.
@@ -257,19 +249,11 @@ def _detection_integral(lam_own: float, factors: np.ndarray, rows: np.ndarray, t
         cdf = np.array([1.0 - marcum_q1(float(a), r) for a in factors])
         return ncx2_pdf(r * r, lam_own) * (2.0 * r) * cdf[rows].prod(axis=1).mean(axis=0)
 
-    value = integrate(integrand, 0.0, edges[-1], tol=tol, breakpoints=edges[edges > 0.0])
+    value = integrate(integrand, 0.0, edges[-1], tol=_DETECTION_TOL, breakpoints=edges[edges > 0.0])
     return float(min(max(value, 0.0), 1.0))
 
 
-def antenna_detection_prob(
-    tensor: ChannelTensor,
-    m: int,
-    l: int,
-    x: complex,
-    rho: float,
-    noise_var: float,
-    tol: float = 1e-9,
-) -> float:
+def antenna_detection_prob(tensor: ChannelTensor, m: int, l: int, x: complex, rho: float, noise_var: float) -> float:
     """Probability that the strongest-pair rule picks the true antenna.
 
     With r = sqrt(g) the amplitude of the true pair's statistic, the
@@ -277,14 +261,15 @@ def antenna_detection_prob(
     prod_j (1 - Q1(sqrt(lam_j), r)) over the other pairs j: the true pair's
     density times the chance that every other statistic stays below it.
     It is one row of ``_detection_integral``, with one factor per other
-    pair, and its absolute quadrature error is at most ``tol``.
+    pair, and its absolute quadrature error is at most ``_DETECTION_TOL``.
     """
+    require("x", x, "a finite number")
     i = tensor.antenna_index(m)
     lam = _noncentralities(tensor.entries[i, tensor.state_index(l), :, 0], x, rho, noise_var)
     if lam.size == 1:
         return 1.0
     others = np.sqrt(np.delete(lam, i))
-    return _detection_integral(float(lam[i]), others, np.arange(others.size)[None, :], tol)
+    return _detection_integral(float(lam[i]), others, np.arange(others.size)[None, :])
 
 
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -296,9 +281,7 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values[np.unique(inverse, return_index=True)[1]], inverse
 
 
-def antenna_detection_prob_avg(
-    tensor: ChannelTensor, rho: float, noise_var: float, tol: float = 1e-9
-) -> float:
+def antenna_detection_prob_avg(tensor: ChannelTensor, rho: float, noise_var: float) -> float:
     """Detection probability marginalized uniformly over (m, l, p).
 
     All constellation points are unit modulus, so the average over p is
@@ -307,10 +290,10 @@ def antenna_detection_prob_avg(
     mean of their integrals of f_lam(r) prod_j F_j(r), F = 1 - Q1, is one
     integral of f_lam(r) times the mean of their products.  One integral is
     taken per distinct lam; every config the package builds has a single
-    one.  Each integral's absolute quadrature error is at most ``tol``, so
-    that of the average, their weighted mean, is too.  Inside the integrand
-    each distinct other-pair amplitude sqrt(lam_j) is evaluated once.  Both
-    keys round sqrt(lam) to 12 significant digits, and each key is
+    one.  Each integral's absolute quadrature error is at most
+    ``_DETECTION_TOL``, so that of the average, their weighted mean, is too.
+    Inside the integrand each distinct other-pair amplitude sqrt(lam_j) is
+    evaluated once.  Both keys round sqrt(lam) to 12 significant digits, and each key is
     represented by its first (m, l).
     """
     cfg = tensor.config
@@ -332,21 +315,18 @@ def antenna_detection_prob_avg(
         members = np.flatnonzero(groups == g)
         factors, inverse = _distinct(others[members].ravel())
         rows = inverse.reshape(members.size, M - 1)
-        total += members.size * _detection_integral(float(own[members[0]]), factors, rows, tol)
+        total += members.size * _detection_integral(float(own[members[0]]), factors, rows)
     return total / own.size
 
 
 def gray_gamma(n: int) -> float:
     """Average bit multiplicity of uniformly mislabeled n-bit words.
 
-    gamma_0 = 0 and gamma_n = gamma_{n-1} + (2^{n-1} - gamma_{n-1}) / (2^n - 1).
+    gamma_n = n 2^(n-1) / (2^n - 1): each of the n bits differs in 2^(n-1)
+    of the 2^n - 1 other words; gamma_0 = 0.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    gamma = 0.0
-    for i in range(1, n + 1):
-        gamma = gamma + (2.0 ** (i - 1) - gamma) / (2.0**i - 1.0)
-    return gamma
+    require("n", n, "a nonnegative integer")
+    return n * 2.0 ** (n - 1) / (2.0**n - 1.0) if n else 0.0
 
 
 def mod_bep(
@@ -438,11 +418,9 @@ def energy_efficiency(capacity_bits: float, rho: float, config: SystemConfig, n_
     bandwidth.  OAM-SM keeps one antenna active; the conventional array
     drives all M.
     """
-    for name, value in (("capacity_bits", capacity_bits), ("rho", rho)):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-    if not isinstance(n_active, int) or n_active < 1:
-        raise ValueError(f"n_active must be a positive integer, got {n_active!r}")
+    require("capacity_bits", capacity_bits, "finite and >= 0")
+    require("rho", rho, "finite and >= 0")
+    require("n_active", n_active, "a positive integer")
     denom = n_active * config.circuit_power_w + config.power_slope * rho
     if denom <= 0.0:
         raise ConfigError(f"power denominator must be > 0, got {denom!r}")

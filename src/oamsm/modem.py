@@ -26,8 +26,8 @@ import numpy as np
 
 from .channel import ChannelTensor, build_channel_tensor
 from .config import SystemConfig, _check_symbol_axes
-from .errors import ConfigError
-from .numerics import Constellation, _chunk_rng
+from .errors import ConfigError, require
+from .numerics import Constellation, _chunks
 
 __all__ = [
     "OamSymbol",
@@ -108,11 +108,6 @@ class SymbolMap:
             yield self.encode(format(i, "b").zfill(self.bits_per_symbol) if self.bits_per_symbol else "")
 
 
-def _check_rho(rho: float) -> None:
-    if not (math.isfinite(rho) and rho >= 0.0):
-        raise ValueError(f"rho must be finite and >= 0, got {rho!r}")
-
-
 def transmit(
     symbol: OamSymbol,
     tensor: ChannelTensor,
@@ -126,9 +121,8 @@ def transmit(
     ``noise_var`` per sample; 0 is allowed and gives the noiseless frame.
     Deterministic given the generator state.
     """
-    _check_rho(rho)
-    if not (math.isfinite(noise_var) and noise_var >= 0.0):
-        raise ValueError(f"noise_var must be finite and >= 0, got {noise_var!r}")
+    require("rho", rho, "finite and >= 0")
+    require("noise_var", noise_var, "finite and >= 0")
     h = tensor.entries[symbol.antenna - 1, tensor.state_index(symbol.state)]
     rows, points = np.zeros(1, dtype=np.intp), np.array([symbol.point])
     return _frames(math.sqrt(rho) * h[None], rows, points, math.sqrt(noise_var / 2.0), rng)[0]
@@ -239,7 +233,7 @@ def _demodulate(frame: np.ndarray, tensor: ChannelTensor, rho: float, rule: str)
     shape = (1, tensor.entries.shape[0], 2)
     if frames.shape != shape or not np.all(np.isfinite(frames)):
         raise ValueError(f"frame must be a finite array of shape {shape[1:]}")
-    _check_rho(rho)
+    require("rho", rho, "finite and >= 0")
     indices = (i[0] for i in _detector(tensor, rho, rule)(frames))
     return _symbol(tensor.states, tensor.config.constellation().points, *indices)
 
@@ -297,8 +291,7 @@ def simulate_ber(
     with the requested detector.  Results are deterministic in
     (config, snr_db, trials, seed, detector).
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
+    require("trials", trials, "a positive integer")
     if detector not in ("stepwise", "ml"):
         raise ConfigError(f"detector must be stepwise|ml, got {detector!r}")
     if tensor is None:
@@ -315,11 +308,7 @@ def simulate_ber(
     sigma = math.sqrt(config.noise_power_w / 2.0)
 
     bit_errors = ant_errors = state_errors = sym_errors = 0
-    done = 0
-    chunk_index = 0
-    while done < trials:
-        n = min(_CHUNK, trials - done)
-        rng = _chunk_rng(seed, 0xBE7, chunk_index)
+    for _, n, rng in _chunks(trials, _CHUNK, seed, 0xBE7):
         m_idx = rng.integers(0, M, size=n)
         l_idx = rng.integers(0, n_states, size=n)
         p_idx = rng.integers(0, P, size=n)
@@ -337,9 +326,6 @@ def simulate_ber(
         for _ in range(0, smap.bits_per_symbol, 8):
             bit_errors += int(np.sum(_POPCOUNT[xor & 0xFF]))
             xor >>= 8
-
-        done += n
-        chunk_index += 1
 
     total_bits = trials * max(smap.bits_per_symbol, 1)
     ber = bit_errors / total_bits if smap.bits_per_symbol else 0.0

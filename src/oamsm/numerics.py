@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, require
 
 __all__ = [
     "q_function",
@@ -49,8 +49,7 @@ def q_function(x: float) -> float:
         P(Z > x) for Z ~ N(0, 1).  Monotone nonincreasing in ``x``; values
         below ~1e-308 underflow cleanly to 0.0.
     """
-    if not math.isfinite(x):
-        raise ValueError(f"q_function requires finite input, got {x!r}")
+    require("x", x, "finite")
     return 0.5 * math.erfc(x / _SQRT2)
 
 
@@ -243,9 +242,8 @@ def ncx2_pdf(g, lam: float):
     -(g + lam)/2 + ln I0(x) loses up to 1.2e-8.
     ``g`` may be a scalar or array; values must be >= 0.
     """
+    require("noncentrality", lam, "finite and >= 0")
     lam = float(lam)
-    if lam < 0.0 or not math.isfinite(lam):
-        raise ValueError("noncentrality must be finite and >= 0")
     scalar = np.ndim(g) == 0
     garr = np.atleast_1d(np.asarray(g, dtype=float))
     if garr.size and (np.any(garr < 0.0) or not np.all(np.isfinite(garr))):
@@ -263,9 +261,8 @@ def ncx2_cdf(g, lam: float):
 
     Computed as 1 - Q1(sqrt(lam), sqrt(g)); nondecreasing with cdf(0) = 0.
     """
+    require("noncentrality", lam, "finite and >= 0")
     lam = float(lam)
-    if lam < 0.0 or not math.isfinite(lam):
-        raise ValueError("noncentrality must be finite and >= 0")
     scalar = np.ndim(g) == 0
     garr = np.atleast_1d(np.asarray(g, dtype=float))
     if garr.size and (np.any(garr < 0.0) or not np.all(np.isfinite(garr))):
@@ -358,8 +355,7 @@ def integrate(
         If the interval budget is exhausted before the error bound reaches
         ``tol``; the exception carries the best estimate and its bound.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    require("tol", tol, "finite and > 0")
     if not (math.isfinite(lower) and math.isfinite(upper)):
         raise ValueError("integration limits must be finite")
     inner = np.asarray(breakpoints, dtype=float).ravel()
@@ -377,7 +373,8 @@ def _adaptive(f, seeds: np.ndarray, tol: float, max_intervals: int) -> float:
     lo = seeds[:-1].copy()
     hi = seeds[1:].copy()
     vals, errs = _gk15(f, lo, hi)
-    for _ in range(10 * max_intervals):
+    # Each pass adds at least one panel, so the budget check ends the loop.
+    while True:
         total = float(np.sum(vals))
         bound = float(np.sum(errs))
         if bound <= tol:
@@ -397,7 +394,6 @@ def _adaptive(f, seeds: np.ndarray, tol: float, max_intervals: int) -> float:
         hi = np.concatenate([hi[keep], new_hi])
         vals = np.concatenate([vals[keep], new_vals])
         errs = np.concatenate([errs[keep], new_errs])
-    raise NumericError("quadrature refinement stalled", float(np.sum(vals)), float(np.sum(errs)))
 
 
 def _substream(seed: int, *keys: int) -> np.random.SeedSequence:
@@ -407,8 +403,12 @@ def _substream(seed: int, *keys: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=(int(seed) & (2**64 - 1), *keys))
 
 
-def _chunk_rng(seed: int, stream: int, chunk_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(_substream(seed, stream, chunk_index)))
+def _chunks(total: int, size: int, seed: int, stream: int):
+    """The one Monte Carlo driver: ``(start, n, rng)`` per chunk of at most
+    ``size`` of ``total`` draws; chunk i draws from substream (seed, stream, i)."""
+    for i, start in enumerate(range(0, total, size)):
+        rng = np.random.Generator(np.random.Philox(_substream(seed, stream, i)))
+        yield start, min(size, total - start), rng
 
 
 def _is_power_of_two(n: int) -> bool:

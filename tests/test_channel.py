@@ -157,9 +157,13 @@ class TestBuildChannelTensor:
             ((1, 1, 5, 1), "receive pair index 5 "),
             ((1, 1, 1, 0), "antenna-in-pair index 0 "),
             ((1, 1, 1, 3), "antenna-in-pair index 3 "),
+            ((1.5, 1, 1, 1), "antenna index 1.5 "),
+            ((1, 1, 2.5, 1), "receive pair index 2.5 "),
+            ((1, 1, 1, 1.0), "antenna-in-pair index 1.0 "),
         ],
     )
     def test_response_rejects_index_outside_range(self, default_tensor, index, name):
-        # 0 used to read the last entry through the -1 wrap, M + 1 an IndexError.
+        # 0 used to read the last entry through the -1 wrap, M + 1 and a
+        # non-integer an IndexError.
         with pytest.raises(ConfigError, match=name):
             default_tensor.response(*index)

@@ -84,6 +84,14 @@ class TestSystemConfig:
             ("snr_db", math.nan),
             ("snr_db", math.inf),
             ("snr_db", 4000.0),
+            ("distance_m", "5"),
+            ("gain", -1.0),
+            ("gain", "walrus"),
+            ("seed", 1.5),
+            ("samples", 2.5),
+            ("trials", 0),
+            ("ref_state", 0),
+            ("oam_states", (1.5, -1)),
         ],
     )
     def test_rejects_bad_value(self, field, value):
@@ -111,6 +119,25 @@ class TestSystemConfig:
     def test_states_canonical_order(self):
         cfg = SystemConfig(oam_states=(4, -4, 1, -1, 3, -3, 2, -2))
         assert cfg.oam_states == (-4, -3, -2, -1, 1, 2, 3, 4)
+
+    def test_states_accept_numpy_integers(self):
+        cfg = SystemConfig(oam_states=tuple(np.array([2, -1, 1, -2])))
+        assert cfg.oam_states == (-2, -1, 1, 2)
+        assert all(type(l) is int for l in cfg.oam_states)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            # Used to be truncated to (-1, 1) without a word.
+            ("oam_states", (1.5, -1), "OAM state 1.5 is not an integer"),
+            # Used to be accepted; the tensor build then raised
+            # "TypeError: must be real number, not str".
+            ("distance_m", "5", "distance_m must be finite and > 0, got '5'"),
+        ],
+    )
+    def test_error_names_the_bad_value(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            SystemConfig(**{field: value})
 
     def test_resolved_pins_gain(self):
         cfg = SystemConfig().resolved()
@@ -489,6 +516,24 @@ class TestCliMain:
         argv = ["run", "--sweep", sweep, "--from", "2", "--to", "8", "--step", "3", "--out", str(out)]
         assert main(argv) == 2
         assert "step must be 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config_text, sweep",
+        [
+            # The Rayleigh distance underflows to 0: ZeroDivisionError.
+            ("waist = 1e-300\n", ["snr", "--from", "0", "--to", "0"]),
+            # (z / z_R)^2 overflows in spot_size: OverflowError.
+            ("", ["distance", "--from", "1e300", "--to", "1e300"]),
+        ],
+    )
+    def test_unrepresentable_ring_is_a_config_error(self, tmp_path, capsys, config_text, sweep):
+        cfg_path = tmp_path / "ring.cfg"
+        cfg_path.write_text(config_text)
+        out = tmp_path / "o.csv"
+        argv = ["run", "--config", str(cfg_path), "--sweep", *sweep, "--outputs", "capacity", "--out", str(out)]
+        assert main(argv) == 2
+        assert "config error: ring radius at waist_m=" in capsys.readouterr().err
         assert not out.exists()
 
     def test_dcmc_psk_baseline_reads_samples_and_seed(self, tmp_path):

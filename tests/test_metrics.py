@@ -145,6 +145,14 @@ class TestDcmcCapacity:
             with pytest.raises(ValueError):
                 dcmc_capacity(default_tensor, bad, nv, 10, 1)
 
+    @pytest.mark.parametrize("samples", [0, -5, 2.5])
+    @pytest.mark.parametrize("rho_db", [None, 10.0])
+    def test_rejects_bad_sample_count(self, default_tensor, default_config, samples, rho_db):
+        # 2.5 raised a bare TypeError; at rho = 0 any count was accepted.
+        rho = 0.0 if rho_db is None else default_config.rho_for_snr_db(rho_db)
+        with pytest.raises(ValueError, match=f"samples must be a positive integer, got {samples}"):
+            dcmc_capacity(default_tensor, rho, default_config.noise_power_w, samples, 1)
+
     def test_increases_with_snr(self, default_tensor, default_config):
         nv = default_config.noise_power_w
         vals = [
@@ -332,6 +340,16 @@ class TestMimoBaseline:
         with pytest.raises(ConfigError):
             mimo_capacity_baseline(default_config, 1.0, 1.0, mode="walrus")
 
+    @pytest.mark.parametrize("samples", [0, -5, 2.5])
+    @pytest.mark.parametrize("rho_db", [None, 10.0])
+    def test_dcmc_psk_rejects_bad_sample_count(self, default_config, samples, rho_db):
+        # 0 returned a quiet CapacityEstimate(0.0, 0.0, 0) with a "Mean of
+        # empty slice" warning, -5 a numpy "negative dimensions" error.
+        rho = 0.0 if rho_db is None else default_config.rho_for_snr_db(rho_db)
+        nv = default_config.noise_power_w
+        with pytest.raises(ValueError, match=f"samples must be a positive integer, got {samples}"):
+            mimo_capacity_baseline(default_config, rho, nv, "dcmc_psk", samples, 0)
+
     def test_logdet_matches_determinant(self, default_config):
         cfg = default_config
         H = mimo_channel_matrix(cfg)
@@ -403,12 +421,20 @@ class TestAntennaDetectionProb:
             with pytest.raises(ValueError):
                 antenna_detection_prob(default_tensor, 1, 1, 1 + 0j, bad, nv)
 
-    @pytest.mark.parametrize("m", [0, 5])
+    @pytest.mark.parametrize("m", [0, 5, 1.5])
     def test_rejects_antenna_index_outside_one_to_m(self, default_tensor, default_config, m):
-        # m = 0 used to read antenna 4 through the -1 wrap, m = 5 an IndexError.
+        # m = 0 used to read antenna 4 through the -1 wrap, m = 5 and 1.5 an
+        # IndexError.
         rho = default_config.rho_for_snr_db(10.0)
         with pytest.raises(ConfigError, match=f"antenna index {m} "):
             antenna_detection_prob(default_tensor, m, 1, 1 + 0j, rho, default_config.noise_power_w)
+
+    @pytest.mark.parametrize("x", [complex(math.nan), complex(math.inf), complex(0.0, math.nan), math.inf])
+    def test_rejects_non_finite_point(self, default_tensor, default_config, x):
+        # Used to raise "integration limits must be finite" from integrate.
+        rho = default_config.rho_for_snr_db(10.0)
+        with pytest.raises(ValueError, match="x must be a finite number"):
+            antenna_detection_prob(default_tensor, 1, 1, x, rho, default_config.noise_power_w)
 
     @pytest.mark.parametrize("M, scaled", [(2, False), (4, False), (8, False), (4, True)])
     def test_average_equals_plain_mean_over_every_pair_and_state(self, M, scaled):
@@ -506,8 +532,18 @@ class TestGrayGamma:
         assert gray_gamma(2) == pytest.approx(4.0 / 3.0, rel=1e-15)
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            gray_gamma(-1)
+        for n in (-1, 2.0):
+            with pytest.raises(ValueError):
+                gray_gamma(n)
+
+    def test_closed_form_matches_recurrence(self):
+        # gamma_n = gamma_(n-1) + (2^(n-1) - gamma_(n-1)) / (2^n - 1), bit for
+        # bit up to 2048 antennas.
+        gamma = 0.0
+        for n in range(12):
+            if n:
+                gamma = gamma + (2.0 ** (n - 1) - gamma) / (2.0**n - 1.0)
+            assert gray_gamma(n) == gamma
 
 
 class TestAntennaAbep:

@@ -495,3 +495,9 @@ class TestSimulateBer:
     def test_rejects_bad_detector(self, default_config):
         with pytest.raises(ConfigError):
             simulate_ber(default_config, 0.0, 10, 1, "zf")
+
+    @pytest.mark.parametrize("trials", [0, -5, 2.5])
+    def test_rejects_bad_trial_count(self, default_config, default_tensor, trials):
+        # 2.5 raised a bare TypeError.
+        with pytest.raises(ValueError, match=f"trials must be a positive integer, got {trials}"):
+            simulate_ber(default_config, 0.0, trials, 1, "stepwise", tensor=default_tensor)

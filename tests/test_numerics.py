@@ -19,7 +19,7 @@ from oamsm import (
     psk_constellation,
     q_function,
 )
-from oamsm.numerics import _log_i0e
+from oamsm.numerics import _chunks, _log_i0e
 
 mpmath.mp.dps = 40
 
@@ -317,10 +317,22 @@ class TestIntegrate:
 
     def test_bad_tolerance(self):
         # tol = nan used to pass the check, exhaust the interval budget and
-        # raise NumericError "did not converge".
-        for tol in (0.0, math.nan):
+        # raise NumericError "did not converge"; tol = inf was accepted.
+        for tol in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 integrate(lambda g: g, 0.0, 1.0, tol=tol)
+
+
+class TestChunks:
+    def test_covers_the_total_in_order(self):
+        spans = [(start, n) for start, n, _ in _chunks(1200, 512, 7, 3)]
+        assert spans == [(0, 512), (512, 512), (1024, 176)]
+        assert list(_chunks(0, 512, 7, 3)) == []
+
+    def test_chunk_i_draws_from_substream_seed_stream_i(self):
+        for i, (_, _, rng) in enumerate(_chunks(1100, 512, 7, 3)):
+            ref = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(7, 3, i))))
+            assert np.array_equal(rng.standard_normal(4), ref.standard_normal(4))
 
 
 def _hamming(a: str, b: str) -> int:
