@@ -16,17 +16,6 @@ import numpy as np
 
 from .errors import ConfigError, require
 
-__all__ = [
-    "BeamParams",
-    "NoMatchingWaistError",
-    "spot_size",
-    "ring_radius",
-    "curvature_radius",
-    "gouy_phase",
-    "waist_for_state",
-    "lg_field",
-]
-
 
 class NoMatchingWaistError(ConfigError):
     """No real waist gives the requested state the same ring radius as the

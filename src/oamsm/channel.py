@@ -3,10 +3,10 @@
 The transmit elements sit on a line with spacing ``xi``; each one faces a
 receive antenna pair mounted on the intensity ring (radius ``ring_radius``)
 of its own beam, a propagation distance ``z`` away, and the two antennas of
-a pair are separated by the azimuth ``beta`` about the pair's axis.  The
-pair facing the active element sees a Friis-scaled response with the
-helical phase of the state; every other pair sees the transverse beam field
-``beam.lg_field`` normalized to the ring.  The responses form an immutable
+a pair are separated by the azimuth ``beta`` about the pair's axis.  Every
+receive antenna, on the facing ring or off it, sees the transverse beam
+field ``beam.lg_field`` at its own position, normalized to the ring and
+scaled by the Friis amplitude of the ring.  The responses form an immutable
 complex tensor indexed by (transmit antenna, state, receive pair,
 antenna-in-pair).
 """
@@ -22,8 +22,6 @@ from . import beam as beam_mod
 from .beam import BeamParams, NoMatchingWaistError
 from .config import SystemConfig
 from .errors import ConfigError
-
-__all__ = ["ChannelTensor", "build_channel_tensor"]
 
 
 def _pair_geometry(M: int, xi: float, z: float, ring_radius: float, beta: float):
@@ -110,42 +108,38 @@ def matched_beams(config: SystemConfig) -> dict:
 def build_channel_tensor(config: SystemConfig) -> ChannelTensor:
     """Assemble the full channel tensor for a configuration.
 
-    With A(d) = gain * wavelength / (4 pi d) and k = 2 pi / wavelength:
+    With A(d) = gain * wavelength / (4 pi d) and k = 2 pi / wavelength, every
+    entry is
 
-    * In-ring (j == m): A(d) exp(-i (k d + l pi/4)) at the first antenna and
-      A(d) exp(-i (k d + (pi/4 + beta) l)) at the second, d being each
-      antenna's own distance, so the pair phase difference is exactly
-      beta * l.  The helical phase steps by pi/4 (an eighth of a turn) per
-      state unit, whatever the antenna's azimuth.
-    * Off-ring (j != m): A(d_in) exp(-i k d_in) lg_field(r, phi) /
-      lg_field(r_ring, 0) with the state's matched beam, d_in the in-ring
-      distance and (r, phi) the antenna's radial offset and azimuth.  This
-      carries the field's helical phase -l phi, i.e. -l pi/2 at the facing
-      azimuth, so as the spacing shrinks to 0 an off-ring entry approaches
-      the in-ring one in magnitude but not in phase.
+        A(d_in) exp(-i k d_in) lg_field(r, phi) / lg_field(r_ring, 0)
+
+    with the state's matched beam, d_in the distance of the facing pair's
+    first antenna and (r, phi) the antenna's radial offset and azimuth about
+    the transmit element's axis.  On the facing ring r = r_ring, so |h| is
+    the Friis value A(d_in), and the field's helical phase -l phi puts the
+    pair phase difference at beta * l.  One formula for every entry makes
+    the tensor continuous in the spacing: as it shrinks to 0, each off-ring
+    entry approaches the in-ring one.
 
     Deterministic: the same config yields a bit-identical tensor.  Raises
     ConfigError if some state admits no ring-matching waist at the
-    configured distance.
+    configured distance, or if some entry is not finite.
     """
     beams = matched_beams(config)
     M = config.tx_antennas
     lam = config.wavelength_m
     z = config.distance_m
     ring = config.ring_radius_m
-    beta = config.beta_value
-    distance, radial, azimuth = _pair_geometry(M, config.element_spacing_m, z, ring, beta)
-    k = 2.0 * math.pi / lam
-    gain = config.gain_value
-    d_ring = distance[0, 0]
-    ring_amp = gain * lam / (4.0 * math.pi * d_ring)
-    ring_step = np.array([math.pi / 4.0, math.pi / 4.0 + beta])
-    off_base = ring_amp[0] * np.exp(-1j * k * d_ring[0])
-    diag = np.arange(M)
+    xi = config.element_spacing_m
     entries = np.empty((M, len(config.oam_states), M, 2), dtype=complex)
-    for li, l in enumerate(config.oam_states):
-        beam = beams[l]
-        h = off_base * beam_mod.lg_field(beam, radial, azimuth, z) / beam_mod.lg_field(beam, ring, 0.0, z)
-        h[diag, diag] = ring_amp * np.exp(-1j * (k * d_ring + ring_step * l))
-        entries[:, li] = h
+    # An overflow shows up as a non-finite entry, reported below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        distance, radial, azimuth = _pair_geometry(M, xi, z, ring, config.beta_value)
+        d_in = distance[0, 0, 0]
+        k = 2.0 * math.pi / lam
+        base = config.gain_value * lam / (4.0 * math.pi * d_in) * np.exp(-1j * k * d_in)
+        for li, beam in enumerate(beams.values()):
+            entries[:, li] = base * beam_mod.lg_field(beam, radial, azimuth, z) / beam_mod.lg_field(beam, ring, 0.0, z)
+    if not np.all(np.isfinite(entries)):
+        raise ConfigError(f"channel tensor is not finite at element spacing {xi!r} m and distance {z!r} m")
     return ChannelTensor(entries=entries, states=tuple(config.oam_states), config=config)

@@ -30,7 +30,6 @@ from .metrics import _MIMO_MODES, abep, dcmc_capacity, energy_efficiency, mimo_c
 from .modem import simulate_ber
 from .numerics import _substream
 
-__all__ = ["main", "run_sweep", "preset", "PRESETS"]
 
 # Sweep kind: (CSV column, the SystemConfig field a grid value sets, or None
 # for the operating SNR, grid value -> field value).  Kinds whose values are

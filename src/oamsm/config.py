@@ -23,7 +23,6 @@ from . import beam as beam_mod
 from .errors import ConfigError, require
 from .numerics import Constellation, _is_power_of_two, psk_constellation
 
-__all__ = ["SystemConfig", "load_config", "default_states", "PROVENANCE", "SPEED_OF_LIGHT"]
 
 SPEED_OF_LIGHT = 299792458.0
 

@@ -19,19 +19,6 @@ from .config import SystemConfig
 from .errors import ConfigError, require
 from .numerics import Constellation, _chunks, integrate, marcum_q1, ncx2_pdf, q_function
 
-__all__ = [
-    "CapacityEstimate",
-    "dcmc_capacity",
-    "mimo_channel_matrix",
-    "mimo_capacity_baseline",
-    "antenna_detection_prob",
-    "antenna_detection_prob_avg",
-    "gray_gamma",
-    "mod_bep",
-    "abep",
-    "energy_efficiency",
-]
-
 _LN2 = math.log(2.0)
 
 # Capacity modes of the conventional-array baseline.
@@ -397,16 +384,12 @@ def abep(
     const = config.constellation()
     e_mod = 0.0
     if const.order > 1:
-        # mod_bep depends on h through |h| only: one call per distinct gain,
-        # summed in (m, l) order.
-        by_gain: dict[float, float] = {}
-        total = 0.0
-        for d in range(M):
-            for h in tensor.entries[d, :, d, 0].tolist():
-                if abs(h) not in by_gain:
-                    by_gain[abs(h)] = mod_bep(h, rho, noise_var, const, config.distance_mode)
-                total += by_gain[abs(h)]
-        e_mod = total / (M * len(tensor.states))
+        # mod_bep depends on h through |h| only: one call per distinct gain
+        # (keyed as in the detection average), summed in (m, l) order.
+        pair = np.arange(M)
+        gains, inverse = _distinct(np.abs(tensor.entries[pair, :, pair, 0]).ravel())
+        by_gain = [mod_bep(g, rho, noise_var, const, config.distance_mode) for g in gains.tolist()]
+        e_mod = sum(by_gain[g] for g in inverse.tolist()) / inverse.size
     return 1.0 - (1.0 - e_ant) * (1.0 - e_mod)
 
 

@@ -25,19 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelTensor, build_channel_tensor
-from .config import SystemConfig, _check_symbol_axes
+from .config import SystemConfig, _check_symbol_axes, _state
 from .errors import ConfigError, require
 from .numerics import Constellation, _chunks
-
-__all__ = [
-    "OamSymbol",
-    "SymbolMap",
-    "transmit",
-    "demodulate_stepwise",
-    "demodulate_ml",
-    "BerReport",
-    "simulate_ber",
-]
 
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.int64)
 
@@ -67,7 +57,7 @@ class SymbolMap:
     """
 
     def __init__(self, n_antennas: int, states, constellation: Constellation):
-        states = tuple(sorted(int(s) for s in states))
+        states = tuple(sorted(_state(s) for s in states))
         _check_symbol_axes(n_antennas, states)
         if len(set(constellation.bit_labels)) != constellation.order:
             raise ConfigError("constellation bit labels must be distinct")

@@ -22,16 +22,6 @@ import numpy as np
 
 from .errors import NumericError, require
 
-__all__ = [
-    "q_function",
-    "marcum_q1",
-    "ncx2_pdf",
-    "ncx2_cdf",
-    "integrate",
-    "Constellation",
-    "psk_constellation",
-]
-
 _SQRT2 = math.sqrt(2.0)
 
 

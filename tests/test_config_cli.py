@@ -481,6 +481,7 @@ class TestCliMain:
             ("xi = nanlambda", "snr", "capacity"),
             ("snr = 4000", "distance", "capacity"),
             ("noise_psd = -4000", "snr", "capacity"),
+            ("xi = 1e300", "snr", "capacity,abep,ber,ee"),
         ],
     )
     def test_non_finite_value_is_config_error(self, tmp_path, capsys, line, sweep, outputs):

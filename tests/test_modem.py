@@ -65,6 +65,16 @@ class TestSymbolMap:
         assert (sym.antenna, sym.state, sym.point_index) == (1, 1, 0)
         assert cmap.decode(sym) == ""
 
+    def test_rejects_non_integer_state(self):
+        # Used to be truncated to (-1, 1) without a word.
+        with pytest.raises(ConfigError, match="OAM state 1.5 is not an integer"):
+            SymbolMap(2, (1.5, -1), psk_constellation(4))
+
+    def test_states_accept_numpy_integers(self):
+        cmap = SymbolMap(2, tuple(np.array([1, -1])), psk_constellation(4))
+        assert cmap.states == (-1, 1)
+        assert all(type(l) is int for l in cmap.states)
+
     def test_word_is_the_bit_string(self, default_map):
         # The vectorised integer label and the public bit string are one layout.
         syms = list(default_map.all_symbols())
