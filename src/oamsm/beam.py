@@ -17,6 +17,10 @@ import numpy as np
 from .errors import ConfigError, require
 
 
+#: The leading-coefficient variants of ``waist_for_state``.
+_COEFF_MODES = ("printed", "rederived")
+
+
 class NoMatchingWaistError(ConfigError):
     """No real waist gives the requested state the same ring radius as the
     reference beam at the requested plane."""
@@ -97,8 +101,7 @@ def waist_for_state(
     reuse the reference waist exactly (the ring equation depends on the
     state only through its magnitude).
     """
-    if coeff_mode not in ("printed", "rederived"):
-        raise ValueError(f"coeff_mode must be 'printed' or 'rederived', got {coeff_mode!r}")
+    require("coeff_mode", coeff_mode, _COEFF_MODES, ConfigError)
     require("l_prime", l_prime, "a nonzero integer", ConfigError)
     _check_z(z)
     l_abs = abs(ref.state)

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import beam as beam_mod
-from .beam import BeamParams, NoMatchingWaistError
-from .config import SystemConfig
+from .config import SystemConfig, _matched_beam
 from .errors import ConfigError
 
 
@@ -93,16 +92,10 @@ def _position(name: str, index: int, size: int) -> int:
 
 def matched_beams(config: SystemConfig) -> dict:
     """Per-state beams whose rings all coincide with the reference ring at
-    the configured distance."""
-    ref = config.reference_beam
-    beams = {}
-    for l in config.oam_states:
-        try:
-            w = beam_mod.waist_for_state(ref, l, config.distance_m, config.coeff_mode)
-        except NoMatchingWaistError as exc:
-            raise ConfigError(f"waist matching failed for state {l}: {exc}") from exc
-        beams[l] = BeamParams(w, l, config.wavelength_m)
-    return beams
+    the configured distance, once the config's derived entries of scope
+    "state" pass: else a ConfigError names the state."""
+    config._check_derived("state")
+    return {l: _matched_beam(config, l) for l in config.oam_states}
 
 
 def build_channel_tensor(config: SystemConfig) -> ChannelTensor:
@@ -122,8 +115,8 @@ def build_channel_tensor(config: SystemConfig) -> ChannelTensor:
     entry approaches the in-ring one.
 
     Deterministic: the same config yields a bit-identical tensor.  Raises
-    ConfigError if some state admits no ring-matching waist at the
-    configured distance, or if some entry is not finite.
+    ConfigError if some entry is not finite, or, from ``matched_beams``, if
+    some state has no matched beam with a finite, nonzero ring response.
     """
     beams = matched_beams(config)
     M = config.tx_antennas

@@ -25,7 +25,7 @@ import sys
 from . import __version__
 from .channel import build_channel_tensor
 from .config import PROVENANCE, SystemConfig, default_states, load_config
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, require
 from .metrics import _MIMO_MODES, abep, dcmc_capacity, energy_efficiency, mimo_capacity_baseline
 from .modem import simulate_ber
 from .numerics import _substream
@@ -119,14 +119,12 @@ def _grid_values(sweep: str, start: float, stop: float, step: float, config: Sys
         if not values:
             raise ConfigError(f"no powers of two inside [{start}, {stop}]")
         return values
-    n = int(round((stop - start) / step))
-    values = [start + i * step for i in range(n + 1) if start + i * step <= stop + 1e-9]
+    count = (stop - start) / step
+    require("sweep point count", count, "finite", ConfigError)
+    values = [start + i * step for i in range(round(count) + 1) if start + i * step <= stop + 1e-9]
     if sweep == "snr":
         for v in values:
-            try:
-                config.rho_for_snr_db(v)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+            config.rho_for_snr_db(v)  # raises ConfigError at an SNR the config cannot run at
     return values
 
 
@@ -147,13 +145,10 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, out_path: str, command: str
     ``resolved_gain`` line.  Returns the rows as dictionaries (same order
     as the CSV).
     """
-    if spec.sweep not in _SWEEPS:
-        raise ConfigError(f"unknown sweep kind {spec.sweep!r}; expected one of {tuple(_SWEEPS)}")
+    require("sweep kind", spec.sweep, tuple(_SWEEPS), ConfigError)
     for out in spec.outputs:
-        if out not in _OUTPUT_COLUMNS:
-            raise ConfigError(f"unknown output {out!r}; expected one of {tuple(_OUTPUT_COLUMNS)}")
-    if spec.mimo_mode not in _MIMO_MODES:
-        raise ConfigError(f"unknown mimo mode {spec.mimo_mode!r}; expected one of {_MIMO_MODES}")
+        require("output", out, tuple(_OUTPUT_COLUMNS), ConfigError)
+    require("mimo mode", spec.mimo_mode, _MIMO_MODES, ConfigError)
     base = dataclasses.replace(config, **spec.overrides)
     pinned = dataclasses.replace(base, gain=base.gain_value)
     grid = _grid_values(spec.sweep, spec.start, spec.stop, spec.step, base)
@@ -259,8 +254,7 @@ def _fmt(value) -> str:
 
 def preset(figure: str) -> SweepSpec:
     """Sweep specification reproducing one of the canned evaluation curves."""
-    if figure not in PRESETS:
-        raise ConfigError(f"unknown preset {figure!r}; expected one of {sorted(PRESETS)}")
+    require("preset", figure, tuple(sorted(PRESETS)), ConfigError)
     return PRESETS[figure]
 
 
@@ -284,17 +278,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--sweep", required=True, choices=tuple(_SWEEPS))
     run_p.add_argument("--from", dest="start", type=float, required=True)
     run_p.add_argument("--to", dest="stop", type=float, required=True)
-    run_p.add_argument(
-        "--step",
-        type=float,
-        default=1.0,
-        help="grid step; antennas, states and constellation double from point to point and take only 1",
-    )
-    run_p.add_argument(
-        "--outputs",
-        default="capacity",
-        help="comma list of outputs: capacity,abep,ber,ee",
-    )
+    step_help = "grid step; antennas, states and constellation double from point to point and take only 1"
+    run_p.add_argument("--step", type=float, default=1.0, help=step_help)
+    run_p.add_argument("--outputs", default="capacity", help="comma list of outputs: capacity,abep,ber,ee")
     run_p.add_argument("--mimo-mode", dest="mimo_mode", choices=_MIMO_MODES, default="logdet")
     add_common(run_p)
 
@@ -314,14 +300,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             cfg = load_config(args.config) if args.config else SystemConfig()
             outputs = tuple(tok.strip() for tok in args.outputs.split(",") if tok.strip())
-            spec = SweepSpec(
-                sweep=args.sweep,
-                start=args.start,
-                stop=args.stop,
-                step=args.step,
-                outputs=outputs,
-                mimo_mode=args.mimo_mode,
-            )
+            spec = SweepSpec(args.sweep, args.start, args.stop, args.step, outputs, mimo_mode=args.mimo_mode)
         else:
             spec = preset(args.figure)
             cfg = SystemConfig()

@@ -7,13 +7,18 @@ rule it must meet, and whether a command-line flag overrides it.  Defaults
 that trace to the standard 60 GHz evaluation setup are tagged ``paper``;
 values the setup leaves open (beam waist, ring gain, pair separation, power
 grid) are tagged ``decision``, so every output file can state where its
-numbers come from.  ``PROVENANCE``, the loader's
-key table and the command-line overrides are all read off these fields.
+numbers come from.  ``PROVENANCE``, the loader's key table and the
+command-line overrides are all read off these fields.  The quantities the
+layers divide by or exponentiate (noise and transmit power, ring radius,
+gain, each state's matched waist and ring response, the peak noncentrality)
+are checked from one table, ``_DERIVED``, by one evaluator that turns an
+overflow into a ConfigError naming the quantity.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -71,17 +76,22 @@ def _state(value) -> int:
     return int(value)
 
 
+#: The distance variants of ``metrics.mod_bep`` and the detectors of ``modem.simulate_ber``.
+_DISTANCE_MODES = ("printed", "euclidean")
+_DETECTORS = ("stepwise", "ml")
+
+
 def _option(default, provenance: str, key: str, parse, choices=None, flag=False, rule=None):
     """A SystemConfig field with everything said about it in one place.
 
     ``provenance`` is "paper" (the published evaluation setup) or
     "decision" (a documented choice of this implementation); ``key`` is the
-    config-file key, read with ``parse``; ``choices``, if given, are the
-    allowed values, and ``rule``, if given, the ``errors.require`` rule the
-    value must meet; ``flag`` (True, or the flag's help text) adds a
-    same-named command-line override.
+    config-file key, read with ``parse``; ``rule``, if given, is the
+    ``errors.require`` rule the value must meet, and ``choices``, if given,
+    the allowed values, which are then its rule; ``flag`` (True, or the
+    flag's help text) adds a same-named command-line override.
     """
-    meta = {"provenance": provenance, "key": key, "parse": parse, "choices": choices, "flag": flag, "rule": rule}
+    meta = dict(provenance=provenance, key=key, parse=parse, choices=choices, flag=flag, rule=rule or choices)
     return dataclasses.field(default=default, metadata=meta)
 
 
@@ -112,9 +122,9 @@ class SystemConfig:
     circuit_power_w: float = _option(6.8, "paper", "circuit_power", float, rule="finite and >= 0")
     power_slope: float = _option(4.0, "paper", "power_slope", float, rule="finite and > 0")
     snr_db: float = _option(20.0, "decision", "snr", float, rule="finite")
-    coeff_mode: str = _option("rederived", "decision", "coeff_mode", str, ("printed", "rederived"), flag=True)
-    distance_mode: str = _option("euclidean", "decision", "distance_mode", str, ("printed", "euclidean"), flag=True)
-    detector: str = _option("stepwise", "decision", "detector", str, ("stepwise", "ml"), flag=True)
+    coeff_mode: str = _option("rederived", "decision", "coeff_mode", str, beam_mod._COEFF_MODES, flag=True)
+    distance_mode: str = _option("euclidean", "decision", "distance_mode", str, _DISTANCE_MODES, flag=True)
+    detector: str = _option("stepwise", "decision", "detector", str, _DETECTORS, flag=True)
     seed: int = _option(12345, "decision", "seed", int, flag="master seed override", rule="an integer")
     trials: int = _option(
         100000, "decision", "trials", int, flag="Monte Carlo BER trials per point", rule="a positive integer"
@@ -172,26 +182,18 @@ class SystemConfig:
 
     @property
     def gain_value(self) -> float:
-        if isinstance(self.gain, str):
+        if self.gain == "auto":
             # Unit ring response at the configured distance.
             return 4.0 * math.pi * self.in_ring_distance_m / self.wavelength_m
-        return float(self.gain)
+        return self.gain
 
     def rho_for_snr_db(self, snr_db: float) -> float:
         """Transmit power (watts) realizing the given transmit SNR, defined
         as rho / noise_power over the configured bandwidth.  Raises
-        ``ValueError`` for a non-finite SNR or a power that overflows a float."""
-        require("snr_db", snr_db, "finite")
-        try:
-            rho = self.noise_power_w * 10.0 ** (snr_db / 10.0)
-        except OverflowError:
-            rho = math.inf
-        if not math.isfinite(rho):
-            raise ValueError(
-                f"snr_db={snr_db!r} at noise_psd_dbm_hz={self.noise_psd_dbm_hz!r} gives a transmit"
-                " power that is not a finite float"
-            )
-        return rho
+        ``ConfigError`` if the power, or the peak noncentrality it gives,
+        is not a finite float (see ``_DERIVED``)."""
+        self._check_derived("snr", snr_db)
+        return _rho(self, snr_db)
 
     def constellation(self) -> Constellation:
         if self.constellation_order == 1:
@@ -205,53 +207,23 @@ class SystemConfig:
         keeps the gain fixed at its value for the base geometry instead of
         re-normalizing; ``run_sweep`` pins only the gain, the same way.
         """
-        return dataclasses.replace(
-            self,
-            element_spacing=self.element_spacing_m,
-            beta_rad=self.beta_value,
-            gain=self.gain_value,
-        )
+        pinned = {"element_spacing": self.element_spacing_m, "beta_rad": self.beta_value, "gain": self.gain_value}
+        return dataclasses.replace(self, **pinned)
 
     # -- validation ----------------------------------------------------------
 
     def _validate(self):
         for f in dataclasses.fields(self):
-            value, rule, choices = getattr(self, f.name), f.metadata["rule"], f.metadata["choices"]
-            if rule:
-                require(f.name, value, rule, ConfigError)
-            if choices and value not in choices:
-                raise ConfigError(f"{f.name} must be {'|'.join(choices)}, got {value!r}")
-        if self.gain != "auto":
-            require("gain", self.gain, "finite and > 0", ConfigError)
+            if f.metadata["rule"]:
+                require(f.name, getattr(self, f.name), f.metadata["rule"], ConfigError)
         _check_symbol_axes(self.tx_antennas, self.oam_states)
         if not isinstance(self.constellation_order, int) or not _is_power_of_two(self.constellation_order):
             raise ConfigError(f"constellation_order must be a power of two, got {self.constellation_order!r}")
-        try:
-            noise = self.noise_power_w
-        except OverflowError:
-            noise = math.inf
-        if not (math.isfinite(noise) and noise > 0.0):
-            raise ConfigError(
-                f"noise_psd_dbm_hz={self.noise_psd_dbm_hz!r} over bandwidth_hz={self.bandwidth_hz!r}"
-                f" gives a noise power of {noise!r} W; it must be finite and > 0"
-            )
-        try:
-            self.rho_for_snr_db(self.snr_db)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        if not (math.isfinite(self.element_spacing_m) and self.element_spacing_m > 0.0):
-            raise ConfigError(f"element spacing must be finite and > 0, got {self.element_spacing!r}")
-        try:  # the Rayleigh distance can underflow, or (z / z_R)^2 overflow
-            ring = self.ring_radius_m
-        except ArithmeticError:
-            ring = math.inf
-        where = f"ring radius at waist_m={self.waist_m!r}, distance_m={self.distance_m!r}"
-        require(where, ring, "finite and > 0", ConfigError)
+        self._check_derived("config")
+        self._check_derived("snr", self.snr_db)
         beta = self.beta_value
         if not (0.0 < beta < math.pi / self.l_max):
-            raise ConfigError(
-                f"beta={beta!r} violates the measurement constraint (0, pi/{self.l_max})"
-            )
+            raise ConfigError(f"beta={beta!r} violates the measurement constraint (0, pi/{self.l_max})")
         # Distinct wrapped pair-phase signatures for every state; guaranteed
         # by the beta constraint but asserted so a future relaxation fails loud.
         sigs = [math.remainder(beta * l, 2.0 * math.pi) for l in self.oam_states]
@@ -259,16 +231,85 @@ class SystemConfig:
         if np.any(diffs[~np.eye(len(sigs), dtype=bool)] < 1e-12):
             raise ConfigError("state set yields ambiguous pair phase differences")
 
+    def _check_derived(self, scope: str, snr_db=None) -> None:
+        """Check the ``_DERIVED`` entries of ``scope``, with x None, each OAM
+        state or ``snr_db``.  The one place where an overflow in a derived
+        quantity becomes a ConfigError: an ``ArithmeticError`` on the way
+        counts as inf, and NumPy's overflows show up as non-finite values."""
+        xs = {"config": (None,), "state": self.oam_states, "snr": (snr_db,)}[scope]
+        with np.errstate(all="ignore"):
+            for (name, value, rule), x in itertools.product(_DERIVED[scope], xs):
+                try:
+                    v = value(self, x)
+                except ArithmeticError:
+                    v = math.inf
+                require(name.format(c=self, x=x), v, rule, ConfigError)
+
+
+def _matched_waist(c: SystemConfig, l: int) -> float:
+    return beam_mod.waist_for_state(c.reference_beam, l, c.distance_m, c.coeff_mode)
+
+
+def _matched_beam(c: SystemConfig, l: int) -> beam_mod.BeamParams:
+    """State l's beam, its ring on the reference ring at the configured distance."""
+    return beam_mod.BeamParams(_matched_waist(c, l), l, c.wavelength_m)
+
+
+def _ring_amplitude(c: SystemConfig, _=None) -> float:
+    """max|h|: the ring is each beam's peak, so no tensor entry is larger."""
+    return c.gain_value * c.wavelength_m / (4.0 * math.pi * c.in_ring_distance_m)
+
+
+def _ring_response(c: SystemConfig, l: int) -> float:
+    return _ring_amplitude(c) * abs(beam_mod.lg_field(_matched_beam(c, l), c.ring_radius_m, 0.0, c.distance_m))
+
+
+def _rho(c: SystemConfig, snr_db: float) -> float:
+    return c.noise_power_w * 10.0 ** (snr_db / 10.0)
+
+
+def _peak_noncentrality(c: SystemConfig, snr_db: float) -> float:
+    return _rho(c, snr_db) * _ring_amplitude(c) ** 2 / (c.noise_power_w / 2.0)
+
+
+#: Derived quantity, by scope: (name, value from the config c and x, the
+#: ``errors.require`` rule it must meet); names are formatted with c and x.
+#: Each is a number some layer divides by or exponentiates.  ``_validate``
+#: checks scope "config", and "snr" at x = snr_db; ``rho_for_snr_db``
+#: checks "snr" at every SNR a run uses, and ``channel.matched_beams``,
+#: which every tensor is built from, "state" at x = each OAM state.
+_DERIVED = {
+    "config": (
+        ("noise power at noise_psd_dbm_hz={c.noise_psd_dbm_hz!r}, bandwidth_hz={c.bandwidth_hz!r}",
+         lambda c, _: c.noise_power_w, "finite and > 0"),
+        # The capacity kernel scales its scores by 2 / noise power.
+        ("2/noise power at bandwidth_hz={c.bandwidth_hz!r}", lambda c, _: 2.0 / c.noise_power_w, "finite and > 0"),
+        ("element spacing", lambda c, _: c.element_spacing_m, "finite and > 0"),
+        ("ring radius at waist_m={c.waist_m!r}, distance_m={c.distance_m!r}", lambda c, _: c.ring_radius_m,
+         "finite and > 0"),
+        ("gain", lambda c, _: c.gain_value, "finite and > 0"),
+        # The in-ring |h| of every (m, l); the constellation stage needs it > 0.
+        ("ring amplitude gain wavelength / (4 pi d_in)", _ring_amplitude, "finite and > 0"),
+    ),
+    "state": (
+        ("matched waist of state {x}", _matched_waist, "finite and > 0"),
+        # The tensor forms max|h| field(r, phi) and divides by the ring field.
+        ("max|h| times the ring field of state {x}", _ring_response, "finite and > 0"),
+    ),
+    "snr": (
+        ("transmit power at snr_db={x!r}", _rho, "finite and > 0"),
+        # 2 rho max|h|^2 / noise power, in the order the detection layers take it.
+        ("peak noncentrality at snr_db={x!r}", _peak_noncentrality, "finite"),
+    ),
+}
+
 
 def _parse_spacing(text: str) -> float:
     t = text.strip().lower().replace("λ", "lambda")
     if not t.endswith("lambda"):
         raise ConfigError(f"cannot parse element spacing {text!r}")
     head = t[: -len("lambda")].strip()
-    factor = 1.0 if head == "" else float(head)
-    if factor <= 0.0:
-        raise ConfigError(f"element spacing factor must be > 0, got {text!r}")
-    return factor
+    return 1.0 if head == "" else float(head)
 
 
 #: Where each default comes from, field by field: "paper" or "decision".

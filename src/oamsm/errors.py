@@ -35,12 +35,14 @@ _RULES = {
 }
 
 
-def require(name: str, value, rule: str, error=ValueError) -> None:
-    """Raise ``error`` naming ``name`` unless ``value`` meets ``rule``, a key of
-    ``_RULES``; a wrong type, or an int too large for a float, fails it."""
+def require(name: str, value, rule, error=ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` meets ``rule``: a key of
+    ``_RULES``, or the tuple of allowed values.  A wrong type, or an int too
+    large for a float, fails it."""
+    choices = isinstance(rule, tuple)
     try:
-        ok = _RULES[rule](value)
+        ok = value in rule if choices else _RULES[rule](value)
     except (TypeError, OverflowError):
         ok = False
     if not ok:
-        raise error(f"{name} must be {rule}, got {value!r}")
+        raise error(f"{name} must be {'|'.join(rule) if choices else rule}, got {value!r}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelTensor, _pair_geometry, build_channel_tensor
-from .config import SystemConfig
+from .config import _DISTANCE_MODES, SystemConfig
 from .errors import ConfigError, require
 from .numerics import Constellation, _chunks, integrate, marcum_q1, ncx2_pdf, q_function
 
@@ -154,12 +154,7 @@ def mimo_channel_matrix(config: SystemConfig) -> np.ndarray:
 
 
 def mimo_capacity_baseline(
-    config: SystemConfig,
-    rho_total: float,
-    noise_var: float,
-    mode: str = "logdet",
-    samples: int = 20000,
-    seed: int = 0,
+    config: SystemConfig, rho_total: float, noise_var: float, mode: str = "logdet", samples: int = 20000, seed: int = 0
 ) -> CapacityEstimate:
     """Capacity of the M x M conventional array at total-power parity.
 
@@ -172,8 +167,7 @@ def mimo_capacity_baseline(
     It scores every x (rotations = 1): at its received SNR, ~100 dB below
     rho_total / sigma^2, one x per orbit is far noisier (``_mutual_information``).
     """
-    if mode not in _MIMO_MODES:
-        raise ConfigError(f"mimo capacity mode must be {'|'.join(_MIMO_MODES)}, got {mode!r}")
+    require("mimo capacity mode", mode, _MIMO_MODES, ConfigError)
     _check_link(rho_total, noise_var)
     H = mimo_channel_matrix(config)
     M = config.tx_antennas
@@ -181,7 +175,8 @@ def mimo_capacity_baseline(
         if rho_total == 0.0:
             return CapacityEstimate(0.0, 0.0, 0)
         sv = np.linalg.svd(H, compute_uv=False)
-        ln_terms = math.log(rho_total) - math.log(M * noise_var) + 2.0 * np.log(sv)
+        with np.errstate(divide="ignore"):  # a zero singular value adds log2(1 + 0) = 0
+            ln_terms = math.log(rho_total) - math.log(M * noise_var) + 2.0 * np.log(sv)
         return CapacityEstimate(float(np.sum(np.logaddexp(0.0, ln_terms))) / _LN2, 0.0, 0)
     points = np.asarray(config.constellation().points)
     if points.size**M > 4096:
@@ -271,22 +266,18 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def antenna_detection_prob_avg(tensor: ChannelTensor, rho: float, noise_var: float) -> float:
     """Detection probability marginalized uniformly over (m, l, p).
 
-    All constellation points are unit modulus, so the average over p is
-    implicit; (m, l) are enumerated.  The (m, l) whose true pair has the
-    same noncentrality lam share its density f_lam(r), so by linearity the
-    mean of their integrals of f_lam(r) prod_j F_j(r), F = 1 - Q1, is one
-    integral of f_lam(r) times the mean of their products.  One integral is
-    taken per distinct lam; every config the package builds has a single
-    one.  Each integral's absolute quadrature error is at most
-    ``_DETECTION_TOL``, so that of the average, their weighted mean, is too.
-    Inside the integrand each distinct other-pair amplitude sqrt(lam_j) is
-    evaluated once.  Both keys round sqrt(lam) to 12 significant digits, and each key is
-    represented by its first (m, l).
+    Every constellation a config builds has unit modulus (PSK, or the one
+    point 1), so the average over p is implicit; (m, l) are enumerated.
+    The (m, l) whose true pair has the same noncentrality lam share its
+    density f_lam(r), so by linearity the mean of their integrals of
+    f_lam(r) prod_j F_j(r), F = 1 - Q1, is one integral of f_lam(r) times
+    the mean of their products.  One integral is taken per distinct lam;
+    every config the package builds has a single one.  Each integral's
+    absolute quadrature error is at most ``_DETECTION_TOL``, so that of the
+    average, their weighted mean, is too.  Inside the integrand each distinct
+    other-pair amplitude sqrt(lam_j) is evaluated once.  Both keys round
+    sqrt(lam) to 12 significant digits; each key's first (m, l) stands for it.
     """
-    cfg = tensor.config
-    points = np.asarray(cfg.constellation().points)
-    if not np.allclose(np.abs(points), 1.0, atol=1e-12):
-        raise ConfigError("antenna detection average assumes unit-modulus constellations")
     # lam[m, l, j]: pair j's noncentrality when antenna m sends in state l.
     lam = _noncentralities(tensor.entries[..., 0], 1.0 + 0.0j, rho, noise_var)
     M, L = lam.shape[:2]
@@ -317,11 +308,7 @@ def gray_gamma(n: int) -> float:
 
 
 def mod_bep(
-    h: complex,
-    rho: float,
-    noise_var: float,
-    constellation: Constellation,
-    distance_mode: str = "euclidean",
+    h: complex, rho: float, noise_var: float, constellation: Constellation, distance_mode: str = "euclidean"
 ) -> float:
     """Bit error probability of the constellation bits on a scalar channel.
 
@@ -331,10 +318,8 @@ def mod_bep(
     scalar detector); ``printed`` uses 2 Re[x_p (x_p - x_q)*], a circulated
     variant kept selectable for faithful reproduction.
     """
-    if distance_mode not in ("printed", "euclidean"):
-        raise ConfigError(f"distance_mode must be printed|euclidean, got {distance_mode!r}")
-    if abs(h) <= 0.0:
-        raise ValueError("mod_bep requires |h| > 0")
+    require("distance_mode", distance_mode, _DISTANCE_MODES, ConfigError)
+    require("|h|", abs(h), "finite and > 0")
     _check_link(rho, noise_var)
     P = constellation.order
     if P == 1:
@@ -357,11 +342,7 @@ def mod_bep(
     return total / (P * nbits)
 
 
-def abep(
-    config: SystemConfig,
-    rho: float,
-    tensor: ChannelTensor | None = None,
-) -> float:
+def abep(config: SystemConfig, rho: float, tensor: ChannelTensor | None = None) -> float:
     """Average bit error probability of the full demodulation chain.
 
     Composes the antenna-index stage with the constellation stage as
@@ -405,6 +386,7 @@ def energy_efficiency(capacity_bits: float, rho: float, config: SystemConfig, n_
     require("rho", rho, "finite and >= 0")
     require("n_active", n_active, "a positive integer")
     denom = n_active * config.circuit_power_w + config.power_slope * rho
-    if denom <= 0.0:
-        raise ConfigError(f"power denominator must be > 0, got {denom!r}")
-    return config.bandwidth_hz * capacity_bits / denom
+    require("power denominator", denom, "finite and > 0", ConfigError)
+    ee = config.bandwidth_hz * capacity_bits / denom
+    require("energy efficiency", ee, "finite", ConfigError)
+    return ee

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelTensor, build_channel_tensor
-from .config import SystemConfig, _check_symbol_axes, _state
+from .config import _DETECTORS, SystemConfig, _check_symbol_axes, _state
 from .errors import ConfigError, require
 from .numerics import Constellation, _chunks
 
@@ -282,8 +282,7 @@ def simulate_ber(
     (config, snr_db, trials, seed, detector).
     """
     require("trials", trials, "a positive integer")
-    if detector not in ("stepwise", "ml"):
-        raise ConfigError(f"detector must be stepwise|ml, got {detector!r}")
+    require("detector", detector, _DETECTORS, ConfigError)
     if tensor is None:
         tensor = build_channel_tensor(config)
     const = config.constellation()

@@ -3,15 +3,27 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oamsm.cli
-from oamsm import PROVENANCE, ConfigError, SystemConfig, load_config
+from oamsm import (
+    PROVENANCE,
+    BeamParams,
+    ConfigError,
+    SystemConfig,
+    load_config,
+    mod_bep,
+    psk_constellation,
+    simulate_ber,
+    waist_for_state,
+)
 from oamsm.cli import PRESETS, SweepSpec, main, preset, run_sweep
 from oamsm.config import _KEYS, SPEED_OF_LIGHT, default_states
 
@@ -97,6 +109,22 @@ class TestSystemConfig:
     def test_rejects_bad_value(self, field, value):
         with pytest.raises(ConfigError):
             SystemConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, run",
+        [
+            ("coeff_mode", lambda mode: waist_for_state(BeamParams(0.04, 1, 0.005), 2, 50.0, mode)),
+            ("distance_mode", lambda mode: mod_bep(1.0, 1.0, 1.0, psk_constellation(4), mode)),
+            ("detector", lambda mode: simulate_ber(SystemConfig(), 0.0, 10, 1, mode)),
+        ],
+    )
+    def test_mode_is_checked_against_its_field_choices(self, field, run):
+        # The function a mode selects and the config field share one tuple.
+        choices = next(f.metadata["choices"] for f in dataclasses.fields(SystemConfig) if f.name == field)
+        message = f"{field} must be {'|'.join(choices)}, got 'walrus'"
+        for reject in (run, lambda mode: SystemConfig(**{field: mode})):
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                reject("walrus")
 
     def test_rho_rejects_overflowing_snr(self):
         # 10 ** (snr / 10) leaves the float range near 3083 dB.
@@ -482,6 +510,12 @@ class TestCliMain:
             ("snr = 4000", "distance", "capacity"),
             ("noise_psd = -4000", "snr", "capacity"),
             ("xi = 1e300", "snr", "capacity,abep,ber,ee"),
+            ("bandwidth = 1e-300", "snr", "capacity,abep,ber,ee"),
+            ("waist = 1e100", "snr", "capacity,abep,ber,ee"),
+            ("carrier_freq = 1e300", "snr", "capacity,abep,ber,ee"),
+            ("gain = 1e300", "snr", "capacity,abep,ber,ee"),
+            # max|h| times the ring field underflows to 0: no in-ring gain.
+            ("waist = 1.09e-73\ngain = 3.29e-204", "snr", "capacity,abep,ber,ee"),
         ],
     )
     def test_non_finite_value_is_config_error(self, tmp_path, capsys, line, sweep, outputs):
@@ -576,6 +610,25 @@ class TestCliMain:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_grid_count_is_config_error(self, tmp_path, capsys):
+        # Used to exit 1: "cannot convert float infinity to integer".
+        out = tmp_path / "o.csv"
+        argv = ["run", "--sweep", "snr", "--from=-1e300", "--to", "1e300", "--step", "1e-300", "--out", str(out)]
+        assert main(argv + ["--outputs", "capacity", "--samples", "10"]) == 2
+        assert "config error: sweep point count must be finite, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_peak_noncentrality_is_checked_at_each_grid_snr(self, tmp_path, capsys):
+        # gain = 1e150 is a valid config at 50 dB; at 200 dB its peak
+        # noncentrality overflows, which used to crash the detection integral.
+        assert math.isfinite(SystemConfig(gain=1e150).rho_for_snr_db(50.0))
+        cfg_path, out = tmp_path / "g.cfg", tmp_path / "o.csv"
+        cfg_path.write_text("gain = 1e150\n")
+        argv = ["run", "--config", str(cfg_path), "--sweep", "snr", "--from", "200", "--to", "200"]
+        assert main(argv + ["--outputs", "abep", "--samples", "20", "--trials", "50", "--out", str(out)]) == 2
+        assert "config error: peak noncentrality" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_module_entry_point(self):
         # ``python -m oamsm`` runs the same parser as the ``oamsm`` script.
         env = dict(os.environ, PYTHONPATH=str(Path(oamsm.__file__).resolve().parents[1]))
@@ -602,3 +655,44 @@ class TestCliMain:
         with pytest.raises(SystemExit) as info:
             main(["preset", "fig99", "--out", str(tmp_path / "o.csv")])
         assert info.value.code == 2
+
+
+class TestConfigSweep:
+    """Every config that validation accepts runs to finite numbers, or the
+    run stops with a config error."""
+
+    def test_accepted_configs_run_to_finite_numbers(self, tmp_path, capsys):
+        # Each float field with a rule is drawn log-uniform up to 1e+-300
+        # (with either sign if it may be negative) or left at its default,
+        # with even odds, so that one absurd field does not reject nearly
+        # every draw; each field with choices is drawn uniformly.
+        rng = np.random.default_rng(1612)
+        fields = dataclasses.fields(SystemConfig)
+        floats = [f for f in fields if f.metadata["parse"] is float and f.metadata["rule"]]
+        modes = [f for f in fields if f.metadata["choices"]]
+        cfg_path, out = tmp_path / "c.cfg", tmp_path / "o.csv"
+        ran = 0
+        start = time.monotonic()
+        for _ in range(400):
+            lines = {}
+            for f in floats:
+                if rng.random() < 0.5:
+                    sign = -1.0 if f.metadata["rule"] == "finite" and rng.random() < 0.5 else 1.0
+                    lines[f.metadata["key"]] = sign * 10.0 ** rng.uniform(-300.0, 300.0)
+            for f in modes:
+                lines[f.metadata["key"]] = f.metadata["choices"][rng.integers(len(f.metadata["choices"]))]
+            cfg_path.write_text("".join(f"{key} = {value}\n" for key, value in lines.items()))
+            out.unlink(missing_ok=True)
+            snr = lines.get("snr", SystemConfig().snr_db)
+            argv = ["run", "--config", str(cfg_path), "--sweep", "snr", f"--from={snr!r}", f"--to={snr!r}"]
+            rc = main(argv + ["--outputs", "capacity,abep,ber,ee", "--samples", "8", "--trials", "16", "--out", str(out)])
+            err = capsys.readouterr().err
+            if rc == 2:
+                assert err.startswith("config error: "), (lines, err)
+                continue
+            assert rc == 0, (lines, err)
+            header, row = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+            assert all(math.isfinite(float(v)) for v in row.split(",")), (lines, header, row)
+            ran += 1
+        assert ran >= 40  # the sweep reaches the layers, not just the validation
+        assert time.monotonic() - start < 10.0

@@ -39,3 +39,11 @@ def test_error_class_and_message():
     with pytest.raises(ConfigError) as info:
         require("distance_m", -1, "finite and > 0", ConfigError)
     assert str(info.value) == "distance_m must be finite and > 0, got -1"
+
+
+def test_choices_rule():
+    # A tuple rule is the allowed values; the message lists them.
+    require("detector", "ml", ("stepwise", "ml"))
+    for value in ("walrus", None, 1, ["ml"]):
+        with pytest.raises(ConfigError, match=r"^detector must be stepwise\|ml, got "):
+            require("detector", value, ("stepwise", "ml"), ConfigError)

@@ -301,6 +301,14 @@ class TestMutualInformationKernel:
 
 
 class TestMimoBaseline:
+    def test_zero_singular_value_adds_nothing(self):
+        # At 1e103 Hz the plain array's smallest singular value can round to
+        # 0. Its log2(1 + 0) = 0 term used to warn "divide by zero
+        # encountered in log", which the test settings make an error.
+        cfg = SystemConfig(carrier_freq_hz=1e103)
+        cap = mimo_capacity_baseline(cfg, cfg.rho_for_snr_db(20.0), cfg.noise_power_w)
+        assert math.isfinite(cap.value) and cap.value >= 0.0
+
     def test_zero_power(self, default_config):
         nv = default_config.noise_power_w
         for mode in ("logdet", "dcmc_psk"):
@@ -719,6 +727,19 @@ class TestEnergyEfficiency:
     def test_rejects_zero_denominator(self):
         with pytest.raises(ConfigError):
             energy_efficiency(1.0, 0.0, SystemConfig(circuit_power_w=0.0), 1)
+
+    @pytest.mark.parametrize(
+        "cfg, rho, quantity",
+        [
+            # slope * rho overflows: the efficiency used to read 0.0.
+            (SystemConfig(power_slope=1e300), 1e300, "power denominator"),
+            # bandwidth * capacity / 4e-300 overflows: it used to read inf.
+            (SystemConfig(circuit_power_w=0.0, bandwidth_hz=1e300), 1e-300, "energy efficiency"),
+        ],
+    )
+    def test_rejects_unrepresentable_efficiency(self, cfg, rho, quantity):
+        with pytest.raises(ConfigError, match=f"^{quantity} must be finite"):
+            energy_efficiency(1.0, rho, cfg, 1)
 
     @pytest.mark.parametrize("rho", [math.inf, math.nan, -1.0])
     def test_rejects_bad_rho(self, rho):
