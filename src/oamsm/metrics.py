@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import ChannelTensor, _pair_geometry, build_channel_tensor
 from .config import _DISTANCE_MODES, SystemConfig
-from .errors import ConfigError, require
+from .errors import ConfigError, NumericError, require
 from .numerics import Constellation, _chunks, integrate, marcum_q1, ncx2_pdf, q_function
 
 _LN2 = math.log(2.0)
@@ -204,6 +204,9 @@ def _noncentralities(h: np.ndarray, x: complex, rho: float, noise_var: float) ->
 _BULK_HALF_WIDTH = 9
 # Absolute quadrature error allowed in each detection integral.
 _DETECTION_TOL = 1e-9
+# Coarsest float step near sqrt(lam_m) at which the unit-width bulk is
+# still sampled where its panels' nodes lie (see _detection_integral).
+_BULK_RESOLUTION = 2.0**-10
 
 
 def _detection_integral(lam_own: float, factors: np.ndarray, rows: np.ndarray) -> float:
@@ -222,8 +225,18 @@ def _detection_integral(lam_own: float, factors: np.ndarray, rows: np.ndarray) -
     the unit complex Gaussian z, so P(r > c + 9) <= P(|z| > 9) =
     exp(-81/2) < 3e-18.  The panel below carries P(r < c - 9) <= Q(9) <
     1.2e-19, so its error bound vanishes at once.
+
+    Those panels need floats finer than their width near c.  Once
+    np.spacing(c) exceeds ``_BULK_RESOLUTION`` (c >= 2^43, about 8.8e12),
+    the nodes round to a grid no finer than about 1/20 of the smallest gap
+    between Kronrod nodes on a unit panel (0.021), and from spacing 1 on
+    whole panels collapse.  At the default config every such c either
+    failed to converge or returned a wrong value (0.667 for abep at 350 dB,
+    where it is about 0), so this raises ``NumericError`` instead.
     """
     c = math.sqrt(lam_own)
+    if np.spacing(c) > _BULK_RESOLUTION:
+        raise NumericError(f"detection integral cannot resolve the bulk at sqrt(lam) = {c:.4g}", math.nan, math.inf)
     edges = c + np.arange(-_BULK_HALF_WIDTH, _BULK_HALF_WIDTH + 1.0)
 
     def integrand(r):

@@ -10,11 +10,19 @@ state off the pair phase difference, then decide the constellation point.
 Each rule is one batched function (``_detector``) that scores every
 candidate by a small real matrix product, in row blocks bounded by one
 element budget; the single-frame detectors are 1-row calls into it.
-One frame builder (``_frames``) makes the (n, M, 2) complex frames by
-gathering the clean frames sqrt(rho) * h of the drawn (antenna, state)
-pairs, scaling them by the drawn points, and adding in place one noise draw
-laid out as (2, n, M, 2): the real plane, then the imaginary plane.
-``simulate_ber`` calls it once per chunk and ``transmit`` for one row.
+
+One frame builder (``_frames``) makes received samples from a table of
+clean samples: it gathers the table's leading-axis entries ``rows``,
+scales each by its drawn point (broadcast over the trailing axes), and adds
+in place one noise draw laid out as (2, *shape): the real plane, then the
+imaginary plane.  ``transmit`` and the ML trials call it on the
+(M * L, M, 2) table of clean frames sqrt(rho) * h, gathered by m * L + l.
+The stepwise trials build only the samples their rule reads, in two calls:
+the M first-antenna samples from the (M * L, M) table, which decide the
+antenna, then the decided pair's second sample from the flat (M * L * M,)
+second-antenna table at (m * L + l) * M + m_hat.  That is 2M + 2 normals
+per trial instead of 4M; the noise left undrawn is independent of every
+sample the rule reads, so the error counts have the same distribution.
 """
 
 from __future__ import annotations
@@ -119,11 +127,12 @@ def transmit(
 
 
 def _frames(clean: np.ndarray, rows: np.ndarray, points: np.ndarray, sigma: float, rng) -> np.ndarray:
-    """The (n, M, 2) frames clean[rows] * points, plus noise of standard
-    deviation ``sigma`` per real dimension when sigma > 0, drawn and added
-    plane by plane as the module docstring describes."""
+    """The samples clean[rows] * points, with each point broadcast over the
+    table's trailing axes, plus noise of standard deviation ``sigma`` per
+    real dimension when sigma > 0, drawn and added plane by plane as the
+    module docstring describes."""
     y = clean.take(rows, axis=0)
-    y *= points[:, None, None]
+    y *= points.reshape(-1, *(1,) * (y.ndim - 1))
     if sigma > 0.0:
         noise = rng.standard_normal((2, *y.shape))
         noise *= sigma
@@ -160,6 +169,10 @@ def _detector(tensor: ChannelTensor, rho: float, rule: str):
       least residual |y0 - ref * x_p|^2.  Unlike that residual, which rounds
       every point to |y0|^2 once |ref| is far below |y0| (at -300 dB, say)
       and then takes point 0, the score still resolves the points there.
+      The two phases are exposed as ``decide.antenna(first)``, the (n, M)
+      first-antenna samples to m_hat, and ``decide.pair(y0, y1, m_hat)``,
+      the decided pair's two length-n samples to (l_hat, p_hat); ``decide``
+      on full frames composes them and reads nothing else of the frame.
     - ``ml``: the (m, l, p) hypothesis, in that flat order, minimizing the
       Frobenius residual |y - s_h|^2 between the frame and
       s_h = sqrt(rho) * h * x.  Since |y|^2 is common to every hypothesis,
@@ -199,20 +212,26 @@ def _detector(tensor: ChannelTensor, rho: float, rule: str):
     ref = sqrt_rho * tensor.entries[np.arange(M), :, np.arange(M), 0]  # (M, L)
     rows = max(1, _BLOCK_ELEMS // points.size)
 
-    def decide(y):
-        first = y[:, :, 0]
-        m_hat = np.argmax(first.real**2 + first.imag**2, axis=1)
-        # ``take`` of flat rows: several times faster than 2-D fancy indexing.
-        pair = y.reshape(-1, 2).take(np.arange(len(y)) * M + m_hat, axis=0)
-        # (n, 2) float views [Re, Im] of z = y0 * conj(y1) and w = y0 * conj(ref).
-        z = (pair[:, 0] * pair[:, 1].conj()).view(np.float64).reshape(-1, 2)
-        l_hat = np.argmax(z @ state_basis, axis=1)
-        w = (pair[:, 0] * ref[m_hat, l_hat].conj()).view(np.float64).reshape(-1, 2)
-        p_hat = np.empty(len(y), dtype=np.intp)
-        for lo in range(0, len(y), rows):
-            p_hat[lo : lo + rows] = np.argmax(w[lo : lo + rows] @ point_basis, axis=1)
-        return m_hat, l_hat, p_hat
+    def antenna(first):
+        return np.argmax(first.real**2 + first.imag**2, axis=1)
 
+    def pair(y0, y1, m_hat):
+        # (n, 2) float views [Re, Im] of z = y0 * conj(y1) and w = y0 * conj(ref).
+        z = (y0 * y1.conj()).view(np.float64).reshape(-1, 2)
+        l_hat = np.argmax(z @ state_basis, axis=1)
+        w = (y0 * ref[m_hat, l_hat].conj()).view(np.float64).reshape(-1, 2)
+        p_hat = np.empty(len(y0), dtype=np.intp)
+        for lo in range(0, len(y0), rows):
+            p_hat[lo : lo + rows] = np.argmax(w[lo : lo + rows] @ point_basis, axis=1)
+        return l_hat, p_hat
+
+    def decide(y):
+        m_hat = antenna(y[:, :, 0])
+        # ``take`` of flat rows: several times faster than 2-D fancy indexing.
+        decided = y.reshape(-1, 2).take(np.arange(len(y)) * M + m_hat, axis=0)
+        return (m_hat, *pair(decided[:, 0], decided[:, 1], m_hat))
+
+    decide.antenna, decide.pair = antenna, pair
     return decide
 
 
@@ -278,7 +297,13 @@ def simulate_ber(
 
     Bits are drawn uniformly, mapped to codewords, sent through the channel
     with complex Gaussian noise at the configured noise power, and detected
-    with the requested detector.  Results are deterministic in
+    with the requested detector.  Chunk i of 8192 trials draws from Philox
+    substream (seed, 0xBE7, i): the antenna, state and point indices, then
+    the noise.  ML draws the full (2, n, M, 2) noise of its frames; stepwise
+    draws (2, n, M) for the first-antenna samples, decides the antenna, then
+    draws (2, n) for the decided pair's second sample (module docstring), so
+    its error counts are exact in distribution but not in draw-for-draw
+    agreement with a full-frame draw.  Results are deterministic in
     (config, snr_db, trials, seed, detector).
     """
     require("trials", trials, "a positive integer")
@@ -296,15 +321,28 @@ def simulate_ber(
     clean = (math.sqrt(rho) * tensor.entries).reshape(M * n_states, M, 2)
     sigma = math.sqrt(config.noise_power_w / 2.0)
 
+    # The two tables of the stepwise draw (module docstring).
+    first_table = np.ascontiguousarray(clean[:, :, 0])
+    second_table = clean[:, :, 1].reshape(-1)
+
     bit_errors = ant_errors = state_errors = sym_errors = 0
     for _, n, rng in _chunks(trials, _CHUNK, seed, 0xBE7):
         m_idx = rng.integers(0, M, size=n)
         l_idx = rng.integers(0, n_states, size=n)
         p_idx = rng.integers(0, P, size=n)
-        y = _frames(clean, m_idx * n_states + l_idx, points[p_idx], sigma, rng)
-        m_hat, l_hat, p_hat = decide(y)
-        # Release the frames before the next chunk's noise is drawn.
-        del y
+        if detector == "ml":
+            y = _frames(clean, m_idx * n_states + l_idx, points[p_idx], sigma, rng)
+            m_hat, l_hat, p_hat = decide(y)
+            # Release the frames before the next chunk's noise is drawn.
+            del y
+        else:
+            rows, x = m_idx * n_states + l_idx, points[p_idx]
+            first = _frames(first_table, rows, x, sigma, rng)
+            m_hat = decide.antenna(first)
+            second = _frames(second_table, rows * M + m_hat, x, sigma, rng)
+            first = first.reshape(-1).take(np.arange(n) * M + m_hat)
+            l_hat, p_hat = decide.pair(first, second, m_hat)
+            del rows, x, first, second
 
         ant_err = m_hat != m_idx
         st_err = l_hat != l_idx

@@ -543,6 +543,14 @@ class TestCliMain:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_unresolvable_abep_is_numeric_error(self, tmp_path, capsys):
+        # At 400 dB the detection integral's bulk is beyond float resolution;
+        # the run used to exit 0 with abep = 0.6666666666666666.
+        out = tmp_path / "o.csv"
+        rc = main(["run", "--sweep", "snr", "--from", "400", "--to", "400", "--outputs", "abep", "--out", str(out)])
+        assert rc == 3
+        assert "numeric error: detection integral cannot resolve the bulk" in capsys.readouterr().err
+
     @pytest.mark.parametrize("sweep", ["antennas", "states", "constellation"])
     def test_count_sweep_rejects_step(self, tmp_path, capsys, sweep):
         # Count sweeps double from point to point; --step 3 used to be

@@ -10,6 +10,7 @@ import pytest
 from oamsm import metrics
 from oamsm import (
     ConfigError,
+    NumericError,
     SystemConfig,
     abep,
     antenna_detection_prob,
@@ -696,6 +697,48 @@ class TestAbep:
         for s in (-20.0, 0.0, 20.0):
             v = abep(cfg, cfg.rho_for_snr_db(s), tensor=default_tensor)
             assert 0.0 <= v <= 1.0
+
+    @pytest.mark.parametrize("snr", [262.0, 290.0, 310.0, 330.0, 350.0, 400.0])
+    def test_unresolvable_bulk_raises(self, default_config, default_tensor, snr):
+        # Past c = sqrt(lam) ~ 8.8e12 the float grid near c is too coarse for
+        # the unit bulk panels.  These SNRs used to return 2.3e-7, 1.9e-4,
+        # 4.7e-3, 0.667, 0.667 and 0.667, where abep is about 0.
+        rho = default_config.rho_for_snr_db(snr)
+        with pytest.raises(NumericError, match="cannot resolve the bulk"):
+            abep(default_config, rho, tensor=default_tensor)
+        with pytest.raises(NumericError, match="cannot resolve the bulk"):
+            antenna_detection_prob(default_tensor, 2, 1, 1.0, rho, default_config.noise_power_w)
+
+    def test_values_inside_the_resolution_limit_are_unchanged(self, default_config, default_tensor):
+        # The bulk-resolution check moves no value below its limit: fig8's
+        # range, the 40-80 dB detection probabilities and abep up to 180 dB
+        # are the values computed before it was added, to the bit.
+        cfg, nv = default_config, default_config.noise_power_w
+        abeps = {
+            -10.0: 0.8516346205901417,
+            0.0: 0.6186033066403636,
+            10.0: 0.500165671042146,
+            20.0: 0.4992732544015961,
+            30.0: 0.49771244780298896,
+            80.0: 0.3501619772962652,
+            120.0: 2.4580226742898503e-11,
+            150.0: 9.633027708844111e-11,
+            180.0: 4.373978956806468e-11,
+        }
+        for snr, want in abeps.items():
+            assert abep(cfg, cfg.rho_for_snr_db(snr), tensor=default_tensor) == want
+        detections = {
+            (2, 1, 40.0): 0.25137233530141495,
+            (1, 4, 40.0): 0.2782464124753368,
+            (2, 1, 50.0): 0.25431546160798496,
+            (1, 4, 50.0): 0.32882415127789133,
+            (2, 1, 70.0): 0.2895901140263621,
+            (1, 4, 70.0): 0.5131512133384609,
+            (2, 1, 80.0): 0.3461303727948501,
+            (1, 4, 80.0): 0.6003623541862438,
+        }
+        for (m, l, snr), want in detections.items():
+            assert antenna_detection_prob(default_tensor, m, l, 1.0, cfg.rho_for_snr_db(snr), nv) == want
 
 
 class TestEnergyEfficiency:

@@ -20,6 +20,7 @@ from oamsm import (
     simulate_ber,
     transmit,
 )
+from oamsm import modem
 
 
 @pytest.fixture(scope="module")
@@ -270,11 +271,18 @@ class TestDetectors:
         assert (out.antenna, out.state, out.point_index) == (1, 1, 0)
 
 
-def unblocked_ber(config, tensor, snr_db, trials, seed, detector, rows=None):
+def unblocked_ber(config, tensor, snr_db, trials, seed, detector, rows=None, full_draw=False):
     """Reference for ``simulate_ber``: the same draws (8192-trial chunks, one
     Philox substream per chunk) with each chunk's detection done in a single
     block by ``reference_decisions``, or in slices of ``rows`` frames where
-    one block's residual would not fit in memory."""
+    one block's residual would not fit in memory.
+
+    ML draws the whole (2, n, M, 2) frame noise.  Stepwise draws the (2, n, M)
+    first-antenna noise, decides the antenna by the reference rule, then
+    draws (2, n) for the decided pair's second sample; the other second
+    samples stay noiseless, as the rule never reads them.  ``full_draw``
+    gives stepwise the ML draw instead: the same distribution, other draws.
+    """
     const = config.constellation()
     points = np.asarray(const.points)
     M = config.tx_antennas
@@ -291,8 +299,14 @@ def unblocked_ber(config, tensor, snr_db, trials, seed, detector, rows=None):
         m_idx = rng.integers(0, M, size=n)
         l_idx = rng.integers(0, n_states, size=n)
         p_idx = rng.integers(0, P, size=n)
-        noise = sigma * (rng.standard_normal((n, M, 2)) + 1j * rng.standard_normal((n, M, 2)))
-        y = math.sqrt(rho) * tensor.entries[m_idx, l_idx] * points[p_idx][:, None, None] + noise
+        if detector == "ml" or full_draw:
+            noise = sigma * (rng.standard_normal((n, M, 2)) + 1j * rng.standard_normal((n, M, 2)))
+            y = math.sqrt(rho) * tensor.entries[m_idx, l_idx] * points[p_idx][:, None, None] + noise
+        else:
+            y = math.sqrt(rho) * tensor.entries[m_idx, l_idx] * points[p_idx][:, None, None]
+            y[:, :, 0] += sigma * (rng.standard_normal((n, M)) + 1j * rng.standard_normal((n, M)))
+            m_hat = reference_decisions(config, tensor, y, rho, detector)[0]
+            y[np.arange(n), m_hat, 1] += sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         step = rows or n
         blocks = [reference_decisions(config, tensor, y[i : i + step], rho, detector) for i in range(0, n, step)]
         m_hat, l_hat, p_hat = (np.concatenate(parts) for parts in zip(*blocks))
@@ -461,6 +475,78 @@ class TestSimulateBer:
         tensor = build_channel_tensor(cfg)
         rep = simulate_ber(cfg, snr, 9000, 37, "stepwise", tensor=tensor)
         assert rep == reference_report(cfg, tensor, snr, 9000, 37, "stepwise")
+
+    @pytest.mark.parametrize("name", ["tiny", "default", "m8", "psk16"])
+    @pytest.mark.parametrize("snr", [-10.0, 0.0, 10.0, 20.0])
+    def test_stepwise_draw_matches_full_frame_draw_in_distribution(self, request, name, snr):
+        # Stepwise draws only the noise its rule reads; the unread noise is
+        # independent of what it reads, so the error rates must agree with
+        # the full-frame draw's on independent seeds.  The bit rate's binomial
+        # error is up to 1.4x too small (the bits of one codeword err
+        # together), so its bound of 4 is about 3 true standard errors.
+        cfg = {
+            "tiny": request.getfixturevalue("tiny_config"),
+            "default": SystemConfig(),
+            "m8": dataclasses.replace(SystemConfig(), tx_antennas=8),
+            "psk16": SystemConfig(constellation_order=16),
+        }[name]
+        tensor = build_channel_tensor(cfg)
+        trials = 20000
+        rep = simulate_ber(cfg, snr, trials, 53, "stepwise", tensor=tensor)
+        errors, total_bits = unblocked_ber(cfg, tensor, snr, trials, 54, "stepwise", full_draw=True)
+        got = [rep.bit_error_rate, rep.antenna_error_rate, rep.state_error_rate, rep.symbol_error_rate]
+        se = [rep.bit_error_stderr, rep.antenna_error_stderr, rep.state_error_stderr, rep.symbol_error_stderr]
+        counts = [total_bits, trials, trials, trials]
+        for g, s, e, c in zip(got, se, errors, counts):
+            r = e / c
+            assert abs(g - r) <= 4 * math.sqrt(s**2 + r * (1 - r) / c)
+
+    @pytest.mark.parametrize("poison", [1e300, math.nan])
+    def test_stepwise_reads_only_first_antennas_and_decided_pair(self, default_config, default_tensor, poison):
+        # Overwrite the second sample of every pair but the decided one: the
+        # decisions must not move, or the stepwise draw would be wrong.
+        rho = default_config.rho_for_snr_db(10.0)
+        rng = np.random.default_rng(61)
+        y = rng.standard_normal((3000, 4, 2)) + 1j * rng.standard_normal((3000, 4, 2))
+        decide = modem._detector(default_tensor, rho, "stepwise")
+        want = decide(y)
+        unread = np.ones((3000, 4), dtype=bool)
+        unread[np.arange(3000), want[0]] = False
+        y[:, :, 1][unread] = poison * (1 + 1j)
+        for w, g in zip(want, decide(y)):
+            assert np.array_equal(w, g)
+
+    @pytest.mark.parametrize("name", ["tiny", "default", "m8"])
+    @pytest.mark.parametrize("detector", ["stepwise", "ml"])
+    def test_normals_drawn_per_trial(self, request, monkeypatch, name, detector):
+        # Stepwise reads the M first-antenna samples and the decided pair's
+        # second sample: 2M + 2 normals per trial.  ML reads whole frames:
+        # 4M.  9000 trials span two chunks.
+        cfg = {
+            "tiny": request.getfixturevalue("tiny_config"),
+            "default": SystemConfig(),
+            "m8": dataclasses.replace(SystemConfig(), tx_antennas=8),
+        }[name]
+        drawn = []
+
+        class Counting:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, size):
+                drawn.append(math.prod(np.atleast_1d(size)))
+                return self.rng.standard_normal(size)
+
+            def __getattr__(self, attr):
+                return getattr(self.rng, attr)
+
+        chunks = modem._chunks
+        monkeypatch.setattr(
+            modem, "_chunks", lambda *a: ((s, n, Counting(rng)) for s, n, rng in chunks(*a))
+        )
+        simulate_ber(cfg, 10.0, 9000, 3, detector)
+        M = cfg.tx_antennas
+        assert sum(drawn) == 9000 * (2 * M + 2 if detector == "stepwise" else 4 * M)
 
     @pytest.mark.parametrize(
         "detector, cfg, snr, trials, seed, bound_mib",
