@@ -90,6 +90,17 @@ def _position(name: str, index: int, size: int) -> int:
     return index - 1
 
 
+def _check_tensor(tensor: ChannelTensor, config: SystemConfig) -> None:
+    """ConfigError naming ``tensor`` unless its entries have the config's
+    (M, L, M, 2) shape and its states are the config's."""
+    M, states = config.tx_antennas, tuple(config.oam_states)
+    if tensor.entries.shape != (M, len(states), M, 2) or tuple(tensor.states) != states:
+        raise ConfigError(
+            f"tensor of shape {tensor.entries.shape} with states {tuple(tensor.states)} does not match"
+            f" the config's {M} antennas and states {states}"
+        )
+
+
 def matched_beams(config: SystemConfig) -> dict:
     """Per-state beams whose rings all coincide with the reference ring at
     the configured distance, once the config's derived entries of scope

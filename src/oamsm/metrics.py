@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelTensor, _pair_geometry, build_channel_tensor
+from .channel import ChannelTensor, _check_tensor, _pair_geometry, build_channel_tensor
 from .config import _DISTANCE_MODES, SystemConfig
 from .errors import ConfigError, NumericError, require
 from .numerics import Constellation, _chunks, integrate, marcum_q1, ncx2_pdf, q_function
@@ -370,6 +370,7 @@ def abep(config: SystemConfig, rho: float, tensor: ChannelTensor | None = None) 
     _check_link(rho, noise_var)
     if tensor is None:
         tensor = build_channel_tensor(config)
+    _check_tensor(tensor, config)
     M = tensor.entries.shape[0]
     e_ant = 0.0
     if M > 1:

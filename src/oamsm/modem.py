@@ -14,8 +14,8 @@ element budget; the single-frame detectors are 1-row calls into it.
 One frame builder (``_frames``) makes received samples from a table of
 clean samples: it gathers the table's leading-axis entries ``rows``,
 scales each by its drawn point (broadcast over the trailing axes), and adds
-in place one noise draw laid out as (2, *shape): the real plane, then the
-imaginary plane.  ``transmit`` and the ML trials call it on the
+in place a noise draw (``_noise``) laid out as (2, *shape): the real plane,
+then the imaginary plane.  ``transmit`` and the ML trials call it on the
 (M * L, M, 2) table of clean frames sqrt(rho) * h, gathered by m * L + l.
 The stepwise trials build only the samples their rule reads, in two calls:
 the M first-antenna samples from the (M * L, M) table, which decide the
@@ -23,6 +23,16 @@ antenna, then the decided pair's second sample from the flat (M * L * M,)
 second-antenna table at (m * L + l) * M + m_hat.  That is 2M + 2 normals
 per trial instead of 4M; the noise left undrawn is independent of every
 sample the rule reads, so the error counts have the same distribution.
+
+ML trials are certified before they are scored.  A received point closer
+to the sent hypothesis than half that hypothesis's distance to its nearest
+other one lies in its decision region (bounded-distance decoding; Agrell,
+Eriksson, Vardy & Zeger, IEEE Trans. IT 2002).  ``_ml_radii`` shrinks that
+half-distance by a slack that covers every rounding of the radius, the
+frame and the expanded score, so a trial whose drawn noise is inside it is
+one the scoring would decide correctly: it is counted as such, and only
+the other trials are built into frames and scored.  The reports are the
+same as scoring every trial, to the last bit.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelTensor, build_channel_tensor
+from .channel import ChannelTensor, _check_tensor, build_channel_tensor
 from .config import _DETECTORS, SystemConfig, _check_symbol_axes, _state
 from .errors import ConfigError, require
 from .numerics import Constellation, _chunks
@@ -123,22 +133,30 @@ def transmit(
     require("noise_var", noise_var, "finite and >= 0")
     h = tensor.entries[symbol.antenna - 1, tensor.state_index(symbol.state)]
     rows, points = np.zeros(1, dtype=np.intp), np.array([symbol.point])
-    return _frames(math.sqrt(rho) * h[None], rows, points, math.sqrt(noise_var / 2.0), rng)[0]
+    noise = _noise(rng, (1, *h.shape), math.sqrt(noise_var / 2.0))
+    return _frames(math.sqrt(rho) * h[None], rows, points, noise)[0]
 
 
-def _frames(clean: np.ndarray, rows: np.ndarray, points: np.ndarray, sigma: float, rng) -> np.ndarray:
+def _frames(clean: np.ndarray, rows: np.ndarray, points: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
     """The samples clean[rows] * points, with each point broadcast over the
-    table's trailing axes, plus noise of standard deviation ``sigma`` per
-    real dimension when sigma > 0, drawn and added plane by plane as the
-    module docstring describes."""
+    table's trailing axes, plus the (2, *shape) ``noise`` from ``_noise``
+    (or none), added plane by plane as the module docstring describes."""
     y = clean.take(rows, axis=0)
     y *= points.reshape(-1, *(1,) * (y.ndim - 1))
-    if sigma > 0.0:
-        noise = rng.standard_normal((2, *y.shape))
-        noise *= sigma
+    if noise is not None:
         y.real += noise[0]
         y.imag += noise[1]
     return y
+
+
+def _noise(rng, shape: tuple, sigma: float) -> np.ndarray | None:
+    """(2, *shape) normals of standard deviation ``sigma``, or None (and no
+    draw) when sigma is 0."""
+    if sigma <= 0.0:
+        return None
+    noise = rng.standard_normal((2, *shape))
+    noise *= sigma
+    return noise
 
 
 # Elements per decision block: each block holds rows x hypotheses ML scores
@@ -181,13 +199,16 @@ def _detector(tensor: ChannelTensor, rho: float, rule: str):
       product per block of the frames' float view (interleaved Re, Im)
       against a (4M, H) basis built once, plus the H energies.  The expanded
       form can change a decision only where two residuals agree to within
-      rounding of |y|^2 + |s_h|^2.
+      rounding of |y|^2 + |s_h|^2.  ``decide.radius`` is the (M * L,)
+      certificate table of ``_ml_radii``, indexed m * L + l: a frame s_h + n
+      with |n| < r of h's (m, l) is decided h, whatever its point.
     """
     M, n_states = tensor.entries.shape[:2]
     points = np.asarray(tensor.config.constellation().points)
     sqrt_rho = math.sqrt(rho)
     if rule == "ml":
-        hyp = sqrt_rho * tensor.entries[:, :, None, :, :] * points[None, None, :, None, None]
+        clean = sqrt_rho * tensor.entries.reshape(M * n_states, 2 * M)
+        hyp = clean[:, None, :] * points[None, :, None]
         # Interleaved (Re, Im) coordinates of each hypothesis: the float view
         # of the complex array, as the received frames are read below.
         coords = hyp.reshape(-1, 2 * M).view(np.float64)  # (H, 4M)
@@ -198,12 +219,15 @@ def _detector(tensor: ChannelTensor, rho: float, rule: str):
         def decide(y):
             feats = np.ascontiguousarray(y, dtype=complex).reshape(len(y), 2 * M).view(np.float64)
             flat = np.empty(len(y), dtype=np.intp)
+            # One score buffer for every block of the call.
+            block = np.empty((min(rows, len(y)), len(energy)))
             for lo in range(0, len(y), rows):
-                score = feats[lo : lo + rows] @ basis
+                score = np.matmul(feats[lo : lo + rows], basis, out=block[: len(y) - lo])
                 score += energy
                 flat[lo : lo + rows] = np.argmin(score, axis=1)
             return np.unravel_index(flat, (M, n_states, points.size))
 
+        decide.radius = _ml_radii(clean, points)
         return decide
 
     beta_l = tensor.config.beta_value * np.asarray(tensor.states, dtype=float)
@@ -235,6 +259,50 @@ def _detector(tensor: ChannelTensor, rho: float, rule: str):
     return decide
 
 
+def _ml_radii(clean: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Certificate radius r of each clean frame c_a, the (M * L, 2M) rows of
+    ``clean``: every ML frame s + n, s = c_a * x_p, with |n| < r is decided
+    (a, p) by the expanded score of ``_detector``.
+
+    Every point is a unit-modulus rotation of point 0 (PSK, or the single
+    point 1), so the squared distance from s to its nearest other hypothesis
+    is the same for every p:
+
+        d_a^2 = min over (b, q) != (a, 0) of E_a + E_b - 2 Re(w_q G_ab),
+
+    with G = conj(c) c^T the (M L)^2 Gram matrix, E its diagonal and
+    w_q = x_q conj(x_0) the P rotations; no H x H table is formed.  With the
+    slack t = 2^-46 * 4M * max E (128 units of rounding per real
+    coordinate),
+
+        r_a = (d_a^2 - 3t) / (2 sqrt(d_a^2 - t)),  or 0 where d_a^2 <= 3t,
+
+    so coincident hypotheses are never certified, and r_a = inf for the one
+    hypothesis of a 1-point system.  Why this is exact: t bounds the
+    rounding of d_a^2, so the true distance D is at least sqrt(d_a^2 - t).
+    For |n| < r, every other hypothesis's residual exceeds the sent one's
+    by D^2 - 2 D |n| > t, and t also bounds the rounding of the two expanded
+    scores compared, each within gamma_4M * (2 |y| |s| + |s|^2) + 5 units
+    of rounding, |y| <= 2 sqrt(max E).  The last t / (2 sqrt(d_a^2 - t)) of
+    the radius covers the rounding of the frame and of the test
+    |n|^2 < r^2.  Each of these worst-case roundings is at most a tenth of
+    the slack it is charged to.
+    """
+    gram = clean.conj() @ clean.T
+    energy = gram.real.diagonal()
+    # Largest Re <s, s'> over every other hypothesis s' = c_b * x_q.
+    best = np.where(np.eye(len(gram), dtype=bool), -np.inf, gram.real)
+    for w in points[1:] * points[0].conjugate():
+        np.maximum(best, w.real * gram.real - w.imag * gram.imag, out=best)
+    d2 = np.min(energy[:, None] + energy[None, :] - 2.0 * best, axis=1)
+    slack = 2.0**-46 * (2 * clean.shape[1]) * energy.max()
+    lo = d2 - slack
+    radius = np.where(np.isinf(lo), np.inf, 0.0)
+    fits = np.isfinite(lo) & (lo > 2.0 * slack)
+    radius[fits] = (lo[fits] - 2.0 * slack) / (2.0 * np.sqrt(lo[fits]))
+    return radius
+
+
 def _demodulate(frame: np.ndarray, tensor: ChannelTensor, rho: float, rule: str) -> OamSymbol:
     """Decide one frame by the batched ``rule``.  The frame and rho are
     checked here, not in ``_detector``, so batched trials pay nothing."""
@@ -261,7 +329,8 @@ def demodulate_ml(frame: np.ndarray, tensor: ChannelTensor, rho: float) -> OamSy
 
 @dataclass(frozen=True)
 class BerReport:
-    """Monte Carlo error rates with binomial standard errors."""
+    """Monte Carlo error rates, each with the standard error of the mean of
+    its per-trial count (binomial for the 0/1 stage and symbol errors)."""
 
     trials: int
     bits_per_symbol: int
@@ -278,8 +347,13 @@ class BerReport:
     seed: int
 
 
-def _binomial_stderr(p: float, n: int) -> float:
-    return math.sqrt(max(p * (1.0 - p), 0.0) / n)
+def _stderr(total: int, squares: int, n: int, scale: int = 1) -> float:
+    """Standard error of the mean of n per-trial error counts over ``scale``,
+    from their sum and sum of squares.  For 0/1 counts (squares == total)
+    this is the binomial sqrt(p (1 - p) / n), bit for bit."""
+    p = total / n
+    var = p * (squares / total - p) if total else 0.0
+    return math.sqrt(max(var, 0.0) / n) / scale
 
 
 _CHUNK = 8192
@@ -299,17 +373,29 @@ def simulate_ber(
     with complex Gaussian noise at the configured noise power, and detected
     with the requested detector.  Chunk i of 8192 trials draws from Philox
     substream (seed, 0xBE7, i): the antenna, state and point indices, then
-    the noise.  ML draws the full (2, n, M, 2) noise of its frames; stepwise
-    draws (2, n, M) for the first-antenna samples, decides the antenna, then
-    draws (2, n) for the decided pair's second sample (module docstring), so
-    its error counts are exact in distribution but not in draw-for-draw
-    agreement with a full-frame draw.  Results are deterministic in
+    the noise.  ML draws the full (2, n, M, 2) noise of its frames; a trial
+    whose noise is inside the certificate radius of its codeword
+    (``_ml_radii``) is counted as decided correctly, and only the others are
+    built and scored, which gives the same counts as scoring every trial.
+    The gather of the uncertified trials is skipped, and every trial scored,
+    when fewer than a quarter are certified.  Stepwise draws (2, n, M) for
+    the first-antenna samples, decides the antenna, then draws (2, n) for the
+    decided pair's second sample (module docstring), so its error counts are
+    exact in distribution but not in draw-for-draw agreement with a
+    full-frame draw.  Results are deterministic in
     (config, snr_db, trials, seed, detector).
+
+    Each standard error is that of the mean of a per-trial count: the bits
+    of one codeword err together, so the bit rate's comes from the variance
+    of the per-trial bit-error count, not from trials * bits independent
+    bits.  ``tensor``, when given, must have the config's antennas and
+    states (ConfigError otherwise).
     """
     require("trials", trials, "a positive integer")
     require("detector", detector, _DETECTORS, ConfigError)
     if tensor is None:
         tensor = build_channel_tensor(config)
+    _check_tensor(tensor, config)
     const = config.constellation()
     smap = SymbolMap(config.tx_antennas, config.oam_states, const)
     rho = config.rho_for_snr_db(snr_db)
@@ -325,24 +411,39 @@ def simulate_ber(
     first_table = np.ascontiguousarray(clean[:, :, 0])
     second_table = clean[:, :, 1].reshape(-1)
 
-    bit_errors = ant_errors = state_errors = sym_errors = 0
+    if detector == "ml":
+        # A trial whose noise has sum(z^2) < (r / sigma)^2 for its codeword's
+        # certificate radius r is decided correctly (``_ml_radii``).
+        cert_energy = (decide.radius / sigma) ** 2
+
+    bit_errors = bit_squares = ant_errors = state_errors = sym_errors = 0
     for _, n, rng in _chunks(trials, _CHUNK, seed, 0xBE7):
         m_idx = rng.integers(0, M, size=n)
         l_idx = rng.integers(0, n_states, size=n)
         p_idx = rng.integers(0, P, size=n)
+        rows, x = m_idx * n_states + l_idx, points[p_idx]
         if detector == "ml":
-            y = _frames(clean, m_idx * n_states + l_idx, points[p_idx], sigma, rng)
-            m_hat, l_hat, p_hat = decide(y)
-            # Release the frames before the next chunk's noise is drawn.
-            del y
+            noise = rng.standard_normal((2, n, M, 2))
+            live = np.einsum("ankc,ankc->n", noise, noise) >= cert_energy[rows]
+            if 4 * np.count_nonzero(live) <= 3 * n:
+                # Only the uncertified trials are built and scored; the
+                # certified ones add no error.  Below a quarter certified,
+                # the gather would cost more than the scoring it saves.
+                keep = np.flatnonzero(live)
+                noise = noise.take(keep, axis=1)
+                rows, x, m_idx, l_idx, p_idx = (a.take(keep) for a in (rows, x, m_idx, l_idx, p_idx))
+            noise *= sigma
+            m_hat, l_hat, p_hat = decide(_frames(clean, rows, x, noise))
+            # Release the noise before the next chunk's is drawn.
+            del noise
         else:
-            rows, x = m_idx * n_states + l_idx, points[p_idx]
-            first = _frames(first_table, rows, x, sigma, rng)
+            first = _frames(first_table, rows, x, _noise(rng, (n, M), sigma))
             m_hat = decide.antenna(first)
-            second = _frames(second_table, rows * M + m_hat, x, sigma, rng)
+            second = _frames(second_table, rows * M + m_hat, x, _noise(rng, (n,), sigma))
             first = first.reshape(-1).take(np.arange(n) * M + m_hat)
             l_hat, p_hat = decide.pair(first, second, m_hat)
-            del rows, x, first, second
+            del first, second
+        del rows, x
 
         ant_err = m_hat != m_idx
         st_err = l_hat != l_idx
@@ -350,9 +451,12 @@ def simulate_ber(
         state_errors += int(np.count_nonzero(st_err))
         sym_errors += int(np.count_nonzero(ant_err | st_err | (p_hat != p_idx)))
         xor = smap.word(m_idx, l_idx, p_idx) ^ smap.word(m_hat, l_hat, p_hat)
+        per_trial = np.zeros(len(xor), dtype=np.int64)
         for _ in range(0, smap.bits_per_symbol, 8):
-            bit_errors += int(np.sum(_POPCOUNT[xor & 0xFF]))
+            per_trial += _POPCOUNT[xor & 0xFF]
             xor >>= 8
+        bit_errors += int(per_trial.sum())
+        bit_squares += int(per_trial @ per_trial)
 
     total_bits = trials * max(smap.bits_per_symbol, 1)
     ber = bit_errors / total_bits if smap.bits_per_symbol else 0.0
@@ -363,13 +467,13 @@ def simulate_ber(
         trials=trials,
         bits_per_symbol=smap.bits_per_symbol,
         bit_error_rate=ber,
-        bit_error_stderr=_binomial_stderr(ber, total_bits),
+        bit_error_stderr=_stderr(bit_errors, bit_squares, trials, max(smap.bits_per_symbol, 1)),
         antenna_error_rate=p_ant,
-        antenna_error_stderr=_binomial_stderr(p_ant, trials),
+        antenna_error_stderr=_stderr(ant_errors, ant_errors, trials),
         state_error_rate=p_state,
-        state_error_stderr=_binomial_stderr(p_state, trials),
+        state_error_stderr=_stderr(state_errors, state_errors, trials),
         symbol_error_rate=p_sym,
-        symbol_error_stderr=_binomial_stderr(p_sym, trials),
+        symbol_error_stderr=_stderr(sym_errors, sym_errors, trials),
         detector=detector,
         snr_db=float(snr_db),
         seed=int(seed),

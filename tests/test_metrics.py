@@ -662,6 +662,13 @@ class TestAbep:
         with pytest.raises(ValueError):
             abep(SystemConfig(tx_antennas=1, constellation_order=1), rho)
 
+    @pytest.mark.parametrize("other", [{"tx_antennas": 8}, {"oam_states": (-1, 1)}])
+    def test_rejects_tensor_of_another_config(self, default_config, other):
+        # A tensor of 8 antennas used to be read as if it had 4.
+        tensor = build_channel_tensor(dataclasses.replace(default_config, **other))
+        with pytest.raises(ConfigError, match="tensor"):
+            abep(default_config, default_config.rho_for_snr_db(10.0), tensor=tensor)
+
     def test_constellation_stage_once_per_distinct_gain(self, default_config, default_tensor, monkeypatch):
         # Every in-ring entry of the default tensor has the same |h|.
         calls = []

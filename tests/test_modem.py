@@ -9,6 +9,7 @@ import pytest
 
 from oamsm import (
     BerReport,
+    ChannelTensor,
     ConfigError,
     Constellation,
     SymbolMap,
@@ -128,6 +129,13 @@ class TestTransmit:
         assert np.array_equal(f1, f2)
 
 
+def hypotheses(tensor, rho):
+    """(H, M, 2) clean frames of every (m, l, p) hypothesis, in flat order."""
+    points = np.asarray(tensor.config.constellation().points)
+    M = tensor.entries.shape[0]
+    return (math.sqrt(rho) * tensor.entries[:, :, None] * points[None, None, :, None, None]).reshape(-1, M, 2)
+
+
 def reference_decisions(config, tensor, y, rho, detector):
     """0-based (antenna, state, point) indices of each (M, 2) frame in ``y``,
     decided in one block by the rule written out here, apart from the
@@ -138,7 +146,7 @@ def reference_decisions(config, tensor, y, rho, detector):
     n_states, P = states.size, points.size
     sqrt_rho = math.sqrt(rho)
     if detector == "ml":
-        hyp = (sqrt_rho * tensor.entries[:, :, None] * points[None, None, :, None, None]).reshape(-1, M, 2)
+        hyp = hypotheses(tensor, rho)
         flat = np.argmin(np.sum(np.abs(y[:, None] - hyp[None]) ** 2, axis=(2, 3)), axis=1)
         return flat // (n_states * P), (flat // P) % n_states, flat % P
     in_ring = tensor.entries[np.arange(M), :, np.arange(M), 0]
@@ -292,7 +300,7 @@ def unblocked_ber(config, tensor, snr_db, trials, seed, detector, rows=None, ful
     gray = np.asarray([int(lbl, 2) if lbl else 0 for lbl in const.bit_labels])
     rho = config.rho_for_snr_db(snr_db)
     sigma = math.sqrt(config.noise_power_w / 2.0)
-    errors = np.zeros(4, dtype=np.int64)  # bits, antenna, state, symbol
+    errors = np.zeros(5, dtype=np.int64)  # bits, antenna, state, symbol, sum of squared bit errors
     for chunk, lo in enumerate(range(0, trials, 8192)):
         n = min(8192, trials - lo)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(seed, 0xBE7, chunk))))
@@ -311,11 +319,13 @@ def unblocked_ber(config, tensor, snr_db, trials, seed, detector, rows=None, ful
         blocks = [reference_decisions(config, tensor, y[i : i + step], rho, detector) for i in range(0, n, step)]
         m_hat, l_hat, p_hat = (np.concatenate(parts) for parts in zip(*blocks))
         xor = (m_idx ^ m_hat) << (s_bits + p_bits) | (l_idx ^ l_hat) << p_bits | (gray[p_idx] ^ gray[p_hat])
+        per_trial = [bin(int(v)).count("1") for v in xor]
         errors += [
-            sum(bin(int(v)).count("1") for v in xor),
+            sum(per_trial),
             np.count_nonzero(m_hat != m_idx),
             np.count_nonzero(l_hat != l_idx),
             np.count_nonzero((m_hat != m_idx) | (l_hat != l_idx) | (p_hat != p_idx)),
+            sum(e * e for e in per_trial),
         ]
     return errors, trials * bits
 
@@ -324,9 +334,13 @@ def reference_report(config, tensor, snr_db, trials, seed, detector, rows=None):
     """The ``BerReport`` that ``simulate_ber`` must return, built from the
     error counts of ``unblocked_ber``."""
     errors, total_bits = unblocked_ber(config, tensor, snr_db, trials, seed, detector, rows)
-    rates = [errors[0] / total_bits, *(e / trials for e in errors[1:])]
+    rates = [errors[0] / total_bits, *(e / trials for e in errors[1:4])]
     counts = [total_bits, trials, trials, trials]
     se = [math.sqrt(r * (1 - r) / c) for r, c in zip(rates, counts)]
+    # The bit rate's error is that of the mean of the per-trial bit-error
+    # counts, whose bits err together; it is binomial only for 1-bit words.
+    bits, mean = total_bits // trials, errors[0] / trials
+    se[0] = math.sqrt(max(mean * (errors[4] / errors[0] - mean), 0.0) / trials) / bits if errors[0] else 0.0
     return BerReport(
         trials=trials,
         bits_per_symbol=total_bits // trials,
@@ -421,26 +435,7 @@ class TestSimulateBer:
         # 9000 trials span two 8192-trial chunks; the ML argmin runs in row
         # blocks inside each chunk and must decide exactly as one block does.
         rep = simulate_ber(default_config, snr, 9000, 23, detector, tensor=default_tensor)
-        (bit_err, ant_err, st_err, sym_err), total_bits = unblocked_ber(
-            default_config, default_tensor, snr, 9000, 23, detector
-        )
-        rates = [bit_err / total_bits, ant_err / 9000, st_err / 9000, sym_err / 9000]
-        counts = [total_bits, 9000, 9000, 9000]
-        assert rep == BerReport(
-            trials=9000,
-            bits_per_symbol=total_bits // 9000,
-            bit_error_rate=rates[0],
-            bit_error_stderr=math.sqrt(rates[0] * (1 - rates[0]) / counts[0]),
-            antenna_error_rate=rates[1],
-            antenna_error_stderr=math.sqrt(rates[1] * (1 - rates[1]) / counts[1]),
-            state_error_rate=rates[2],
-            state_error_stderr=math.sqrt(rates[2] * (1 - rates[2]) / counts[2]),
-            symbol_error_rate=rates[3],
-            symbol_error_stderr=math.sqrt(rates[3] * (1 - rates[3]) / counts[3]),
-            detector=detector,
-            snr_db=snr,
-            seed=23,
-        )
+        assert rep == reference_report(default_config, default_tensor, snr, 9000, 23, detector)
 
     @pytest.mark.parametrize("name", ["default", "m8", "tiny"])
     @pytest.mark.parametrize("snr", [-10.0, 0.0, 10.0, 40.0])
@@ -481,9 +476,9 @@ class TestSimulateBer:
     def test_stepwise_draw_matches_full_frame_draw_in_distribution(self, request, name, snr):
         # Stepwise draws only the noise its rule reads; the unread noise is
         # independent of what it reads, so the error rates must agree with
-        # the full-frame draw's on independent seeds.  The bit rate's binomial
-        # error is up to 1.4x too small (the bits of one codeword err
-        # together), so its bound of 4 is about 3 true standard errors.
+        # the full-frame draw's on independent seeds.  The full-frame side's
+        # bit error is taken as binomial here, up to 1.4x too small (the bits
+        # of one codeword err together), so the bound of 4 allows for it.
         cfg = {
             "tiny": request.getfixturevalue("tiny_config"),
             "default": SystemConfig(),
@@ -597,3 +592,128 @@ class TestSimulateBer:
         # 2.5 raised a bare TypeError.
         with pytest.raises(ValueError, match=f"trials must be a positive integer, got {trials}"):
             simulate_ber(default_config, 0.0, trials, 1, "stepwise", tensor=default_tensor)
+
+    def test_bit_stderr_matches_seed_spread(self, default_config, default_tensor):
+        # The bits of one codeword err together, so the bit rate's error is
+        # that of the per-trial bit-error count; the binomial form over
+        # trials * bits read 1.24x (stepwise) and 1.69x (ML) below the
+        # spread of 200 seeds here.  The spread of 200 draws estimates its
+        # own standard deviation to about 5 %, so 0.15 is 3 of those.
+        for detector in ("stepwise", "ml"):
+            reps = [
+                simulate_ber(default_config, 10.0, 2000, seed, detector, tensor=default_tensor)
+                for seed in range(1000, 1200)
+            ]
+            spread = np.std([r.bit_error_rate for r in reps], ddof=1)
+            assert spread / np.mean([r.bit_error_stderr for r in reps]) == pytest.approx(1.0, abs=0.15)
+
+    @pytest.mark.parametrize("other", [{"tx_antennas": 8}, {"oam_states": (-1, 1)}])
+    def test_rejects_tensor_of_another_config(self, default_config, other):
+        # An 8-antenna tensor died in a bare "cannot reshape array of size
+        # 1024 into shape (32,4,2)".
+        tensor = build_channel_tensor(dataclasses.replace(default_config, **other))
+        with pytest.raises(ConfigError, match="tensor"):
+            simulate_ber(default_config, 10.0, 2000, 1, "ml", tensor=tensor)
+
+
+def named_config(request, name):
+    return {
+        "default": SystemConfig(),
+        "m8": dataclasses.replace(SystemConfig(), tx_antennas=8),
+        "psk16": SystemConfig(constellation_order=16),
+        "tiny": request.getfixturevalue("tiny_config"),
+        "short_range": request.getfixturevalue("short_range_config"),
+    }[name]
+
+
+class TestCertifiedMl:
+    """ML trials whose noise lies inside the certificate radius of the sent
+    hypothesis are counted as correct without being scored."""
+
+    @pytest.mark.parametrize("trials", [9000, 8192])
+    @pytest.mark.parametrize("snr", [20.0, 30.0, 60.0, 80.0])
+    @pytest.mark.parametrize("name", ["default", "m8", "psk16", "tiny", "short_range"])
+    def test_matches_direct_residual_where_certificates_fire(self, request, name, snr, trials):
+        # 9000 trials span two chunks, 8192 fill one.
+        cfg = named_config(request, name)
+        tensor = build_channel_tensor(cfg)
+        rep = simulate_ber(cfg, snr, trials, 43, "ml", tensor=tensor)
+        assert rep == reference_report(cfg, tensor, snr, trials, 43, "ml", rows=256)
+
+    @pytest.mark.parametrize("name", ["default", "m8", "psk16", "tiny", "short_range"])
+    def test_radius_is_sound_in_the_worst_direction(self, request, name):
+        # Noise of norm just under r_h, pointed at the nearest other
+        # hypothesis, still decides h; noise just past half the distance
+        # to it is not certified, and the direct residual then leaves h.
+        cfg = named_config(request, name)
+        tensor = build_channel_tensor(cfg)
+        rho = cfg.rho_for_snr_db(20.0)
+        decide = modem._detector(tensor, rho, "ml")
+        hyp = hypotheses(tensor, rho)
+        H = len(hyp)
+        shape = (cfg.tx_antennas, len(tensor.states), cfg.constellation_order)
+        flat = hyp.reshape(H, -1)
+        nearest = np.empty(H, dtype=np.intp)
+        half = np.empty(H)
+        for h in range(H):
+            dist = np.linalg.norm(flat - flat[h], axis=1)
+            dist[h] = np.inf
+            nearest[h] = np.argmin(dist)
+            half[h] = dist[nearest[h]] / 2
+        radius = np.repeat(decide.radius, cfg.constellation_order)
+        assert np.all(radius < half)
+        # Not vacuous: the slack is far below the radius.
+        assert np.all(radius > half * (1 - 1e-9))
+        toward = (hyp[nearest] - hyp) / (2 * half)[:, None, None]
+
+        y = hyp + (radius * (1 - 1e-12))[:, None, None] * toward
+        assert np.array_equal(np.ravel_multi_index(decide(y), shape), np.arange(H))
+        direct = reference_decisions(cfg, tensor, y, rho, "ml")
+        assert np.array_equal(np.ravel_multi_index(direct, shape), np.arange(H))
+
+        past = half * (1 + 1e-6)
+        assert np.all(past**2 >= radius**2)
+        direct = reference_decisions(cfg, tensor, hyp + past[:, None, None] * toward, rho, "ml")
+        assert np.all(np.ravel_multi_index(direct, shape) != np.arange(H))
+
+    def test_coincident_frames_are_never_certified(self, default_config, default_tensor):
+        # Antenna 2 sends state index 0 exactly as antenna 1 does: their
+        # hypotheses coincide, so both get radius 0, and the direct
+        # residual's lowest-index tie break still holds.
+        entries = default_tensor.entries.copy()
+        entries[1, 0] = entries[0, 0]
+        tensor = ChannelTensor(entries=entries, states=default_tensor.states, config=default_config)
+        n_states = len(tensor.states)
+        for snr in (30.0, 60.0):
+            radius = modem._detector(tensor, default_config.rho_for_snr_db(snr), "ml").radius
+            assert radius[0] == radius[n_states] == 0.0
+            assert np.all(np.delete(radius, [0, n_states]) > 0.0)
+            rep = simulate_ber(default_config, snr, 9000, 47, "ml", tensor=tensor)
+            assert rep == reference_report(default_config, tensor, snr, 9000, 47, "ml")
+            assert rep.antenna_error_rate > 0.0
+
+    @pytest.mark.parametrize("snr, scored", [(60.0, 0), (-300.0, 9000)])
+    def test_decide_scores_only_uncertified_trials(self, default_config, default_tensor, monkeypatch, snr, scored):
+        seen = []
+        real = modem._detector
+
+        def counting(*args):
+            decide = real(*args)
+
+            def wrapped(y):
+                seen.append(len(y))
+                return decide(y)
+
+            wrapped.radius = decide.radius
+            return wrapped
+
+        monkeypatch.setattr(modem, "_detector", counting)
+        simulate_ber(default_config, snr, 9000, 5, "ml", tensor=default_tensor)
+        assert sum(seen) == scored
+
+    def test_single_hypothesis_certifies_every_trial(self):
+        cfg = dataclasses.replace(SystemConfig(), tx_antennas=1, oam_states=(1,), constellation_order=1)
+        tensor = build_channel_tensor(cfg)
+        assert modem._detector(tensor, 1.0, "ml").radius.tolist() == [math.inf]
+        rep = simulate_ber(cfg, 0.0, 100, 3, "ml", tensor=tensor)
+        assert rep.symbol_error_rate == 0.0
