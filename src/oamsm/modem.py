@@ -29,10 +29,22 @@ to the sent hypothesis than half that hypothesis's distance to its nearest
 other one lies in its decision region (bounded-distance decoding; Agrell,
 Eriksson, Vardy & Zeger, IEEE Trans. IT 2002).  ``_ml_radii`` shrinks that
 half-distance by a slack that covers every rounding of the radius, the
-frame and the expanded score, so a trial whose drawn noise is inside it is
-one the scoring would decide correctly: it is counted as such, and only
-the other trials are built into frames and scored.  The reports are the
-same as scoring every trial, to the last bit.
+frame and the expanded score, so a trial whose noise is inside it is one
+the scoring would decide correctly: it is counted as such without being
+scored.  ML draws its noise by one of two samplers, chosen once per run:
+
+- the radius draw, when ``_ml_certified_fraction`` predicts that at least
+  a quarter of the trials certify: each trial draws its noise energy
+  |z|^2 ~ chi2(4M) alone, and only the trials it leaves uncertified draw a
+  (2, M, 2) standard-normal direction, rescaled to norm sigma * |z|, and
+  are built and scored.  The norm and the direction of isotropic Gaussian
+  noise are independent (Muller, CACM 1959), so the counts are exact in
+  distribution, and a certified trial costs one chi2 variate, not 4M
+  normals.
+- the direct draw, below a quarter: the full (2, n, M, 2) noise of every
+  trial, and every trial scored.  Certifying would change no count, and
+  there the radius draw's chi2 variates cost more than the normals they
+  save.
 """
 
 from __future__ import annotations
@@ -45,7 +57,7 @@ import numpy as np
 from .channel import ChannelTensor, _check_tensor, build_channel_tensor
 from .config import _DETECTORS, SystemConfig, _check_symbol_axes, _state
 from .errors import ConfigError, require
-from .numerics import Constellation, _chunks
+from .numerics import Constellation, _chunks, _poisson_pmf_dot
 
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.int64)
 
@@ -199,9 +211,7 @@ def _detector(tensor: ChannelTensor, rho: float, rule: str):
       product per block of the frames' float view (interleaved Re, Im)
       against a (4M, H) basis built once, plus the H energies.  The expanded
       form can change a decision only where two residuals agree to within
-      rounding of |y|^2 + |s_h|^2.  ``decide.radius`` is the (M * L,)
-      certificate table of ``_ml_radii``, indexed m * L + l: a frame s_h + n
-      with |n| < r of h's (m, l) is decided h, whatever its point.
+      rounding of |y|^2 + |s_h|^2.
     """
     M, n_states = tensor.entries.shape[:2]
     points = np.asarray(tensor.config.constellation().points)
@@ -227,7 +237,6 @@ def _detector(tensor: ChannelTensor, rho: float, rule: str):
                 flat[lo : lo + rows] = np.argmin(score, axis=1)
             return np.unravel_index(flat, (M, n_states, points.size))
 
-        decide.radius = _ml_radii(clean, points)
         return decide
 
     beta_l = tensor.config.beta_value * np.asarray(tensor.states, dtype=float)
@@ -284,9 +293,10 @@ def _ml_radii(clean: np.ndarray, points: np.ndarray) -> np.ndarray:
     by D^2 - 2 D |n| > t, and t also bounds the rounding of the two expanded
     scores compared, each within gamma_4M * (2 |y| |s| + |s|^2) + 5 units
     of rounding, |y| <= 2 sqrt(max E).  The last t / (2 sqrt(d_a^2 - t)) of
-    the radius covers the rounding of the frame and of the test
-    |n|^2 < r^2.  Each of these worst-case roundings is at most a tenth of
-    the slack it is charged to.
+    the radius covers the rounding of the frame, of the test |n|^2 < r^2
+    and, on the radius draw, of the rescaled direction's norm.  Each of
+    these worst-case roundings is at most a tenth of the slack it is
+    charged to.
     """
     gram = clean.conj() @ clean.T
     energy = gram.real.diagonal()
@@ -301,6 +311,23 @@ def _ml_radii(clean: np.ndarray, points: np.ndarray) -> np.ndarray:
     fits = np.isfinite(lo) & (lo > 2.0 * slack)
     radius[fits] = (lo[fits] - 2.0 * slack) / (2.0 * np.sqrt(lo[fits]))
     return radius
+
+
+def _ml_certified_fraction(cert_energy: np.ndarray, n_antennas: int) -> float:
+    """Predicted share of ML trials that certify: the mean over the rows of
+    P(|z|^2 < t) for |z|^2 ~ chi2(4M) and t = ``cert_energy``, that is
+    1 - P(Poisson(t / 2) < 2M).  A row of t = 0 (coincident frames) gives 0,
+    and one of t = inf (a single hypothesis) gives 1."""
+    half = np.asarray(cert_energy, dtype=float) / 2.0
+    cdf = np.where(np.isinf(half), 1.0, 0.0)
+    mid = np.isfinite(half) & (half > 0.0)
+    cdf[mid] = 1.0 - _poisson_pmf_dot(np.ones(2 * n_antennas), half[mid])
+    return float(cdf.mean())
+
+
+# The radius draw pays once this share of ML trials certify; below it the
+# chi2 variates cost more than the normals they save.
+_RADIUS_DRAW_SHARE = 0.25
 
 
 def _demodulate(frame: np.ndarray, tensor: ChannelTensor, rho: float, rule: str) -> OamSymbol:
@@ -373,16 +400,19 @@ def simulate_ber(
     with complex Gaussian noise at the configured noise power, and detected
     with the requested detector.  Chunk i of 8192 trials draws from Philox
     substream (seed, 0xBE7, i): the antenna, state and point indices, then
-    the noise.  ML draws the full (2, n, M, 2) noise of its frames; a trial
-    whose noise is inside the certificate radius of its codeword
-    (``_ml_radii``) is counted as decided correctly, and only the others are
-    built and scored, which gives the same counts as scoring every trial.
-    The gather of the uncertified trials is skipped, and every trial scored,
-    when fewer than a quarter are certified.  Stepwise draws (2, n, M) for
-    the first-antenna samples, decides the antenna, then draws (2, n) for the
-    decided pair's second sample (module docstring), so its error counts are
-    exact in distribution but not in draw-for-draw agreement with a
-    full-frame draw.  Results are deterministic in
+    the noise.  ML draws its noise by one of two samplers (module
+    docstring), chosen once per run: the radius draw when
+    ``_ml_certified_fraction`` predicts that at least a quarter of the
+    trials certify, else the direct draw.  The radius draw takes one
+    chi2(4M) energy per trial; a trial whose energy is inside the
+    certificate radius of its codeword (``_ml_radii``) is counted as decided
+    correctly, and only the others draw a (2, k, M, 2) direction and are
+    built and scored.  The direct draw takes the full (2, n, M, 2) noise and
+    scores every trial.  Either is exact in distribution.  Stepwise draws
+    (2, n, M) for the first-antenna samples, decides the antenna, then draws
+    (2, n) for the decided pair's second sample (module docstring), so its
+    error counts are exact in distribution but not in draw-for-draw
+    agreement with a full-frame draw.  Results are deterministic in
     (config, snr_db, trials, seed, detector).
 
     Each standard error is that of the mean of a per-trial count: the bits
@@ -412,9 +442,10 @@ def simulate_ber(
     second_table = clean[:, :, 1].reshape(-1)
 
     if detector == "ml":
-        # A trial whose noise has sum(z^2) < (r / sigma)^2 for its codeword's
+        # A trial whose noise has |z|^2 < (r / sigma)^2 for its codeword's
         # certificate radius r is decided correctly (``_ml_radii``).
-        cert_energy = (decide.radius / sigma) ** 2
+        cert_energy = (_ml_radii(clean.reshape(M * n_states, 2 * M), points) / sigma) ** 2
+        radius_draw = _ml_certified_fraction(cert_energy, M) >= _RADIUS_DRAW_SHARE
 
     bit_errors = bit_squares = ant_errors = state_errors = sym_errors = 0
     for _, n, rng in _chunks(trials, _CHUNK, seed, 0xBE7):
@@ -423,16 +454,17 @@ def simulate_ber(
         p_idx = rng.integers(0, P, size=n)
         rows, x = m_idx * n_states + l_idx, points[p_idx]
         if detector == "ml":
-            noise = rng.standard_normal((2, n, M, 2))
-            live = np.einsum("ankc,ankc->n", noise, noise) >= cert_energy[rows]
-            if 4 * np.count_nonzero(live) <= 3 * n:
-                # Only the uncertified trials are built and scored; the
-                # certified ones add no error.  Below a quarter certified,
-                # the gather would cost more than the scoring it saves.
-                keep = np.flatnonzero(live)
-                noise = noise.take(keep, axis=1)
+            if radius_draw:
+                # |z|^2 first; only the uncertified trials draw a direction
+                # and are built and scored.  The certified ones add no error.
+                energy = rng.chisquare(4 * M, size=n)
+                keep = np.flatnonzero(energy >= cert_energy[rows])
+                noise = rng.standard_normal((2, keep.size, M, 2))
+                norm2 = np.einsum("ankc,ankc->n", noise, noise)
+                noise *= (sigma * np.sqrt(energy.take(keep) / norm2))[:, None, None]
                 rows, x, m_idx, l_idx, p_idx = (a.take(keep) for a in (rows, x, m_idx, l_idx, p_idx))
-            noise *= sigma
+            else:
+                noise = _noise(rng, (n, M, 2), sigma)
             m_hat, l_hat, p_hat = decide(_frames(clean, rows, x, noise))
             # Release the noise before the next chunk's is drawn.
             del noise

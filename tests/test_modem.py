@@ -3,9 +3,11 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from oamsm import (
     BerReport,
@@ -134,6 +136,13 @@ def hypotheses(tensor, rho):
     points = np.asarray(tensor.config.constellation().points)
     M = tensor.entries.shape[0]
     return (math.sqrt(rho) * tensor.entries[:, :, None] * points[None, None, :, None, None]).reshape(-1, M, 2)
+
+
+def ml_radii(tensor, rho):
+    """``modem._ml_radii`` of the tensor's clean frames, indexed m * L + l."""
+    M, n_states = tensor.entries.shape[:2]
+    points = np.asarray(tensor.config.constellation().points)
+    return modem._ml_radii(math.sqrt(rho) * tensor.entries.reshape(M * n_states, 2 * M), points)
 
 
 def reference_decisions(config, tensor, y, rho, detector):
@@ -285,11 +294,16 @@ def unblocked_ber(config, tensor, snr_db, trials, seed, detector, rows=None, ful
     block by ``reference_decisions``, or in slices of ``rows`` frames where
     one block's residual would not fit in memory.
 
-    ML draws the whole (2, n, M, 2) frame noise.  Stepwise draws the (2, n, M)
-    first-antenna noise, decides the antenna by the reference rule, then
-    draws (2, n) for the decided pair's second sample; the other second
-    samples stay noiseless, as the rule never reads them.  ``full_draw``
-    gives stepwise the ML draw instead: the same distribution, other draws.
+    ML takes the radius draw where the chi2 cdf predicts that at least a
+    quarter of the trials certify: one chi2(4M) energy per trial, then the
+    (2, k, M, 2) directions of the k trials it leaves uncertified, rescaled
+    to that norm and scored; the certified trials are counted as decided
+    correctly.  Elsewhere ML draws the whole (2, n, M, 2) frame noise.
+    Stepwise draws the (2, n, M) first-antenna noise, decides the antenna by
+    the reference rule, then draws (2, n) for the decided pair's second
+    sample; the other second samples stay noiseless, as the rule never reads
+    them.  ``full_draw`` gives either rule the whole frame noise instead: the
+    same distribution, other draws.
     """
     const = config.constellation()
     points = np.asarray(const.points)
@@ -300,6 +314,8 @@ def unblocked_ber(config, tensor, snr_db, trials, seed, detector, rows=None, ful
     gray = np.asarray([int(lbl, 2) if lbl else 0 for lbl in const.bit_labels])
     rho = config.rho_for_snr_db(snr_db)
     sigma = math.sqrt(config.noise_power_w / 2.0)
+    cert_energy = (ml_radii(tensor, rho) / sigma) ** 2
+    radius_draw = detector == "ml" and not full_draw and chi2.cdf(cert_energy, 4 * M).mean() >= 0.25
     errors = np.zeros(5, dtype=np.int64)  # bits, antenna, state, symbol, sum of squared bit errors
     for chunk, lo in enumerate(range(0, trials, 8192)):
         n = min(8192, trials - lo)
@@ -307,17 +323,26 @@ def unblocked_ber(config, tensor, snr_db, trials, seed, detector, rows=None, ful
         m_idx = rng.integers(0, M, size=n)
         l_idx = rng.integers(0, n_states, size=n)
         p_idx = rng.integers(0, P, size=n)
-        if detector == "ml" or full_draw:
-            noise = sigma * (rng.standard_normal((n, M, 2)) + 1j * rng.standard_normal((n, M, 2)))
-            y = math.sqrt(rho) * tensor.entries[m_idx, l_idx] * points[p_idx][:, None, None] + noise
+        sent = math.sqrt(rho) * tensor.entries[m_idx, l_idx] * points[p_idx][:, None, None]
+        live = np.ones(n, dtype=bool)
+        if radius_draw:
+            energy = rng.chisquare(4 * M, size=n)
+            live = energy >= cert_energy[m_idx * n_states + l_idx]
+            d = rng.standard_normal((2, np.count_nonzero(live), M, 2))
+            scale = sigma * np.sqrt(energy[live] / np.sum(d**2, axis=(0, 2, 3)))
+            y = sent[live] + scale[:, None, None] * (d[0] + 1j * d[1])
+        elif detector == "ml" or full_draw:
+            y = sent + sigma * (rng.standard_normal((n, M, 2)) + 1j * rng.standard_normal((n, M, 2)))
         else:
-            y = math.sqrt(rho) * tensor.entries[m_idx, l_idx] * points[p_idx][:, None, None]
+            y = sent
             y[:, :, 0] += sigma * (rng.standard_normal((n, M)) + 1j * rng.standard_normal((n, M)))
             m_hat = reference_decisions(config, tensor, y, rho, detector)[0]
             y[np.arange(n), m_hat, 1] += sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        step = rows or n
-        blocks = [reference_decisions(config, tensor, y[i : i + step], rho, detector) for i in range(0, n, step)]
-        m_hat, l_hat, p_hat = (np.concatenate(parts) for parts in zip(*blocks))
+        step = rows or max(len(y), 1)
+        blocks = [reference_decisions(config, tensor, y[i : i + step], rho, detector) for i in range(0, len(y), step)]
+        m_hat, l_hat, p_hat = m_idx.copy(), l_idx.copy(), p_idx.copy()
+        for decided, parts in zip((m_hat, l_hat, p_hat), zip(*blocks)):
+            decided[live] = np.concatenate(parts)
         xor = (m_idx ^ m_hat) << (s_bits + p_bits) | (l_idx ^ l_hat) << p_bits | (gray[p_idx] ^ gray[p_hat])
         per_trial = [bin(int(v)).count("1") for v in xor]
         errors += [
@@ -330,10 +355,10 @@ def unblocked_ber(config, tensor, snr_db, trials, seed, detector, rows=None, ful
     return errors, trials * bits
 
 
-def reference_report(config, tensor, snr_db, trials, seed, detector, rows=None):
+def reference_report(config, tensor, snr_db, trials, seed, detector, rows=None, full_draw=False):
     """The ``BerReport`` that ``simulate_ber`` must return, built from the
     error counts of ``unblocked_ber``."""
-    errors, total_bits = unblocked_ber(config, tensor, snr_db, trials, seed, detector, rows)
+    errors, total_bits = unblocked_ber(config, tensor, snr_db, trials, seed, detector, rows, full_draw)
     rates = [errors[0] / total_bits, *(e / trials for e in errors[1:4])]
     counts = [total_bits, trials, trials, trials]
     se = [math.sqrt(r * (1 - r) / c) for r, c in zip(rates, counts)]
@@ -356,6 +381,25 @@ def reference_report(config, tensor, snr_db, trials, seed, detector, rows=None):
         snr_db=snr_db,
         seed=seed,
     )
+
+
+def count_scored(monkeypatch):
+    """A list that collects the number of frames of every ML ``decide`` call
+    (the scored trials) once ``modem._detector`` is patched here."""
+    seen = []
+    real = modem._detector
+
+    def counting(*args):
+        decide = real(*args)
+
+        def wrapped(y):
+            seen.append(len(y))
+            return decide(y)
+
+        return wrapped
+
+    monkeypatch.setattr(modem, "_detector", counting)
+    return seen
 
 
 class TestSimulateBer:
@@ -512,25 +556,37 @@ class TestSimulateBer:
             assert np.array_equal(w, g)
 
     @pytest.mark.parametrize("name", ["tiny", "default", "m8"])
-    @pytest.mark.parametrize("detector", ["stepwise", "ml"])
-    def test_normals_drawn_per_trial(self, request, monkeypatch, name, detector):
+    @pytest.mark.parametrize(
+        "detector, snr",
+        [("stepwise", 10.0), ("ml", -300.0), ("ml", 0.0), ("ml", 10.0), ("ml", 30.0), ("ml", 40.0), ("ml", 80.0)],
+    )
+    def test_normals_drawn_per_trial(self, request, monkeypatch, name, detector, snr):
         # Stepwise reads the M first-antenna samples and the decided pair's
-        # second sample: 2M + 2 normals per trial.  ML reads whole frames:
-        # 4M.  9000 trials span two chunks.
+        # second sample: 2M + 2 normals per trial.  ML's direct draw reads
+        # whole frames, 4M normals per trial; its radius draw takes one chi2
+        # variate per trial and 4M normals per scored (uncertified) trial.
+        # Up to 10 dB ML takes the direct draw, from 30 dB on the radius
+        # draw.  9000 trials span two chunks.
         cfg = {
             "tiny": request.getfixturevalue("tiny_config"),
             "default": SystemConfig(),
             "m8": dataclasses.replace(SystemConfig(), tx_antennas=8),
         }[name]
-        drawn = []
+        normals, chi2s = [], []
 
         class Counting:
             def __init__(self, rng):
                 self.rng = rng
 
-            def standard_normal(self, size):
-                drawn.append(math.prod(np.atleast_1d(size)))
-                return self.rng.standard_normal(size)
+            def standard_normal(self, *args, **kwargs):
+                out = self.rng.standard_normal(*args, **kwargs)
+                normals.append(np.size(out))
+                return out
+
+            def chisquare(self, *args, **kwargs):
+                out = self.rng.chisquare(*args, **kwargs)
+                chi2s.append(np.size(out))
+                return out
 
             def __getattr__(self, attr):
                 return getattr(self.rng, attr)
@@ -539,9 +595,17 @@ class TestSimulateBer:
         monkeypatch.setattr(
             modem, "_chunks", lambda *a: ((s, n, Counting(rng)) for s, n, rng in chunks(*a))
         )
-        simulate_ber(cfg, 10.0, 9000, 3, detector)
+        scored = count_scored(monkeypatch) if detector == "ml" else []
+        simulate_ber(cfg, snr, 9000, 3, detector)
         M = cfg.tx_antennas
-        assert sum(drawn) == 9000 * (2 * M + 2 if detector == "stepwise" else 4 * M)
+        if detector == "stepwise":
+            assert (sum(normals), sum(chi2s)) == (9000 * (2 * M + 2), 0)
+        elif snr >= 30.0:
+            assert sum(chi2s) == 9000
+            assert sum(normals) == 4 * M * sum(scored)
+            assert sum(scored) < 9000
+        else:
+            assert (sum(normals), sum(chi2s), sum(scored)) == (9000 * 4 * M, 0, 9000)
 
     @pytest.mark.parametrize(
         "detector, cfg, snr, trials, seed, bound_mib",
@@ -660,7 +724,7 @@ class TestCertifiedMl:
             dist[h] = np.inf
             nearest[h] = np.argmin(dist)
             half[h] = dist[nearest[h]] / 2
-        radius = np.repeat(decide.radius, cfg.constellation_order)
+        radius = np.repeat(ml_radii(tensor, rho), cfg.constellation_order)
         assert np.all(radius < half)
         # Not vacuous: the slack is far below the radius.
         assert np.all(radius > half * (1 - 1e-9))
@@ -685,7 +749,7 @@ class TestCertifiedMl:
         tensor = ChannelTensor(entries=entries, states=default_tensor.states, config=default_config)
         n_states = len(tensor.states)
         for snr in (30.0, 60.0):
-            radius = modem._detector(tensor, default_config.rho_for_snr_db(snr), "ml").radius
+            radius = ml_radii(tensor, default_config.rho_for_snr_db(snr))
             assert radius[0] == radius[n_states] == 0.0
             assert np.all(np.delete(radius, [0, n_states]) > 0.0)
             rep = simulate_ber(default_config, snr, 9000, 47, "ml", tensor=tensor)
@@ -694,26 +758,95 @@ class TestCertifiedMl:
 
     @pytest.mark.parametrize("snr, scored", [(60.0, 0), (-300.0, 9000)])
     def test_decide_scores_only_uncertified_trials(self, default_config, default_tensor, monkeypatch, snr, scored):
-        seen = []
-        real = modem._detector
-
-        def counting(*args):
-            decide = real(*args)
-
-            def wrapped(y):
-                seen.append(len(y))
-                return decide(y)
-
-            wrapped.radius = decide.radius
-            return wrapped
-
-        monkeypatch.setattr(modem, "_detector", counting)
+        seen = count_scored(monkeypatch)
         simulate_ber(default_config, snr, 9000, 5, "ml", tensor=default_tensor)
         assert sum(seen) == scored
 
     def test_single_hypothesis_certifies_every_trial(self):
         cfg = dataclasses.replace(SystemConfig(), tx_antennas=1, oam_states=(1,), constellation_order=1)
         tensor = build_channel_tensor(cfg)
-        assert modem._detector(tensor, 1.0, "ml").radius.tolist() == [math.inf]
+        assert ml_radii(tensor, 1.0).tolist() == [math.inf]
         rep = simulate_ber(cfg, 0.0, 100, 3, "ml", tensor=tensor)
         assert rep.symbol_error_rate == 0.0
+
+
+def certified_fraction(cfg, tensor, snr):
+    """``modem._ml_certified_fraction`` of ``cfg`` at ``snr``."""
+    sigma = math.sqrt(cfg.noise_power_w / 2.0)
+    return modem._ml_certified_fraction((ml_radii(tensor, cfg.rho_for_snr_db(snr)) / sigma) ** 2, cfg.tx_antennas)
+
+
+class TestRadiusDraw:
+    """ML draws each trial's noise energy first, and a direction only for
+    the trials it leaves uncertified, once a quarter are predicted to
+    certify."""
+
+    @pytest.mark.parametrize("M", [1, 2, 4, 8, 64])
+    def test_predicted_fraction_matches_chi2_cdf(self, M):
+        # P(chi2(4M) < t) = 1 - P(Poisson(t / 2) < 2M), for t / 2 from 1e-3
+        # to 1e7, each value alone and all as rows of one table.
+        t = 2.0 * np.logspace(-3, 7, 81)
+        want = chi2.cdf(t, 4 * M)
+        got = [modem._ml_certified_fraction(np.array([v]), M) for v in t]
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+        assert modem._ml_certified_fraction(t, M) == pytest.approx(want.mean(), abs=1e-12)
+
+    def test_zero_and_infinite_rows_predict_without_warnings(self, default_config, default_tensor):
+        # A radius-0 row (coincident frames) never certifies, an inf row (one
+        # hypothesis) always does; inf - inf in the Poisson window and
+        # log(0) must not be reached.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert modem._ml_certified_fraction(np.array([0.0]), 4) == 0.0
+            assert modem._ml_certified_fraction(np.array([5e-324]), 4) == 0.0
+            assert modem._ml_certified_fraction(np.array([math.inf]), 4) == 1.0
+            assert modem._ml_certified_fraction(np.array([0.0, math.inf]), 4) == 0.5
+            entries = default_tensor.entries.copy()
+            entries[1, 0] = entries[0, 0]
+            tensor = ChannelTensor(entries=entries, states=default_tensor.states, config=default_config)
+            assert certified_fraction(default_config, tensor, 60.0) == 30 / 32
+            cfg = dataclasses.replace(SystemConfig(), tx_antennas=1, oam_states=(1,), constellation_order=1)
+            assert certified_fraction(cfg, build_channel_tensor(cfg), 0.0) == 1.0
+
+    @pytest.mark.parametrize("name, snr", [("default", 20.0), ("m8", 17.0), ("psk16", 30.0)])
+    def test_predicted_fraction_matches_measured(self, request, monkeypatch, name, snr):
+        # The share of trials simulate_ber leaves unscored on the radius
+        # draw, over 40 000 trials, within 4 binomial standard errors.
+        cfg = named_config(request, name)
+        tensor = build_channel_tensor(cfg)
+        seen = count_scored(monkeypatch)
+        trials = 40000
+        simulate_ber(cfg, snr, trials, 67, "ml", tensor=tensor)
+        frac = certified_fraction(cfg, tensor, snr)
+        assert 0.25 <= frac < 1.0
+        measured = 1.0 - sum(seen) / trials
+        assert abs(measured - frac) <= 4 * math.sqrt(frac * (1 - frac) / trials)
+
+    @pytest.mark.parametrize(
+        "name, snr, trials",
+        [
+            ("default", 17.0, 20000),
+            ("default", 20.0, 20000),
+            ("m8", 17.0, 20000),
+            ("m8", 20.0, 20000),
+            ("psk16", 25.0, 20000),
+            ("psk16", 30.0, 20000),
+            ("tiny", 15.0, 80000),
+        ],
+    )
+    def test_radius_draw_matches_direct_draw_in_distribution(self, request, name, snr, trials):
+        # Where the radius draw runs (predicted fraction in [1/4, 1)), its
+        # error rates must agree with the full 4M-normal draw's on
+        # independent seeds, within 4 combined standard errors.  Where the
+        # error-prone rows rarely certify, a direction left at its own norm
+        # moves few errors; tiny's rows certify alike, and there it took
+        # 158 of 20 000 symbol errors down to 98.
+        cfg = named_config(request, name)
+        tensor = build_channel_tensor(cfg)
+        assert 0.25 <= certified_fraction(cfg, tensor, snr) < 1.0
+        rep = simulate_ber(cfg, snr, trials, 59, "ml", tensor=tensor)
+        ref = reference_report(cfg, tensor, snr, trials, 60, "ml", rows=256, full_draw=True)
+        for stage in ("bit", "antenna", "state", "symbol"):
+            got, want = getattr(rep, f"{stage}_error_rate"), getattr(ref, f"{stage}_error_rate")
+            se = math.hypot(getattr(rep, f"{stage}_error_stderr"), getattr(ref, f"{stage}_error_stderr"))
+            assert abs(got - want) <= 4 * se
