@@ -142,6 +142,7 @@ def lg_field(beam: BeamParams, r, phi, z: float):
     r_arr = np.asarray(r, dtype=float)
     if not np.all(r_arr >= 0.0):
         raise ValueError("r must be >= 0 and not NaN")
+    require("phi", phi, "finite in every entry")
     phi_arr = np.asarray(phi, dtype=float)
     l_abs = abs(beam.state)
     w_z = spot_size(beam, z)

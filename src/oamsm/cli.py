@@ -19,7 +19,6 @@ import argparse
 import csv
 import dataclasses
 import datetime
-import math
 import sys
 
 from . import __version__
@@ -102,8 +101,7 @@ PRESETS: dict[str, SweepSpec] = {
 
 
 def _grid_values(sweep: str, start: float, stop: float, step: float, config: SystemConfig):
-    if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)):
-        raise ConfigError("sweep range must be finite")
+    require("sweep range", (start, stop, step), "finite in every entry", ConfigError)
     if stop < start or step <= 0:
         raise ConfigError(f"sweep range must be monotone: from={start} to={stop} step={step}")
     if _SWEEPS[sweep][2] is not float:

@@ -18,6 +18,7 @@ overflow into a ConfigError naming the quantity.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import beam as beam_mod
 from .errors import ConfigError, require
-from .numerics import Constellation, _is_power_of_two, psk_constellation
+from .numerics import Constellation, psk_constellation
 
 
 SPEED_OF_LIGHT = 299792458.0
@@ -42,13 +43,10 @@ def default_states(count: int) -> tuple[int, ...]:
 
 
 def _check_symbol_axes(n_antennas, states) -> None:
-    """The antenna-count and state-set rule every codeword layout needs:
-    a power-of-two antenna count, and a power-of-two number of distinct
-    nonzero states (a zero-state beam has no intensity ring)."""
-    if not isinstance(n_antennas, int) or not _is_power_of_two(n_antennas):
-        raise ConfigError(f"antenna count must be a power of two, got {n_antennas!r}")
-    if not _is_power_of_two(len(states)):
-        raise ConfigError(f"number of OAM states must be a power of two, got {len(states)}")
+    """What every codeword layout needs: a power-of-two antenna count and a
+    power-of-two number of distinct nonzero states (state 0 has no ring)."""
+    require("antenna count", n_antennas, "a power of two", ConfigError)
+    require("number of OAM states", len(states), "a power of two", ConfigError)
     if 0 in states:
         raise ConfigError("OAM state 0 is not usable: its beam has no intensity ring")
     if len(set(states)) != len(states):
@@ -112,7 +110,7 @@ class SystemConfig:
     noise_psd_dbm_hz: float = _option(-174.0, "paper", "noise_psd", float, rule="finite")
     tx_antennas: int = _option(4, "paper", "antennas", int)
     oam_states: tuple = _option(default_states(8), "decision", "oam_states", _states_value)
-    constellation_order: int = _option(4, "paper", "constellation", int)
+    constellation_order: int = _option(4, "paper", "constellation", int, rule="a power of two")
     distance_m: float = _option(50.0, "paper", "distance", float, rule="finite and > 0")
     element_spacing: object = _option("20lambda", "paper", "xi", _spacing_value)
     beta_rad: object = _option(None, "decision", "beta", float)
@@ -196,9 +194,7 @@ class SystemConfig:
         return _rho(self, snr_db)
 
     def constellation(self) -> Constellation:
-        if self.constellation_order == 1:
-            return Constellation(order=1, points=(1.0 + 0.0j,), bit_labels=("",))
-        return psk_constellation(self.constellation_order)
+        return _constellation(self.constellation_order)
 
     def resolved(self) -> "SystemConfig":
         """Copy with spacing, pair angle, and gain pinned to numbers.
@@ -217,8 +213,6 @@ class SystemConfig:
             if f.metadata["rule"]:
                 require(f.name, getattr(self, f.name), f.metadata["rule"], ConfigError)
         _check_symbol_axes(self.tx_antennas, self.oam_states)
-        if not isinstance(self.constellation_order, int) or not _is_power_of_two(self.constellation_order):
-            raise ConfigError(f"constellation_order must be a power of two, got {self.constellation_order!r}")
         self._check_derived("config")
         self._check_derived("snr", self.snr_db)
         beta = self.beta_value
@@ -244,6 +238,12 @@ class SystemConfig:
                 except ArithmeticError:
                     v = math.inf
                 require(name.format(c=self, x=x), v, rule, ConfigError)
+
+
+@functools.cache
+def _constellation(order: int) -> Constellation:
+    """One shared constellation per order; it is frozen and holds tuples."""
+    return psk_constellation(order) if order > 1 else Constellation(order=1, points=(1.0 + 0.0j,), bit_labels=("",))
 
 
 def _matched_waist(c: SystemConfig, l: int) -> float:

@@ -1,7 +1,11 @@
-"""Exception types shared across the package, and the one scalar check."""
+"""Exception types shared across the package, and the one validation path,
+``require``: a scalar against a rule, or every entry of an array against
+the rule's "in every entry" form."""
 
 import cmath
 import math
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -22,7 +26,14 @@ class NumericError(RuntimeError):
         self.bound = bound
 
 
-# Rule: what a value must be; the key is also the message's wording.
+def _every(rule):
+    """The array form of a real rule that holds on an interval: real entries
+    whose min and max (NaN reaches both) meet it; an empty array passes."""
+    return lambda v: (a := np.asarray(v)).dtype.kind in "biuf" and (a.size == 0 or (rule(a.min()) and rule(a.max())))
+
+
+# Rule: what a value must be; the key is also the message's wording.  The
+# scalar rules use math, so they stay cheap and reject any array.
 _RULES = {
     "finite": math.isfinite,
     "finite and > 0": lambda v: math.isfinite(v) and v > 0.0,
@@ -32,7 +43,10 @@ _RULES = {
     "a positive integer": lambda v: isinstance(v, int) and v >= 1,
     "a nonnegative integer": lambda v: isinstance(v, int) and v >= 0,
     "a nonzero integer": lambda v: isinstance(v, int) and v != 0,
+    "a power of two": lambda v: isinstance(v, int) and v >= 1 and v & (v - 1) == 0,
 }
+_RULES |= {f"{rule} in every entry": _every(_RULES[rule]) for rule in ("finite", "finite and >= 0")}
+_RULES["a finite number in every entry"] = lambda v: (a := np.asarray(v)).dtype.kind in "biufc" and np.isfinite(a).all()
 
 
 def require(name: str, value, rule, error=ValueError) -> None:
@@ -42,7 +56,7 @@ def require(name: str, value, rule, error=ValueError) -> None:
     choices = isinstance(rule, tuple)
     try:
         ok = value in rule if choices else _RULES[rule](value)
-    except (TypeError, OverflowError):
+    except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
         raise error(f"{name} must be {'|'.join(rule) if choices else rule}, got {value!r}")

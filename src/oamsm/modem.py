@@ -319,8 +319,8 @@ def _ml_certified_fraction(cert_energy: np.ndarray, n_antennas: int) -> float:
     1 - P(Poisson(t / 2) < 2M).  A row of t = 0 (coincident frames) gives 0,
     and one of t = inf (a single hypothesis) gives 1."""
     half = np.asarray(cert_energy, dtype=float) / 2.0
-    cdf = np.where(np.isinf(half), 1.0, 0.0)
-    mid = np.isfinite(half) & (half > 0.0)
+    cdf = np.zeros_like(half)
+    mid = half > 0.0
     cdf[mid] = 1.0 - _poisson_pmf_dot(np.ones(2 * n_antennas), half[mid])
     return float(cdf.mean())
 
@@ -333,12 +333,12 @@ _RADIUS_DRAW_SHARE = 0.25
 def _demodulate(frame: np.ndarray, tensor: ChannelTensor, rho: float, rule: str) -> OamSymbol:
     """Decide one frame by the batched ``rule``.  The frame and rho are
     checked here, not in ``_detector``, so batched trials pay nothing."""
-    frames = np.asarray(frame, dtype=complex)[None]
-    shape = (1, tensor.entries.shape[0], 2)
-    if frames.shape != shape or not np.all(np.isfinite(frames)):
-        raise ValueError(f"frame must be a finite array of shape {shape[1:]}")
+    frame = np.asarray(frame, dtype=complex)
+    if frame.shape != tensor.entries.shape[2:]:
+        raise ValueError(f"frame must have shape {tensor.entries.shape[2:]}, got {frame.shape}")
+    require("frame", frame, "a finite number in every entry")
     require("rho", rho, "finite and >= 0")
-    indices = (i[0] for i in _detector(tensor, rho, rule)(frames))
+    indices = (i[0] for i in _detector(tensor, rho, rule)(frame[None]))
     return _symbol(tensor.states, tensor.config.constellation().points, *indices)
 
 

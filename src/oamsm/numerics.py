@@ -76,14 +76,15 @@ _BLOCK_ELEMENTS = 1_000_000
 
 
 def _poisson_pmf_dot(coef: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sum_k coef[k] * P(Poisson(y) = k) for every y > 0.
+    """sum_k coef[k] * P(Poisson(y) = k) for every y > 0, inf included.
 
     A point whose Poisson bulk y +- (13 sqrt(y) + 45) lies above the window
-    0 .. len(coef) - 1 gets 0: its pmf there is below ~1e-30.  The log pmf
-    k log y - y - ln k! is built in blocks of at most ``_BLOCK_ELEMENTS``.
+    0 .. len(coef) - 1 gets 0: its pmf there is below ~1e-30.  The test forms
+    no inf - inf.  The log pmf k log y - y - ln k! is built in blocks of at
+    most ``_BLOCK_ELEMENTS``.
     """
     out = np.zeros_like(y)
-    near = y - (13.0 * np.sqrt(y) + 45.0) < coef.size
+    near = y < coef.size + (13.0 * np.sqrt(y) + 45.0)
     if not np.any(near):
         return out
     yn = y[near]
@@ -186,22 +187,19 @@ def marcum_q1(a: float, b):
     nonnegative.  Nonincreasing in ``b``, nondecreasing in ``a``; the range
     is [0, 1], and Q1(a, 0) = 1 exactly.
     """
-    if not (np.isscalar(a) or np.ndim(a) == 0) or not math.isfinite(float(a)) or float(a) < 0.0:
-        raise ValueError("marcum_q1 requires scalar finite a >= 0")
+    require("a", a, "finite and >= 0")
     a = float(a)
     scalar = np.ndim(b) == 0
+    require("b", b, "finite and >= 0 in every entry")
     barr = np.atleast_1d(np.asarray(b, dtype=float))
-    if barr.size and (np.any(barr < 0.0) or not np.all(np.isfinite(barr))):
-        raise ValueError("marcum_q1 requires finite b >= 0")
     y = 0.5 * barr * barr
     h = 0.5 * a * a
-    if h == 0.0:
-        out = np.exp(-y)
-        return float(out[0]) if scalar else out.reshape(np.shape(b))
-    # Q1(a, 0) = 1 exactly, and y = 0 has no log-pmf.
+    # Q1(0, b) = e^-y; Q1(a, 0) = 1 exactly, and y = 0 has no log-pmf.
     total = np.ones_like(y)
     positive = y > 0.0
-    if a >= _MARCUM_LARGE_A:
+    if h == 0.0:
+        total = np.exp(-y)
+    elif a >= _MARCUM_LARGE_A:
         total[positive] = _marcum_q1_large(a, barr[positive])
     elif np.any(positive):
         # Q1 = sum_n w_n P(Poisson(y) <= n) = sum_j P(Poisson(y) = j) tail_j,
@@ -235,9 +233,8 @@ def ncx2_pdf(g, lam: float):
     require("noncentrality", lam, "finite and >= 0")
     lam = float(lam)
     scalar = np.ndim(g) == 0
+    require("g", g, "finite and >= 0 in every entry")
     garr = np.atleast_1d(np.asarray(g, dtype=float))
-    if garr.size and (np.any(garr < 0.0) or not np.all(np.isfinite(garr))):
-        raise ValueError("ncx2_pdf requires finite g >= 0")
     root = np.sqrt(garr)
     c = math.sqrt(lam)
     both = root + c
@@ -252,14 +249,8 @@ def ncx2_cdf(g, lam: float):
     Computed as 1 - Q1(sqrt(lam), sqrt(g)); nondecreasing with cdf(0) = 0.
     """
     require("noncentrality", lam, "finite and >= 0")
-    lam = float(lam)
-    scalar = np.ndim(g) == 0
-    garr = np.atleast_1d(np.asarray(g, dtype=float))
-    if garr.size and (np.any(garr < 0.0) or not np.all(np.isfinite(garr))):
-        raise ValueError("ncx2_cdf requires finite g >= 0")
-    out = 1.0 - np.atleast_1d(marcum_q1(math.sqrt(lam), np.sqrt(garr)))
-    out = np.clip(out, 0.0, 1.0)
-    return float(out[0]) if scalar else out.reshape(np.shape(g))
+    require("g", g, "finite and >= 0 in every entry")
+    return 1.0 - marcum_q1(math.sqrt(lam), np.sqrt(g))
 
 
 # 15-point Kronrod nodes/weights with the embedded 7-point Gauss rule.
@@ -346,8 +337,7 @@ def integrate(
         ``tol``; the exception carries the best estimate and its bound.
     """
     require("tol", tol, "finite and > 0")
-    if not (math.isfinite(lower) and math.isfinite(upper)):
-        raise ValueError("integration limits must be finite")
+    require("integration limits", (lower, upper), "finite in every entry")
     inner = np.asarray(breakpoints, dtype=float).ravel()
     if upper < lower:
         raise ValueError("upper limit must be >= lower limit")
@@ -401,10 +391,6 @@ def _chunks(total: int, size: int, seed: int, stream: int):
         yield start, min(size, total - start), rng
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True)
 class Constellation:
     """A unit-average-power symbol set with per-point bit labels."""
@@ -414,8 +400,7 @@ class Constellation:
     bit_labels: tuple
 
     def __post_init__(self):
-        if not _is_power_of_two(self.order):
-            raise ValueError("constellation order must be a power of two")
+        require("constellation order", self.order, "a power of two")
         if len(self.points) != self.order or len(self.bit_labels) != self.order:
             raise ValueError("points and bit_labels must both have `order` entries")
         mean_power = float(np.mean(np.abs(np.asarray(self.points)) ** 2))
@@ -437,9 +422,10 @@ def psk_constellation(order: int) -> Constellation:
     angularly adjacent points differ in exactly one bit.  ``order`` must be
     a power of two and at least 2.
     """
-    if not isinstance(order, (int, np.integer)) or order < 2 or not _is_power_of_two(int(order)):
-        raise ValueError(f"PSK order must be a power of two >= 2, got {order!r}")
-    order = int(order)
+    order = int(order) if isinstance(order, np.integer) else order
+    require("PSK order", order, "a power of two")
+    if order == 1:
+        raise ValueError("PSK order must be a power of two >= 2, got 1")
     nbits = order.bit_length() - 1
     angles = 2.0 * np.pi * np.arange(order) / order
     re = np.cos(angles)

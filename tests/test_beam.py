@@ -206,6 +206,14 @@ class TestLgField:
             with pytest.raises(ValueError):
                 lg_field(beam(), r, 0.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("shape", ["scalar", "array"])
+    def test_rejects_non_finite_azimuth(self, bad, shape):
+        # phi = nan used to return nan+nanj, and phi = inf warned.
+        phi = bad if shape == "scalar" else np.array([0.0, bad, 1.0])
+        with pytest.raises(ValueError, match="^phi must be finite in every entry"):
+            lg_field(beam(), 0.1, phi, 1.0)
+
 
 PLANE_FUNCTIONS = {
     "spot_size": spot_size,

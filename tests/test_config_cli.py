@@ -144,6 +144,10 @@ class TestSystemConfig:
         with pytest.raises(ConfigError):
             SystemConfig(oam_states=(-1, 1, 2))
 
+    def test_constellation_is_built_once_per_order(self):
+        assert SystemConfig().constellation() is SystemConfig(seed=3).constellation()
+        assert SystemConfig(constellation_order=8).constellation().order == 8
+
     def test_states_canonical_order(self):
         cfg = SystemConfig(oam_states=(4, -4, 1, -1, 3, -3, 2, -2))
         assert cfg.oam_states == (-4, -3, -2, -1, 1, 2, 3, 4)

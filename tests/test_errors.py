@@ -1,4 +1,4 @@
-"""The one scalar check, ``errors.require``."""
+"""The one validation path, ``errors.require``."""
 
 import math
 
@@ -18,6 +18,20 @@ CASES = {
     "a positive integer": ((1, 20000), (0, -5, 2.5, "4")),
     "a nonnegative integer": ((0, 3), (-1, 2.0)),
     "a nonzero integer": ((1, -4), (0, 1.0)),
+    "a power of two": ((1, 2, 1024, 2**70), (0, -2, 3, 6, 2.0, "4", np.int64(4), None)),
+    # The array forms: an empty array passes, and one bad entry fails it.
+    "finite in every entry": (
+        (np.empty(0), np.array([-1.0, 0.0, 2.5]), [1, 2], 3.0, np.float64(-4.0)),
+        (np.array([0.0, math.nan]), np.array([math.inf]), np.array([[1.0], [-math.inf]]), "1", 1j),
+    ),
+    "finite and >= 0 in every entry": (
+        (np.empty((0, 3)), np.array([0.0, 1e300]), (0, 2), 0.0),
+        (np.array([1.0, -1e-300]), np.array([math.nan, 1.0]), np.array([2.0, math.inf]), [-1], math.nan),
+    ),
+    "a finite number in every entry": (
+        (np.empty(0, dtype=complex), np.array([1 + 2j, -3.0]), np.array([0.0, 1.0]), 1j),
+        (np.array([1.0, complex(math.nan)]), np.array([complex(0.0, math.inf)]), np.array([-math.inf]), "x"),
+    ),
 }
 
 
@@ -47,3 +61,11 @@ def test_choices_rule():
     for value in ("walrus", None, 1, ["ml"]):
         with pytest.raises(ConfigError, match=r"^detector must be stepwise\|ml, got "):
             require("detector", value, ("stepwise", "ml"), ConfigError)
+
+
+@pytest.mark.parametrize("rule", [r for r in CASES if not r.endswith("in every entry")])
+def test_scalar_rule_rejects_an_array(rule):
+    # Arrays opt in by the rule's name; a scalar site refuses one.
+    value = np.array([1.0, 2.0], dtype=complex if rule == "a finite number" else float)
+    with pytest.raises(ValueError, match=f"^rho must be {rule}, got array"):
+        require("rho", value, rule)

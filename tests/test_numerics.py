@@ -19,7 +19,7 @@ from oamsm import (
     psk_constellation,
     q_function,
 )
-from oamsm.numerics import _chunks, _log_i0e
+from oamsm.numerics import _chunks, _log_i0e, _poisson_pmf_dot
 
 mpmath.mp.dps = 40
 
@@ -275,6 +275,30 @@ class TestNoncentralChiSq2:
             ncx2_pdf(-0.1, 1.0)
         with pytest.raises(ValueError):
             ncx2_cdf(-0.1, 1.0)
+
+
+@pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda v: marcum_q1(2.0, v), "b"),
+        (lambda v: ncx2_pdf(v, 3.0), "g"),
+        (lambda v: ncx2_cdf(v, 3.0), "g"),
+    ],
+    ids=["marcum_q1", "ncx2_pdf", "ncx2_cdf"],
+)
+def test_rejects_a_bad_entry_inside_an_array(call, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0 in every entry"):
+        call(np.array([[0.5, 1.0], [bad, 2.0]]))
+
+
+def test_poisson_pmf_dot_far_above_the_window_is_zero_without_warning():
+    # y = inf used to form inf - inf in the window test.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _poisson_pmf_dot(np.ones(8), np.array([np.inf, 1e300, 3.0]))
+    assert out[0] == 0.0 and out[1] == 0.0
+    assert out[2] == pytest.approx(sum(math.exp(-3.0) * 3.0**k / math.factorial(k) for k in range(8)), rel=1e-14)
 
 
 class TestIntegrate:
