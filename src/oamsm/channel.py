@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import beam as beam_mod
-from .config import SystemConfig, _matched_beam
+from .config import SystemConfig, _matched_beam, _ring_amplitude
 from .errors import ConfigError
 
 
@@ -141,7 +141,7 @@ def build_channel_tensor(config: SystemConfig) -> ChannelTensor:
         distance, radial, azimuth = _pair_geometry(M, xi, z, ring, config.beta_value)
         d_in = distance[0, 0, 0]
         k = 2.0 * math.pi / lam
-        base = config.gain_value * lam / (4.0 * math.pi * d_in) * np.exp(-1j * k * d_in)
+        base = _ring_amplitude(config) * np.exp(-1j * k * d_in)
         for li, beam in enumerate(beams.values()):
             entries[:, li] = base * beam_mod.lg_field(beam, radial, azimuth, z) / beam_mod.lg_field(beam, ring, 0.0, z)
     if not np.all(np.isfinite(entries)):

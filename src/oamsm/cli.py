@@ -25,7 +25,7 @@ from . import __version__
 from .channel import build_channel_tensor
 from .config import PROVENANCE, SystemConfig, default_states, load_config
 from .errors import ConfigError, NumericError, require
-from .metrics import _MIMO_MODES, abep, dcmc_capacity, energy_efficiency, mimo_capacity_baseline
+from .metrics import abep, dcmc_capacity, energy_efficiency, mimo_capacity_baseline
 from .modem import simulate_ber
 from .numerics import _substream
 
@@ -41,7 +41,8 @@ _SWEEPS = {
     "constellation": ("constellation", "constellation_order", int),
 }
 
-# Output: its CSV columns, written in this table's order.
+# Output: its CSV columns, written in this table's order; the one place that
+# names them.
 _OUTPUT_COLUMNS = {
     "capacity": ("capacity_oam_bits", "capacity_oam_stderr", "capacity_mimo_bits"),
     "abep": ("abep",),
@@ -55,7 +56,9 @@ _OVERRIDES = tuple(f for f in dataclasses.fields(SystemConfig) if f.metadata["fl
 
 @dataclasses.dataclass(frozen=True)
 class SweepSpec:
-    """One sweep: the swept variable, its grid, outputs, and overrides."""
+    """One sweep: the swept variable, its grid, outputs, and overrides of
+    ``SystemConfig`` fields.  Every run option is such a field, so a sweep
+    keeps none of its own and the CSV headers state them all."""
 
     sweep: str
     start: float
@@ -64,7 +67,6 @@ class SweepSpec:
     outputs: tuple
     overrides: dict = dataclasses.field(default_factory=dict)
     variants: tuple = ()  # (label, {field: value}) pairs; empty = single run
-    mimo_mode: str = "logdet"
 
 
 # Variant families: antenna counts, state-set sizes, constellation orders
@@ -126,33 +128,27 @@ def _grid_values(sweep: str, start: float, stop: float, step: float, config: Sys
     return values
 
 
-def _columns(spec: SweepSpec) -> list:
-    cols = [_SWEEPS[spec.sweep][0]] + (["variant"] if spec.variants else []) + ["rho_w"]
-    for out, out_cols in _OUTPUT_COLUMNS.items():
-        if out in spec.outputs:
-            cols += out_cols
-    return cols
-
-
 def run_sweep(config: SystemConfig, spec: SweepSpec, out_path: str, command: str = "") -> list:
     """Execute a sweep and write the CSV plus its ``.meta`` sidecar.
 
     The base gain is materialized once before sweeping, so distance grids
     see genuine attenuation rather than a re-normalized channel at every
     point; the headers show the gain as configured, its value on the
-    ``resolved_gain`` line.  Returns the rows as dictionaries (same order
-    as the CSV).
+    ``resolved_gain`` line.  Each output's values fill its
+    ``_OUTPUT_COLUMNS`` entry in order.  ``abep`` is the stepwise analysis
+    whatever ``detector`` is, and the ``.meta`` says so.  Returns the rows
+    as dictionaries (same order as the CSV).
     """
     require("sweep kind", spec.sweep, tuple(_SWEEPS), ConfigError)
     for out in spec.outputs:
         require("output", out, tuple(_OUTPUT_COLUMNS), ConfigError)
-    require("mimo mode", spec.mimo_mode, _MIMO_MODES, ConfigError)
     base = dataclasses.replace(config, **spec.overrides)
     pinned = dataclasses.replace(base, gain=base.gain_value)
     grid = _grid_values(spec.sweep, spec.start, spec.stop, spec.step, base)
-    _, field, parse = _SWEEPS[spec.sweep]
+    swept, field, parse = _SWEEPS[spec.sweep]
     variants = spec.variants or (("", {}),)
-    columns = _columns(spec)
+    columns = [swept] + ["variant"] * bool(spec.variants) + ["rho_w"]
+    columns += [c for out, cols in _OUTPUT_COLUMNS.items() if out in spec.outputs for c in cols]
     rows = []
     for vi, (label, changes) in enumerate(variants):
         variant_cfg = dataclasses.replace(pinned, **changes) if changes else pinned
@@ -168,32 +164,28 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, out_path: str, command: str
             rho = cfg.rho_for_snr_db(snr_db)
             noise_var = cfg.noise_power_w
             seed_i = int(_substream(cfg.seed, vi, gi).generate_state(1, "uint64")[0])
-            row = {columns[0]: value, "rho_w": rho}
-            if spec.variants:
-                row["variant"] = label
+            row = dict(zip(columns, (value, label, rho) if spec.variants else (value, rho)))
             if spec.outputs and cfg is not tensor_cfg:
                 tensor, tensor_cfg = build_channel_tensor(cfg), cfg
+            values = {}
             if "capacity" in spec.outputs or "ee" in spec.outputs:
                 cap = dcmc_capacity(tensor, rho, noise_var, cfg.samples, seed_i)
-                cap_mimo = mimo_capacity_baseline(cfg, rho, noise_var, spec.mimo_mode, cfg.samples, seed_i)
-                row["capacity_oam_bits"] = cap.value
-                row["capacity_oam_stderr"] = cap.std_error
-                row["capacity_mimo_bits"] = cap_mimo.value
+                mimo = mimo_capacity_baseline(cfg, rho, noise_var, cfg.mimo_mode, cfg.samples, seed_i).value
+                values["capacity"] = (cap.value, cap.std_error, mimo)
             if "abep" in spec.outputs:
-                row["abep"] = abep(cfg, rho, tensor=tensor)
+                values["abep"] = (abep(cfg, rho, tensor=tensor),)
             if "ber" in spec.outputs:
                 rep = simulate_ber(cfg, snr_db, cfg.trials, seed_i, cfg.detector, tensor=tensor)
-                row["ber_sim"] = rep.bit_error_rate
-                row["ber_sim_stderr"] = rep.bit_error_stderr
-                row["antenna_err_rate"] = rep.antenna_error_rate
-                row["state_err_rate"] = rep.state_error_rate
-                row["symbol_err_rate"] = rep.symbol_error_rate
+                stages = (rep.antenna_error_rate, rep.state_error_rate, rep.symbol_error_rate)
+                values["ber"] = (rep.bit_error_rate, rep.bit_error_stderr, *stages)
             if "ee" in spec.outputs:
                 # OAM-SM drives one chain; the array drives all M.
-                for system, n_active in (("oam", 1), ("mimo", cfg.tx_antennas)):
-                    row[f"ee_{system}_bits_per_joule"] = energy_efficiency(
-                        row[f"capacity_{system}_bits"], rho, cfg, n_active
-                    )
+                values["ee"] = (
+                    energy_efficiency(cap.value, rho, cfg, 1),
+                    energy_efficiency(mimo, rho, cfg, cfg.tx_antennas),
+                )
+            for out in spec.outputs:
+                row.update(zip(_OUTPUT_COLUMNS[out], values[out]))
             rows.append(row)
     config_lines = _config_lines(base)
     head = [f"oamsm {__version__} sweep={spec.sweep} outputs={','.join(spec.outputs)}"]
@@ -206,8 +198,9 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, out_path: str, command: str
         f"sweep = {spec.sweep}",
         f"grid = from {spec.start} to {spec.stop} step {spec.step}",
         f"outputs = {','.join(spec.outputs)}",
-        f"mimo_mode = {spec.mimo_mode}",
     ]
+    if "abep" in spec.outputs:
+        meta.append("abep_analysis = stepwise strongest-pair receiver, whatever detector is; ber_sim follows detector")
     if spec.variants:
         meta.append(f"variants = {', '.join(label for label, _ in spec.variants)}")
     _write(out_path + ".meta", meta + config_lines)
@@ -237,27 +230,15 @@ def _write(path: str, lines: list, columns=(), rows=()) -> None:
             if columns:
                 writer = csv.writer(fh)
                 writer.writerow(columns)
-                writer.writerows([_fmt(row.get(c)) for c in columns] for row in rows)
+                writer.writerows([row[c] for c in columns] for row in rows)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def preset(figure: str) -> SweepSpec:
     """Sweep specification reproducing one of the canned evaluation curves."""
     require("preset", figure, tuple(sorted(PRESETS)), ConfigError)
     return PRESETS[figure]
-
-
-def _cli_changes(args) -> dict:
-    return {f.name: getattr(args, f.name) for f in _OVERRIDES if getattr(args, f.name) is not None}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -279,7 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
     step_help = "grid step; antennas, states and constellation double from point to point and take only 1"
     run_p.add_argument("--step", type=float, default=1.0, help=step_help)
     run_p.add_argument("--outputs", default="capacity", help="comma list of outputs: capacity,abep,ber,ee")
-    run_p.add_argument("--mimo-mode", dest="mimo_mode", choices=_MIMO_MODES, default="logdet")
     add_common(run_p)
 
     preset_p = sub.add_parser("preset", help="run a canned figure sweep")
@@ -294,11 +274,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     command = "oamsm " + " ".join(argv)
     try:
-        changes = _cli_changes(args)
+        changes = {f.name: getattr(args, f.name) for f in _OVERRIDES if getattr(args, f.name) is not None}
         if args.command == "run":
             cfg = load_config(args.config) if args.config else SystemConfig()
             outputs = tuple(tok.strip() for tok in args.outputs.split(",") if tok.strip())
-            spec = SweepSpec(args.sweep, args.start, args.stop, args.step, outputs, mimo_mode=args.mimo_mode)
+            spec = SweepSpec(args.sweep, args.start, args.stop, args.step, outputs)
         else:
             spec = preset(args.figure)
             cfg = SystemConfig()

@@ -74,9 +74,11 @@ def _state(value) -> int:
     return int(value)
 
 
-#: The distance variants of ``metrics.mod_bep`` and the detectors of ``modem.simulate_ber``.
+#: The distance variants of ``metrics.mod_bep``, the detectors of
+#: ``modem.simulate_ber`` and the input models of ``metrics.mimo_capacity_baseline``.
 _DISTANCE_MODES = ("printed", "euclidean")
 _DETECTORS = ("stepwise", "ml")
+_MIMO_MODES = ("logdet", "dcmc_psk")
 
 
 def _option(default, provenance: str, key: str, parse, choices=None, flag=False, rule=None):
@@ -123,6 +125,7 @@ class SystemConfig:
     coeff_mode: str = _option("rederived", "decision", "coeff_mode", str, beam_mod._COEFF_MODES, flag=True)
     distance_mode: str = _option("euclidean", "decision", "distance_mode", str, _DISTANCE_MODES, flag=True)
     detector: str = _option("stepwise", "decision", "detector", str, _DETECTORS, flag=True)
+    mimo_mode: str = _option("logdet", "decision", "mimo_mode", str, _MIMO_MODES, flag=True)
     seed: int = _option(12345, "decision", "seed", int, flag="master seed override", rule="an integer")
     trials: int = _option(
         100000, "decision", "trials", int, flag="Monte Carlo BER trials per point", rule="a positive integer"

@@ -54,9 +54,29 @@ def require(name: str, value, rule, error=ValueError) -> None:
     ``_RULES``, or the tuple of allowed values.  A wrong type, or an int too
     large for a float, fails it."""
     choices = isinstance(rule, tuple)
+    if _meets(rule.__contains__ if choices else _RULES[rule], value):
+        return
+    if choices:
+        raise error(f"{name} must be {'|'.join(rule)}, got {value!r}")
+    raise error(f"{name} must be {rule}, got {value!r}{_first_failing_entry(value, rule)}")
+
+
+def _meets(check, value) -> bool:
     try:
-        ok = value in rule if choices else _RULES[rule](value)
+        return bool(check(value))
     except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        raise error(f"{name} must be {'|'.join(rule) if choices else rule}, got {value!r}")
+        return False
+
+
+def _first_failing_entry(value, rule: str) -> str:
+    """Under an "in every entry" rule, the first entry of an array that fails
+    on its own, by index: numpy's repr shows only the ends of a long array."""
+    if not rule.endswith(" in every entry"):
+        return ""
+    entry_rule = _RULES[rule.removesuffix(" in every entry")]
+    try:
+        a = np.asarray(value)
+        i = next(i for i in range(a.size if a.ndim else 0) if not _meets(entry_rule, a.item(i)))
+    except (ValueError, StopIteration):  # ragged, or no entry fails on its own
+        return ""
+    return f"; first failing entry [{', '.join(map(str, np.unravel_index(i, a.shape)))}] = {a.item(i)!r}"

@@ -15,14 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelTensor, _check_tensor, _pair_geometry, build_channel_tensor
-from .config import _DISTANCE_MODES, SystemConfig
+from .config import _DISTANCE_MODES, _MIMO_MODES, SystemConfig
 from .errors import ConfigError, NumericError, require
 from .numerics import Constellation, _chunks, integrate, marcum_q1, ncx2_pdf, q_function
 
 _LN2 = math.log(2.0)
-
-# Capacity modes of the conventional-array baseline.
-_MIMO_MODES = ("logdet", "dcmc_psk")
 
 
 @dataclass(frozen=True)
@@ -167,7 +164,7 @@ def mimo_capacity_baseline(
     It scores every x (rotations = 1): at its received SNR, ~100 dB below
     rho_total / sigma^2, one x per orbit is far noisier (``_mutual_information``).
     """
-    require("mimo capacity mode", mode, _MIMO_MODES, ConfigError)
+    require("mimo_mode", mode, _MIMO_MODES, ConfigError)
     _check_link(rho_total, noise_var)
     H = mimo_channel_matrix(config)
     M = config.tx_antennas

@@ -116,13 +116,11 @@ _MARCUM_ORDERS = 20
 
 def _marcum_large_coefficients(n_orders: int) -> np.ndarray:
     coef = np.zeros((n_orders, n_orders))
-    c_k = 1.0
+    c = np.concatenate(([1.0], np.cumprod(_I0_EXPANSION_STEP)))  # c_0, c_1, ...
     for k in range((n_orders + 1) // 2):
-        if k:
-            c_k *= (2 * k - 1) ** 2 / (8.0 * k)
         binom = 1.0
         for j in range(n_orders - 2 * k):
-            coef[2 * k + j, j] = c_k * binom
+            coef[2 * k + j, j] = c[k] * binom
             binom *= (0.5 - k - j) / (j + 1)
     return coef
 

@@ -19,6 +19,7 @@ from oamsm import (
     ConfigError,
     SystemConfig,
     load_config,
+    mimo_capacity_baseline,
     mod_bep,
     psk_constellation,
     simulate_ber,
@@ -116,6 +117,7 @@ class TestSystemConfig:
             ("coeff_mode", lambda mode: waist_for_state(BeamParams(0.04, 1, 0.005), 2, 50.0, mode)),
             ("distance_mode", lambda mode: mod_bep(1.0, 1.0, 1.0, psk_constellation(4), mode)),
             ("detector", lambda mode: simulate_ber(SystemConfig(), 0.0, 10, 1, mode)),
+            ("mimo_mode", lambda mode: mimo_capacity_baseline(SystemConfig(), 1.0, 1.0, mode)),
         ],
     )
     def test_mode_is_checked_against_its_field_choices(self, field, run):
@@ -263,6 +265,7 @@ class TestLoadConfig:
             "coeff_mode": "printed",
             "distance_mode": "printed",
             "detector": "ml",
+            "mimo_mode": "dcmc_psk",
             "seed": "7",
             "trials": "300",
             "samples": "400",
@@ -290,6 +293,7 @@ class TestLoadConfig:
             "coeff_mode": "printed",
             "distance_mode": "printed",
             "detector": "ml",
+            "mimo_mode": "dcmc_psk",
             "seed": 7,
             "trials": 300,
             "samples": 400,
@@ -393,12 +397,20 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             run_sweep(SystemConfig(), tiny_spec(outputs=("entropy",)), str(tmp_path / "x.csv"))
 
-    def test_unknown_mimo_mode_rejected(self, tmp_path):
-        # Used to succeed and write "mimo_mode = walrus" to the .meta.
-        spec = SweepSpec("snr", 0, 0, 1, ("abep",), {}, (), "walrus")
-        with pytest.raises(ConfigError, match="walrus"):
-            run_sweep(SystemConfig(), spec, str(tmp_path / "x.csv"))
-        assert list(tmp_path.iterdir()) == []
+    def test_unknown_mimo_mode_rejected(self, tmp_path, capsys):
+        # A bad mimo_mode used to be written to the .meta; it is rejected
+        # before any file is written, from a config file and from the CLI.
+        cfg_path, out = tmp_path / "m.cfg", tmp_path / "x.csv"
+        cfg_path.write_text("mimo_mode = walrus\n")
+        argv = ["run", "--sweep", "snr", "--from", "0", "--to", "0", "--outputs", "capacity", "--out", str(out)]
+        assert main(argv + ["--config", str(cfg_path)]) == 2
+        assert "config error: mimo_mode must be logdet|dcmc_psk, got 'walrus'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--mimo-mode", "walrus"])
+        assert info.value.code == 2
+        with pytest.raises(ConfigError, match="^mimo_mode must be"):
+            run_sweep(SystemConfig(), tiny_spec(overrides={"mimo_mode": "walrus"}), str(out))
+        assert list(tmp_path.iterdir()) == [cfg_path]
 
     @pytest.mark.parametrize(
         "sweep, variants, builds",
@@ -590,7 +602,7 @@ class TestCliMain:
             out = tmp_path / "o.csv"
             argv = ["run", "--sweep", "snr", "--from", "100", "--to", "100", "--outputs", "capacity"]
             assert main(argv + ["--mimo-mode", "dcmc_psk", "--out", str(out), *flags]) == 0
-            assert "mimo_mode = dcmc_psk" in (tmp_path / "o.csv.meta").read_text().splitlines()
+            assert "mimo_mode = 'dcmc_psk'  [override]" in (tmp_path / "o.csv.meta").read_text().splitlines()
             body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
             return dict(zip(body[0].split(","), body[1].split(",")))["capacity_mimo_bits"]
 
@@ -599,12 +611,43 @@ class TestCliMain:
         assert first != mimo_bits("--samples", "50", "--seed", "2")
         assert first != mimo_bits("--samples", "60", "--seed", "1")
 
+    def test_preset_and_config_file_take_mimo_mode(self, tmp_path):
+        # --mimo-mode used to be an argument of "run" alone, so a preset
+        # could not compare OAM-SM with the discrete-input baseline.
+        out = tmp_path / "o.csv"
+        assert main(["preset", "fig11", "--mimo-mode", "dcmc_psk", "--samples", "50", "--out", str(out)]) == 0
+        assert "# mimo_mode = 'dcmc_psk'  [override]" in out.read_text().splitlines()
+        cfg_path = tmp_path / "m.cfg"
+        cfg_path.write_text("mimo_mode = dcmc_psk\n")
+        argv = ["run", "--config", str(cfg_path), "--sweep", "snr", "--from", "0", "--to", "0", "--samples", "50"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert "# mimo_mode = 'dcmc_psk'  [override]" in out.read_text().splitlines()
+
+    def test_meta_names_the_abep_analysis(self, tmp_path):
+        # abep is the stepwise analysis whatever the detector, and nothing
+        # said so beside an ML ber_sim.
+        line = "abep_analysis = stepwise strongest-pair receiver, whatever detector is; ber_sim follows detector"
+        argv = ["run", "--sweep", "snr", "--from", "20", "--to", "20", "--trials", "200"]
+
+        def run(*flags):
+            out = tmp_path / "o.csv"
+            assert main(argv + [*flags, "--out", str(out)]) == 0
+            body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+            return dict(zip(body[0].split(","), body[1].split(","))), (tmp_path / "o.csv.meta").read_text().splitlines()
+
+        ml, ml_meta = run("--outputs", "abep,ber", "--detector", "ml")
+        stepwise, _ = run("--outputs", "abep,ber")
+        assert line in ml_meta
+        assert ml["abep"] == stepwise["abep"] and ml["ber_sim"] != stepwise["ber_sim"]
+        assert line not in run("--outputs", "ber", "--detector", "ml")[1]
+
     def test_override_flags_follow_field_declarations(self, capsys):
         # Each flag-declared field has its --dashed-name flag, typed by the
         # field's parser and limited to its choices.
         parser = oamsm.cli._build_parser()
         overrides = [f for f in dataclasses.fields(SystemConfig) if f.metadata["flag"]]
-        assert {f.name for f in overrides} == {"seed", "trials", "samples", "detector", "coeff_mode", "distance_mode"}
+        expected = {"seed", "trials", "samples", "detector", "mimo_mode", "coeff_mode", "distance_mode"}
+        assert {f.name for f in overrides} == expected
         for f in overrides:
             flag = "--" + f.name.replace("_", "-")
             got = getattr(parser.parse_args(["preset", "fig8", "--out", "o.csv", flag, str(f.default)]), f.name)

@@ -55,6 +55,19 @@ def test_error_class_and_message():
     assert str(info.value) == "distance_m must be finite and > 0, got -1"
 
 
+def test_array_rule_names_the_first_failing_entry():
+    # Only an "in every entry" rule on an array adds the entry, by its index.
+    message = r"(?s)^v must be finite in every entry, got array\(.*\); first failing entry \[1, 0\] = -inf$"
+    with pytest.raises(ValueError, match=message):
+        require("v", np.array([[1.0, 2.0], [-math.inf, math.nan]]), "finite in every entry")
+    with pytest.raises(ValueError, match=r"; first failing entry \[1\] = \(nan\+0j\)$"):
+        require("v", np.array([1.0, complex(math.nan)]), "a finite number in every entry")
+    for value, rule in ((math.nan, "finite in every entry"), ([-1.0], "finite")):
+        with pytest.raises(ValueError) as info:
+            require("v", value, rule)
+        assert "first failing entry" not in str(info.value)
+
+
 def test_choices_rule():
     # A tuple rule is the allowed values; the message lists them.
     require("detector", "ml", ("stepwise", "ml"))

@@ -46,30 +46,6 @@ def clean_frames(tensor, rho):
     )
 
 
-def gauss_hermite_capacity(tensor, rho, noise_var, nodes=5):
-    """Independent oracle: I(X; Y) of the codeword and the full (M, 2)
-    received frame, with the noise expectation taken by a Gauss-Hermite
-    product rule over the frame's 2 * 2M real noise dimensions instead of
-    Monte Carlo.  The clean frames come from the tensor entries through
-    ``clean_frames``, not from the package."""
-    s = clean_frames(tensor, rho)
-    n_in, dims = s.shape
-    t, wt = np.polynomial.hermite.hermgauss(nodes)
-    # Each complex noise sample is sqrt(noise_var) * (t_re + i t_im) with
-    # weight wt_re * wt_im / pi.
-    idx = np.indices((nodes,) * (2 * dims)).reshape(2 * dims, -1)
-    coords = math.sqrt(noise_var) * t[idx]
-    noise = coords[:dims] + 1j * coords[dims:]
-    weight = np.prod(wt[idx], axis=0) / math.pi**dims
-    total = 0.0
-    for i in range(n_in):
-        d = s[i] - s
-        ln_f = -(np.sum(np.abs(d) ** 2, axis=1)[:, None] + 2 * (d @ noise.conj()).real) / noise_var
-        m = np.max(ln_f, axis=0)
-        total += float(weight @ (m + np.log(np.sum(np.exp(ln_f - m[None, :]), axis=0))))
-    return math.log2(n_in) - total / (n_in * math.log(2.0))
-
-
 def einsum_mutual_information(signals, noise_var, samples, seed, stream, rows):
     """Reference for the capacity kernel: the same noise draws (512-draw
     chunks, one Philox substream per chunk), each input in ``rows`` scored
@@ -116,18 +92,6 @@ class TestDcmcCapacity:
         for snr in (0.0, 20.0, 60.0):
             est = dcmc_capacity(default_tensor, default_config.rho_for_snr_db(snr), nv, 400, 3)
             assert 0.0 <= est.value <= 7.0 + 1e-12
-
-    def test_against_quadrature_oracle_tiny_system(self, tiny_config):
-        # 2 x 2 x 2 inputs and a 4-sample frame: 8 real noise dimensions,
-        # 5^8 quadrature points.  The system sits within 0.2 % of its 3-bit
-        # ceiling at 10 dB, so the check rests mainly on 0 dB.
-        tensor = build_channel_tensor(tiny_config)
-        nv = tiny_config.noise_power_w
-        for snr in (0.0, 10.0):
-            rho = tiny_config.rho_for_snr_db(snr)
-            mc = dcmc_capacity(tensor, rho, nv, 120000, 11)
-            oracle = gauss_hermite_capacity(tensor, rho, nv)
-            assert abs(mc.value - oracle) / oracle < 0.01
 
     def test_deterministic(self, default_tensor, default_config):
         nv = default_config.noise_power_w

@@ -292,6 +292,16 @@ def test_rejects_a_bad_entry_inside_an_array(call, name, bad):
         call(np.array([[0.5, 1.0], [bad, 2.0]]))
 
 
+def test_message_names_the_first_bad_entry_of_a_long_array():
+    # numpy's repr shows only the first and last three entries of an array
+    # over 1000 entries, so the message used to carry no nan.
+    b = np.linspace(0.0, 30.0, 2400)
+    b[7] = math.nan
+    with pytest.raises(ValueError, match=r"; first failing entry \[7\] = nan$") as info:
+        marcum_q1(2.0, b)
+    assert "..." in str(info.value)
+
+
 def test_poisson_pmf_dot_far_above_the_window_is_zero_without_warning():
     # y = inf used to form inf - inf in the window test.
     with warnings.catch_warnings():
