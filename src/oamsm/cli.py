@@ -7,10 +7,11 @@ Two entry points:
 * ``oamsm preset figN`` runs a canned sweep specification (fig2..fig11)
   reproducing the standard evaluation curves for this system family.
 
-Every CSV starts with ``#``-prefixed lines echoing the resolved
-configuration and the provenance of each default; a ``<out>.meta`` sidecar
-repeats them together with the command line and a timestamp.  Given the
-same seed, the CSV body is byte-identical across runs.
+A sweep is planned, then computed, then written, so a point it cannot
+run stops it before any output runs.  Every CSV starts with ``#`` lines
+echoing the resolved configuration and the provenance of each default; a
+``<out>.meta`` sidecar repeats them with the command line and a timestamp.
+Given the same seed, the CSV body is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import __version__
 from .channel import build_channel_tensor
 from .config import PROVENANCE, SystemConfig, default_states, load_config
 from .errors import ConfigError, NumericError, require
-from .metrics import abep, dcmc_capacity, energy_efficiency, mimo_capacity_baseline
+from .metrics import _check_baseline, abep, dcmc_capacity, energy_efficiency, mimo_capacity_baseline
 from .modem import simulate_ber
 from .numerics import _substream
 
@@ -102,7 +103,7 @@ PRESETS: dict[str, SweepSpec] = {
 }
 
 
-def _grid_values(sweep: str, start: float, stop: float, step: float, config: SystemConfig):
+def _grid_values(sweep: str, start: float, stop: float, step: float):
     require("sweep range", (start, stop, step), "finite in every entry", ConfigError)
     if stop < start or step <= 0:
         raise ConfigError(f"sweep range must be monotone: from={start} to={stop} step={step}")
@@ -121,20 +122,18 @@ def _grid_values(sweep: str, start: float, stop: float, step: float, config: Sys
         return values
     count = (stop - start) / step
     require("sweep point count", count, "finite", ConfigError)
-    values = [start + i * step for i in range(round(count) + 1) if start + i * step <= stop + 1e-9]
-    if sweep == "snr":
-        for v in values:
-            config.rho_for_snr_db(v)  # raises ConfigError at an SNR the config cannot run at
-    return values
+    return [start + i * step for i in range(round(count) + 1) if start + i * step <= stop + 1e-9]
 
 
 def run_sweep(config: SystemConfig, spec: SweepSpec, out_path: str, command: str = "") -> list:
     """Execute a sweep and write the CSV plus its ``.meta`` sidecar.
 
-    The base gain is materialized once before sweeping, so distance grids
-    see genuine attenuation rather than a re-normalized channel at every
-    point; the headers show the gain as configured, its value on the
-    ``resolved_gain`` line.  Each output's values fill its
+    Plan, then compute, then write: the plan builds every point's config,
+    power, seed and tensor and checks the capacity baseline, so a sweep
+    raises every ConfigError before any output runs.  The base gain is
+    materialized once, so distance grids see genuine attenuation, not a
+    re-normalized channel; the headers show the gain as configured, its
+    value on the ``resolved_gain`` line.  Each output's values fill its
     ``_OUTPUT_COLUMNS`` entry in order.  ``abep`` is the stepwise analysis
     whatever ``detector`` is, and the ``.meta`` says so.  Returns the rows
     as dictionaries (same order as the CSV).
@@ -144,49 +143,48 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, out_path: str, command: str
         require("output", out, tuple(_OUTPUT_COLUMNS), ConfigError)
     base = dataclasses.replace(config, **spec.overrides)
     pinned = dataclasses.replace(base, gain=base.gain_value)
-    grid = _grid_values(spec.sweep, spec.start, spec.stop, spec.step, base)
+    grid = _grid_values(spec.sweep, spec.start, spec.stop, spec.step)
     swept, field, parse = _SWEEPS[spec.sweep]
-    variants = spec.variants or (("", {}),)
     columns = [swept] + ["variant"] * bool(spec.variants) + ["rho_w"]
     columns += [c for out, cols in _OUTPUT_COLUMNS.items() if out in spec.outputs for c in cols]
-    rows = []
-    for vi, (label, changes) in enumerate(variants):
+    capacity = "capacity" in spec.outputs or "ee" in spec.outputs
+    plan, tensor, tensor_cfg = [], None, None
+    for vi, (label, changes) in enumerate(spec.variants or (("", {}),)):
         variant_cfg = dataclasses.replace(pinned, **changes) if changes else pinned
-        # Every output reads the tensor; an SNR sweep keeps the config
-        # object, so it builds the tensor once per variant.
-        tensor = tensor_cfg = None
         for gi, value in enumerate(grid):
-            if field is None:
-                cfg, snr_db = variant_cfg, parse(value)
-            else:
-                cfg = dataclasses.replace(variant_cfg, **{field: parse(value)})
-                snr_db = cfg.snr_db
+            cfg = dataclasses.replace(variant_cfg, **{field: parse(value)}) if field else variant_cfg
+            snr_db = cfg.snr_db if field else parse(value)
             rho = cfg.rho_for_snr_db(snr_db)
-            noise_var = cfg.noise_power_w
             seed_i = int(_substream(cfg.seed, vi, gi).generate_state(1, "uint64")[0])
-            row = dict(zip(columns, (value, label, rho) if spec.variants else (value, rho)))
+            # Every output reads the tensor; an SNR sweep keeps the config
+            # object, so it builds the tensor once per variant.
             if spec.outputs and cfg is not tensor_cfg:
                 tensor, tensor_cfg = build_channel_tensor(cfg), cfg
-            values = {}
-            if "capacity" in spec.outputs or "ee" in spec.outputs:
-                cap = dcmc_capacity(tensor, rho, noise_var, cfg.samples, seed_i)
-                mimo = mimo_capacity_baseline(cfg, rho, noise_var, cfg.mimo_mode, cfg.samples, seed_i).value
-                values["capacity"] = (cap.value, cap.std_error, mimo)
-            if "abep" in spec.outputs:
-                values["abep"] = (abep(cfg, rho, tensor=tensor),)
-            if "ber" in spec.outputs:
-                rep = simulate_ber(cfg, snr_db, cfg.trials, seed_i, cfg.detector, tensor=tensor)
-                stages = (rep.antenna_error_rate, rep.state_error_rate, rep.symbol_error_rate)
-                values["ber"] = (rep.bit_error_rate, rep.bit_error_stderr, *stages)
-            if "ee" in spec.outputs:
-                # OAM-SM drives one chain; the array drives all M.
-                values["ee"] = (
-                    energy_efficiency(cap.value, rho, cfg, 1),
-                    energy_efficiency(mimo, rho, cfg, cfg.tx_antennas),
-                )
-            for out in spec.outputs:
-                row.update(zip(_OUTPUT_COLUMNS[out], values[out]))
-            rows.append(row)
+            if capacity:
+                _check_baseline(cfg, cfg.mimo_mode)
+            row = dict(zip(columns, (value, label, rho) if spec.variants else (value, rho)))
+            plan.append((row, cfg, snr_db, rho, seed_i, tensor))
+    for row, cfg, snr_db, rho, seed_i, tensor in plan:
+        values = {}
+        if capacity:
+            cap = dcmc_capacity(tensor, rho, cfg.noise_power_w, cfg.samples, seed_i)
+            mimo = mimo_capacity_baseline(cfg, rho, cfg.noise_power_w, cfg.mimo_mode, cfg.samples, seed_i).value
+            values["capacity"] = (cap.value, cap.std_error, mimo)
+        if "abep" in spec.outputs:
+            values["abep"] = (abep(cfg, rho, tensor=tensor),)
+        if "ber" in spec.outputs:
+            rep = simulate_ber(cfg, snr_db, cfg.trials, seed_i, cfg.detector, tensor=tensor)
+            stages = (rep.antenna_error_rate, rep.state_error_rate, rep.symbol_error_rate)
+            values["ber"] = (rep.bit_error_rate, rep.bit_error_stderr, *stages)
+        if "ee" in spec.outputs:
+            # OAM-SM drives one chain; the array drives all M.
+            values["ee"] = (
+                energy_efficiency(cap.value, rho, cfg, 1),
+                energy_efficiency(mimo, rho, cfg, cfg.tx_antennas),
+            )
+        for out in spec.outputs:
+            row.update(zip(_OUTPUT_COLUMNS[out], values[out]))
+    rows = [row for row, *_ in plan]
     config_lines = _config_lines(base)
     head = [f"oamsm {__version__} sweep={spec.sweep} outputs={','.join(spec.outputs)}"]
     _write(out_path, [f"# {line}" for line in head + config_lines], columns, rows)

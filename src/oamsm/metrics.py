@@ -17,7 +17,7 @@ import numpy as np
 from .channel import ChannelTensor, _check_tensor, _pair_geometry, build_channel_tensor
 from .config import _DISTANCE_MODES, _MIMO_MODES, SystemConfig
 from .errors import ConfigError, NumericError, require
-from .numerics import Constellation, _chunks, integrate, marcum_q1, ncx2_pdf, q_function
+from .numerics import Constellation, _chunks, _noise, integrate, marcum_q1, ncx2_pdf, q_function
 
 _LN2 = math.log(2.0)
 
@@ -90,10 +90,8 @@ def _mutual_information(
     buf = np.empty((n_inputs, min(_CAP_CHUNK, samples)))
     per_draw = np.empty(samples)
     for done, n, rng in _chunks(samples, _CAP_CHUNK, seed, stream):
-        # [Re w, Im w]: the real parts are drawn first, then the imaginary.
-        w = math.sqrt(noise_var / 2.0) * np.concatenate(
-            [rng.standard_normal((n, dims)), rng.standard_normal((n, dims))], axis=1
-        )
+        # [Re w, Im w]: the real plane of the draw, then the imaginary.
+        w = np.concatenate(_noise(rng, (n, dims), math.sqrt(noise_var / 2.0)), axis=1)
         w_max = math.sqrt(float(np.max(np.sum(w * w, axis=1))) / noise_var)  # |w|max / sqrt(noise_var)
         # q[j] = 2 R_j / noise_var, so ln F_ij = q[j] - |d_ij|^2 / noise_var - q[i].
         q = (sig @ w.T) * (2.0 / noise_var)
@@ -150,6 +148,15 @@ def mimo_channel_matrix(config: SystemConfig) -> np.ndarray:
     return lam / (4.0 * math.pi * d) * np.exp(-1j * k * d)
 
 
+def _check_baseline(config: SystemConfig, mode: str) -> None:
+    """ConfigError unless ``mode`` is a baseline mode that ``config`` can
+    run: ``dcmc_psk`` enumerates all P^M inputs, at most 4096."""
+    require("mimo_mode", mode, _MIMO_MODES, ConfigError)
+    inputs = config.constellation_order**config.tx_antennas
+    if mode == "dcmc_psk" and inputs > 4096:
+        raise ConfigError(f"dcmc_psk baseline limited to P^M <= 4096 inputs, got {inputs}")
+
+
 def mimo_capacity_baseline(
     config: SystemConfig, rho_total: float, noise_var: float, mode: str = "logdet", samples: int = 20000, seed: int = 0
 ) -> CapacityEstimate:
@@ -164,7 +171,7 @@ def mimo_capacity_baseline(
     It scores every x (rotations = 1): at its received SNR, ~100 dB below
     rho_total / sigma^2, one x per orbit is far noisier (``_mutual_information``).
     """
-    require("mimo_mode", mode, _MIMO_MODES, ConfigError)
+    _check_baseline(config, mode)
     _check_link(rho_total, noise_var)
     H = mimo_channel_matrix(config)
     M = config.tx_antennas
@@ -176,8 +183,6 @@ def mimo_capacity_baseline(
             ln_terms = math.log(rho_total) - math.log(M * noise_var) + 2.0 * np.log(sv)
         return CapacityEstimate(float(np.sum(np.logaddexp(0.0, ln_terms))) / _LN2, 0.0, 0)
     points = np.asarray(config.constellation().points)
-    if points.size**M > 4096:
-        raise ConfigError(f"dcmc_psk baseline limited to P^M <= 4096 inputs, got {points.size**M}")
     grids = np.meshgrid(*([points] * M), indexing="ij")
     x = np.stack([g.ravel() for g in grids], axis=1)  # (P^M, M)
     s = math.sqrt(rho_total / M) * x @ H.T  # received vectors

@@ -57,7 +57,7 @@ import numpy as np
 from .channel import ChannelTensor, _check_tensor, build_channel_tensor
 from .config import _DETECTORS, SystemConfig, _check_symbol_axes, _state
 from .errors import ConfigError, require
-from .numerics import Constellation, _chunks, _poisson_pmf_dot
+from .numerics import Constellation, _chunks, _noise, _poisson_pmf_dot
 
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.int64)
 
@@ -159,16 +159,6 @@ def _frames(clean: np.ndarray, rows: np.ndarray, points: np.ndarray, noise: np.n
         y.real += noise[0]
         y.imag += noise[1]
     return y
-
-
-def _noise(rng, shape: tuple, sigma: float) -> np.ndarray | None:
-    """(2, *shape) normals of standard deviation ``sigma``, or None (and no
-    draw) when sigma is 0."""
-    if sigma <= 0.0:
-        return None
-    noise = rng.standard_normal((2, *shape))
-    noise *= sigma
-    return noise
 
 
 # Elements per decision block: each block holds rows x hypotheses ML scores
@@ -418,14 +408,16 @@ def simulate_ber(
     Each standard error is that of the mean of a per-trial count: the bits
     of one codeword err together, so the bit rate's comes from the variance
     of the per-trial bit-error count, not from trials * bits independent
-    bits.  ``tensor``, when given, must have the config's antennas and
-    states (ConfigError otherwise).
+    bits.  ``tensor``, when given, must have the config's antennas, states
+    and constellation order (ConfigError otherwise).
     """
     require("trials", trials, "a positive integer")
     require("detector", detector, _DETECTORS, ConfigError)
     if tensor is None:
         tensor = build_channel_tensor(config)
     _check_tensor(tensor, config)
+    if (order := tensor.config.constellation_order) != config.constellation_order:
+        raise ConfigError(f"tensor built for constellation order {order}, config has {config.constellation_order}")
     const = config.constellation()
     smap = SymbolMap(config.tx_antennas, config.oam_states, const)
     rho = config.rho_for_snr_db(snr_db)

@@ -389,6 +389,16 @@ def _chunks(total: int, size: int, seed: int, stream: int):
         yield start, min(size, total - start), rng
 
 
+def _noise(rng, shape: tuple, sigma: float) -> np.ndarray | None:
+    """(2, *shape) normals of standard deviation ``sigma``, the real plane then
+    the imaginary of a complex draw, or None (and no draw) when sigma is 0."""
+    if sigma <= 0.0:
+        return None
+    noise = rng.standard_normal((2, *shape))
+    noise *= sigma
+    return noise
+
+
 @dataclass(frozen=True)
 class Constellation:
     """A unit-average-power symbol set with per-point bit labels."""

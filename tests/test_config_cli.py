@@ -331,6 +331,16 @@ def tiny_spec(**kw):
     return SweepSpec(**defaults)
 
 
+def count_output_calls(monkeypatch):
+    """The list of output functions ``run_sweep`` calls, by name in call
+    order, counted through the ``oamsm.cli`` bindings."""
+    calls = []
+    for name in ("dcmc_capacity", "mimo_capacity_baseline", "abep", "simulate_ber"):
+        real = getattr(oamsm.cli, name)
+        monkeypatch.setattr(oamsm.cli, name, lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k))
+    return calls
+
+
 class TestRunSweep:
     def test_rows_and_files(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -437,6 +447,17 @@ class TestRunSweep:
         rows = run_sweep(SystemConfig(), spec, str(tmp_path / "t.csv"))
         assert len(rows) == 3 * max(1, len(variants))
         assert len(built) == builds
+
+    def test_every_variant_snr_is_checked_before_any_output(self, tmp_path, monkeypatch):
+        # With the gain pinned at d=50, 3076 dB is inside d=100's limit
+        # (3082.5 dB) and past d=25's (3073.5 dB).  Only the base config's
+        # SNRs were checked up front, so the d=100 point ran first.
+        calls = count_output_calls(monkeypatch)
+        variants = (("d=100", {"distance_m": 100.0}), ("d=25", {"distance_m": 25.0}))
+        spec = tiny_spec(start=3076.0, stop=3076.0, overrides={"samples": 20}, variants=variants)
+        with pytest.raises(ConfigError, match="snr_db=3076.0"):
+            run_sweep(SystemConfig(), spec, str(tmp_path / "x.csv"))
+        assert calls == [] and list(tmp_path.iterdir()) == []
 
     def test_ber_and_abep_columns(self, tmp_path):
         spec = tiny_spec(outputs=("abep", "ber"), overrides={"trials": 400})
@@ -640,6 +661,33 @@ class TestCliMain:
         assert line in ml_meta
         assert ml["abep"] == stepwise["abep"] and ml["ber_sim"] != stepwise["ber_sim"]
         assert line not in run("--outputs", "ber", "--detector", "ml")[1]
+
+    @pytest.mark.parametrize("figure", ["fig4", "fig6"])
+    def test_dcmc_psk_input_limit_stops_a_preset_before_any_output(self, tmp_path, capsys, monkeypatch, figure):
+        # The M=2 and M=4 variants used to run for 8-16 s before the M=8
+        # variant's 4^8 baseline inputs stopped the sweep.
+        calls = count_output_calls(monkeypatch)
+        assert main(["preset", figure, "--mimo-mode", "dcmc_psk", "--out", str(tmp_path / "o.csv")]) == 2
+        assert "config error: dcmc_psk baseline limited to P^M <= 4096 inputs, got 65536" in capsys.readouterr().err
+        assert calls == [] and list(tmp_path.iterdir()) == []
+
+    def test_dcmc_psk_input_limit_binds_only_capacity_outputs(self, tmp_path):
+        # fig9 has an M=8 variant but writes abep and ber only, so the
+        # baseline's mode changes nothing in its body.
+        def body(*flags):
+            out = tmp_path / "o.csv"
+            assert main(["preset", "fig9", "--trials", "300", "--seed", "5", "--out", str(out), *flags]) == 0
+            return [l for l in out.read_text().splitlines() if not l.startswith("#")]
+
+        assert body("--mimo-mode", "dcmc_psk") == body()
+
+    def test_unrepresentable_distance_stops_the_sweep_before_any_output(self, tmp_path, capsys, monkeypatch):
+        # The 10 m point used to run before 5e159 m overflowed the ring radius.
+        calls, out = count_output_calls(monkeypatch), tmp_path / "o.csv"
+        argv = ["run", "--sweep", "distance", "--from", "10", "--to", "1e160", "--step", "5e159"]
+        assert main(argv + ["--outputs", "capacity", "--samples", "20", "--out", str(out)]) == 2
+        assert "config error: ring radius at waist_m=0.04, distance_m=5e+159" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
 
     def test_override_flags_follow_field_declarations(self, capsys):
         # Each flag-declared field has its --dashed-name flag, typed by the
