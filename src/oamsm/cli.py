@@ -59,7 +59,9 @@ _OVERRIDES = tuple(f for f in dataclasses.fields(SystemConfig) if f.metadata["fl
 class SweepSpec:
     """One sweep: the swept variable, its grid, outputs, and overrides of
     ``SystemConfig`` fields.  Every run option is such a field, so a sweep
-    keeps none of its own and the CSV headers state them all."""
+    keeps none of its own and the CSV headers state them all.  A field
+    takes the config file's value or its default, then a preset's override,
+    then the command-line flag, which ``main`` merges into ``overrides``."""
 
     sweep: str
     start: float
@@ -280,11 +282,7 @@ def main(argv=None) -> int:
         else:
             spec = preset(args.figure)
             cfg = SystemConfig()
-            # Command-line flags beat the preset's default sample counts.
-            kept = {k: v for k, v in spec.overrides.items() if k not in changes}
-            spec = dataclasses.replace(spec, overrides=kept)
-        if changes:
-            cfg = dataclasses.replace(cfg, **changes)
+        spec = dataclasses.replace(spec, overrides={**spec.overrides, **changes})
         run_sweep(cfg, spec, args.out, command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

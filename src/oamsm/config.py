@@ -10,9 +10,9 @@ grid) are tagged ``decision``, so every output file can state where its
 numbers come from.  ``PROVENANCE``, the loader's key table and the
 command-line overrides are all read off these fields.  The quantities the
 layers divide by or exponentiate (noise and transmit power, ring radius,
-gain, each state's matched waist and ring response, the peak noncentrality)
-are checked from one table, ``_DERIVED``, by one evaluator that turns an
-overflow into a ConfigError naming the quantity.
+gain, each state's matched waist and ring response, the peak noncentrality,
+the largest frame distance) are checked from one table, ``_DERIVED``, by
+one evaluator that turns an overflow into a ConfigError naming the quantity.
 """
 
 from __future__ import annotations
@@ -191,8 +191,8 @@ class SystemConfig:
     def rho_for_snr_db(self, snr_db: float) -> float:
         """Transmit power (watts) realizing the given transmit SNR, defined
         as rho / noise_power over the configured bandwidth.  Raises
-        ``ConfigError`` if the power, or the peak noncentrality it gives,
-        is not a finite float (see ``_DERIVED``)."""
+        ``ConfigError`` if the power, the peak noncentrality or the largest
+        frame distance it gives is not a finite float (see ``_DERIVED``)."""
         self._check_derived("snr", snr_db)
         return _rho(self, snr_db)
 
@@ -303,6 +303,11 @@ _DERIVED = {
         ("transmit power at snr_db={x!r}", _rho, "finite and > 0"),
         # 2 rho max|h|^2 / noise power, in the order the detection layers take it.
         ("peak noncentrality at snr_db={x!r}", _peak_noncentrality, "finite"),
+        # The capacity kernel sums |s_i - s_j|^2 over the 2M frame entries,
+        # up to 4M times the peak noncentrality in noise powers, before and
+        # after it divides by the noise power.
+        ("largest frame distance at snr_db={x!r}",
+         lambda c, x: 4 * c.tx_antennas * _peak_noncentrality(c, x) * max(1.0, c.noise_power_w), "finite"),
     ),
 }
 

@@ -331,7 +331,8 @@ def mod_bep(
     label Hamming distance times Q(sqrt(rho |h|^2 dist^2 / (2 sigma^2))).
     ``euclidean`` uses |x_p - x_q| for dist (matches a maximum-likelihood
     scalar detector); ``printed`` uses 2 Re[x_p (x_p - x_q)*], a circulated
-    variant kept selectable for faithful reproduction.
+    variant kept selectable for faithful reproduction.  A 1-point
+    constellation carries no bits and gives 0.
     """
     require("distance_mode", distance_mode, _DISTANCE_MODES, ConfigError)
     require("|h|", abs(h), "finite and > 0")
@@ -379,14 +380,12 @@ def abep(config: SystemConfig, rho: float, tensor: ChannelTensor | None = None) 
         nbits = M.bit_length() - 1
         e_ant = (1.0 - antenna_detection_prob_avg(tensor, rho, noise_var)) * gray_gamma(nbits) / nbits
     const = config.constellation()
-    e_mod = 0.0
-    if const.order > 1:
-        # mod_bep depends on h through |h| only: one call per distinct gain
-        # (keyed as in the detection average), summed in (m, l) order.
-        pair = np.arange(M)
-        gains, inverse = _distinct(np.abs(tensor.entries[pair, :, pair, 0]).ravel())
-        by_gain = [mod_bep(g, rho, noise_var, const, config.distance_mode) for g in gains.tolist()]
-        e_mod = sum(by_gain[g] for g in inverse.tolist()) / inverse.size
+    # mod_bep depends on h through |h| only: one call per distinct gain
+    # (keyed as in the detection average), summed in (m, l) order.
+    pair = np.arange(M)
+    gains, inverse = _distinct(np.abs(tensor.entries[pair, :, pair, 0]).ravel())
+    by_gain = [mod_bep(g, rho, noise_var, const, config.distance_mode) for g in gains.tolist()]
+    e_mod = sum(by_gain[g] for g in inverse.tolist()) / inverse.size
     return 1.0 - (1.0 - e_ant) * (1.0 - e_mod)
 
 

@@ -59,8 +59,6 @@ from .config import _DETECTORS, SystemConfig, _check_symbol_axes, _state
 from .errors import ConfigError, require
 from .numerics import Constellation, _chunks, _noise, _poisson_pmf_dot
 
-_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.int64)
-
 
 @dataclass(frozen=True)
 class OamSymbol:
@@ -390,20 +388,11 @@ def simulate_ber(
     with complex Gaussian noise at the configured noise power, and detected
     with the requested detector.  Chunk i of 8192 trials draws from Philox
     substream (seed, 0xBE7, i): the antenna, state and point indices, then
-    the noise.  ML draws its noise by one of two samplers (module
-    docstring), chosen once per run: the radius draw when
-    ``_ml_certified_fraction`` predicts that at least a quarter of the
-    trials certify, else the direct draw.  The radius draw takes one
-    chi2(4M) energy per trial; a trial whose energy is inside the
-    certificate radius of its codeword (``_ml_radii``) is counted as decided
-    correctly, and only the others draw a (2, k, M, 2) direction and are
-    built and scored.  The direct draw takes the full (2, n, M, 2) noise and
-    scores every trial.  Either is exact in distribution.  Stepwise draws
-    (2, n, M) for the first-antenna samples, decides the antenna, then draws
-    (2, n) for the decided pair's second sample (module docstring), so its
-    error counts are exact in distribution but not in draw-for-draw
-    agreement with a full-frame draw.  Results are deterministic in
-    (config, snr_db, trials, seed, detector).
+    the noise, by the detector's sampler (module docstring): the stepwise
+    draw of only the samples its rule reads, or one of the two ML samplers,
+    chosen once per run.  Every sampler gives error counts exact in
+    distribution.  Results are deterministic in (config, snr_db, trials,
+    seed, detector).
 
     Each standard error is that of the mean of a per-trial count: the bits
     of one codeword err together, so the bit rate's comes from the variance
@@ -475,28 +464,22 @@ def simulate_ber(
         state_errors += int(np.count_nonzero(st_err))
         sym_errors += int(np.count_nonzero(ant_err | st_err | (p_hat != p_idx)))
         xor = smap.word(m_idx, l_idx, p_idx) ^ smap.word(m_hat, l_hat, p_hat)
-        per_trial = np.zeros(len(xor), dtype=np.int64)
-        for _ in range(0, smap.bits_per_symbol, 8):
-            per_trial += _POPCOUNT[xor & 0xFF]
-            xor >>= 8
+        # int64: a dot product of the uint8 counts would overflow.
+        per_trial = np.bitwise_count(xor).astype(np.int64)
         bit_errors += int(per_trial.sum())
         bit_squares += int(per_trial @ per_trial)
 
-    total_bits = trials * max(smap.bits_per_symbol, 1)
-    ber = bit_errors / total_bits if smap.bits_per_symbol else 0.0
-    p_ant = ant_errors / trials
-    p_state = state_errors / trials
-    p_sym = sym_errors / trials
+    bits = max(smap.bits_per_symbol, 1)  # a 0-bit codeword counts no bit errors
     return BerReport(
         trials=trials,
         bits_per_symbol=smap.bits_per_symbol,
-        bit_error_rate=ber,
-        bit_error_stderr=_stderr(bit_errors, bit_squares, trials, max(smap.bits_per_symbol, 1)),
-        antenna_error_rate=p_ant,
+        bit_error_rate=bit_errors / (trials * bits),
+        bit_error_stderr=_stderr(bit_errors, bit_squares, trials, bits),
+        antenna_error_rate=ant_errors / trials,
         antenna_error_stderr=_stderr(ant_errors, ant_errors, trials),
-        state_error_rate=p_state,
+        state_error_rate=state_errors / trials,
         state_error_stderr=_stderr(state_errors, state_errors, trials),
-        symbol_error_rate=p_sym,
+        symbol_error_rate=sym_errors / trials,
         symbol_error_stderr=_stderr(sym_errors, sym_errors, trials),
         detector=detector,
         snr_db=float(snr_db),

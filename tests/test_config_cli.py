@@ -449,13 +449,13 @@ class TestRunSweep:
         assert len(built) == builds
 
     def test_every_variant_snr_is_checked_before_any_output(self, tmp_path, monkeypatch):
-        # With the gain pinned at d=50, 3076 dB is inside d=100's limit
-        # (3082.5 dB) and past d=25's (3073.5 dB).  Only the base config's
+        # With the gain pinned at d=50, 3070 dB is inside d=100's limit
+        # (3073.5 dB) and past d=25's (3061.4 dB).  Only the base config's
         # SNRs were checked up front, so the d=100 point ran first.
         calls = count_output_calls(monkeypatch)
         variants = (("d=100", {"distance_m": 100.0}), ("d=25", {"distance_m": 25.0}))
-        spec = tiny_spec(start=3076.0, stop=3076.0, overrides={"samples": 20}, variants=variants)
-        with pytest.raises(ConfigError, match="snr_db=3076.0"):
+        spec = tiny_spec(start=3070.0, stop=3070.0, overrides={"samples": 20}, variants=variants)
+        with pytest.raises(ConfigError, match="snr_db=3070.0"):
             run_sweep(SystemConfig(), spec, str(tmp_path / "x.csv"))
         assert calls == [] and list(tmp_path.iterdir()) == []
 
@@ -732,6 +732,15 @@ class TestCliMain:
         assert "config error: peak noncentrality" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_frame_distance_stops_the_sweep(self, tmp_path, capsys, monkeypatch):
+        # 3075 dB passes the peak-noncentrality check, but the capacity
+        # kernel's frame distances overflowed there: it warned and wrote 7.0.
+        calls, out = count_output_calls(monkeypatch), tmp_path / "o.csv"
+        argv = ["run", "--sweep", "snr", "--from", "3075", "--to", "3075", "--outputs", "capacity"]
+        assert main(argv + ["--samples", "20", "--out", str(out)]) == 2
+        assert "config error: largest frame distance at snr_db=3075.0" in capsys.readouterr().err
+        assert calls == [] and list(tmp_path.iterdir()) == []
+
     def test_module_entry_point(self):
         # ``python -m oamsm`` runs the same parser as the ``oamsm`` script.
         env = dict(os.environ, PYTHONPATH=str(Path(oamsm.__file__).resolve().parents[1]))
@@ -753,6 +762,14 @@ class TestCliMain:
         main(["preset", "fig8", "--out", str(out), "--trials", "200", "--seed", "5"])
         meta = (tmp_path / "o.csv.meta").read_text()
         assert "trials = 200" in meta
+
+    def test_cli_overrides_beat_config_file_values(self, tmp_path):
+        cfg_path, out = tmp_path / "c.cfg", tmp_path / "o.csv"
+        cfg_path.write_text("samples = 300\n")
+        argv = ["run", "--config", str(cfg_path), "--sweep", "snr", "--from", "0", "--to", "0", "--samples", "40"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert "# samples = 40  [override]" in out.read_text().splitlines()
+        assert "samples = 40  [override]" in (tmp_path / "o.csv.meta").read_text().splitlines()
 
     def test_unknown_preset_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as info:

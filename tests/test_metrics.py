@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,40 @@ class TestDcmcCapacity:
             for s in (-10.0, 0.0, 10.0, 20.0)
         ]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {},
+            {"tx_antennas": 8},
+            {"tx_antennas": 2, "oam_states": (-1, 1), "constellation_order": 2},
+            {"noise_psd_dbm_hz": 150.0},
+            {"noise_psd_dbm_hz": 250.0},
+            {"gain": 1e-12},
+            {"bandwidth_hz": 1e-200},
+            {"gain": SystemConfig().gain_value, "distance_m": 100.0},
+        ],
+        ids=["default", "M=8", "tiny", "noise_psd=150", "noise_psd=250", "gain=1e-12", "bandwidth=1e-200", "d=100"],
+    )
+    def test_top_accepted_snr_runs_clean(self, changes):
+        # The kernel's frame distances overflowed at SNRs the config
+        # accepted (3076 dB at d=100 with the gain pinned at d=50).
+        cfg = dataclasses.replace(SystemConfig(), **changes)
+        lo, hi = 0, 20000  # accepted and rejected SNRs, in units of 0.5 dB
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                cfg.rho_for_snr_db(mid / 2)
+                lo = mid
+            except ConfigError:
+                hi = mid
+        rho = cfg.rho_for_snr_db(lo / 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cap = dcmc_capacity(build_channel_tensor(cfg), rho, cfg.noise_power_w, 20, 1)
+            assert cap.value == math.log2(cfg.tx_antennas * cfg.n_states * cfg.constellation_order)
+            if cfg.tx_antennas <= 4:
+                assert math.isfinite(mimo_capacity_baseline(cfg, rho, cfg.noise_power_w, "dcmc_psk", 20, 1).value)
 
 
 def orbit_rows(tensor):
