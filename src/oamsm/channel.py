@@ -84,8 +84,8 @@ class ChannelTensor:
 
 def _position(name: str, index: int, size: int) -> int:
     """0-based position of the 1-based ``index``; ConfigError for a
-    non-integer or one outside 1..size."""
-    if not (isinstance(index, (int, np.integer)) and 1 <= index <= size):
+    non-integer (a bool included) or one outside 1..size."""
+    if isinstance(index, bool) or not (isinstance(index, (int, np.integer)) and 1 <= index <= size):
         raise ConfigError(f"{name} index {index!r} not in 1..{size}")
     return index - 1
 

@@ -114,7 +114,7 @@ def _grid_values(sweep: str, start: float, stop: float, step: float):
         if step != 1:
             raise ConfigError(f"{sweep} sweeps double from point to point; their step must be 1, got {step}")
         values = []
-        v = 2
+        v = 1
         while v <= stop:
             if v >= start:
                 values.append(v)

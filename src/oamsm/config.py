@@ -69,7 +69,7 @@ def _gain_value(text: str):
 
 
 def _state(value) -> int:
-    if not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigError(f"OAM state {value!r} is not an integer")
     return int(value)
 
@@ -139,7 +139,7 @@ class SystemConfig:
         object.__setattr__(self, "oam_states", tuple(sorted(_state(v) for v in self.oam_states)))
         self._validate()
 
-    # -- derived quantities -------------------------------------------------
+    # -- derived quantities (the geometry is cached once per instance) -------
 
     @property
     def wavelength_m(self) -> float:
@@ -153,7 +153,7 @@ class SystemConfig:
     def l_max(self) -> int:
         return max(abs(l) for l in self.oam_states)
 
-    @property
+    @functools.cached_property
     def element_spacing_m(self) -> float:
         if isinstance(self.element_spacing, str):
             return _parse_spacing(self.element_spacing) * self.wavelength_m
@@ -165,23 +165,23 @@ class SystemConfig:
             return math.pi / (2.0 * self.l_max)
         return float(self.beta_rad)
 
-    @property
+    @functools.cached_property
     def noise_power_w(self) -> float:
         return 10.0 ** (self.noise_psd_dbm_hz / 10.0) / 1000.0 * self.bandwidth_hz
 
-    @property
+    @functools.cached_property
     def reference_beam(self) -> beam_mod.BeamParams:
         return beam_mod.BeamParams(self.waist_m, self.ref_state, self.wavelength_m)
 
-    @property
+    @functools.cached_property
     def ring_radius_m(self) -> float:
         return beam_mod.ring_radius(self.reference_beam, self.distance_m)
 
-    @property
+    @functools.cached_property
     def in_ring_distance_m(self) -> float:
         return math.sqrt(self.distance_m**2 + self.ring_radius_m**2)
 
-    @property
+    @functools.cached_property
     def gain_value(self) -> float:
         if self.gain == "auto":
             # Unit ring response at the configured distance.

@@ -33,17 +33,18 @@ def _every(rule):
 
 
 # Rule: what a value must be; the key is also the message's wording.  The
-# scalar rules use math, so they stay cheap and reject any array.
+# scalar rules use math, so they stay cheap and reject any array; the integer
+# rules take a plain int, not a bool or a NumPy integer.
 _RULES = {
     "finite": math.isfinite,
     "finite and > 0": lambda v: math.isfinite(v) and v > 0.0,
     "finite and >= 0": lambda v: math.isfinite(v) and v >= 0.0,
     "a finite number": cmath.isfinite,  # real or complex
-    "an integer": lambda v: isinstance(v, int),
-    "a positive integer": lambda v: isinstance(v, int) and v >= 1,
-    "a nonnegative integer": lambda v: isinstance(v, int) and v >= 0,
-    "a nonzero integer": lambda v: isinstance(v, int) and v != 0,
-    "a power of two": lambda v: isinstance(v, int) and v >= 1 and v & (v - 1) == 0,
+    "an integer": lambda v: type(v) is int,
+    "a positive integer": lambda v: type(v) is int and v >= 1,
+    "a nonnegative integer": lambda v: type(v) is int and v >= 0,
+    "a nonzero integer": lambda v: type(v) is int and v != 0,
+    "a power of two": lambda v: type(v) is int and v >= 1 and v & (v - 1) == 0,
 }
 _RULES |= {f"{rule} in every entry": _every(_RULES[rule]) for rule in ("finite", "finite and >= 0")}
 _RULES["a finite number in every entry"] = lambda v: (a := np.asarray(v)).dtype.kind in "biufc" and np.isfinite(a).all()

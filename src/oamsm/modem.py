@@ -7,9 +7,8 @@ Gray(point), with 0-based indices into the ascending state table.  The
 receiver either solves the joint maximum-likelihood problem over all
 hypotheses or runs the three-step chain: pick the strongest pair, read the
 state off the pair phase difference, then decide the constellation point.
-Each rule is one batched function (``_detector``) that scores every
-candidate by a small real matrix product, in row blocks bounded by one
-element budget; the single-frame detectors are 1-row calls into it.
+Each rule is one batched function (``_detector``); the single-frame
+detectors are 1-row calls into it.
 
 One frame builder (``_frames``) makes received samples from a table of
 clean samples: it gathers the table's leading-axis entries ``rows``,
@@ -159,9 +158,8 @@ def _frames(clean: np.ndarray, rows: np.ndarray, points: np.ndarray, noise: np.n
     return y
 
 
-# Elements per decision block: each block holds rows x hypotheses ML scores
-# or rows x points stepwise scores, so memory stays bounded whatever the
-# constellation or array size.
+# Elements per ML decision block: each block holds rows x hypotheses scores,
+# so memory stays bounded whatever the constellation or array size.
 _BLOCK_ELEMS = 1 << 17
 
 
@@ -169,24 +167,22 @@ def _detector(tensor: ChannelTensor, rho: float, rule: str):
     """``decide(y)``: (n, M, 2) complex received frames to three length-n
     arrays of 0-based (antenna, state, point) indices under ``rule``.
 
-    Every score is a small real matrix product, and every argmin or argmax
-    breaks ties to the lowest index, so under either rule an all-zero frame
-    decides antenna 1, the first state and point 0.  Decisions run in row
-    blocks of ``max(1, _BLOCK_ELEMS // K)`` rows, K being the number of
-    candidates (hypotheses or points) scored per row.
+    The ML score and the stepwise antenna and state scores are small real
+    products whose argmin or argmax breaks ties to the lowest index, so an
+    all-zero frame decides antenna 1, the first state and point 0.
 
     - ``stepwise``: the pair whose first antenna has the largest
       Re^2 + Im^2; then, with z = y0 * conj(y1) over that pair, the state
       maximizing Re(z * e^(-i beta l)) = |z| cos(arg z - beta l), which is
       the signature beta * l nearest the pair phase difference on the circle
       (the ML rule under the pair-angle constraint), by one (n, 2) @ (2, L)
-      product; then the point maximizing Re(y0 * conj(ref) * conj(x_p)), ref
-      being the in-ring response of the decided (antenna, state), by one
-      (rows, 2) @ (2, P) product per block.  Every point has the same energy
-      (unit-modulus PSK, or the single point 1), so this is the point of
-      least residual |y0 - ref * x_p|^2.  Unlike that residual, which rounds
-      every point to |y0|^2 once |ref| is far below |y0| (at -300 dB, say)
-      and then takes point 0, the score still resolves the points there.
+      product, as the signatures are not evenly spaced; then the point whose
+      sector holds the phase of w = y0 * conj(ref), ref being the in-ring
+      response of the decided (antenna, state): rint(P arg(w) / 2 pi) mod P.
+      Point k sits at angle 2 pi k / P (PSK, or the single point 1), so this
+      is the point of least residual |y0 - ref * x_p|^2 (Proakis & Salehi,
+      Digital Communications, sec. 4.3); a w exactly on a sector boundary
+      (probability zero under noise) rounds half to even.
       The two phases are exposed as ``decide.antenna(first)``, the (n, M)
       first-antenna samples to m_hat, and ``decide.pair(y0, y1, m_hat)``,
       the decided pair's two length-n samples to (l_hat, p_hat); ``decide``
@@ -196,10 +192,10 @@ def _detector(tensor: ChannelTensor, rho: float, rule: str):
       s_h = sqrt(rho) * h * x.  Since |y|^2 is common to every hypothesis,
       the argmin runs over the expanded score
       ||s_h||^2 - 2 * [Re y, Im y] . [Re s_h, Im s_h]: one real matrix
-      product per block of the frames' float view (interleaved Re, Im)
-      against a (4M, H) basis built once, plus the H energies.  The expanded
-      form can change a decision only where two residuals agree to within
-      rounding of |y|^2 + |s_h|^2.
+      product per block of max(1, _BLOCK_ELEMS // H) rows of the frames'
+      float view (interleaved Re, Im) against a (4M, H) basis built once,
+      plus the H energies.  The expanded form can change a decision only
+      where two residuals agree to within rounding of |y|^2 + |s_h|^2.
     """
     M, n_states = tensor.entries.shape[:2]
     points = np.asarray(tensor.config.constellation().points)
@@ -229,22 +225,20 @@ def _detector(tensor: ChannelTensor, rho: float, rule: str):
 
     beta_l = tensor.config.beta_value * np.asarray(tensor.states, dtype=float)
     state_basis = np.array([np.cos(beta_l), np.sin(beta_l)])  # (2, L)
-    point_basis = np.array([points.real, points.imag])  # (2, P)
     ref = sqrt_rho * tensor.entries[np.arange(M), :, np.arange(M), 0]  # (M, L)
-    rows = max(1, _BLOCK_ELEMS // points.size)
+    sector = points.size / (2.0 * math.pi)
 
     def antenna(first):
         return np.argmax(first.real**2 + first.imag**2, axis=1)
 
     def pair(y0, y1, m_hat):
-        # (n, 2) float views [Re, Im] of z = y0 * conj(y1) and w = y0 * conj(ref).
+        # (n, 2) float view [Re, Im] of z = y0 * conj(y1).
         z = (y0 * y1.conj()).view(np.float64).reshape(-1, 2)
         l_hat = np.argmax(z @ state_basis, axis=1)
-        w = (y0 * ref[m_hat, l_hat].conj()).view(np.float64).reshape(-1, 2)
-        p_hat = np.empty(len(y0), dtype=np.intp)
-        for lo in range(0, len(y0), rows):
-            p_hat[lo : lo + rows] = np.argmax(w[lo : lo + rows] @ point_basis, axis=1)
-        return l_hat, p_hat
+        w = y0 * ref[m_hat, l_hat].conj()
+        # + 0.0 turns a signed zero into +0.0, so w = 0 has angle 0.
+        p_hat = np.rint(sector * np.arctan2(w.imag + 0.0, w.real + 0.0)).astype(np.intp)
+        return l_hat, p_hat % points.size
 
     def decide(y):
         m_hat = antenna(y[:, :, 0])

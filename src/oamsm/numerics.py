@@ -315,9 +315,11 @@ def _gk15(f, lo: np.ndarray, hi: np.ndarray):
     return k15, err
 
 
-def integrate(
-    f, lower: float, upper: float, tol: float = 1e-9, max_intervals: int = 4000, breakpoints=()
-) -> float:
+# Panels ``integrate`` may split its range into before it gives up.
+_MAX_INTERVALS = 4000
+
+
+def integrate(f, lower: float, upper: float, tol: float = 1e-9, breakpoints=()) -> float:
     """Adaptive quadrature of ``f`` with an absolute-error target.
 
     ``f`` must accept an ndarray of evaluation points and return values
@@ -331,8 +333,8 @@ def integrate(
     Raises
     ------
     NumericError
-        If the interval budget is exhausted before the error bound reaches
-        ``tol``; the exception carries the best estimate and its bound.
+        If ``_MAX_INTERVALS`` panels do not bring the bound down to ``tol``;
+        the exception carries the best estimate and its bound.
     """
     require("tol", tol, "finite and > 0")
     require("integration limits", (lower, upper), "finite in every entry")
@@ -344,10 +346,10 @@ def integrate(
     if upper == lower:
         return 0.0
     seeds = np.array(sorted({lower, upper, *inner.tolist()}), dtype=float)
-    return _adaptive(f, seeds, tol, max_intervals)
+    return _adaptive(f, seeds, tol)
 
 
-def _adaptive(f, seeds: np.ndarray, tol: float, max_intervals: int) -> float:
+def _adaptive(f, seeds: np.ndarray, tol: float) -> float:
     lo = seeds[:-1].copy()
     hi = seeds[1:].copy()
     vals, errs = _gk15(f, lo, hi)
@@ -357,10 +359,10 @@ def _adaptive(f, seeds: np.ndarray, tol: float, max_intervals: int) -> float:
         bound = float(np.sum(errs))
         if bound <= tol:
             return total
-        if lo.size >= max_intervals:
+        if lo.size >= _MAX_INTERVALS:
             raise NumericError("quadrature did not converge", total, bound)
         # Split the worst intervals; batching keeps the integrand calls large.
-        n_split = min(max(1, lo.size // 4), 32, max_intervals - lo.size)
+        n_split = min(max(1, lo.size // 4), 32, _MAX_INTERVALS - lo.size)
         worst = np.argsort(errs)[-n_split:]
         mids = 0.5 * (lo[worst] + hi[worst])
         new_lo = np.concatenate([lo[worst], mids])

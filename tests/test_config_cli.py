@@ -105,11 +105,28 @@ class TestSystemConfig:
             ("trials", 0),
             ("ref_state", 0),
             ("oam_states", (1.5, -1)),
+            # A bool is not an integer: True used to pass as 1.
+            ("tx_antennas", True),
+            ("trials", True),
+            ("oam_states", (True, -1)),
         ],
     )
     def test_rejects_bad_value(self, field, value):
         with pytest.raises(ConfigError):
             SystemConfig(**{field: value})
+
+    def test_replace_recomputes_cached_geometry(self):
+        # The geometry is cached per instance; ``replace`` builds a new
+        # instance, so no cached value outlives a change of distance or
+        # carrier.
+        base = SystemConfig()
+        names = ("ring_radius_m", "gain_value", "element_spacing_m")
+        for field, value, moved in (("distance_m", 80.0, names[:2]), ("carrier_freq_hz", 30e9, names)):
+            varied = dataclasses.replace(base, **{field: value})
+            fresh = SystemConfig(**{field: value})
+            for name in names:
+                assert getattr(varied, name) == getattr(fresh, name)
+                assert (getattr(varied, name) != getattr(base, name)) == (name in moved)
 
     @pytest.mark.parametrize(
         "field, run",
@@ -596,6 +613,23 @@ class TestCliMain:
         argv = ["run", "--sweep", sweep, "--from", "2", "--to", "8", "--step", "3", "--out", str(out)]
         assert main(argv) == 2
         assert "step must be 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sweep, stop, want", [("antennas", "4", ["1", "2", "4"]), ("constellation", "1", ["1"])])
+    def test_count_sweep_starts_at_one(self, tmp_path, sweep, stop, want):
+        # 1 = 2^0: the doubling used to start at 2, so antennas 1-4 wrote
+        # rows 2 and 4 and constellation 1-1 found no grid point.
+        out = tmp_path / "o.csv"
+        argv = ["run", "--sweep", sweep, "--from", "1", "--to", stop, "--outputs", "ber", "--trials", "100"]
+        assert main([*argv, "--out", str(out)]) == 0
+        body = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        assert [line.split(",")[0] for line in body[1:]] == want
+
+    def test_states_sweep_from_one_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        argv = ["run", "--sweep", "states", "--from", "1", "--to", "4", "--outputs", "ber", "--trials", "100"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "state count must be a positive even number, got 1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -14,11 +14,12 @@ CASES = {
     "finite and > 0": ((1e-300, 7), (0.0, -1.0, math.inf, "5", 10**400)),
     "finite and >= 0": ((0.0, 2), (-1e-300, math.nan, "0")),
     "a finite number": ((1.0, 1 + 2j, 3), (complex(math.nan), complex(0.0, math.inf), "x")),
-    "an integer": ((0, -7), (1.5, "3", np.int64(3))),
-    "a positive integer": ((1, 20000), (0, -5, 2.5, "4")),
-    "a nonnegative integer": ((0, 3), (-1, 2.0)),
-    "a nonzero integer": ((1, -4), (0, 1.0)),
-    "a power of two": ((1, 2, 1024, 2**70), (0, -2, 3, 6, 2.0, "4", np.int64(4), None)),
+    # A bool is an int subclass, not an integer value.
+    "an integer": ((0, -7), (1.5, "3", np.int64(3), True, False)),
+    "a positive integer": ((1, 20000), (0, -5, 2.5, "4", True, False)),
+    "a nonnegative integer": ((0, 3), (-1, 2.0, True, False)),
+    "a nonzero integer": ((1, -4), (0, 1.0, True, False)),
+    "a power of two": ((1, 2, 1024, 2**70), (0, -2, 3, 6, 2.0, "4", np.int64(4), None, True, False)),
     # The array forms: an empty array passes, and one bad entry fails it.
     "finite in every entry": (
         (np.empty(0), np.array([-1.0, 0.0, 2.5]), [1, 2], 3.0, np.float64(-4.0)),

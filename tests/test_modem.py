@@ -233,15 +233,28 @@ class TestDetectors:
         assert np.array_equal(got, want)
         assert np.array_equal(got[:, 1], nearest)
 
-    def test_stepwise_all_zero_frame_picks_lowest_indices(self, default_config, default_tensor):
-        # Every antenna, state and point scores 0, so the lowest index wins:
-        # antenna 1, the first state, point 0.  The angle/wrap rule took
-        # angle(0) = 0 and decided state -1.  A real-valued frame reads as
-        # the complex one.
-        rho = default_config.rho_for_snr_db(20.0)
+    @pytest.mark.parametrize("name", ["default", "m8", "psk16", "tiny", "d37", "d91_psk8"])
+    def test_stepwise_all_zero_frame_picks_lowest_indices(self, request, name):
+        # Every antenna and state scores 0, so the lowest index wins:
+        # antenna 1 and the first state (the angle/wrap rule took
+        # angle(0) = 0 and decided state -1).  The point slicer reads the
+        # phase of w = y0 * conj(ref), whose zero carries a sign set by ref;
+        # it must take angle 0, point 0, for -0.0 as for +0.0.  A real-valued
+        # frame reads as the complex one.
+        cfg = {
+            "default": SystemConfig(),
+            "m8": dataclasses.replace(SystemConfig(), tx_antennas=8),
+            "psk16": SystemConfig(constellation_order=16),
+            "tiny": request.getfixturevalue("tiny_config"),
+            "d37": SystemConfig(distance_m=37.0),
+            "d91_psk8": SystemConfig(distance_m=91.3, constellation_order=8),
+        }[name]
+        tensor = build_channel_tensor(cfg)
+        rho = cfg.rho_for_snr_db(20.0)
         for dtype in (complex, float):
-            out = demodulate_stepwise(np.zeros((4, 2), dtype=dtype), default_tensor, rho)
-            assert (out.antenna, out.state, out.point_index) == (1, default_tensor.states[0], 0)
+            for zero in (0.0, -0.0):
+                out = demodulate_stepwise(np.full((cfg.tx_antennas, 2), zero, dtype=dtype), tensor, rho)
+                assert (out.antenna, out.state, out.point_index) == (1, tensor.states[0], 0), (dtype, zero)
 
     @pytest.mark.parametrize("detect", [demodulate_stepwise, demodulate_ml])
     @pytest.mark.parametrize(
@@ -571,17 +584,17 @@ class TestSimulateBer:
             # 16-PSK makes 256 hypotheses; a (1024, 256, 4, 2) complex
             # residual per block peaked at 102 MiB here.
             ("ml", SystemConfig(constellation_order=16), 10.0, 9000, 3, 16),
-            # 1024-PSK: deciding the point for a whole 8192-trial chunk at
+            # 1024-PSK: scoring every point for a whole 8192-trial chunk at
             # once built (8192, 1024) complex temporaries and peaked at
-            # 290 MiB.  Row blocks cut that to 73.6 MiB; drawing the noise
-            # straight into the frame, with no separate noise array and its
-            # ~17 MB complex temporaries, to 58.1 MiB; blocks of 1024 rows
-            # still held (1024, 1024) complex temporaries.
+            # 290 MiB; row blocks of the point scores cut that to 73.6 MiB.
+            # The point is now the sector index of one phase per trial, so
+            # no per-point array remains; the peak is 18.1 MiB.
             ("stepwise", SystemConfig(tx_antennas=64, oam_states=(-1, 1), constellation_order=1024), 20.0, 20000, 5, 40),
         ],
     )
     def test_memory_is_bounded_by_element_blocks(self, detector, cfg, snr, trials, seed, bound_mib):
-        # Blocks bound rows x candidates (hypotheses or points), not rows.
+        # ML blocks bound rows x hypotheses, not rows; stepwise holds no
+        # per-point array.
         tensor = build_channel_tensor(cfg)
         tracemalloc.start()
         try:
