@@ -125,9 +125,13 @@ def build_channel_tensor(config: SystemConfig) -> ChannelTensor:
     the tensor continuous in the spacing: as it shrinks to 0, each off-ring
     entry approaches the in-ring one.
 
-    Deterministic: the same config yields a bit-identical tensor.  Raises
-    ConfigError if some entry is not finite, or, from ``matched_beams``, if
-    some state has no matched beam with a finite, nonzero ring response.
+    The geometry depends on the pair offset j - m alone, so the entries are
+    computed once per offset and ``entries`` is a read-only view of those
+    (2M - 1, L, 2) responses: entries[m, l, j, a] = by_offset[j - m + M - 1,
+    l, a].  Deterministic: the same config yields a bit-identical tensor.
+    Raises ConfigError if some entry is not finite, or, from
+    ``matched_beams``, if some state has no matched beam with a finite,
+    nonzero ring response.
     """
     beams = matched_beams(config)
     M = config.tx_antennas
@@ -135,15 +139,19 @@ def build_channel_tensor(config: SystemConfig) -> ChannelTensor:
     z = config.distance_m
     ring = config.ring_radius_m
     xi = config.element_spacing_m
-    entries = np.empty((M, len(config.oam_states), M, 2), dtype=complex)
+    by_offset = np.empty((2 * M - 1, len(config.oam_states), 2), dtype=complex)
     # An overflow shows up as a non-finite entry, reported below.
     with np.errstate(over="ignore", invalid="ignore"):
-        distance, radial, azimuth = _pair_geometry(M, xi, z, ring, config.beta_value)
-        d_in = distance[0, 0, 0]
+        # Row M - 1 of the (2M - 1)-element geometry: offsets 1 - M ... M - 1.
+        distance, radial, azimuth = (g[M - 1] for g in _pair_geometry(2 * M - 1, xi, z, ring, config.beta_value))
+        d_in = distance[M - 1, 0]
         k = 2.0 * math.pi / lam
         base = _ring_amplitude(config) * np.exp(-1j * k * d_in)
         for li, beam in enumerate(beams.values()):
-            entries[:, li] = base * beam_mod.lg_field(beam, radial, azimuth, z) / beam_mod.lg_field(beam, ring, 0.0, z)
-    if not np.all(np.isfinite(entries)):
+            by_offset[:, li] = base * beam_mod.lg_field(beam, radial, azimuth, z) / beam_mod.lg_field(beam, ring, 0.0, z)
+    if not np.all(np.isfinite(by_offset)):
         raise ConfigError(f"channel tensor is not finite at element spacing {xi!r} m and distance {z!r} m")
+    # windows[k, l, a, j] = by_offset[k + j]; row k = M - 1 - m is antenna m.
+    windows = np.lib.stride_tricks.sliding_window_view(by_offset, M, axis=0)
+    entries = windows[::-1].transpose(0, 1, 3, 2)
     return ChannelTensor(entries=entries, states=tuple(config.oam_states), config=config)

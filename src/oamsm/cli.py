@@ -131,8 +131,9 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, out_path: str, command: str
     """Execute a sweep and write the CSV plus its ``.meta`` sidecar.
 
     Plan, then compute, then write: the plan builds every point's config,
-    power, seed and tensor and checks the capacity baseline, so a sweep
-    raises every ConfigError before any output runs.  The base gain is
+    power, seed and tensor, and for capacity and ee outputs checks the
+    capacity kernel's derived entries and the baseline, so a sweep raises
+    every ConfigError before any output runs.  The base gain is
     materialized once, so distance grids see genuine attenuation, not a
     re-normalized channel; the headers show the gain as configured, its
     value on the ``resolved_gain`` line.  Each output's values fill its
@@ -163,6 +164,7 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, out_path: str, command: str
             if spec.outputs and cfg is not tensor_cfg:
                 tensor, tensor_cfg = build_channel_tensor(cfg), cfg
             if capacity:
+                cfg._check_derived("capacity", snr_db)
                 _check_baseline(cfg, cfg.mimo_mode)
             row = dict(zip(columns, (value, label, rho) if spec.variants else (value, rho)))
             plan.append((row, cfg, snr_db, rho, seed_i, tensor))

@@ -191,8 +191,8 @@ class SystemConfig:
     def rho_for_snr_db(self, snr_db: float) -> float:
         """Transmit power (watts) realizing the given transmit SNR, defined
         as rho / noise_power over the configured bandwidth.  Raises
-        ``ConfigError`` if the power, the peak noncentrality or the largest
-        frame distance it gives is not a finite float (see ``_DERIVED``)."""
+        ``ConfigError`` if the power or the peak noncentrality it gives is
+        not a finite float (see ``_DERIVED``)."""
         self._check_derived("snr", snr_db)
         return _rho(self, snr_db)
 
@@ -233,7 +233,7 @@ class SystemConfig:
         state or ``snr_db``.  The one place where an overflow in a derived
         quantity becomes a ConfigError: an ``ArithmeticError`` on the way
         counts as inf, and NumPy's overflows show up as non-finite values."""
-        xs = {"config": (None,), "state": self.oam_states, "snr": (snr_db,)}[scope]
+        xs = {"config": (None,), "state": self.oam_states, "snr": (snr_db,), "capacity": (snr_db,)}[scope]
         with np.errstate(all="ignore"):
             for (name, value, rule), x in itertools.product(_DERIVED[scope], xs):
                 try:
@@ -279,8 +279,10 @@ def _peak_noncentrality(c: SystemConfig, snr_db: float) -> float:
 #: ``errors.require`` rule it must meet); names are formatted with c and x.
 #: Each is a number some layer divides by or exponentiates.  ``_validate``
 #: checks scope "config", and "snr" at x = snr_db; ``rho_for_snr_db``
-#: checks "snr" at every SNR a run uses, and ``channel.matched_beams``,
-#: which every tensor is built from, "state" at x = each OAM state.
+#: checks "snr" at every SNR a run uses, ``channel.matched_beams``, which
+#: every tensor is built from, "state" at x = each OAM state, and
+#: ``cli.run_sweep`` "capacity" at the SNR of every point that runs the
+#: capacity kernel, so runs without it keep the "snr" range.
 _DERIVED = {
     "config": (
         ("noise power at noise_psd_dbm_hz={c.noise_psd_dbm_hz!r}, bandwidth_hz={c.bandwidth_hz!r}",
@@ -303,6 +305,8 @@ _DERIVED = {
         ("transmit power at snr_db={x!r}", _rho, "finite and > 0"),
         # 2 rho max|h|^2 / noise power, in the order the detection layers take it.
         ("peak noncentrality at snr_db={x!r}", _peak_noncentrality, "finite"),
+    ),
+    "capacity": (
         # The capacity kernel sums |s_i - s_j|^2 over the 2M frame entries,
         # up to 4M times the peak noncentrality in noise powers, before and
         # after it divides by the noise power.

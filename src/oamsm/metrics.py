@@ -22,7 +22,8 @@ from .numerics import Constellation, _chunks, _noise, integrate, marcum_q1, ncx2
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
+# Slotted: each estimate a caller keeps takes 64 bytes, not 104 (CPython 3.11).
+@dataclass(frozen=True, slots=True)
 class CapacityEstimate:
     """Capacity in bits per channel use with its Monte Carlo standard error."""
 
@@ -42,6 +43,15 @@ _CAP_CHUNK = 512
 # ln 2^-60: a neighbour is dropped when its term provably stays below
 # 2^-60 / n_inputs, so no log-sum-exp moves by as much as 2^-60.
 _PRUNE_LN_BUDGET = 60.0 * _LN2
+# A row's terms go through the shared-shift product only if its own factor
+# e^(q_i - c) and each neighbour's e^-d2 are at least e^-600.  Then every
+# term that matters, at least e^-600 2^-60 / n_inputs, is the product of two
+# factors in [e^-642 / n_inputs, 1], all normal doubles (the smallest is
+# e^-708.4) for any n_inputs below e^66.
+_PRODUCT_LN_FLOOR = 600.0
+# The frame distances of at most this many (representative, input) pairs
+# are held at once (2 MiB); representatives beyond it are scored in blocks.
+_CAP_TABLE = 1 << 18
 
 
 def _mutual_information(
@@ -65,16 +75,30 @@ def _mutual_information(
     zero term keeps draws <= log2(n_inputs).  All-zero signals (rho = 0)
     give exactly 0: every likelihood ratio is 1.
 
-    Two exact reductions keep the arithmetic small.  The cross term
-    factors as Re(d_ij . conj(w)) = R_i - R_j with R = Re(s . w^H), one
-    matrix product per chunk of draws.  By Cauchy-Schwarz,
-    F_ij <= exp(-(|d_ij|^2 - 2 |d_ij| |w|max) / noise_var), where |w|max is
-    the largest noise norm in the chunk; neighbour j of input i is dropped
-    when that bound is below 2^-60 / n_inputs.  The dropped terms of one
-    log-sum-exp then sum to less than 2^-60 against the true input's term
-    of 1, so each log-sum-exp moves by less than 2^-60, far below double
+    The cross term factors as Re(d_ij . conj(w)) = R_i - R_j with
+    R = Re(s . w^H), so ln F_ij = q_j - q_i - d2_ij with q = 2 R / noise_var
+    (one matrix product per chunk of draws) and d2_ij = |d_ij|^2 / noise_var,
+    a table formed once per call from differences, one real coordinate at a
+    time.  By Cauchy-Schwarz, F_ij <= exp(-(d2_ij - 2 w sqrt(d2_ij))), where
+    w is the chunk's largest noise norm over sqrt(noise_var); neighbour j of
+    input i is dropped when that bound is below 2^-60 / n_inputs, that is
+    when d2_ij >= (w + sqrt(w^2 + cut))^2 with cut = ln(2^60 n_inputs).  The
+    dropped terms of one log-sum-exp sum to less than 2^-60 against the true
+    input's term of 1, so it moves by less than 2^-60, far below double
     rounding.  An input whose only remaining term is its own adds exactly
     ln 1 = 0 and is skipped, so saturated draws cost almost nothing.
+
+    The rows that keep a neighbour share one shift per draw, c = max q_j
+    over the union C of their neighbours, and one matrix product:
+    sum_j F_ij = (exp(-d2[rows, C]) @ exp(q[C] - c))_i / exp(q_i - c).  A
+    row takes it only if q_i - c >= -600 at every draw of the chunk and
+    d2_ij <= 600 for each neighbour (``_PRODUCT_LN_FLOOR``), so every term
+    that matters is a product of two normal doubles.  Any other row, which
+    happens only at high received SNR, sums its neighbours' F_ij itself:
+    its own term is exactly 1 and, for a neighbour, ln F_ij <= w^2, so no
+    shift is needed and nothing overflows.  Representatives are scored in
+    blocks that keep the table to ``_CAP_TABLE`` entries; each block
+    redraws the same noise.
     """
     require("samples", samples, "a positive integer")
     if not np.any(reps):
@@ -82,33 +106,62 @@ def _mutual_information(
     # Input (k, p) at row k P + p: the representatives are every P-th row.
     signals = (reps[:, None, :] * rotations[:, None]).reshape(-1, reps.shape[1])
     n_inputs, dims = signals.shape
+    # Real coordinates: Re(a . conj(b)) is the dot product of [Re a, Im a]
+    # and [Re b, Im b]; one row per coordinate.
+    coords = np.concatenate([signals.real.T, signals.imag.T])
+    del signals
     log2_inputs = math.log2(n_inputs)
     cut_ln = _PRUNE_LN_BUDGET + math.log(n_inputs)
-    # Real coordinates: Re(a . conj(b)) is the dot product of [Re a, Im a]
-    # and [Re b, Im b].
-    sig = np.concatenate([signals.real, signals.imag], axis=1)
-    buf = np.empty((n_inputs, min(_CAP_CHUNK, samples)))
-    per_draw = np.empty(samples)
-    for done, n, rng in _chunks(samples, _CAP_CHUNK, seed, stream):
-        # [Re w, Im w]: the real plane of the draw, then the imaginary.
-        w = np.concatenate(_noise(rng, (n, dims), math.sqrt(noise_var / 2.0)), axis=1)
-        w_max = math.sqrt(float(np.max(np.sum(w * w, axis=1))) / noise_var)  # |w|max / sqrt(noise_var)
-        # q[j] = 2 R_j / noise_var, so ln F_ij = q[j] - |d_ij|^2 / noise_var - q[i].
-        q = (sig @ w.T) * (2.0 / noise_var)
-        acc = np.zeros(n)
-        for i in range(0, n_inputs, rotations.size):
-            diff = sig[i] - sig
-            d2 = np.sum(diff * diff, axis=1) / noise_var  # |d_ij|^2 / noise_var
-            near = np.flatnonzero(d2 - 2.0 * w_max * np.sqrt(d2) < cut_ln)
-            if near.size == 1:
+    block = max(1, _CAP_TABLE // n_inputs)
+    acc = np.zeros(samples)
+    for first in range(0, reps.shape[0], block):
+        rows = np.arange(first, min(first + block, reps.shape[0])) * rotations.size
+        d2 = np.zeros((rows.size, n_inputs))
+        diff = np.empty_like(d2)
+        for x in coords:
+            np.subtract.outer(x[rows], x, out=diff)
+            diff *= diff
+            d2 += diff
+        del diff
+        d2 /= noise_var
+        for done, n, rng in _chunks(samples, _CAP_CHUNK, seed, stream):
+            # [Re w, Im w]: the real plane of the draw, then the imaginary.
+            w = np.concatenate(_noise(rng, (n, dims), math.sqrt(noise_var / 2.0)), axis=1)
+            w_max = math.sqrt(float(np.max(np.sum(w * w, axis=1))) / noise_var)
+            reach = (w_max + math.sqrt(w_max * w_max + cut_ln)) ** 2
+            near = d2 < reach
+            live = np.count_nonzero(near, axis=1) > 1
+            if not live.any():
                 continue
-            t = buf[: near.size, :n]
-            np.subtract(q if near.size == n_inputs else q[near], d2[near, None], out=t)
-            m = np.max(t, axis=0)
-            t -= m
-            np.exp(t, out=t)
-            acc += m - q[i] + np.log(np.sum(t, axis=0))
-        per_draw[done : done + n] = log2_inputs - acc / (reps.shape[0] * _LN2)
+            # The live rows: input indices, neighbour masks and distances.
+            r, nr, dr = (rows, near, d2) if live.all() else (rows[live], near[live], d2[live])
+            q = coords.T @ w.T
+            q *= 2.0 / noise_var
+            out = acc[done : done + n]
+            cols = np.flatnonzero(np.any(nr, axis=0))
+            qc = q if cols.size == n_inputs else q[cols]
+            shift = np.max(qc, axis=0)
+            own = q[r]
+            own -= shift
+            shared = np.min(own, axis=1) >= -_PRODUCT_LN_FLOOR
+            if reach > _PRODUCT_LN_FLOOR:
+                shared &= ~np.any(nr & (dr > _PRODUCT_LN_FLOOR), axis=1)
+            for i in np.flatnonzero(~shared):
+                nb = np.flatnonzero(nr[i])
+                t = q[nb] - dr[i, nb, None]
+                t -= q[r[i]]
+                np.exp(t, out=t)
+                out += np.log(np.sum(t, axis=0))
+            if shared.any():
+                qc -= shift  # q itself when every input is a column; its rows are read above
+                np.exp(qc, out=qc)
+                e = (dr if shared.all() else dr[shared]).take(cols, axis=1)
+                np.negative(e, out=e)
+                np.exp(e, out=e)
+                s = e @ qc
+                np.log(s, out=s)
+                out += np.sum(s, axis=0) - np.sum(own if shared.all() else own[shared], axis=0)
+    per_draw = log2_inputs - acc / (reps.shape[0] * _LN2)
     value = float(np.mean(per_draw))
     stderr = float(np.std(per_draw, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return CapacityEstimate(value=min(max(0.0, value), log2_inputs), std_error=stderr, samples=samples)
@@ -167,9 +220,12 @@ def mimo_capacity_baseline(
     the sum of log2(1 + c mu_k) over the squared singular values mu_k of H,
     taking ln c = ln rho_total - ln(M sigma^2) so that no ratio overflows.
     ``dcmc_psk`` estimates the mutual information with independent uniform
-    PSK inputs on each antenna by Monte Carlo, upper-bounded by M log2 P.
-    It scores every x (rotations = 1): at its received SNR, ~100 dB below
-    rho_total / sigma^2, one x per orbit is far noisier (``_mutual_information``).
+    PSK inputs on each antenna by Monte Carlo, upper-bounded by M log2 P,
+    through ``_mutual_information``: per chunk of draws, one shared shift per
+    draw and one matrix product score every x whose own score stays within
+    600 of that shift, and any other x (only at high received SNR) sums its
+    neighbours itself.  It scores every x (rotations = 1): at its received
+    SNR, ~100 dB below rho_total / sigma^2, one x per orbit is far noisier.
     """
     _check_baseline(config, mode)
     _check_link(rho_total, noise_var)

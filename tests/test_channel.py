@@ -3,6 +3,7 @@ assembled tensor."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -125,6 +126,21 @@ class TestBuildChannelTensor:
     def test_immutable(self, default_tensor):
         with pytest.raises(ValueError):
             default_tensor.entries[0, 0, 0, 0] = 0.0
+
+    def test_entries_are_held_once_per_pair_offset(self):
+        # M = 16, L = 8: one response per offset j - m is 31 x 8 x 2 complex
+        # values (7.75 KiB); every (m, j) pair would be 16 x 8 x 16 x 2 (64 KiB).
+        cfg = dataclasses.replace(SystemConfig(), tx_antennas=16)
+        build_channel_tensor(cfg)
+        tracemalloc.start()
+        try:
+            tensor = build_channel_tensor(cfg)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 16 * 2**10
+        e = tensor.entries
+        assert np.array_equal(e[:-1, :, :-1], e[1:, :, 1:])
 
     def test_offset_pattern_shifts_with_antenna(self, default_tensor):
         # |h| depends on the offset magnitude |j - m| only.

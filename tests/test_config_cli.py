@@ -775,6 +775,17 @@ class TestCliMain:
         assert "config error: largest frame distance at snr_db=3075.0" in capsys.readouterr().err
         assert calls == [] and list(tmp_path.iterdir()) == []
 
+    def test_ber_run_keeps_the_snr_range_past_the_frame_distance_limit(self, tmp_path):
+        # Only the capacity kernel forms frame distances, so a BER-only run
+        # is not stopped by their limit, which 3070 dB is past.
+        out = tmp_path / "o.csv"
+        argv = ["run", "--sweep", "snr", "--from", "3070", "--to", "3070", "--outputs", "ber"]
+        with pytest.raises(ConfigError, match="largest frame distance at snr_db=3070.0"):
+            SystemConfig()._check_derived("capacity", 3070.0)
+        assert main(argv + ["--trials", "200", "--out", str(out)]) == 0
+        row = out.read_text().splitlines()[-1].split(",")
+        assert row[0] == "3070.0" and all(math.isfinite(float(v)) for v in row)
+
     def test_module_entry_point(self):
         # ``python -m oamsm`` runs the same parser as the ``oamsm`` script.
         env = dict(os.environ, PYTHONPATH=str(Path(oamsm.__file__).resolve().parents[1]))

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -143,13 +144,16 @@ class TestDcmcCapacity:
     )
     def test_top_accepted_snr_runs_clean(self, changes):
         # The kernel's frame distances overflowed at SNRs the config
-        # accepted (3076 dB at d=100 with the gain pinned at d=50).
+        # accepted (3076 dB at d=100 with the gain pinned at d=50).  The top
+        # SNR is the one a capacity run accepts: its plan also checks the
+        # "capacity" entries.
         cfg = dataclasses.replace(SystemConfig(), **changes)
         lo, hi = 0, 20000  # accepted and rejected SNRs, in units of 0.5 dB
         while hi - lo > 1:
             mid = (lo + hi) // 2
             try:
                 cfg.rho_for_snr_db(mid / 2)
+                cfg._check_derived("capacity", mid / 2)
                 lo = mid
             except ConfigError:
                 hi = mid
@@ -174,6 +178,31 @@ def psk_baseline_frames(cfg, rho):
     M = cfg.tx_antennas
     x = np.array(list(itertools.product(points, repeat=M)))  # (P^M, M)
     return math.sqrt(rho / M) * x @ mimo_channel_matrix(cfg).T
+
+
+def chunk_noise(samples, dims, noise_var, seed, stream):
+    """The kernel's noise draws, chunk by chunk, as ``einsum_mutual_information``
+    draws them: 512-draw chunks, one Philox substream per chunk."""
+    for chunk, done in enumerate(range(0, samples, 512)):
+        n = min(512, samples - done)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(seed, stream, chunk))))
+        yield math.sqrt(noise_var / 2.0) * (rng.standard_normal((n, dims)) + 1j * rng.standard_normal((n, dims)))
+
+
+def kernel_rows(signals, noise_var, samples, seed, stream, rows):
+    """Per chunk of the kernel's draws: the neighbours that the 2^-60 bound
+    keeps for each of ``rows`` (rows x inputs, bool), and which of ``rows``
+    keep a neighbour yet score more than 600 below the shared shift (the
+    largest score of any kept neighbour) at some draw."""
+    cut = 60.0 * math.log(2.0) + math.log(signals.shape[0])
+    d2 = np.array([np.sum(np.abs(signals[i] - signals) ** 2, axis=1) for i in rows]) / noise_var
+    for w in chunk_noise(samples, signals.shape[1], noise_var, seed, stream):
+        w_max = math.sqrt(np.max(np.sum(np.abs(w) ** 2, axis=1)) / noise_var)
+        keep = d2 - 2.0 * w_max * np.sqrt(d2) < cut
+        live = np.count_nonzero(keep, axis=1) > 1
+        q = 2.0 * (signals.conj() @ w.T).real / noise_var
+        shift = np.max(q[np.any(keep[live], axis=0)], axis=0)
+        yield keep, live & (np.min(q[list(rows)] - shift, axis=1) < -600.0)
 
 
 class TestMutualInformationKernel:
@@ -268,36 +297,70 @@ class TestMutualInformationKernel:
         assert est.value == 7.0
         assert est.std_error == 0.0
 
-    def test_partial_pruning_matches_reference(self, default_tensor, default_config, monkeypatch):
+    def test_partial_pruning_matches_reference(self, default_tensor, default_config):
         # At 10 dB the bound drops some neighbours of some inputs but not all
-        # of them.  The kernel picks its neighbours with np.flatnonzero;
-        # count what it keeps.
-        kept = []
-
-        class CountingNumpy:
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            @staticmethod
-            def flatnonzero(a):
-                out = np.flatnonzero(a)
-                kept.append(out.size)
-                return out
-
-        monkeypatch.setattr(metrics, "np", CountingNumpy())
+        # of them, on the kernel's own draws.
         rho = default_config.rho_for_snr_db(10.0)
         nv = default_config.noise_power_w
+        frames = clean_frames(default_tensor, rho)
+        keeps = [keep for keep, _ in kernel_rows(frames, nv, 600, 8, 0xCA9, orbit_rows(default_tensor))]
+        assert not all(np.all(keep) for keep in keeps), "no neighbour was dropped"
+        assert any(np.any(np.count_nonzero(keep, axis=1) > 1) for keep in keeps), "every neighbour was dropped"
         est = dcmc_capacity(default_tensor, rho, nv, 600, 8)
-        monkeypatch.undo()
-        n_in, P = 128, 4
-        assert len(kept) == 2 * n_in // P  # one neighbour set per representative and chunk
-        assert min(kept) < n_in, "no neighbour was dropped"
-        assert max(kept) > 1, "every neighbour was dropped"
-        value, stderr = einsum_mutual_information(
-            clean_frames(default_tensor, rho), nv, 600, 8, 0xCA9, orbit_rows(default_tensor)
-        )
+        value, stderr = einsum_mutual_information(frames, nv, 600, 8, 0xCA9, orbit_rows(default_tensor))
         assert est.value == pytest.approx(value, abs=1e-14)
         assert est.std_error == pytest.approx(stderr, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "fields, snr, samples",
+        [
+            (dict(constellation_order=16), 30.0, 200),
+            (dict(constellation_order=16), 40.0, 200),
+            (dict(tx_antennas=8), 24.0, 130),
+            (dict(tx_antennas=8), 28.0, 130),
+        ],
+        ids=["16psk-30", "16psk-40", "m8-24", "m8-28"],
+    )
+    def test_rows_below_the_shift_floor_match_reference(self, fields, snr, samples):
+        # High received SNR: some live representative scores more than 600
+        # below the shared shift, so it sums its own neighbours.
+        tensor = build_channel_tensor(dataclasses.replace(SystemConfig(), **fields))
+        cfg = tensor.config
+        rho = cfg.rho_for_snr_db(snr)
+        frames = clean_frames(tensor, rho)
+        rows = orbit_rows(tensor)
+        assert any(np.any(low) for _, low in kernel_rows(frames, cfg.noise_power_w, samples, 21, 0xCA9, rows))
+        est = dcmc_capacity(tensor, rho, cfg.noise_power_w, samples, 21)
+        value, stderr = einsum_mutual_information(frames, cfg.noise_power_w, samples, 21, 0xCA9, rows)
+        assert est.value == pytest.approx(value, abs=1e-12)
+        assert est.std_error == pytest.approx(stderr, abs=1e-12)
+
+    @pytest.mark.parametrize("snr", [0.0, 20.0])
+    def test_representative_blocks_match_reference(self, default_tensor, default_config, monkeypatch, snr):
+        # Four blocks of 8 representatives, each redrawing the same two chunks.
+        monkeypatch.setattr(metrics, "_CAP_TABLE", 8 * 128)
+        rho = default_config.rho_for_snr_db(snr)
+        nv = default_config.noise_power_w
+        est = dcmc_capacity(default_tensor, rho, nv, 600, 9)
+        value, stderr = einsum_mutual_information(
+            clean_frames(default_tensor, rho), nv, 600, 9, 0xCA9, orbit_rows(default_tensor)
+        )
+        assert est.value == pytest.approx(value, abs=1e-12)
+        assert est.std_error == pytest.approx(stderr, abs=1e-12)
+
+    def test_peak_memory_is_bounded(self):
+        # A dense (representatives x inputs x draws) block would be 64 MiB
+        # per 512-draw chunk at M=8.
+        cfg = dataclasses.replace(SystemConfig(), tx_antennas=8)
+        tensor = build_channel_tensor(cfg)
+        rho = cfg.rho_for_snr_db(0.0)
+        tracemalloc.start()
+        try:
+            dcmc_capacity(tensor, rho, cfg.noise_power_w, 2048, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestMimoBaseline:
