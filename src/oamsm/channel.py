@@ -50,6 +50,8 @@ class ChannelTensor:
     ``entries[m-1, state_index(l), j-1, a-1]`` holds the response; the
     array is read-only and carries the producing config for traceability.
     Transmit power never enters here: it scales the signal at transmit time.
+    A non-finite entry raises ConfigError naming the config's element
+    spacing and distance.
     """
 
     entries: np.ndarray
@@ -57,6 +59,11 @@ class ChannelTensor:
     config: SystemConfig = field(repr=False)
 
     def __post_init__(self):
+        c = self.config
+        if not np.all(np.isfinite(self.entries)):
+            raise ConfigError(
+                f"channel tensor is not finite at element spacing {c.element_spacing_m!r} m and distance {c.distance_m!r} m"
+            )
         self.entries.setflags(write=False)
 
     def state_index(self, l: int) -> int:
@@ -129,9 +136,9 @@ def build_channel_tensor(config: SystemConfig) -> ChannelTensor:
     computed once per offset and ``entries`` is a read-only view of those
     (2M - 1, L, 2) responses: entries[m, l, j, a] = by_offset[j - m + M - 1,
     l, a].  Deterministic: the same config yields a bit-identical tensor.
-    Raises ConfigError if some entry is not finite, or, from
-    ``matched_beams``, if some state has no matched beam with a finite,
-    nonzero ring response.
+    Raises ConfigError, from ``ChannelTensor``, if some entry is not
+    finite, or, from ``matched_beams``, if some state has no matched beam
+    with a finite, nonzero ring response.
     """
     beams = matched_beams(config)
     M = config.tx_antennas
@@ -140,7 +147,7 @@ def build_channel_tensor(config: SystemConfig) -> ChannelTensor:
     ring = config.ring_radius_m
     xi = config.element_spacing_m
     by_offset = np.empty((2 * M - 1, len(config.oam_states), 2), dtype=complex)
-    # An overflow shows up as a non-finite entry, reported below.
+    # An overflow shows up as a non-finite entry, which ChannelTensor reports.
     with np.errstate(over="ignore", invalid="ignore"):
         # Row M - 1 of the (2M - 1)-element geometry: offsets 1 - M ... M - 1.
         distance, radial, azimuth = (g[M - 1] for g in _pair_geometry(2 * M - 1, xi, z, ring, config.beta_value))
@@ -149,8 +156,6 @@ def build_channel_tensor(config: SystemConfig) -> ChannelTensor:
         base = _ring_amplitude(config) * np.exp(-1j * k * d_in)
         for li, beam in enumerate(beams.values()):
             by_offset[:, li] = base * beam_mod.lg_field(beam, radial, azimuth, z) / beam_mod.lg_field(beam, ring, 0.0, z)
-    if not np.all(np.isfinite(by_offset)):
-        raise ConfigError(f"channel tensor is not finite at element spacing {xi!r} m and distance {z!r} m")
     # windows[k, l, a, j] = by_offset[k + j]; row k = M - 1 - m is antenna m.
     windows = np.lib.stride_tricks.sliding_window_view(by_offset, M, axis=0)
     entries = windows[::-1].transpose(0, 1, 3, 2)

@@ -132,14 +132,13 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, out_path: str, command: str
 
     Plan, then compute, then write: the plan builds every point's config,
     power, seed and tensor, and for capacity and ee outputs checks the
-    capacity kernel's derived entries and the baseline, so a sweep raises
-    every ConfigError before any output runs.  The base gain is
-    materialized once, so distance grids see genuine attenuation, not a
-    re-normalized channel; the headers show the gain as configured, its
-    value on the ``resolved_gain`` line.  Each output's values fill its
-    ``_OUTPUT_COLUMNS`` entry in order.  ``abep`` is the stepwise analysis
-    whatever ``detector`` is, and the ``.meta`` says so.  Returns the rows
-    as dictionaries (same order as the CSV).
+    baseline, so a sweep raises every ConfigError before any output runs.
+    The base gain is materialized once, so distance grids see genuine
+    attenuation, not a re-normalized channel; the headers show the gain as
+    configured, its value on the ``resolved_gain`` line.  Each output's
+    values fill its ``_OUTPUT_COLUMNS`` entry in order.  ``abep`` is the
+    stepwise analysis whatever ``detector`` is, and the ``.meta`` says so.
+    Returns the rows as dictionaries (same order as the CSV).
     """
     require("sweep kind", spec.sweep, tuple(_SWEEPS), ConfigError)
     for out in spec.outputs:
@@ -164,7 +163,6 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, out_path: str, command: str
             if spec.outputs and cfg is not tensor_cfg:
                 tensor, tensor_cfg = build_channel_tensor(cfg), cfg
             if capacity:
-                cfg._check_derived("capacity", snr_db)
                 _check_baseline(cfg, cfg.mimo_mode)
             row = dict(zip(columns, (value, label, rho) if spec.variants else (value, rho)))
             plan.append((row, cfg, snr_db, rho, seed_i, tensor))

@@ -10,9 +10,9 @@ grid) are tagged ``decision``, so every output file can state where its
 numbers come from.  ``PROVENANCE``, the loader's key table and the
 command-line overrides are all read off these fields.  The quantities the
 layers divide by or exponentiate (noise and transmit power, ring radius,
-gain, each state's matched waist and ring response, the peak noncentrality,
-the largest frame distance) are checked from one table, ``_DERIVED``, by
-one evaluator that turns an overflow into a ConfigError naming the quantity.
+gain, each state's matched waist and ring response, the peak noncentrality)
+are checked from one table, ``_DERIVED``, by one evaluator that turns an
+overflow into a ConfigError naming the quantity.
 """
 
 from __future__ import annotations
@@ -229,11 +229,12 @@ class SystemConfig:
             raise ConfigError("state set yields ambiguous pair phase differences")
 
     def _check_derived(self, scope: str, snr_db=None) -> None:
-        """Check the ``_DERIVED`` entries of ``scope``, with x None, each OAM
-        state or ``snr_db``.  The one place where an overflow in a derived
-        quantity becomes a ConfigError: an ``ArithmeticError`` on the way
-        counts as inf, and NumPy's overflows show up as non-finite values."""
-        xs = {"config": (None,), "state": self.oam_states, "snr": (snr_db,), "capacity": (snr_db,)}[scope]
+        """Check the ``_DERIVED`` entries of ``scope``, with x each OAM state
+        for "state", else ``snr_db`` (None for "config").  The one place
+        where an overflow in a derived quantity becomes a ConfigError: an
+        ``ArithmeticError`` on the way counts as inf, and NumPy's overflows
+        show up as non-finite values."""
+        xs = self.oam_states if scope == "state" else (snr_db,)
         with np.errstate(all="ignore"):
             for (name, value, rule), x in itertools.product(_DERIVED[scope], xs):
                 try:
@@ -279,10 +280,8 @@ def _peak_noncentrality(c: SystemConfig, snr_db: float) -> float:
 #: ``errors.require`` rule it must meet); names are formatted with c and x.
 #: Each is a number some layer divides by or exponentiates.  ``_validate``
 #: checks scope "config", and "snr" at x = snr_db; ``rho_for_snr_db``
-#: checks "snr" at every SNR a run uses, ``channel.matched_beams``, which
-#: every tensor is built from, "state" at x = each OAM state, and
-#: ``cli.run_sweep`` "capacity" at the SNR of every point that runs the
-#: capacity kernel, so runs without it keep the "snr" range.
+#: checks "snr" at every SNR a run uses, and ``channel.matched_beams``,
+#: which every tensor is built from, "state" at x = each OAM state.
 _DERIVED = {
     "config": (
         ("noise power at noise_psd_dbm_hz={c.noise_psd_dbm_hz!r}, bandwidth_hz={c.bandwidth_hz!r}",
@@ -305,13 +304,6 @@ _DERIVED = {
         ("transmit power at snr_db={x!r}", _rho, "finite and > 0"),
         # 2 rho max|h|^2 / noise power, in the order the detection layers take it.
         ("peak noncentrality at snr_db={x!r}", _peak_noncentrality, "finite"),
-    ),
-    "capacity": (
-        # The capacity kernel sums |s_i - s_j|^2 over the 2M frame entries,
-        # up to 4M times the peak noncentrality in noise powers, before and
-        # after it divides by the noise power.
-        ("largest frame distance at snr_db={x!r}",
-         lambda c, x: 4 * c.tx_antennas * _peak_noncentrality(c, x) * max(1.0, c.noise_power_w), "finite"),
     ),
 }
 

@@ -79,10 +79,12 @@ def _mutual_information(
     R = Re(s . w^H), so ln F_ij = q_j - q_i - d2_ij with q = 2 R / noise_var
     (one matrix product per chunk of draws) and d2_ij = |d_ij|^2 / noise_var,
     a table formed once per call from differences, one real coordinate at a
-    time.  By Cauchy-Schwarz, F_ij <= exp(-(d2_ij - 2 w sqrt(d2_ij))), where
-    w is the chunk's largest noise norm over sqrt(noise_var); neighbour j of
-    input i is dropped when that bound is below 2^-60 / n_inputs, that is
-    when d2_ij >= (w + sqrt(w^2 + cut))^2 with cut = ln(2^60 n_inputs).  The
+    time.  A distance that overflows is +inf: its term is exactly 0, as
+    exp(-d2_ij) already is in doubles, and the pruning below drops it.  By
+    Cauchy-Schwarz, F_ij <= exp(-(d2_ij - 2 w sqrt(d2_ij))), where w is the
+    chunk's largest noise norm over sqrt(noise_var); neighbour j of input i
+    is dropped when that bound is below 2^-60 / n_inputs, that is when
+    d2_ij >= (w + sqrt(w^2 + cut))^2 with cut = ln(2^60 n_inputs).  The
     dropped terms of one log-sum-exp sum to less than 2^-60 against the true
     input's term of 1, so it moves by less than 2^-60, far below double
     rounding.  An input whose only remaining term is its own adds exactly
@@ -118,12 +120,14 @@ def _mutual_information(
         rows = np.arange(first, min(first + block, reps.shape[0])) * rotations.size
         d2 = np.zeros((rows.size, n_inputs))
         diff = np.empty_like(d2)
-        for x in coords:
-            np.subtract.outer(x[rows], x, out=diff)
-            diff *= diff
-            d2 += diff
+        # A distance that overflows is +inf: its term e^-d2 is exactly 0.
+        with np.errstate(over="ignore"):
+            for x in coords:
+                np.subtract.outer(x[rows], x, out=diff)
+                diff *= diff
+                d2 += diff
+            d2 /= noise_var
         del diff
-        d2 /= noise_var
         for done, n, rng in _chunks(samples, _CAP_CHUNK, seed, stream):
             # [Re w, Im w]: the real plane of the draw, then the imaginary.
             w = np.concatenate(_noise(rng, (n, dims), math.sqrt(noise_var / 2.0)), axis=1)
@@ -221,11 +225,9 @@ def mimo_capacity_baseline(
     taking ln c = ln rho_total - ln(M sigma^2) so that no ratio overflows.
     ``dcmc_psk`` estimates the mutual information with independent uniform
     PSK inputs on each antenna by Monte Carlo, upper-bounded by M log2 P,
-    through ``_mutual_information``: per chunk of draws, one shared shift per
-    draw and one matrix product score every x whose own score stays within
-    600 of that shift, and any other x (only at high received SNR) sums its
-    neighbours itself.  It scores every x (rotations = 1): at its received
-    SNR, ~100 dB below rho_total / sigma^2, one x per orbit is far noisier.
+    through ``_mutual_information``, which documents the kernel.  It scores
+    every x (rotations = 1): at its received SNR, ~100 dB below
+    rho_total / sigma^2, one x per orbit is far noisier.
     """
     _check_baseline(config, mode)
     _check_link(rho_total, noise_var)

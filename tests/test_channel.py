@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from oamsm import ConfigError, SystemConfig, build_channel_tensor
-from oamsm.channel import _pair_geometry, matched_beams
+from oamsm.channel import ChannelTensor, _pair_geometry, matched_beams
 
 
 def lg_oracle(waist, l, wavelength, r, phi, z):
@@ -193,6 +193,13 @@ class TestBuildChannelTensor:
         cfg = dataclasses.replace(SystemConfig(), element_spacing=1e300)
         with pytest.raises(ConfigError, match=r"element spacing 1e\+300 m and distance 50\.0 m"):
             build_channel_tensor(cfg)
+
+    def test_hand_built_tensor_checks_its_entries(self, default_config, default_tensor):
+        # Every layer reads the entries; one NaN gives plausible wrong capacities and BERs.
+        entries = default_tensor.entries.copy()
+        entries[1, 0, 2, 1] = math.nan
+        with pytest.raises(ConfigError, match=r"not finite at element spacing .* m and distance 50\.0 m"):
+            ChannelTensor(entries=entries, states=default_tensor.states, config=default_config)
 
     def test_waist_failure_names_state(self):
         cfg = dataclasses.replace(SystemConfig(), distance_m=5.0, waist_m=0.05)

@@ -466,13 +466,14 @@ class TestRunSweep:
         assert len(built) == builds
 
     def test_every_variant_snr_is_checked_before_any_output(self, tmp_path, monkeypatch):
-        # With the gain pinned at d=50, 3070 dB is inside d=100's limit
-        # (3073.5 dB) and past d=25's (3061.4 dB).  Only the base config's
-        # SNRs were checked up front, so the d=100 point ran first.
+        # With the gain pinned at d=50, 3078 dB is inside d=100's
+        # peak-noncentrality limit (3082.5 dB) and past d=25's (3073.5 dB).
+        # Only the base config's SNRs were checked up front, so the d=100
+        # point ran first.
         calls = count_output_calls(monkeypatch)
         variants = (("d=100", {"distance_m": 100.0}), ("d=25", {"distance_m": 25.0}))
-        spec = tiny_spec(start=3070.0, stop=3070.0, overrides={"samples": 20}, variants=variants)
-        with pytest.raises(ConfigError, match="snr_db=3070.0"):
+        spec = tiny_spec(start=3078.0, stop=3078.0, overrides={"samples": 20}, variants=variants)
+        with pytest.raises(ConfigError, match="snr_db=3078.0"):
             run_sweep(SystemConfig(), spec, str(tmp_path / "x.csv"))
         assert calls == [] and list(tmp_path.iterdir()) == []
 
@@ -766,22 +767,23 @@ class TestCliMain:
         assert "config error: peak noncentrality" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_overflowing_frame_distance_stops_the_sweep(self, tmp_path, capsys, monkeypatch):
-        # 3075 dB passes the peak-noncentrality check, but the capacity
-        # kernel's frame distances overflowed there: it warned and wrote 7.0.
-        calls, out = count_output_calls(monkeypatch), tmp_path / "o.csv"
-        argv = ["run", "--sweep", "snr", "--from", "3075", "--to", "3075", "--outputs", "capacity"]
-        assert main(argv + ["--samples", "20", "--out", str(out)]) == 2
-        assert "config error: largest frame distance at snr_db=3075.0" in capsys.readouterr().err
-        assert calls == [] and list(tmp_path.iterdir()) == []
+    def test_overflowing_frame_distance_runs_the_sweep(self, tmp_path):
+        # 3075 dB passes the peak-noncentrality check, and the capacity
+        # kernel's frame distances overflow there: each is an exactly-zero
+        # term, so the point saturates at log2(M L P) = 7 bits.
+        out = tmp_path / "o.csv"
+        argv = ["run", "--sweep", "snr", "--from", "3075", "--to", "3075", "--outputs", "capacity,ee"]
+        assert main(argv + ["--samples", "20", "--out", str(out)]) == 0
+        header, row = (line.split(",") for line in out.read_text().splitlines()[-2:])
+        cells = dict(zip(header, map(float, row)))
+        assert cells["capacity_oam_bits"] == 7.0 and cells["capacity_oam_stderr"] == 0.0
+        assert all(math.isfinite(v) for v in cells.values())
 
     def test_ber_run_keeps_the_snr_range_past_the_frame_distance_limit(self, tmp_path):
-        # Only the capacity kernel forms frame distances, so a BER-only run
-        # is not stopped by their limit, which 3070 dB is past.
+        # Frame distances overflow at 3070 dB, but only the capacity kernel
+        # forms them.
         out = tmp_path / "o.csv"
         argv = ["run", "--sweep", "snr", "--from", "3070", "--to", "3070", "--outputs", "ber"]
-        with pytest.raises(ConfigError, match="largest frame distance at snr_db=3070.0"):
-            SystemConfig()._check_derived("capacity", 3070.0)
         assert main(argv + ["--trials", "200", "--out", str(out)]) == 0
         row = out.read_text().splitlines()[-1].split(",")
         assert row[0] == "3070.0" and all(math.isfinite(float(v)) for v in row)

@@ -8,13 +8,13 @@ import pytest
 from oamsm import ConfigError
 from oamsm.errors import _RULES, require
 
-# Rule: (values that meet it, values that fail it).
+# Rule: (values that meet it, values that fail it).  A bool is an int
+# subclass, but neither a number nor an integer value.
 CASES = {
-    "finite": ((0.0, -3, np.float64(2.5)), (math.nan, math.inf, "1", None, 1j)),
-    "finite and > 0": ((1e-300, 7), (0.0, -1.0, math.inf, "5", 10**400)),
-    "finite and >= 0": ((0.0, 2), (-1e-300, math.nan, "0")),
-    "a finite number": ((1.0, 1 + 2j, 3), (complex(math.nan), complex(0.0, math.inf), "x")),
-    # A bool is an int subclass, not an integer value.
+    "finite": ((0.0, -3, np.float64(2.5)), (math.nan, math.inf, "1", None, 1j, True, False)),
+    "finite and > 0": ((1e-300, 7), (0.0, -1.0, math.inf, "5", 10**400, True, False)),
+    "finite and >= 0": ((0.0, 2), (-1e-300, math.nan, "0", True, False)),
+    "a finite number": ((1.0, 1 + 2j, 3), (complex(math.nan), complex(0.0, math.inf), "x", True, False)),
     "an integer": ((0, -7), (1.5, "3", np.int64(3), True, False)),
     "a positive integer": ((1, 20000), (0, -5, 2.5, "4", True, False)),
     "a nonnegative integer": ((0, 3), (-1, 2.0, True, False)),
