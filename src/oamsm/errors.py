@@ -33,14 +33,14 @@ def _every(rule):
 
 
 # Rule: what a value must be; the key is also the message's wording.  The
-# scalar rules use math, so they stay cheap and reject any array; none takes
-# a bool, an int subclass but no number, and the integer rules take a plain
-# int, not a NumPy integer.
+# scalar rules use math, so they stay cheap and reject any array; the
+# integer rules take a plain int, not a NumPy integer.  No rule takes a bool,
+# an int subclass but no number: ``_meets`` refuses it before any rule.
 _RULES = {
-    "finite": lambda v: not isinstance(v, bool) and math.isfinite(v),
-    "finite and > 0": lambda v: not isinstance(v, bool) and math.isfinite(v) and v > 0.0,
-    "finite and >= 0": lambda v: not isinstance(v, bool) and math.isfinite(v) and v >= 0.0,
-    "a finite number": lambda v: not isinstance(v, bool) and cmath.isfinite(v),  # real or complex
+    "finite": math.isfinite,
+    "finite and > 0": lambda v: math.isfinite(v) and v > 0.0,
+    "finite and >= 0": lambda v: math.isfinite(v) and v >= 0.0,
+    "a finite number": cmath.isfinite,  # real or complex
     "an integer": lambda v: type(v) is int,
     "a positive integer": lambda v: type(v) is int and v >= 1,
     "a nonnegative integer": lambda v: type(v) is int and v >= 0,
@@ -65,7 +65,7 @@ def require(name: str, value, rule, error=ValueError) -> None:
 
 def _meets(check, value) -> bool:
     try:
-        return bool(check(value))
+        return not isinstance(value, bool) and bool(check(value))
     except (TypeError, ValueError, OverflowError):
         return False
 

@@ -79,12 +79,15 @@ def _mutual_information(
     R = Re(s . w^H), so ln F_ij = q_j - q_i - d2_ij with q = 2 R / noise_var
     (one matrix product per chunk of draws) and d2_ij = |d_ij|^2 / noise_var,
     a table formed once per call from differences, one real coordinate at a
-    time.  A distance that overflows is +inf: its term is exactly 0, as
-    exp(-d2_ij) already is in doubles, and the pruning below drops it.  By
-    Cauchy-Schwarz, F_ij <= exp(-(d2_ij - 2 w sqrt(d2_ij))), where w is the
-    chunk's largest noise norm over sqrt(noise_var); neighbour j of input i
-    is dropped when that bound is below 2^-60 / n_inputs, that is when
-    d2_ij >= (w + sqrt(w^2 + cut))^2 with cut = ln(2^60 n_inputs).  The
+    time.  A noise variance above 1 is first scaled to 1 with the signals,
+    which leaves I(X; Y) as it is and keeps the noise norms and q in range.
+    Then a distance overflows only past the double range, so +inf is right:
+    its term is exactly 0, as exp(-d2_ij) already is in doubles, and the
+    pruning below drops it.  By Cauchy-Schwarz, F_ij <= exp(-(d2_ij - 2 w
+    sqrt(d2_ij))), where w is the chunk's largest noise norm over
+    sqrt(noise_var); neighbour j of input i is dropped when that bound is
+    below 2^-60 / n_inputs, that is when d2_ij >= (w + sqrt(w^2 + cut))^2
+    with cut = ln(2^60 n_inputs).  The
     dropped terms of one log-sum-exp sum to less than 2^-60 against the true
     input's term of 1, so it moves by less than 2^-60, far below double
     rounding.  An input whose only remaining term is its own adds exactly
@@ -109,8 +112,10 @@ def _mutual_information(
     signals = (reps[:, None, :] * rotations[:, None]).reshape(-1, reps.shape[1])
     n_inputs, dims = signals.shape
     # Real coordinates: Re(a . conj(b)) is the dot product of [Re a, Im a]
-    # and [Re b, Im b]; one row per coordinate.
-    coords = np.concatenate([signals.real.T, signals.imag.T])
+    # and [Re b, Im b]; one row per coordinate, in noise standard deviations
+    # when the noise variance is above 1 (see above).
+    coords = np.concatenate([signals.real.T, signals.imag.T]) / math.sqrt(max(1.0, noise_var))
+    noise_var = min(1.0, noise_var)
     del signals
     log2_inputs = math.log2(n_inputs)
     cut_ln = _PRUNE_LN_BUDGET + math.log(n_inputs)

@@ -347,6 +347,29 @@ class TestMutualInformationKernel:
         assert est.value == pytest.approx(value, abs=1e-12)
         assert est.std_error == pytest.approx(stderr, abs=1e-12)
 
+    @pytest.mark.parametrize("psd", [3030.0, 3037.0])
+    @pytest.mark.parametrize("snr", [0.0, 2.0])
+    def test_noise_power_near_the_double_limit_matches_reference(self, psd, snr):
+        # A noise power near 1e308 W: distances between frames on different
+        # antennas, ~4e308 before dividing by it, are only a few noise powers.
+        # Scaling signals and noise together leaves I(X; Y) unchanged, so the
+        # reference runs on frames in units of the noise's standard deviation.
+        cfg = dataclasses.replace(SystemConfig(), noise_psd_dbm_hz=psd, snr_db=snr)
+        tensor = build_channel_tensor(cfg)
+        rho, nv = cfg.rho_for_snr_db(snr), cfg.noise_power_w
+        assert nv > 1e307
+        frames = clean_frames(tensor, rho) / math.sqrt(nv)
+        est = dcmc_capacity(tensor, rho, nv, 200, 21)
+        value, stderr = einsum_mutual_information(frames, 1.0, 200, 21, 0xCA9, orbit_rows(tensor))
+        assert 1.0 < value < 6.0
+        assert est.value == pytest.approx(value, abs=1e-12)
+        assert est.std_error == pytest.approx(stderr, abs=1e-12)
+        base = mimo_capacity_baseline(cfg, rho, nv, mode="dcmc_psk", samples=40, seed=4)
+        frames = psk_baseline_frames(cfg, rho) / math.sqrt(nv)
+        value, stderr = einsum_mutual_information(frames, 1.0, 40, 4, 0x313, range(frames.shape[0]))
+        assert base.value == pytest.approx(value, abs=1e-12)
+        assert base.std_error == pytest.approx(stderr, abs=1e-12)
+
     def test_peak_memory_is_bounded(self):
         # A dense (representatives x inputs x draws) block would be 64 MiB
         # per 512-draw chunk at M=8.
