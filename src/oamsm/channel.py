@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import beam as beam_mod
-from .config import SystemConfig, _matched_beam, _ring_amplitude
+from .config import SystemConfig, _matched_beam, _ring_amplitude, _state_index
 from .errors import ConfigError
 
 
@@ -67,10 +67,7 @@ class ChannelTensor:
         self.entries.setflags(write=False)
 
     def state_index(self, l: int) -> int:
-        try:
-            return self.states.index(l)
-        except ValueError:
-            raise ConfigError(f"state {l!r} not in the configured set {self.states}") from None
+        return _state_index(self.states, l)
 
     def antenna_index(self, m: int) -> int:
         """0-based row of the 1-based transmit antenna ``m``."""
@@ -89,12 +86,13 @@ class ChannelTensor:
         )
 
 
-def _position(name: str, index: int, size: int) -> int:
-    """0-based position of the 1-based ``index``; ConfigError for a
-    non-integer (a bool included) or one outside 1..size."""
-    if isinstance(index, bool) or not (isinstance(index, (int, np.integer)) and 1 <= index <= size):
-        raise ConfigError(f"{name} index {index!r} not in 1..{size}")
-    return index - 1
+def _position(name: str, index: int, size: int, first: int = 1) -> int:
+    """0-based position of ``index`` on an axis numbered from ``first``;
+    ConfigError for a non-integer (a bool included) or one outside
+    first..first + size - 1."""
+    if isinstance(index, bool) or not (isinstance(index, (int, np.integer)) and first <= index < first + size):
+        raise ConfigError(f"{name} index {index!r} not in {first}..{first + size - 1}")
+    return index - first
 
 
 def _check_tensor(tensor: ChannelTensor, config: SystemConfig) -> None:

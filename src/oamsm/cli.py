@@ -248,8 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--out", required=True, help="output CSV path")
         for f in _OVERRIDES:
-            flag, parse, choices = f.metadata["flag"], f.metadata["parse"], f.metadata["choices"]
-            help_text = None if flag is True else flag
+            help_text, parse, choices = f.metadata["flag"], f.metadata["parse"], f.metadata["choices"]
             p.add_argument("--" + f.name.replace("_", "-"), type=parse, choices=choices, help=help_text)
 
     run_p = sub.add_parser("run", help="run one sweep from a config file")

@@ -74,9 +74,16 @@ def _state(value) -> int:
     return int(value)
 
 
-#: The distance variants of ``metrics.mod_bep``, the detectors of
-#: ``modem.simulate_ber`` and the input models of ``metrics.mimo_capacity_baseline``.
-_DISTANCE_MODES = ("printed", "euclidean")
+def _state_index(states: tuple, value) -> int:
+    """Position of OAM state ``value`` in ``states``; ConfigError for a
+    non-integer (a bool included) or a state outside the set."""
+    if (l := _state(value)) not in states:
+        raise ConfigError(f"state {l!r} not in the configured set {states}")
+    return states.index(l)
+
+
+#: The detectors of ``modem.simulate_ber`` and the input models of
+#: ``metrics.mimo_capacity_baseline``.
 _DETECTORS = ("stepwise", "ml")
 _MIMO_MODES = ("logdet", "dcmc_psk")
 
@@ -88,8 +95,8 @@ def _option(default, provenance: str, key: str, parse, choices=None, flag=False,
     "decision" (a documented choice of this implementation); ``key`` is the
     config-file key, read with ``parse``; ``rule``, if given, is the
     ``errors.require`` rule the value must meet, and ``choices``, if given,
-    the allowed values, which are then its rule; ``flag`` (True, or the
-    flag's help text) adds a same-named command-line override.
+    the allowed values, which are then its rule; ``flag``, if given, is the
+    help text of a same-named command-line override.
     """
     meta = dict(provenance=provenance, key=key, parse=parse, choices=choices, flag=flag, rule=rule or choices)
     return dataclasses.field(default=default, metadata=meta)
@@ -122,10 +129,8 @@ class SystemConfig:
     circuit_power_w: float = _option(6.8, "paper", "circuit_power", float, rule="finite and >= 0")
     power_slope: float = _option(4.0, "paper", "power_slope", float, rule="finite and > 0")
     snr_db: float = _option(20.0, "decision", "snr", float, rule="finite")
-    coeff_mode: str = _option("rederived", "decision", "coeff_mode", str, beam_mod._COEFF_MODES, flag=True)
-    distance_mode: str = _option("euclidean", "decision", "distance_mode", str, _DISTANCE_MODES, flag=True)
-    detector: str = _option("stepwise", "decision", "detector", str, _DETECTORS, flag=True)
-    mimo_mode: str = _option("logdet", "decision", "mimo_mode", str, _MIMO_MODES, flag=True)
+    detector: str = _option("stepwise", "decision", "detector", str, _DETECTORS, flag="BER detector")
+    mimo_mode: str = _option("logdet", "decision", "mimo_mode", str, _MIMO_MODES, flag="capacity baseline model")
     seed: int = _option(12345, "decision", "seed", int, flag="master seed override", rule="an integer")
     trials: int = _option(
         100000, "decision", "trials", int, flag="Monte Carlo BER trials per point", rule="a positive integer"
@@ -251,7 +256,7 @@ def _constellation(order: int) -> Constellation:
 
 
 def _matched_waist(c: SystemConfig, l: int) -> float:
-    return beam_mod.waist_for_state(c.reference_beam, l, c.distance_m, c.coeff_mode)
+    return beam_mod.waist_for_state(c.reference_beam, l, c.distance_m)
 
 
 def _matched_beam(c: SystemConfig, l: int) -> beam_mod.BeamParams:

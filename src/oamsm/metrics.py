@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelTensor, _check_tensor, _pair_geometry, build_channel_tensor
-from .config import _DISTANCE_MODES, _MIMO_MODES, SystemConfig
+from .config import _MIMO_MODES, SystemConfig
 from .errors import ConfigError, NumericError, require
 from .numerics import Constellation, _chunks, _noise, integrate, marcum_q1, ncx2_pdf, q_function
 
@@ -385,6 +385,10 @@ def gray_gamma(n: int) -> float:
     return n * 2.0 ** (n - 1) / (2.0**n - 1.0) if n else 0.0
 
 
+#: The distance variants of ``mod_bep``.
+_DISTANCE_MODES = ("printed", "euclidean")
+
+
 def mod_bep(
     h: complex, rho: float, noise_var: float, constellation: Constellation, distance_mode: str = "euclidean"
 ) -> float:
@@ -447,7 +451,7 @@ def abep(config: SystemConfig, rho: float, tensor: ChannelTensor | None = None) 
     # (keyed as in the detection average), summed in (m, l) order.
     pair = np.arange(M)
     gains, inverse = _distinct(np.abs(tensor.entries[pair, :, pair, 0]).ravel())
-    by_gain = [mod_bep(g, rho, noise_var, const, config.distance_mode) for g in gains.tolist()]
+    by_gain = [mod_bep(g, rho, noise_var, const) for g in gains.tolist()]
     e_mod = sum(by_gain[g] for g in inverse.tolist()) / inverse.size
     return 1.0 - (1.0 - e_ant) * (1.0 - e_mod)
 

@@ -53,8 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelTensor, _check_tensor, build_channel_tensor
-from .config import _DETECTORS, SystemConfig, _check_symbol_axes, _state
+from .channel import ChannelTensor, _check_tensor, _position, build_channel_tensor
+from .config import _DETECTORS, SystemConfig, _check_symbol_axes, _state, _state_index
 from .errors import ConfigError, require
 from .numerics import Constellation, _chunks, _noise, _poisson_pmf_dot
 
@@ -117,7 +117,11 @@ class SymbolMap:
         return _symbol(self.states, self.constellation.points, m_idx, l_idx, p_idx)
 
     def decode(self, symbol: OamSymbol) -> str:
-        w = int(self.word(symbol.antenna - 1, self.states.index(symbol.state), symbol.point_index))
+        """The codeword's bit string; ConfigError naming the antenna, state
+        or point index that lies outside this map."""
+        m_idx = _position("antenna", symbol.antenna, self.n_antennas)
+        p_idx = _position("point", symbol.point_index, self.constellation.order, first=0)
+        w = int(self.word(m_idx, _state_index(self.states, symbol.state), p_idx))
         return format(w, "b").zfill(self.bits_per_symbol) if self.bits_per_symbol else ""
 
     def all_symbols(self):
@@ -140,21 +144,21 @@ def transmit(
     """
     require("rho", rho, "finite and >= 0")
     require("noise_var", noise_var, "finite and >= 0")
-    h = tensor.entries[symbol.antenna - 1, tensor.state_index(symbol.state)]
+    require("point", symbol.point, "a finite number")
+    h = tensor.entries[tensor.antenna_index(symbol.antenna), tensor.state_index(symbol.state)]
     rows, points = np.zeros(1, dtype=np.intp), np.array([symbol.point])
     noise = _noise(rng, (1, *h.shape), math.sqrt(noise_var / 2.0))
     return _frames(math.sqrt(rho) * h[None], rows, points, noise)[0]
 
 
-def _frames(clean: np.ndarray, rows: np.ndarray, points: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
+def _frames(clean: np.ndarray, rows: np.ndarray, points: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """The samples clean[rows] * points, with each point broadcast over the
-    table's trailing axes, plus the (2, *shape) ``noise`` from ``_noise``
-    (or none), added plane by plane as the module docstring describes."""
+    table's trailing axes, plus the (2, *shape) ``noise`` from ``_noise``,
+    added plane by plane as the module docstring describes."""
     y = clean.take(rows, axis=0)
     y *= points.reshape(-1, *(1,) * (y.ndim - 1))
-    if noise is not None:
-        y.real += noise[0]
-        y.imag += noise[1]
+    y.real += noise[0]
+    y.imag += noise[1]
     return y
 
 
@@ -477,5 +481,5 @@ def simulate_ber(
         symbol_error_stderr=_stderr(sym_errors, sym_errors, trials),
         detector=detector,
         snr_db=float(snr_db),
-        seed=int(seed),
+        seed=seed,
     )

@@ -380,7 +380,8 @@ def _substream(seed: int, *keys: int) -> np.random.SeedSequence:
     # Substreams keyed by (seed, *keys), e.g. a sweep's (variant, grid point)
     # or a Monte Carlo (stream, chunk), make every reported number
     # independent of execution order.
-    return np.random.SeedSequence(entropy=(int(seed) & (2**64 - 1), *keys))
+    require("seed", seed, "an integer")
+    return np.random.SeedSequence(entropy=(seed & (2**64 - 1), *keys))
 
 
 def _chunks(total: int, size: int, seed: int, stream: int):
@@ -391,11 +392,10 @@ def _chunks(total: int, size: int, seed: int, stream: int):
         yield start, min(size, total - start), rng
 
 
-def _noise(rng, shape: tuple, sigma: float) -> np.ndarray | None:
+def _noise(rng, shape: tuple, sigma: float) -> np.ndarray:
     """(2, *shape) normals of standard deviation ``sigma``, the real plane then
-    the imaginary of a complex draw, or None (and no draw) when sigma is 0."""
-    if sigma <= 0.0:
-        return None
+    the imaginary of a complex draw.  At sigma = 0 every entry is a signed
+    zero, so adding the draw changes no sample's value."""
     noise = rng.standard_normal((2, *shape))
     noise *= sigma
     return noise

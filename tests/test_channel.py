@@ -208,8 +208,10 @@ class TestBuildChannelTensor:
         assert "state" in str(info.value)
 
     def test_unknown_state_lookup(self, default_tensor):
-        with pytest.raises(ConfigError):
-            default_tensor.state_index(7)
+        # True and 1.0 used to find state 1.
+        for bad in (7, True, 1.0):
+            with pytest.raises(ConfigError):
+                default_tensor.state_index(bad)
 
 
     @pytest.mark.parametrize(

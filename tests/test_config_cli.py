@@ -25,8 +25,10 @@ from oamsm import (
     simulate_ber,
     waist_for_state,
 )
+from oamsm.beam import _COEFF_MODES
 from oamsm.cli import PRESETS, SweepSpec, main, preset, run_sweep
 from oamsm.config import _KEYS, SPEED_OF_LIGHT, default_states
+from oamsm.metrics import _DISTANCE_MODES
 
 
 class TestSystemConfig:
@@ -87,8 +89,6 @@ class TestSystemConfig:
             ("power_slope", math.nan),
             ("power_slope", math.inf),
             ("power_slope", 0.0),
-            ("coeff_mode", "walrus"),
-            ("distance_mode", "walrus"),
             ("detector", "walrus"),
             ("noise_psd_dbm_hz", math.nan),
             ("noise_psd_dbm_hz", -math.inf),
@@ -138,10 +138,13 @@ class TestSystemConfig:
         ],
     )
     def test_mode_is_checked_against_its_field_choices(self, field, run):
-        # The function a mode selects and the config field share one tuple.
-        choices = next(f.metadata["choices"] for f in dataclasses.fields(SystemConfig) if f.name == field)
-        message = f"{field} must be {'|'.join(choices)}, got 'walrus'"
-        for reject in (run, lambda mode: SystemConfig(**{field: mode})):
+        # The function a mode selects and its config field, where it has one,
+        # share one tuple.  The printed-formula variants are no config field.
+        choices = {"coeff_mode": _COEFF_MODES, "distance_mode": _DISTANCE_MODES}
+        choices |= {f.name: f.metadata["choices"] for f in dataclasses.fields(SystemConfig) if f.metadata["choices"]}
+        message = f"{field} must be {'|'.join(choices[field])}, got 'walrus'"
+        rejects = (run, lambda mode: SystemConfig(**{field: mode})) if field in PROVENANCE else (run,)
+        for reject in rejects:
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
                 reject("walrus")
 
@@ -245,11 +248,13 @@ class TestLoadConfig:
         assert load_config(path).element_spacing_m == 0.25
 
     def test_unknown_key_named(self, tmp_path):
+        # coeff_mode and distance_mode were keys while the printed-formula
+        # variants were config fields.
         path = tmp_path / "bad.cfg"
-        path.write_text("antennae = 4\n")
-        with pytest.raises(ConfigError) as info:
-            load_config(path)
-        assert "antennae" in str(info.value)
+        for key, value in (("antennae", "4"), ("coeff_mode", "printed"), ("distance_mode", "euclidean")):
+            path.write_text(f"{key} = {value}\n")
+            with pytest.raises(ConfigError, match=f"unknown config key: {key}$"):
+                load_config(path)
 
     def test_constraint_violation_rejected(self, tmp_path):
         path = tmp_path / "beta.cfg"
@@ -279,8 +284,6 @@ class TestLoadConfig:
             "circuit_power": "5",
             "power_slope": "3",
             "snr": "15",
-            "coeff_mode": "printed",
-            "distance_mode": "printed",
             "detector": "ml",
             "mimo_mode": "dcmc_psk",
             "seed": "7",
@@ -307,8 +310,6 @@ class TestLoadConfig:
             "circuit_power_w": 5.0,
             "power_slope": 3.0,
             "snr_db": 15.0,
-            "coeff_mode": "printed",
-            "distance_mode": "printed",
             "detector": "ml",
             "mimo_mode": "dcmc_psk",
             "seed": 7,
@@ -729,8 +730,12 @@ class TestCliMain:
         # field's parser and limited to its choices.
         parser = oamsm.cli._build_parser()
         overrides = [f for f in dataclasses.fields(SystemConfig) if f.metadata["flag"]]
-        expected = {"seed", "trials", "samples", "detector", "mimo_mode", "coeff_mode", "distance_mode"}
+        expected = {"seed", "trials", "samples", "detector", "mimo_mode"}
         assert {f.name for f in overrides} == expected
+        for gone in ("--coeff-mode", "--distance-mode"):
+            with pytest.raises(SystemExit) as info:
+                main(["preset", "fig8", gone, "printed", "--out", "o.csv"])
+            assert info.value.code == 2
         for f in overrides:
             flag = "--" + f.name.replace("_", "-")
             got = getattr(parser.parse_args(["preset", "fig8", "--out", "o.csv", flag, str(f.default)]), f.name)
@@ -797,6 +802,22 @@ class TestCliMain:
         assert done.returncode == 0, done.stderr
         assert "usage: oamsm" in done.stdout
         assert "preset" in done.stdout
+
+    def test_a_run_imports_only_the_runtime_dependencies(self, tmp_path):
+        # numpy is the one runtime dependency; the test-only packages must not
+        # be pulled in by any output a sweep computes.
+        env = dict(os.environ, PYTHONPATH=str(Path(oamsm.__file__).resolve().parents[1]))
+        script = (
+            "import sys; from oamsm.cli import main; rc = main(sys.argv[1:]); "
+            "print(rc, *sorted({m.partition('.')[0] for m in sys.modules} & "
+            "{'scipy', 'mpmath', 'hypothesis', 'pytest'}))"
+        )
+        argv = ["run", "--sweep", "snr", "--from", "10", "--to", "10", "--outputs", "capacity,abep,ber,ee"]
+        argv += ["--samples", "50", "--trials", "200", "--out", str(tmp_path / "o.csv")]
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert done.stdout.split() == ["0"], done.stderr
 
     def test_preset_deterministic_bodies(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

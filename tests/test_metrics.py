@@ -732,7 +732,7 @@ class TestAbep:
         e_ant = (1.0 - antenna_detection_prob_avg(default_tensor, rho, nv)) * gray_gamma(2) / 2
         const = cfg.constellation()
         mods = [
-            mod_bep(default_tensor.response(m, l, m, 1), rho, nv, const, cfg.distance_mode)
+            mod_bep(default_tensor.response(m, l, m, 1), rho, nv, const)
             for m in range(1, cfg.tx_antennas + 1)
             for l in default_tensor.states
         ]

@@ -59,6 +59,25 @@ class TestSymbolMap:
         with pytest.raises(ConfigError):
             default_map.encode("0" * 8)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("antenna", 9, "antenna index 9 not in 1..4"),
+            ("antenna", 0, "antenna index 0 not in 1..4"),
+            ("state", 7, r"state 7 not in the configured set"),
+            ("state", True, "OAM state True is not an integer"),
+            ("point_index", -1, r"point index -1 not in 0..3"),
+            ("point_index", 4, r"point index 4 not in 0..3"),
+        ],
+    )
+    def test_decode_rejects_a_symbol_outside_the_map(self, default_map, field, value, message):
+        # Antenna 9 used to give the 9-bit string '100010000', point index -1
+        # the last Gray label, and state 7 a bare "tuple.index(x): x not in
+        # tuple".
+        sym = dataclasses.replace(default_map.encode("0000000"), **{field: value})
+        with pytest.raises(ConfigError, match=message):
+            default_map.decode(sym)
+
     def test_state_table_sorted(self, default_map):
         assert list(default_map.states) == sorted(default_map.states)
 
@@ -123,6 +142,11 @@ class TestTransmit:
         for rho, nv in ((1.0, math.nan), (1.0, math.inf), (math.nan, 0.1), (math.inf, 0.1), (-1.0, 0.1)):
             with pytest.raises(ValueError):
                 transmit(sym, default_tensor, rho, nv, rng)
+        # Antenna 0 used to send from antenna 4 through the -1 wrap, and a
+        # NaN point to return a NaN frame.
+        for bad, message in ((dict(antenna=0), "antenna index 0 "), (dict(point=complex(math.nan)), "point must be")):
+            with pytest.raises(ValueError, match=message):
+                transmit(dataclasses.replace(sym, **bad), default_tensor, 1.0, 0.1, rng)
 
     def test_seeded_repeatability(self, default_tensor, default_map):
         sym = default_map.encode("0101010")

@@ -370,6 +370,12 @@ class TestChunks:
             ref = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(7, 3, i))))
             assert np.array_equal(rng.standard_normal(4), ref.standard_normal(4))
 
+    @pytest.mark.parametrize("seed", [1.5, True, "3", np.int64(3)])
+    def test_rejects_a_seed_that_is_not_a_plain_int(self, seed):
+        # 1.5 and True used to run seed 1's stream, "3" seed 3's.
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            next(_chunks(10, 512, seed, 3))
+
 
 def _hamming(a: str, b: str) -> int:
     return sum(c1 != c2 for c1, c2 in zip(a, b))
