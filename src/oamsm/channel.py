@@ -13,6 +13,7 @@ antenna-in-pair).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -21,6 +22,7 @@ import numpy as np
 from . import beam as beam_mod
 from .config import SystemConfig, _matched_beam, _ring_amplitude, _state_index
 from .errors import ConfigError
+from .numerics import _distance_table
 
 
 def _pair_geometry(M: int, xi: float, z: float, ring_radius: float, beta: float):
@@ -51,7 +53,8 @@ class ChannelTensor:
     array is read-only and carries the producing config for traceability.
     Transmit power never enters here: it scales the signal at transmit time.
     A non-finite entry raises ConfigError naming the config's element
-    spacing and distance.
+    spacing and distance.  ``orbit_distances``, the capacity kernel's table
+    of frame distances, is formed on first use and kept with the tensor.
     """
 
     entries: np.ndarray
@@ -65,6 +68,30 @@ class ChannelTensor:
                 f"channel tensor is not finite at element spacing {c.element_spacing_m!r} m and distance {c.distance_m!r} m"
             )
         self.entries.setflags(write=False)
+
+    def unit_frames(self) -> np.ndarray:
+        """Real coordinates of the clean received frame of every codeword
+        (m, l, p) at unit transmit power, one column per codeword.
+
+        Column (m L + l) P + p holds x_p h[m, l], flattened over (pair,
+        antenna-in-pair), as its real parts, then its imaginary parts.  It
+        is x_p / x_0 times the p = 0 column (m L + l) P, so multiplying by a
+        unit-modulus scalar maps each rotation orbit onto its p = 0 frame.
+        """
+        points = np.asarray(self.config.constellation().points)
+        dims = 2 * self.entries.shape[0]
+        frames = (self.entries.reshape(-1, 1, dims) * points[:, None]).reshape(-1, dims)
+        return np.concatenate([frames.real.T, frames.imag.T])
+
+    @functools.cached_property
+    def orbit_distances(self) -> np.ndarray:
+        """Read-only table D[k, i] of squared distances between the p = 0
+        column k P of ``unit_frames`` and its column i, from differences
+        (``numerics._distance_table``); formed once per tensor."""
+        coords = self.unit_frames()
+        table = _distance_table(coords, np.arange(0, coords.shape[1], self.config.constellation().order))
+        table.setflags(write=False)
+        return table
 
     def state_index(self, l: int) -> int:
         return _state_index(self.states, l)
@@ -115,7 +142,11 @@ def matched_beams(config: SystemConfig) -> dict:
 
 
 def build_channel_tensor(config: SystemConfig) -> ChannelTensor:
-    """Assemble the full channel tensor for a configuration.
+    """The full channel tensor of a configuration, built on the first call
+    for each config object and kept on it: every later call with the same
+    object returns the same immutable tensor, and with it the frame
+    distances cached on it.  A config made by ``dataclasses.replace`` is a
+    new object with its own tensor.
 
     With A(d) = gain * wavelength / (4 pi d) and k = 2 pi / wavelength, every
     entry is
@@ -133,11 +164,16 @@ def build_channel_tensor(config: SystemConfig) -> ChannelTensor:
     The geometry depends on the pair offset j - m alone, so the entries are
     computed once per offset and ``entries`` is a read-only view of those
     (2M - 1, L, 2) responses: entries[m, l, j, a] = by_offset[j - m + M - 1,
-    l, a].  Deterministic: the same config yields a bit-identical tensor.
+    l, a].  Deterministic: equal configs yield bit-identical tensors.
     Raises ConfigError, from ``ChannelTensor``, if some entry is not
     finite, or, from ``matched_beams``, if some state has no matched beam
-    with a finite, nonzero ring response.
+    with a finite, nonzero ring response; nothing is kept then.
     """
+    return config._channel_tensor
+
+
+def _assemble_channel_tensor(config: SystemConfig) -> ChannelTensor:
+    """What ``build_channel_tensor`` returns, built afresh."""
     beams = matched_beams(config)
     M = config.tx_antennas
     lam = config.wavelength_m

@@ -133,6 +133,9 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, out_path: str, command: str
     Plan, then compute, then write: the plan builds every point's config,
     power, seed and tensor, and for capacity and ee outputs checks the
     baseline, so a sweep raises every ConfigError before any output runs.
+    The points of one config object share its tensor, the capacity
+    kernel's table of frame distances kept on it and the logdet baseline's
+    singular values; a distance sweep builds them at every point.
     The base gain is materialized once, so distance grids see genuine
     attenuation, not a re-normalized channel; the headers show the gain as
     configured, its value on the ``resolved_gain`` line.  Each output's
@@ -150,7 +153,7 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, out_path: str, command: str
     columns = [swept] + ["variant"] * bool(spec.variants) + ["rho_w"]
     columns += [c for out, cols in _OUTPUT_COLUMNS.items() if out in spec.outputs for c in cols]
     capacity = "capacity" in spec.outputs or "ee" in spec.outputs
-    plan, tensor, tensor_cfg = [], None, None
+    plan = []
     for vi, (label, changes) in enumerate(spec.variants or (("", {}),)):
         variant_cfg = dataclasses.replace(pinned, **changes) if changes else pinned
         for gi, value in enumerate(grid):
@@ -158,10 +161,9 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, out_path: str, command: str
             snr_db = cfg.snr_db if field else parse(value)
             rho = cfg.rho_for_snr_db(snr_db)
             seed_i = int(_substream(cfg.seed, vi, gi).generate_state(1, "uint64")[0])
-            # Every output reads the tensor; an SNR sweep keeps the config
-            # object, so it builds the tensor once per variant.
-            if spec.outputs and cfg is not tensor_cfg:
-                tensor, tensor_cfg = build_channel_tensor(cfg), cfg
+            # Every output reads the tensor.  It is kept on the config, and an
+            # SNR sweep keeps the config object, so it is built once per variant.
+            tensor = build_channel_tensor(cfg) if spec.outputs else None
             if capacity:
                 _check_baseline(cfg, cfg.mimo_mode)
             row = dict(zip(columns, (value, label, rho) if spec.variants else (value, rho)))

@@ -131,7 +131,7 @@ class SystemConfig:
     snr_db: float = _option(20.0, "decision", "snr", float, rule="finite")
     detector: str = _option("stepwise", "decision", "detector", str, _DETECTORS, flag="BER detector")
     mimo_mode: str = _option("logdet", "decision", "mimo_mode", str, _MIMO_MODES, flag="capacity baseline model")
-    seed: int = _option(12345, "decision", "seed", int, flag="master seed override", rule="an integer")
+    seed: int = _option(12345, "decision", "seed", int, flag="master seed override", rule="a nonnegative integer")
     trials: int = _option(
         100000, "decision", "trials", int, flag="Monte Carlo BER trials per point", rule="a positive integer"
     )
@@ -145,6 +145,23 @@ class SystemConfig:
         self._validate()
 
     # -- derived quantities (the geometry is cached once per instance) -------
+    # The channel tensor and the baseline's singular values are cached too,
+    # so every caller of a config shares them.  Their builders live in
+    # modules that import this one, so each is imported where it is called.
+
+    @functools.cached_property
+    def _channel_tensor(self):
+        from .channel import _assemble_channel_tensor
+
+        return _assemble_channel_tensor(self)
+
+    @functools.cached_property
+    def _mimo_singular_values(self) -> np.ndarray:
+        from .metrics import mimo_channel_matrix
+
+        sv = np.linalg.svd(mimo_channel_matrix(self), compute_uv=False)
+        sv.setflags(write=False)
+        return sv
 
     @property
     def wavelength_m(self) -> float:
@@ -291,7 +308,7 @@ _DERIVED = {
     "config": (
         ("noise power at noise_psd_dbm_hz={c.noise_psd_dbm_hz!r}, bandwidth_hz={c.bandwidth_hz!r}",
          lambda c, _: c.noise_power_w, "finite and > 0"),
-        # The capacity kernel scales its scores by 2 / noise power.
+        # The detection statistics are scaled by 2 / noise power.
         ("2/noise power at bandwidth_hz={c.bandwidth_hz!r}", lambda c, _: 2.0 / c.noise_power_w, "finite and > 0"),
         ("element spacing", lambda c, _: c.element_spacing_m, "finite and > 0"),
         ("ring radius at waist_m={c.waist_m!r}, distance_m={c.distance_m!r}", lambda c, _: c.ring_radius_m,

@@ -17,7 +17,7 @@ import numpy as np
 from .channel import ChannelTensor, _check_tensor, _pair_geometry, build_channel_tensor
 from .config import _MIMO_MODES, SystemConfig
 from .errors import ConfigError, NumericError, require
-from .numerics import Constellation, _chunks, _noise, integrate, marcum_q1, ncx2_pdf, q_function
+from .numerics import Constellation, _chunks, _distance_table, _noise, integrate, marcum_q1, ncx2_pdf, q_function
 
 _LN2 = math.log(2.0)
 
@@ -55,43 +55,59 @@ _CAP_TABLE = 1 << 18
 
 
 def _mutual_information(
-    reps: np.ndarray, rotations: np.ndarray, noise_var: float, samples: int, seed: int, stream: int
+    coords: np.ndarray,
+    step: int,
+    table: np.ndarray | None,
+    rho: float,
+    noise_var: float,
+    samples: int,
+    seed: int,
+    stream: int,
 ) -> CapacityEstimate:
     """Mutual information I(X; Y) of a uniform discrete input X and the
-    received vector Y = s_X + noise, by Monte Carlo over the noise.
+    received vector Y = sqrt(rho) u_X + w, by Monte Carlo over the noise.
 
-    Input (k, p) has the clean received vector s = rotations[p] reps[k],
-    and w is circularly symmetric complex Gaussian noise of variance
-    ``noise_var`` per complex dimension.  ``rotations`` (the PSK points
-    over the first, or just 1) is a group of unit-modulus scalars, so
-    multiplying by one permutes the inputs, and rotations[p]^-1 w has the
-    law of w.  Hence the expected log-sum-exp over all candidates j of
-    ln F_ij = -(|d_ij|^2 + 2 Re(d_ij . conj(w))) / noise_var, d_ij = s_i -
-    s_j, is the same for (k, p) as for (k, 0), and each draw subtracts from
-    log2(n_inputs) its mean over the representatives only: the expectation
-    is unchanged, the per-draw variance differs.  At low received SNR it is
-    larger, as the part of each log-sum-exp linear in w cancels in the mean
-    over every input but not over the representatives.  The true input's
-    zero term keeps draws <= log2(n_inputs).  All-zero signals (rho = 0)
-    give exactly 0: every likelihood ratio is 1.
+    Column i of ``coords`` holds the real coordinates, [Re u_i, Im u_i], of
+    input i's clean frame at unit power, and w is circularly symmetric
+    complex Gaussian noise of variance ``noise_var`` per complex dimension.
+    The inputs come in orbits of ``step`` consecutive columns that a group
+    of unit-modulus scalars permutes (the PSK points over the first, or
+    just 1), and multiplying w by such a scalar leaves its law as it is.
+    Hence the expected log-sum-exp over all candidates j of ln F_ij =
+    -(|d_ij|^2 + 2 Re(d_ij . conj(w))) / noise_var, d_ij = sqrt(rho) (u_i -
+    u_j), is the same for every input of an orbit, and each draw subtracts
+    from log2(n_inputs) its mean over the representatives, columns k step,
+    only: the expectation is unchanged, the per-draw variance differs.  At
+    low received SNR it is larger, as the part of each log-sum-exp linear
+    in w cancels in the mean over every input but not over the
+    representatives.  The true input's zero term keeps draws <=
+    log2(n_inputs).  An snr = rho / noise_var of 0 gives exactly 0: every
+    likelihood ratio is 1 (to rounding, where a positive rho underflows).
 
-    The cross term factors as Re(d_ij . conj(w)) = R_i - R_j with
-    R = Re(s . w^H), so ln F_ij = q_j - q_i - d2_ij with q = 2 R / noise_var
-    (one matrix product per chunk of draws) and d2_ij = |d_ij|^2 / noise_var,
-    a table formed once per call from differences, one real coordinate at a
-    time.  A noise variance above 1 is first scaled to 1 with the signals,
-    which leaves I(X; Y) as it is and keeps the noise norms and q in range.
-    Then a distance overflows only past the double range, so +inf is right:
-    its term is exactly 0, as exp(-d2_ij) already is in doubles, and the
-    pruning below drops it.  By Cauchy-Schwarz, F_ij <= exp(-(d2_ij - 2 w
-    sqrt(d2_ij))), where w is the chunk's largest noise norm over
-    sqrt(noise_var); neighbour j of input i is dropped when that bound is
-    below 2^-60 / n_inputs, that is when d2_ij >= (w + sqrt(w^2 + cut))^2
-    with cut = ln(2^60 n_inputs).  The
-    dropped terms of one log-sum-exp sum to less than 2^-60 against the true
-    input's term of 1, so it moves by less than 2^-60, far below double
-    rounding.  An input whose only remaining term is its own adds exactly
-    ln 1 = 0 and is skipped, so saturated draws cost almost nothing.
+    Everything is in units of the noise's standard deviation.  With z =
+    w / sqrt(noise_var), a unit complex Gaussian, the cross term factors,
+    so ln F_ij = q_j - q_i - d2_ij with q = 2 sqrt(snr) Re(u . conj(z))
+    (one matrix product per chunk of draws, on noise coordinates scaled by
+    2 sqrt(snr)) and d2_ij = snr D_ij, where D is the unit-power table of
+    squared frame distances, formed from differences by
+    ``numerics._distance_table``.  ``table`` is D for every representative,
+    kept by the caller (``ChannelTensor.orbit_distances``); without it, D is
+    formed for each block of representatives that fits ``_CAP_TABLE``
+    entries, and each block redraws the same noise.  The scale is the ratio
+    snr, never (D rho) / noise_var, which overflows at noise powers near the
+    double limit.  A distance that overflows is +inf, which is right: its
+    term is exactly 0, as exp(-d2_ij) already is in doubles, and the pruning
+    below drops it.  If snr itself overflows, coinciding frames stay 0
+    apart (not 0 inf = NaN) and every other distance is +inf.
+
+    By Cauchy-Schwarz, F_ij <= exp(-(d2_ij - 2 w sqrt(d2_ij))), where w is
+    the chunk's largest |z|; neighbour j of input i is dropped when that
+    bound is below 2^-60 / n_inputs, that is when d2_ij >= (w + sqrt(w^2 +
+    cut))^2 with cut = ln(2^60 n_inputs).  The dropped terms of one
+    log-sum-exp sum to less than 2^-60 against the true input's term of 1,
+    so it moves by less than 2^-60, far below double rounding.  An input
+    whose only remaining term is its own adds exactly ln 1 = 0 and is
+    skipped, so saturated draws cost almost nothing.
 
     The rows that keep a neighbour share one shift per draw, c = max q_j
     over the union C of their neighbours, and one matrix product:
@@ -101,42 +117,32 @@ def _mutual_information(
     that matters is a product of two normal doubles.  Any other row, which
     happens only at high received SNR, sums its neighbours' F_ij itself:
     its own term is exactly 1 and, for a neighbour, ln F_ij <= w^2, so no
-    shift is needed and nothing overflows.  Representatives are scored in
-    blocks that keep the table to ``_CAP_TABLE`` entries; each block
-    redraws the same noise.
+    shift is needed and nothing overflows.
     """
     require("samples", samples, "a positive integer")
-    if not np.any(reps):
+    require("seed", seed, "a nonnegative integer")
+    snr = rho / noise_var  # a float quotient overflows to inf; it never raises
+    if snr == 0.0:
         return CapacityEstimate(value=0.0, std_error=0.0, samples=samples)
-    # Input (k, p) at row k P + p: the representatives are every P-th row.
-    signals = (reps[:, None, :] * rotations[:, None]).reshape(-1, reps.shape[1])
-    n_inputs, dims = signals.shape
-    # Real coordinates: Re(a . conj(b)) is the dot product of [Re a, Im a]
-    # and [Re b, Im b]; one row per coordinate, in noise standard deviations
-    # when the noise variance is above 1 (see above).
-    coords = np.concatenate([signals.real.T, signals.imag.T]) / math.sqrt(max(1.0, noise_var))
-    noise_var = min(1.0, noise_var)
-    del signals
+    # q = coords.T @ (z * q_scale) per draw, with q_scale = 2 sqrt(snr) taken
+    # as a ratio of roots, which stays finite where snr overflows.
+    q_scale = 2.0 * math.sqrt(rho) / math.sqrt(noise_var)
+    n_inputs = coords.shape[1]
+    n_reps = n_inputs // step
     log2_inputs = math.log2(n_inputs)
     cut_ln = _PRUNE_LN_BUDGET + math.log(n_inputs)
-    block = max(1, _CAP_TABLE // n_inputs)
+    block = n_reps if table is not None else max(1, _CAP_TABLE // n_inputs)
     acc = np.zeros(samples)
-    for first in range(0, reps.shape[0], block):
-        rows = np.arange(first, min(first + block, reps.shape[0])) * rotations.size
-        d2 = np.zeros((rows.size, n_inputs))
-        diff = np.empty_like(d2)
-        # A distance that overflows is +inf: its term e^-d2 is exactly 0.
+    for first in range(0, n_reps, block):
+        rows = np.arange(first, min(first + block, n_reps)) * step
+        dist = table if table is not None else _distance_table(coords, rows)
         with np.errstate(over="ignore"):
-            for x in coords:
-                np.subtract.outer(x[rows], x, out=diff)
-                diff *= diff
-                d2 += diff
-            d2 /= noise_var
-        del diff
+            d2 = dist * snr if math.isfinite(snr) else np.where(dist > 0.0, math.inf, 0.0)
+        del dist
         for done, n, rng in _chunks(samples, _CAP_CHUNK, seed, stream):
-            # [Re w, Im w]: the real plane of the draw, then the imaginary.
-            w = np.concatenate(_noise(rng, (n, dims), math.sqrt(noise_var / 2.0)), axis=1)
-            w_max = math.sqrt(float(np.max(np.sum(w * w, axis=1))) / noise_var)
+            # [Re z, Im z]: the real plane of the draw, then the imaginary.
+            z = np.concatenate(_noise(rng, (n, coords.shape[0] // 2), math.sqrt(0.5)), axis=1)
+            w_max = math.sqrt(float(np.max(np.sum(z * z, axis=1))))
             reach = (w_max + math.sqrt(w_max * w_max + cut_ln)) ** 2
             near = d2 < reach
             live = np.count_nonzero(near, axis=1) > 1
@@ -144,8 +150,8 @@ def _mutual_information(
                 continue
             # The live rows: input indices, neighbour masks and distances.
             r, nr, dr = (rows, near, d2) if live.all() else (rows[live], near[live], d2[live])
-            q = coords.T @ w.T
-            q *= 2.0 / noise_var
+            z *= q_scale
+            q = coords.T @ z.T
             out = acc[done : done + n]
             cols = np.flatnonzero(np.any(nr, axis=0))
             qc = q if cols.size == n_inputs else q[cols]
@@ -170,7 +176,7 @@ def _mutual_information(
                 s = e @ qc
                 np.log(s, out=s)
                 out += np.sum(s, axis=0) - np.sum(own if shared.all() else own[shared], axis=0)
-    per_draw = log2_inputs - acc / (reps.shape[0] * _LN2)
+    per_draw = log2_inputs - acc / (n_reps * _LN2)
     value = float(np.mean(per_draw))
     stderr = float(np.std(per_draw, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return CapacityEstimate(value=min(max(0.0, value), log2_inputs), std_error=stderr, samples=samples)
@@ -187,12 +193,18 @@ def dcmc_capacity(
     returns exactly zero (every likelihood ratio is 1).  Input (m, l, p) is
     x_p / x_0 times input (m, l, 0), so each draw scores only p = 0 (see
     ``_mutual_information``): same expectation, different variance.
+
+    The inputs are the tensor's ``unit_frames``.  Their table of frame
+    distances, ``tensor.orbit_distances``, is formed on the first call and
+    kept with the tensor, so later calls on it, at any rho and noise
+    variance, only rescale it.  A table above ``_CAP_TABLE`` entries is
+    neither formed whole nor kept: each call forms it block by block.
     """
     _check_link(rho, noise_var)
-    points = np.asarray(tensor.config.constellation().points)
-    # Frame of (m, l, 0) at row m * L + l, flattened over (pair, antenna-in-pair).
-    reps = math.sqrt(rho) * points[0] * tensor.entries.reshape(-1, 2 * tensor.entries.shape[0])
-    return _mutual_information(reps, points / points[0], noise_var, samples, seed, stream=0xCA9)
+    coords = tensor.unit_frames()
+    P = tensor.config.constellation().order
+    table = tensor.orbit_distances if coords.shape[1] // P * coords.shape[1] <= _CAP_TABLE else None
+    return _mutual_information(coords, P, table, rho, noise_var, samples, seed, stream=0xCA9)
 
 
 def mimo_channel_matrix(config: SystemConfig) -> np.ndarray:
@@ -231,25 +243,27 @@ def mimo_capacity_baseline(
     ``dcmc_psk`` estimates the mutual information with independent uniform
     PSK inputs on each antenna by Monte Carlo, upper-bounded by M log2 P,
     through ``_mutual_information``, which documents the kernel.  It scores
-    every x (rotations = 1): at its received SNR, ~100 dB below
-    rho_total / sigma^2, one x per orbit is far noisier.
+    every x, each its own orbit: at its received SNR, ~100 dB below
+    rho_total / sigma^2, one x per orbit is far noisier.  Its table of frame
+    distances is formed per call.  The singular values are computed once
+    per config object and kept on it.
     """
     _check_baseline(config, mode)
     _check_link(rho_total, noise_var)
-    H = mimo_channel_matrix(config)
     M = config.tx_antennas
     if mode == "logdet":
         if rho_total == 0.0:
             return CapacityEstimate(0.0, 0.0, 0)
-        sv = np.linalg.svd(H, compute_uv=False)
+        sv = config._mimo_singular_values
         with np.errstate(divide="ignore"):  # a zero singular value adds log2(1 + 0) = 0
             ln_terms = math.log(rho_total) - math.log(M * noise_var) + 2.0 * np.log(sv)
         return CapacityEstimate(float(np.sum(np.logaddexp(0.0, ln_terms))) / _LN2, 0.0, 0)
     points = np.asarray(config.constellation().points)
     grids = np.meshgrid(*([points] * M), indexing="ij")
     x = np.stack([g.ravel() for g in grids], axis=1)  # (P^M, M)
-    s = math.sqrt(rho_total / M) * x @ H.T  # received vectors
-    return _mutual_information(s, np.ones(1), noise_var, samples, seed, stream=0x313)
+    u = x @ mimo_channel_matrix(config).T  # received vectors at unit power per antenna
+    coords = np.concatenate([u.real.T, u.imag.T])
+    return _mutual_information(coords, 1, None, rho_total / M, noise_var, samples, seed, stream=0x313)
 
 
 def _noncentralities(h: np.ndarray, x: complex, rho: float, noise_var: float) -> np.ndarray:

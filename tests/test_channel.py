@@ -123,6 +123,18 @@ class TestBuildChannelTensor:
         t2 = build_channel_tensor(default_config)
         assert np.array_equal(t1.entries, t2.entries)
 
+    def test_kept_per_config_object(self, default_config):
+        # One immutable tensor per config object.  ``replace`` makes a new
+        # object, which builds its own: moved, or bit-identical when equal.
+        tensor = build_channel_tensor(default_config)
+        assert build_channel_tensor(default_config) is tensor
+        moved = dataclasses.replace(default_config, distance_m=60.0)
+        assert build_channel_tensor(moved) is not tensor
+        assert build_channel_tensor(moved).config is moved
+        equal = dataclasses.replace(default_config)
+        assert build_channel_tensor(equal) is not tensor
+        assert np.array_equal(build_channel_tensor(equal).entries, tensor.entries)
+
     def test_immutable(self, default_tensor):
         with pytest.raises(ValueError):
             default_tensor.entries[0, 0, 0, 0] = 0.0

@@ -101,6 +101,7 @@ class TestSystemConfig:
             ("gain", -1.0),
             ("gain", "walrus"),
             ("seed", 1.5),
+            ("seed", -1),
             ("samples", 2.5),
             ("trials", 0),
             ("ref_state", 0),
@@ -451,9 +452,10 @@ class TestRunSweep:
         ],
     )
     def test_tensor_built_once_per_point_config(self, tmp_path, monkeypatch, sweep, variants, builds):
+        # Every point asks for its config's tensor; a config keeps the one it built.
         built = []
         real = oamsm.cli.build_channel_tensor
-        monkeypatch.setattr(oamsm.cli, "build_channel_tensor", lambda cfg: built.append(cfg) or real(cfg))
+        monkeypatch.setattr(oamsm.cli, "build_channel_tensor", lambda cfg: built.append(real(cfg)) or built[-1])
         spec = tiny_spec(
             sweep=sweep,
             start=40.0,
@@ -464,7 +466,23 @@ class TestRunSweep:
         )
         rows = run_sweep(SystemConfig(), spec, str(tmp_path / "t.csv"))
         assert len(rows) == 3 * max(1, len(variants))
-        assert len(built) == builds
+        assert len(built) == len(rows)
+        assert len({id(tensor) for tensor in built}) == builds
+
+    def test_kept_tensors_leave_the_csv_body_as_it_is(self, tmp_path):
+        # The tensor, the capacity kernel's table of frame distances and the
+        # baseline's singular values are kept on the config objects.
+        def body(config, name):
+            out = tmp_path / name
+            spec = tiny_spec(outputs=("capacity", "ee"), stop=40.0, step=10.0, overrides={"samples": 120})
+            run_sweep(config, spec, str(out))
+            return [line for line in out.read_text().splitlines() if not line.startswith("#")]
+
+        config = SystemConfig()
+        first = body(config, "a.csv")
+        assert len(first) == 6
+        assert body(config, "b.csv") == first
+        assert body(SystemConfig(), "c.csv") == first
 
     def test_every_variant_snr_is_checked_before_any_output(self, tmp_path, monkeypatch):
         # With the gain pinned at d=50, 3078 dB is inside d=100's
@@ -533,6 +551,13 @@ class TestCliMain:
         )
         assert rc == 0
         assert out.exists()
+
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
+        # Seed -1 used to run the stream of seed 2^64 - 1.
+        out = tmp_path / "o.csv"
+        assert main(["run", "--sweep", "snr", "--from", "0", "--to", "0", "--seed", "-1", "--out", str(out)]) == 2
+        assert "config error: seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"

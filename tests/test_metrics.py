@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oamsm import metrics
+from oamsm import channel, metrics, numerics
 from oamsm import (
     ConfigError,
     NumericError,
@@ -111,6 +111,10 @@ class TestDcmcCapacity:
         for bad in BAD_POWERS:
             with pytest.raises(ValueError):
                 dcmc_capacity(default_tensor, bad, nv, 10, 1)
+        # A bad seed: at rho = 0 it used to return 0 unchecked.
+        for rho in (0.0, default_config.rho_for_snr_db(0.0)):
+            with pytest.raises(ValueError, match="seed must be a nonnegative integer, got 1.5"):
+                dcmc_capacity(default_tensor, rho, nv, 10, 1.5)
 
     @pytest.mark.parametrize("samples", [0, -5, 2.5])
     @pytest.mark.parametrize("rho_db", [None, 10.0])
@@ -385,7 +389,73 @@ class TestMutualInformationKernel:
         assert peak < 8 * 2**20
 
 
+class TestFrameDistanceTable:
+    """The capacity kernel's unit-power table of frame distances, formed
+    once per channel tensor and rescaled by rho / noise_var at every call."""
+
+    def test_formed_once_for_a_tensor(self, monkeypatch):
+        formed = []
+        real = numerics._distance_table
+
+        def counting(coords, rows):
+            formed.append(rows.size)
+            return real(coords, rows)
+
+        for module in (channel, metrics):
+            monkeypatch.setattr(module, "_distance_table", counting)
+        cfg = dataclasses.replace(SystemConfig(), distance_m=51.0)
+        tensor = build_channel_tensor(cfg)
+        grid = [-20.0 + 2.0 * i for i in range(31)]
+        estimates = [dcmc_capacity(tensor, cfg.rho_for_snr_db(s), cfg.noise_power_w, 30, 3) for s in grid]
+        assert formed == [32]
+        assert tensor.orbit_distances is build_channel_tensor(cfg).orbit_distances
+        # A fresh tensor, with a fresh table, reads the same numbers.
+        fresh = build_channel_tensor(dataclasses.replace(cfg))
+        assert [dcmc_capacity(fresh, cfg.rho_for_snr_db(s), cfg.noise_power_w, 30, 3) for s in grid] == estimates
+        assert formed == [32, 32]
+
+    def test_kept_table_is_read_only(self, default_tensor):
+        table = default_tensor.orbit_distances
+        assert table.shape == (32, 128)
+        assert np.all(table[np.arange(32), 4 * np.arange(32)] == 0.0)
+        with pytest.raises(ValueError):
+            table[0, 1] = 0.0
+
+    @pytest.mark.parametrize(
+        "rho, noise_var",
+        [(1e300, 1e-10), (1e-300, 1e10), (1e-300, 1e100)],
+        ids=["snr-overflows", "snr-subnormal", "snr-underflows"],
+    )
+    def test_scale_at_the_double_limits_matches_reference(self, default_tensor, rho, noise_var):
+        # rho / noise_var past the double range must not turn the zero
+        # diagonal into 0 * inf = NaN; below it, the table scales to 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = dcmc_capacity(default_tensor, rho, noise_var, 200, 21)
+        with np.errstate(over="ignore"):
+            value, stderr = einsum_mutual_information(
+                clean_frames(default_tensor, rho), noise_var, 200, 21, 0xCA9, orbit_rows(default_tensor)
+            )
+        assert math.isfinite(est.value) and math.isfinite(est.std_error)
+        assert est.value == pytest.approx(value, abs=1e-12)
+        assert est.std_error == pytest.approx(stderr, abs=1e-12)
+
+
 class TestMimoBaseline:
+    def test_singular_values_kept_per_config(self, monkeypatch):
+        built = []
+        real = metrics.mimo_channel_matrix
+        monkeypatch.setattr(metrics, "mimo_channel_matrix", lambda cfg: built.append(cfg) or real(cfg))
+        cfg = dataclasses.replace(SystemConfig(), distance_m=51.0)
+
+        def logdet_bits(config):
+            return [mimo_capacity_baseline(config, cfg.rho_for_snr_db(s), cfg.noise_power_w).value for s in (0, 20, 40)]
+
+        values = logdet_bits(cfg)
+        assert built == [cfg]
+        assert logdet_bits(dataclasses.replace(cfg)) == values
+        assert len(built) == 2
+
     def test_zero_singular_value_adds_nothing(self):
         # At 1e103 Hz the plain array's smallest singular value can round to
         # 0. Its log2(1 + 0) = 0 term used to warn "divide by zero

@@ -370,11 +370,22 @@ class TestChunks:
             ref = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(7, 3, i))))
             assert np.array_equal(rng.standard_normal(4), ref.standard_normal(4))
 
-    @pytest.mark.parametrize("seed", [1.5, True, "3", np.int64(3)])
+    @pytest.mark.parametrize("seed", [1.5, True, "3", np.int64(3), -1])
     def test_rejects_a_seed_that_is_not_a_plain_int(self, seed):
-        # 1.5 and True used to run seed 1's stream, "3" seed 3's.
-        with pytest.raises(ValueError, match="seed must be an integer"):
+        # 1.5 and True used to run seed 1's stream, "3" seed 3's, and -1
+        # seed 2^64 - 1's.
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
             next(_chunks(10, 512, seed, 3))
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**64])
+    def test_every_nonnegative_seed_keys_its_own_stream(self, seed):
+        # Seeds used to be taken modulo 2^64, so 2^64 ran seed 0's stream.
+        def first_draws(s):
+            return next(_chunks(10, 512, s, 3))[2].standard_normal(4)
+
+        ref = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(seed, 3, 0))))
+        assert np.array_equal(first_draws(seed), ref.standard_normal(4))
+        assert seed < 2**64 or not np.array_equal(first_draws(seed), first_draws(seed - 2**64))
 
 
 def _hamming(a: str, b: str) -> int:
