@@ -32,18 +32,28 @@ frame and the expanded score, so a trial whose noise is inside it is one
 the scoring would decide correctly: it is counted as such without being
 scored.  ML draws its noise by one of two samplers, chosen once per run:
 
-- the radius draw, when ``_ml_certified_fraction`` predicts that at least
-  a quarter of the trials certify: each trial draws its noise energy
-  |z|^2 ~ chi2(4M) alone, and only the trials it leaves uncertified draw a
-  (2, M, 2) standard-normal direction, rescaled to norm sigma * |z|, and
-  are built and scored.  The norm and the direction of isotropic Gaussian
-  noise are independent (Muller, CACM 1959), so the counts are exact in
-  distribution, and a certified trial costs one chi2 variate, not 4M
-  normals.
-- the direct draw, below a quarter: the full (2, n, M, 2) noise of every
-  trial, and every trial scored.  Certifying would change no count, and
-  there the radius draw's chi2 variates cost more than the normals they
-  save.
+- the radius draw, when at least 15 % of the trials are predicted to
+  certify, the mean over the rows of 1 - q, q = ``_ml_uncertified``: a
+  chunk of n trials draws its trials per (m, l) row, multinomial over the
+  M * L equally likely rows, then the uncertified ones per row, binomial
+  with that row's q = P(chi2(4M) >= t) for t its certificate energy.  The
+  K uncertified trials alone draw: a uniform point, then a noise energy
+  from chi2(4M) conditioned on exceeding t (``_ml_tail_energy``: per row, a
+  multinomial count of the trials at each Poisson arrival count, then one
+  gamma variate per trial), then a (2, M, 2) standard-normal direction
+  rescaled to norm sigma * sqrt(E), and are built and scored.  The certified trials draw nothing, so a chunk
+  where every trial certifies costs two draws of M * L counts, whatever n.
+  Why the counts are exact in distribution: the antenna, state and point
+  are uniform and independent, the certificate depends on the row alone,
+  so given the row counts each row's uncertified count is binomial; and the
+  norm and the direction of isotropic Gaussian noise are independent
+  (Muller, CACM 1959).  One caveat: ``_poisson_pmf_dot`` returns 0 outside
+  its window, so a row whose true q is below about 1e-30 never yields an
+  uncertified trial.
+- the direct draw, below 15 %: the antenna, state and point indices
+  and the full (2, n, M, 2) noise of every trial, and every trial scored.
+  Certifying would change no count, and there the radius draw's energies
+  and tables cost more than the normals they save.
 """
 
 from __future__ import annotations
@@ -299,21 +309,59 @@ def _ml_radii(clean: np.ndarray, points: np.ndarray) -> np.ndarray:
     return radius
 
 
-def _ml_certified_fraction(cert_energy: np.ndarray, n_antennas: int) -> float:
-    """Predicted share of ML trials that certify: the mean over the rows of
-    P(|z|^2 < t) for |z|^2 ~ chi2(4M) and t = ``cert_energy``, that is
-    1 - P(Poisson(t / 2) < 2M).  A row of t = 0 (coincident frames) gives 0,
-    and one of t = inf (a single hypothesis) gives 1."""
+def _ml_uncertified(cert_energy: np.ndarray, n_antennas: int) -> np.ndarray:
+    """Per-row share q of ML trials left uncertified: P(|z|^2 >= t) for
+    |z|^2 ~ chi2(4M) and t = ``cert_energy``, that is P(Poisson(t / 2) < 2M),
+    taken directly so that a small q keeps its relative accuracy, and
+    capped at 1, which the summed pmf can pass by a rounding.  A row of
+    t = 0 (coincident frames) gives 1, and one of t = inf (a single
+    hypothesis) gives 0.  Outside the Poisson window of ``_poisson_pmf_dot``
+    (a true q below about 1e-30) q is 0."""
     half = np.asarray(cert_energy, dtype=float) / 2.0
-    cdf = np.zeros_like(half)
+    q = np.ones_like(half)
     mid = half > 0.0
-    cdf[mid] = 1.0 - _poisson_pmf_dot(np.ones(2 * n_antennas), half[mid])
-    return float(cdf.mean())
+    q[mid] = np.minimum(_poisson_pmf_dot(np.ones(2 * n_antennas), half[mid]), 1.0)
+    return q
+
+
+def _ml_arrival_pmf(cert_energy: np.ndarray, n_antennas: int) -> np.ndarray:
+    """(rows, 2M) law of the arrival count i that ``_ml_tail_energy`` draws:
+    Poisson(t / 2) restricted to 0 .. 2M - 1, weights s^i / i! with
+    s = t / 2, formed in log space.  A row of t = 0 puts all its mass on
+    i = 0; so does one of t = inf, which is never drawn (its q is 0)."""
+    half = np.asarray(cert_energy, dtype=float) / 2.0
+    ks = np.arange(2 * n_antennas)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(ks[1:]))))
+    pmf = np.zeros((half.size, ks.size))
+    pmf[:, 0] = 1.0
+    mid = (half > 0.0) & np.isfinite(half)
+    log_w = np.multiply.outer(np.log(half[mid]), ks) - log_fact
+    w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+    pmf[mid] = w / w.sum(axis=1, keepdims=True)
+    return pmf
+
+
+def _ml_tail_energy(rng: np.random.Generator, cert_energy: np.ndarray, arrival_pmf: np.ndarray, per_row: np.ndarray):
+    """``(rows, energy)`` of ``per_row[r]`` trials of each row r, in row
+    order: E ~ chi2(4M) conditioned on E >= t, t = ``cert_energy[rows]``,
+    exactly.  With X = E / 2 ~ Gamma(2M, 1) the time of the 2M-th arrival
+    of a unit Poisson process, X > s = t / 2 means fewer than 2M arrivals
+    in [0, s]: their number i follows ``arrival_pmf``, Poisson(s) restricted
+    to 0 .. 2M - 1, and the 2M - i arrivals still due come after s, so
+    X = s + Gamma(2M - i, 1).  The trials of a row are exchangeable, so one
+    multinomial per row draws how many have each i."""
+    width = arrival_pmf.shape[1]
+    counts = rng.multinomial(per_row, arrival_pmf)
+    rows, arrivals = np.divmod(np.repeat(np.arange(counts.size), counts.reshape(-1)), width)
+    return rows, cert_energy[rows] + 2.0 * rng.standard_gamma(width - arrivals)
 
 
 # The radius draw pays once this share of ML trials certify; below it the
-# chi2 variates cost more than the normals they save.
-_RADIUS_DRAW_SHARE = 0.25
+# energies and counts cost more than the scoring they save.  Timed in
+# process, the two samplers broke even at a certified share between 0.10
+# (8 antennas) and 0.2 (2 antennas and BPSK, whose 8 hypotheses score
+# cheaply); at the default config, at 0.13.
+_RADIUS_DRAW_SHARE = 0.15
 
 
 def _demodulate(frame: np.ndarray, tensor: ChannelTensor, rho: float, rule: str) -> OamSymbol:
@@ -385,11 +433,16 @@ def simulate_ber(
     Bits are drawn uniformly, mapped to codewords, sent through the channel
     with complex Gaussian noise at the configured noise power, and detected
     with the requested detector.  Chunk i of 8192 trials draws from Philox
-    substream (seed, 0xBE7, i): the antenna, state and point indices, then
-    the noise, by the detector's sampler (module docstring): the stepwise
-    draw of only the samples its rule reads, or one of the two ML samplers,
-    chosen once per run.  Every sampler gives error counts exact in
-    distribution.  Results are deterministic in (config, snr_db, trials,
+    substream (seed, 0xBE7, i) by the detector's sampler (module
+    docstring): the stepwise draw of the indices and of only the samples
+    its rule reads, or one of the two ML samplers, chosen once per run.  On
+    ML's radius draw a chunk first draws how many of its trials fall on each
+    (antenna, state) row and how many of those are left uncertified; only
+    these draw a point, an energy and a direction, so a run in which every
+    trial certifies costs O(M * L) draws per chunk, not O(trials).  Every
+    sampler gives error counts exact in distribution, save that a row
+    whose uncertified share is below about 1e-30 counts as certifying
+    every trial.  Results are deterministic in (config, snr_db, trials,
     seed, detector).
 
     Each standard error is that of the mean of a per-trial count: the bits
@@ -408,7 +461,6 @@ def simulate_ber(
     const = config.constellation()
     smap = SymbolMap(config.tx_antennas, config.oam_states, const)
     rho = config.rho_for_snr_db(snr_db)
-    decide = _detector(tensor, rho, detector)
 
     M, n_states, P = config.tx_antennas, len(tensor.states), const.order
     points = np.asarray(const.points)
@@ -416,33 +468,47 @@ def simulate_ber(
     clean = (math.sqrt(rho) * tensor.entries).reshape(M * n_states, M, 2)
     sigma = math.sqrt(config.noise_power_w / 2.0)
 
-    # The two tables of the stepwise draw (module docstring).
-    first_table = np.ascontiguousarray(clean[:, :, 0])
-    second_table = clean[:, :, 1].reshape(-1)
-
+    radius_draw = False
     if detector == "ml":
         # A trial whose noise has |z|^2 < (r / sigma)^2 for its codeword's
         # certificate radius r is decided correctly (``_ml_radii``).
         cert_energy = (_ml_radii(clean.reshape(M * n_states, 2 * M), points) / sigma) ** 2
-        radius_draw = _ml_certified_fraction(cert_energy, M) >= _RADIUS_DRAW_SHARE
+        uncertified = _ml_uncertified(cert_energy, M)
+        radius_draw = 1.0 - uncertified.mean() >= _RADIUS_DRAW_SHARE
+        row_share = np.full(M * n_states, 1.0 / (M * n_states))
+    else:
+        # The two tables of the stepwise draw (module docstring).
+        first_table = np.ascontiguousarray(clean[:, :, 0])
+        second_table = clean[:, :, 1].reshape(-1)
+    # The radius draw forms its scoring basis and arrival table only once a
+    # chunk has a trial to score.
+    decide = None if radius_draw else _detector(tensor, rho, detector)
 
     bit_errors = bit_squares = ant_errors = state_errors = sym_errors = 0
     for _, n, rng in _chunks(trials, _CHUNK, seed, 0xBE7):
-        m_idx = rng.integers(0, M, size=n)
-        l_idx = rng.integers(0, n_states, size=n)
-        p_idx = rng.integers(0, P, size=n)
-        rows, x = m_idx * n_states + l_idx, points[p_idx]
+        if radius_draw:
+            # Trials per row, then the uncertified ones per row; only those
+            # draw a point, an energy and a direction and are built and
+            # scored.  The certified ones add no error.
+            per_row = rng.binomial(rng.multinomial(n, row_share), uncertified)
+            if not (k := int(per_row.sum())):
+                continue
+            if decide is None:
+                decide, arrival_pmf = _detector(tensor, rho, "ml"), _ml_arrival_pmf(cert_energy, M)
+            p_idx = rng.integers(0, P, size=k)
+            rows, energy = _ml_tail_energy(rng, cert_energy, arrival_pmf, per_row)
+            m_idx, l_idx = np.divmod(rows, n_states)
+            noise = rng.standard_normal((2, k, M, 2))
+            norm2 = np.einsum("ankc,ankc->n", noise, noise)
+            noise *= (sigma * np.sqrt(energy / norm2))[:, None, None]
+        else:
+            m_idx = rng.integers(0, M, size=n)
+            l_idx = rng.integers(0, n_states, size=n)
+            p_idx = rng.integers(0, P, size=n)
+            rows = m_idx * n_states + l_idx
+        x = points[p_idx]
         if detector == "ml":
-            if radius_draw:
-                # |z|^2 first; only the uncertified trials draw a direction
-                # and are built and scored.  The certified ones add no error.
-                energy = rng.chisquare(4 * M, size=n)
-                keep = np.flatnonzero(energy >= cert_energy[rows])
-                noise = rng.standard_normal((2, keep.size, M, 2))
-                norm2 = np.einsum("ankc,ankc->n", noise, noise)
-                noise *= (sigma * np.sqrt(energy.take(keep) / norm2))[:, None, None]
-                rows, x, m_idx, l_idx, p_idx = (a.take(keep) for a in (rows, x, m_idx, l_idx, p_idx))
-            else:
+            if not radius_draw:
                 noise = _noise(rng, (n, M, 2), sigma)
             m_hat, l_hat, p_hat = decide(_frames(clean, rows, x, noise))
             # Release the noise before the next chunk's is drawn.

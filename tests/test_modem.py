@@ -1,5 +1,6 @@
 """Bit mapping, transmission, detection, and Monte Carlo error counting."""
 
+import collections
 import dataclasses
 import math
 import tracemalloc
@@ -7,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
+from scipy.stats import chi2, kstest, poisson
 
 from oamsm import (
     BerReport,
@@ -318,11 +319,18 @@ def unblocked_ber(config, tensor, snr_db, trials, seed, detector, rows=None, ful
     block by ``reference_decisions``, or in slices of ``rows`` frames where
     one block's residual would not fit in memory.
 
-    ML takes the radius draw where the chi2 cdf predicts that at least a
-    quarter of the trials certify: one chi2(4M) energy per trial, then the
-    (2, k, M, 2) directions of the k trials it leaves uncertified, rescaled
-    to that norm and scored; the certified trials are counted as decided
-    correctly.  Elsewhere ML draws the whole (2, n, M, 2) frame noise.
+    ML takes the radius draw where the chi2 cdf predicts that at least 15 %
+    of the trials certify.  Each chunk draws its trials per (m, l) row,
+    multinomial over the M * L rows, then the uncertified ones per row,
+    binomial with the package's q (``modem._ml_uncertified``: a q of exactly
+    0 draws nothing, so the stream depends on it bit for bit).  Only the k
+    uncertified trials draw: their points, then per row a multinomial count
+    of the trials at each arrival count i under the restricted Poisson
+    weights (scipy's, apart from the package), then Gamma(2M - i) per trial
+    in row order, giving the energy t + 2 Gamma, then their (2, k, M, 2)
+    directions, rescaled to that norm and scored; the certified trials are
+    counted as decided correctly.  Elsewhere ML draws the whole
+    (2, n, M, 2) frame noise.
     Stepwise draws the (2, n, M) first-antenna noise, decides the antenna by
     the reference rule, then draws (2, n) for the decided pair's second
     sample; the other second samples stay noiseless, as the rule never reads
@@ -339,22 +347,39 @@ def unblocked_ber(config, tensor, snr_db, trials, seed, detector, rows=None, ful
     rho = config.rho_for_snr_db(snr_db)
     sigma = math.sqrt(config.noise_power_w / 2.0)
     cert_energy = (ml_radii(tensor, rho) / sigma) ** 2
-    radius_draw = detector == "ml" and not full_draw and chi2.cdf(cert_energy, 4 * M).mean() >= 0.25
+    radius_draw = detector == "ml" and not full_draw and chi2.cdf(cert_energy, 4 * M).mean() >= 0.15
+    n_rows = M * n_states
+    if radius_draw:
+        q = modem._ml_uncertified(cert_energy, M)
+        # Arrival-count law of every row that can be drawn (q > 0, so t
+        # finite); the other rows are never drawn.
+        pmf = np.zeros((n_rows, 2 * M))
+        pmf[:, 0] = 1.0
+        log_w = poisson.logpmf(np.arange(2 * M), cert_energy[q > 0.0, None] / 2.0)
+        w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+        pmf[q > 0.0] = w / w.sum(axis=1, keepdims=True)
     errors = np.zeros(5, dtype=np.int64)  # bits, antenna, state, symbol, sum of squared bit errors
     for chunk, lo in enumerate(range(0, trials, 8192)):
         n = min(8192, trials - lo)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(seed, 0xBE7, chunk))))
-        m_idx = rng.integers(0, M, size=n)
-        l_idx = rng.integers(0, n_states, size=n)
-        p_idx = rng.integers(0, P, size=n)
-        sent = math.sqrt(rho) * tensor.entries[m_idx, l_idx] * points[p_idx][:, None, None]
-        live = np.ones(n, dtype=bool)
         if radius_draw:
-            energy = rng.chisquare(4 * M, size=n)
-            live = energy >= cert_energy[m_idx * n_states + l_idx]
-            d = rng.standard_normal((2, np.count_nonzero(live), M, 2))
-            scale = sigma * np.sqrt(energy[live] / np.sum(d**2, axis=(0, 2, 3)))
-            y = sent[live] + scale[:, None, None] * (d[0] + 1j * d[1])
+            per_row = rng.binomial(rng.multinomial(n, [1.0 / n_rows] * n_rows), q)
+            row = np.repeat(np.arange(n_rows), per_row)
+            m_idx, l_idx = row // n_states, row % n_states
+            p_idx = rng.integers(0, P, size=row.size)
+        else:
+            m_idx = rng.integers(0, M, size=n)
+            l_idx = rng.integers(0, n_states, size=n)
+            p_idx = rng.integers(0, P, size=n)
+        sent = math.sqrt(rho) * tensor.entries[m_idx, l_idx] * points[p_idx][:, None, None]
+        live = np.ones(len(sent), dtype=bool)
+        if radius_draw:
+            counts = rng.multinomial(per_row, pmf)  # (rows, 2M)
+            arrivals = np.concatenate([np.repeat(np.arange(2 * M), c) for c in counts])
+            energy = cert_energy[row] + 2.0 * rng.standard_gamma(2 * M - arrivals)
+            d = rng.standard_normal((2, row.size, M, 2))
+            scale = sigma * np.sqrt(energy / np.sum(d**2, axis=(0, 2, 3)))
+            y = sent + scale[:, None, None] * (d[0] + 1j * d[1])
         elif detector == "ml" or full_draw:
             y = sent + sigma * (rng.standard_normal((n, M, 2)) + 1j * rng.standard_normal((n, M, 2)))
         else:
@@ -405,6 +430,31 @@ def reference_report(config, tensor, snr_db, trials, seed, detector, rows=None, 
         snr_db=snr_db,
         seed=seed,
     )
+
+
+def count_draws(monkeypatch):
+    """A dict that sums, by generator method, the number of variates every
+    chunk of ``simulate_ber`` draws once ``modem._chunks`` is patched here;
+    a method never called has no entry."""
+    drawn = collections.Counter()
+
+    class Counting:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def __getattr__(self, attr):
+            method = getattr(self.rng, attr)
+
+            def counted(*args, **kwargs):
+                out = method(*args, **kwargs)
+                drawn[attr] += np.size(out)
+                return out
+
+            return counted
+
+    chunks = modem._chunks
+    monkeypatch.setattr(modem, "_chunks", lambda *a: ((s, n, Counting(rng)) for s, n, rng in chunks(*a)))
+    return drawn
 
 
 def count_scored(monkeypatch):
@@ -558,49 +608,45 @@ class TestSimulateBer:
     def test_normals_drawn_per_trial(self, request, monkeypatch, name, detector, snr):
         # Stepwise reads the M first-antenna samples and the decided pair's
         # second sample: 2M + 2 normals per trial.  ML's direct draw reads
-        # whole frames, 4M normals per trial; its radius draw takes one chi2
-        # variate per trial and 4M normals per scored (uncertified) trial.
-        # Up to 10 dB ML takes the direct draw, from 30 dB on the radius
-        # draw.  9000 trials span two chunks.
-        cfg = {
-            "tiny": request.getfixturevalue("tiny_config"),
-            "default": SystemConfig(),
-            "m8": dataclasses.replace(SystemConfig(), tx_antennas=8),
-        }[name]
-        normals, chi2s = [], []
-
-        class Counting:
-            def __init__(self, rng):
-                self.rng = rng
-
-            def standard_normal(self, *args, **kwargs):
-                out = self.rng.standard_normal(*args, **kwargs)
-                normals.append(np.size(out))
-                return out
-
-            def chisquare(self, *args, **kwargs):
-                out = self.rng.chisquare(*args, **kwargs)
-                chi2s.append(np.size(out))
-                return out
-
-            def __getattr__(self, attr):
-                return getattr(self.rng, attr)
-
-        chunks = modem._chunks
-        monkeypatch.setattr(
-            modem, "_chunks", lambda *a: ((s, n, Counting(rng)) for s, n, rng in chunks(*a))
-        )
+        # whole frames, 4M normals per trial.  Its radius draw takes no
+        # chi2 variate: per chunk, one multinomial and one binomial count
+        # per (m, l) row; per chunk that scores (one ``decide`` call each),
+        # one multinomial count per row and arrival count 0 .. 2M - 1; and
+        # one gamma and 4M normals per scored (uncertified) trial.  Up to
+        # 10 dB ML takes the direct draw, from 30 dB on the radius draw.
+        # 9000 trials span two chunks.
+        cfg = named_config(request, name)
+        drawn = count_draws(monkeypatch)
         scored = count_scored(monkeypatch) if detector == "ml" else []
         simulate_ber(cfg, snr, 9000, 3, detector)
-        M = cfg.tx_antennas
+        M, rows = cfg.tx_antennas, cfg.tx_antennas * cfg.n_states
+        counts = (drawn["chisquare"], drawn["standard_gamma"], drawn["multinomial"], drawn["binomial"])
         if detector == "stepwise":
-            assert (sum(normals), sum(chi2s)) == (9000 * (2 * M + 2), 0)
+            assert drawn["standard_normal"] == 9000 * (2 * M + 2)
+            assert counts == (0, 0, 0, 0)
         elif snr >= 30.0:
-            assert sum(chi2s) == 9000
-            assert sum(normals) == 4 * M * sum(scored)
+            assert counts == (0, sum(scored), 2 * rows + len(scored) * rows * 2 * M, 2 * rows)
+            assert drawn["standard_normal"] == 4 * M * sum(scored)
             assert sum(scored) < 9000
         else:
-            assert (sum(normals), sum(chi2s), sum(scored)) == (9000 * 4 * M, 0, 9000)
+            assert (drawn["standard_normal"], sum(scored)) == (9000 * 4 * M, 9000)
+            assert counts == (0, 0, 0, 0)
+
+    @pytest.mark.parametrize("trials", [9000, 900_000])
+    @pytest.mark.parametrize("name", ["default", "m8", "tiny"])
+    def test_certified_run_costs_no_draw_per_trial(self, request, monkeypatch, name, trials):
+        # At 80 dB every row's q is 0: a chunk draws its M * L row counts
+        # and their uncertified counts, all 0, and nothing per trial; the
+        # scoring basis is never formed and no frame is scored.
+        cfg = named_config(request, name)
+        drawn = count_draws(monkeypatch)
+        scored = count_scored(monkeypatch)
+        rep = simulate_ber(cfg, 80.0, trials, 11, "ml")
+        chunks = -(-trials // 8192)
+        rows = cfg.tx_antennas * cfg.n_states
+        assert drawn == {"multinomial": chunks * rows, "binomial": chunks * rows}
+        assert scored == []
+        assert (rep.trials, rep.bit_error_rate, rep.symbol_error_rate) == (trials, 0.0, 0.0)
 
     @pytest.mark.parametrize(
         "detector, cfg, snr, trials, seed, bound_mib",
@@ -777,42 +823,101 @@ class TestCertifiedMl:
 
 
 def certified_fraction(cfg, tensor, snr):
-    """``modem._ml_certified_fraction`` of ``cfg`` at ``snr``."""
+    """Predicted share of ML trials that certify in ``cfg`` at ``snr``: 1
+    less the mean of ``modem._ml_uncertified`` over the rows."""
     sigma = math.sqrt(cfg.noise_power_w / 2.0)
-    return modem._ml_certified_fraction((ml_radii(tensor, cfg.rho_for_snr_db(snr)) / sigma) ** 2, cfg.tx_antennas)
+    cert_energy = (ml_radii(tensor, cfg.rho_for_snr_db(snr)) / sigma) ** 2
+    return 1.0 - modem._ml_uncertified(cert_energy, cfg.tx_antennas).mean()
 
 
 class TestRadiusDraw:
-    """ML draws each trial's noise energy first, and a direction only for
-    the trials it leaves uncertified, once a quarter are predicted to
-    certify."""
+    """Once 15 % of ML trials are predicted to certify, ML draws each
+    chunk's trials per row and its uncertified trials per row; only those
+    draw an energy, from the chi2 law conditioned past the certificate,
+    and a direction."""
 
     @pytest.mark.parametrize("M", [1, 2, 4, 8, 64])
     def test_predicted_fraction_matches_chi2_cdf(self, M):
-        # P(chi2(4M) < t) = 1 - P(Poisson(t / 2) < 2M), for t / 2 from 1e-3
-        # to 1e7, each value alone and all as rows of one table.
+        # q = P(chi2(4M) >= t) = P(Poisson(t / 2) < 2M), for t / 2 from 1e-3
+        # to 1e7, each value alone and all as rows of one table: within
+        # 1e-12 of scipy's, and within 1e-11 relative where scipy's is above
+        # 1e-25, as q is taken directly, not as 1 less the certified share.
         t = 2.0 * np.logspace(-3, 7, 81)
-        want = chi2.cdf(t, 4 * M)
-        got = [modem._ml_certified_fraction(np.array([v]), M) for v in t]
+        want = chi2.sf(t, 4 * M)
+        got = np.array([modem._ml_uncertified(np.array([v]), M)[0] for v in t])
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
-        assert modem._ml_certified_fraction(t, M) == pytest.approx(want.mean(), abs=1e-12)
+        tail = want > 1e-25
+        assert np.allclose(got[tail], want[tail], rtol=1e-11, atol=0.0)
+        assert np.allclose(modem._ml_uncertified(t, M), got, rtol=1e-14, atol=0.0)
+        assert 1.0 - modem._ml_uncertified(t, M).mean() == pytest.approx(chi2.cdf(t, 4 * M).mean(), abs=1e-12)
 
     def test_zero_and_infinite_rows_predict_without_warnings(self, default_config, default_tensor):
         # A radius-0 row (coincident frames) never certifies, an inf row (one
         # hypothesis) always does; inf - inf in the Poisson window and
-        # log(0) must not be reached.
+        # log(0) must not be reached, in q, in the arrival table or in the
+        # tail draw.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert modem._ml_certified_fraction(np.array([0.0]), 4) == 0.0
-            assert modem._ml_certified_fraction(np.array([5e-324]), 4) == 0.0
-            assert modem._ml_certified_fraction(np.array([math.inf]), 4) == 1.0
-            assert modem._ml_certified_fraction(np.array([0.0, math.inf]), 4) == 0.5
+            t = np.array([0.0, 5e-324, math.inf, 1e-300, 1e300])
+            assert modem._ml_uncertified(t, 4).tolist() == [1.0, 1.0, 0.0, 1.0, 0.0]
+            # The summed pmf passes 1 by a rounding at some small t (at
+            # t / 2 = 1e-6 .. 10 it did for M = 2 .. 64): q stays a
+            # probability, as the binomial draw requires.
+            small = 2.0 * np.logspace(-6, 1, 2000)
+            for M in (2, 4, 8, 64):
+                q = modem._ml_uncertified(small, M)
+                assert np.all((q > 0.0) & (q <= 1.0))
+                np.random.default_rng(0).binomial(8192, q)
+            assert modem._ml_uncertified(np.array([0.0, math.inf]), 4).mean() == 0.5
+            pmf = modem._ml_arrival_pmf(t, 4)
+            # All the mass at i = 0 where t / 2 is 0, subnormal or inf, all
+            # but 5e-301 of it where t / 2 is 5e-301, and all but about
+            # 7 / 5e299 of it at i = 2M - 1 where t / 2 is 5e299.
+            assert np.all(pmf[:3] == np.eye(1, 8))
+            assert pmf[3, 0] == 1.0 and pmf[3, 1:].max() < 1e-300
+            assert pmf[4, -2] < 1e-298 and pmf[4, -1] == 1.0
+            rows, energy = modem._ml_tail_energy(np.random.default_rng(5), t, pmf, np.array([50, 50, 0, 50, 50]))
+            assert np.array_equal(rows, np.repeat([0, 1, 3, 4], 50))
+            assert np.all(np.isfinite(energy))
+            assert np.all(energy >= t[rows])
             entries = default_tensor.entries.copy()
             entries[1, 0] = entries[0, 0]
             tensor = ChannelTensor(entries=entries, states=default_tensor.states, config=default_config)
             assert certified_fraction(default_config, tensor, 60.0) == 30 / 32
             cfg = dataclasses.replace(SystemConfig(), tx_antennas=1, oam_states=(1,), constellation_order=1)
             assert certified_fraction(cfg, build_channel_tensor(cfg), 0.0) == 1.0
+
+    @pytest.mark.parametrize("M", [1, 4, 8])
+    def test_tail_energy_follows_the_conditional_chi2_law(self, M):
+        # E ~ chi2(4M) given E >= t, for t / 2 from 0 up to where
+        # P(E >= t) = 1e-30, every t a row of one table: each row's 4000
+        # draws against scipy's 1 - sf(x) / sf(t) by Kolmogorov-Smirnov.
+        # The ratio of survival functions keeps its accuracy in the far
+        # tail, where (cdf(x) - cdf(t)) / sf(t) cancels.
+        far = chi2.isf(1e-30, 4 * M)
+        t = np.array([0.0, 0.2, 2.0, 4.0 * M, far / 4, far / 2, far])
+        pmf = modem._ml_arrival_pmf(t, M)
+        rows, energy = modem._ml_tail_energy(np.random.default_rng(2024), t, pmf, np.full(t.size, 4000))
+        for k, tk in enumerate(t):
+            drawn = energy[rows == k]
+            assert np.all(drawn >= tk)
+            sf_t = chi2.sf(tk, 4 * M)
+            assert kstest(drawn, lambda x: 1.0 - chi2.sf(x, 4 * M) / sf_t).pvalue > 1e-3
+
+    @pytest.mark.parametrize(
+        "name, snr, radius", [("default", 13.0, False), ("default", 14.0, True), ("m8", 12.0, False), ("m8", 13.0, True)]
+    )
+    def test_sampler_switches_at_fifteen_percent(self, request, monkeypatch, name, snr, radius):
+        # Predicted certified shares 0.131 and 0.175 (default), 0.127 and
+        # 0.163 (8 antennas): the radius draw, which draws row counts, runs
+        # from 0.15 on, and either sampler matches the reference exactly.
+        cfg = named_config(request, name)
+        tensor = build_channel_tensor(cfg)
+        assert (certified_fraction(cfg, tensor, snr) >= 0.15) == radius
+        drawn = count_draws(monkeypatch)
+        rep = simulate_ber(cfg, snr, 9000, 71, "ml", tensor=tensor)
+        assert (drawn["binomial"] > 0) == radius
+        assert rep == reference_report(cfg, tensor, snr, 9000, 71, "ml", rows=256)
 
     @pytest.mark.parametrize("name, snr", [("default", 20.0), ("m8", 17.0), ("psk16", 30.0)])
     def test_predicted_fraction_matches_measured(self, request, monkeypatch, name, snr):
