@@ -145,9 +145,10 @@ class SystemConfig:
         self._validate()
 
     # -- derived quantities (the geometry is cached once per instance) -------
-    # The channel tensor and the baseline's singular values are cached too,
-    # so every caller of a config shares them.  Their builders live in
-    # modules that import this one, so each is imported where it is called.
+    # The channel tensor, the baseline's singular values and the symbol map
+    # are cached too, so every caller of a config shares them.  Their
+    # builders live in modules that import this one, so each is imported
+    # where it is called.
 
     @functools.cached_property
     def _channel_tensor(self):
@@ -162,6 +163,12 @@ class SystemConfig:
         sv = np.linalg.svd(mimo_channel_matrix(self), compute_uv=False)
         sv.setflags(write=False)
         return sv
+
+    @functools.cached_property
+    def _symbol_map(self):
+        from .modem import SymbolMap
+
+        return SymbolMap(self.tx_antennas, self.oam_states, self.constellation())
 
     @property
     def wavelength_m(self) -> float:

@@ -296,11 +296,12 @@ def _detection_integral(lam_own: float, factors: np.ndarray, rows: np.ndarray) -
     the integral over r of ncx2_pdf(r^2, lam_own) 2r times the row mean of
     prod_j (1 - Q1(factors[rows[i, j]], r)), to an absolute quadrature
     error of at most ``_DETECTION_TOL``.  Each 1 - Q1(a, r) is evaluated
-    once per integrand call, however many rows share it.  In r the true
-    pair's density is Rician: a bump of unit width at c = sqrt(lam_own)
-    whatever the SNR, so unit-width panels over [max(0, c - 9), c + 9],
-    plus one panel on [0, c - 9] when c > 9, resolve it in the first
-    quadrature pass at every SNR.  The integral stops at c + 9: r = |c + z| <= c + |z| for
+    once per integrand call, however many rows share it, and all of them
+    in one broadcast ``marcum_q1`` call on the pass's nodes.  In r the
+    true pair's density is Rician: a bump of unit width at c =
+    sqrt(lam_own) whatever the SNR, so unit-width panels over [max(0, c -
+    9), c + 9], plus one panel on [0, c - 9] when c > 9, resolve it in the
+    first quadrature pass at every SNR.  The integral stops at c + 9: r = |c + z| <= c + |z| for
     the unit complex Gaussian z, so P(r > c + 9) <= P(|z| > 9) =
     exp(-81/2) < 3e-18.  The panel below carries P(r < c - 9) <= Q(9) <
     1.2e-19, so its error bound vanishes at once.
@@ -320,7 +321,9 @@ def _detection_integral(lam_own: float, factors: np.ndarray, rows: np.ndarray) -
 
     def integrand(r):
         r = np.asarray(r, dtype=float)
-        cdf = np.array([1.0 - marcum_q1(float(a), r) for a in factors])
+        # One call for every factor: b is a zero-copy (factors, nodes) view,
+        # so the factors share its points and its size is the Q1 count.
+        cdf = 1.0 - marcum_q1(factors[:, None], np.broadcast_to(r, (factors.size, r.size)))
         return ncx2_pdf(r * r, lam_own) * (2.0 * r) * cdf[rows].prod(axis=1).mean(axis=0)
 
     value = integrate(integrand, 0.0, edges[-1], tol=_DETECTION_TOL, breakpoints=edges[edges > 0.0])

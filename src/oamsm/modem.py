@@ -458,8 +458,8 @@ def simulate_ber(
     _check_tensor(tensor, config)
     if (order := tensor.config.constellation_order) != config.constellation_order:
         raise ConfigError(f"tensor built for constellation order {order}, config has {config.constellation_order}")
-    const = config.constellation()
-    smap = SymbolMap(config.tx_antennas, config.oam_states, const)
+    smap = config._symbol_map
+    const = smap.constellation
     rho = config.rho_for_snr_db(snr_db)
 
     M, n_states, P = config.tx_antennas, len(tensor.states), const.order

@@ -3,7 +3,8 @@
 Contents
 --------
 q_function          Gaussian tail probability.
-marcum_q1           First-order Marcum Q: Poisson-window series, large-a expansion.
+marcum_q1           First-order Marcum Q: Poisson-window series, large-a expansion;
+                    broadcasts a against b, one shared pmf block for all a.
 ncx2_pdf, ncx2_cdf  Noncentral chi-square with two degrees of freedom.
 integrate           Adaptive Gauss-Kronrod quadrature on a finite interval,
                     seeded at caller-given breakpoints.
@@ -75,31 +76,51 @@ def _log_i0e(x: np.ndarray) -> np.ndarray:
 _BLOCK_ELEMENTS = 1_000_000
 
 
-def _poisson_pmf_dot(coef: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sum_k coef[k] * P(Poisson(y) = k) for every y > 0, inf included.
+def _poisson_pmf_dots(coefs: list, y: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] * P(Poisson(y) = k) for every window ``coef`` in
+    ``coefs`` and every y > 0, inf included: one row per window.
 
-    A point whose Poisson bulk y +- (13 sqrt(y) + 45) lies above the window
-    0 .. len(coef) - 1 gets 0: its pmf there is below ~1e-30.  The test forms
-    no inf - inf.  The log pmf k log y - y - ln k! is built in blocks of at
-    most ``_BLOCK_ELEMENTS``.
+    A point whose Poisson bulk y +- (13 sqrt(y) + 45) lies above a window
+    0 .. len(coef) - 1 gets 0 there: its pmf there is below ~1e-30.  The
+    test forms no inf - inf.  The pmf block exp(k log y - y - ln k!)
+    depends on y alone, so it is formed once, for the widest window over
+    the points near any window, in blocks of at most ``_BLOCK_ELEMENTS``.
+    Each window then takes its own rows and its own near columns of it, in
+    the order of ``y``: while one block holds the widest window, a row
+    is bit for bit what that window gives alone.
     """
-    out = np.zeros_like(y)
-    near = y < coef.size + (13.0 * np.sqrt(y) + 45.0)
-    if not np.any(near):
+    out = np.zeros((len(coefs), y.size))
+    slack = 13.0 * np.sqrt(y) + 45.0
+    width = max(coef.size for coef in coefs)
+    near_any = y < width + slack
+    if not np.any(near_any):
         return out
-    yn = y[near]
+    yn, slack = y[near_any], slack[near_any]
+    near = [yn < coef.size + slack for coef in coefs]
+    # A window near every point reads its rows of the block as a view.
+    near = [slice(None) if cols.all() else cols for cols in near]
     log_y = np.log(yn)
-    ks = np.arange(coef.size)
+    ks = np.arange(width)
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(ks[1:]))))
     rows = max(1, _BLOCK_ELEMENTS // yn.size)
-    acc = np.zeros_like(yn)
-    for start in range(0, coef.size, rows):
+    sums = [np.zeros_like(yn[cols]) for cols in near]
+    for start in range(0, width, rows):
         block = np.multiply.outer(ks[start : start + rows], log_y)
         block -= yn
         block -= log_fact[start : start + rows, None]
-        acc += coef[start : start + rows] @ np.exp(block, out=block)
-    out[near] = acc
+        np.exp(block, out=block)
+        for coef, cols, acc in zip(coefs, near, sums):
+            if start < coef.size:
+                acc += coef[start : start + rows] @ block[: coef.size - start, cols]
+    columns = np.flatnonzero(near_any)
+    for row, cols, acc in zip(out, near, sums):
+        row[columns[cols]] = acc
     return out
+
+
+def _poisson_pmf_dot(coef: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``_poisson_pmf_dots`` for the one window ``coef``."""
+    return _poisson_pmf_dots([coef], y)[0]
 
 
 # Large-argument Marcum Q.  With I0(z) = e^z / sqrt(2 pi z) sum_k c_k z^-k
@@ -143,7 +164,9 @@ def _marcum_q1_large(a: float, b: np.ndarray) -> np.ndarray:
     s = np.minimum(np.abs(c), 40.0)
     phi = np.exp(-0.5 * s * s) / math.sqrt(2.0 * math.pi)
     moments = np.empty((_MARCUM_ORDERS, s.size))
-    moments[0] = [0.5 * math.erfc(v) for v in s / _SQRT2]
+    # math.erfc at C speed; the same IEEE operations as a loop over s.
+    moments[0] = np.fromiter(map(math.erfc, (s / _SQRT2).tolist()), float, s.size)
+    moments[0] *= 0.5
     moments[1] = phi
     power = phi
     for j in range(2, _MARCUM_ORDERS):
@@ -155,7 +178,39 @@ def _marcum_q1_large(a: float, b: np.ndarray) -> np.ndarray:
     return np.where(c >= 0.0, upper, 1.0 - lower)
 
 
-def marcum_q1(a: float, b):
+def _marcum_q1_table(amps: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Q1(amps[u], b[p]) for distinct amplitudes ``amps`` and points ``b``,
+    as an unclipped (amps, points) table; ``marcum_q1`` documents the
+    regimes."""
+    y = 0.5 * b * b
+    # Q1(0, b) = e^-y; Q1(a, 0) = 1 exactly, and y = 0 has no log-pmf.
+    out = np.ones((amps.size, b.size))
+    positive = y > 0.0
+    rows, tails = [], []
+    for u, a in enumerate(amps.tolist()):
+        h = 0.5 * a * a
+        if h == 0.0:
+            out[u] = np.exp(-y)
+        elif a >= _MARCUM_LARGE_A:
+            out[u, positive] = _marcum_q1_large(a, b[positive])
+        else:
+            # Q1 = sum_n w_n P(Poisson(y) <= n) = sum_j P(Poisson(y) = j)
+            # tail_j, with w_n the Poisson(h) weights and tail_j = sum_{n >=
+            # j} w_n.  The weights are kept for n <= h + 13 sqrt(h) + 45; the
+            # mass beyond is below ~1e-30, and below a = 12 the window h +-
+            # (13 sqrt(h) + 45) starts at n = 0.  Scaling them to unit sum
+            # removes the rounding their cumulative log pmf shares, so the
+            # tails near 1 keep only the rounding of their own sums.
+            ns = np.arange(1, int(math.ceil(h + 13.0 * math.sqrt(h) + 45.0)) + 1)
+            w = np.exp(np.concatenate(([0.0], np.cumsum(math.log(h) - np.log(ns)))) - h)
+            rows.append(u)
+            tails.append(np.cumsum((w / np.sum(w))[::-1])[::-1])
+    if tails and np.any(positive):
+        out[np.ix_(rows, positive)] = _poisson_pmf_dots(tails, y[positive])
+    return out
+
+
+def marcum_q1(a, b):
     """First-order Marcum Q function Q1(a, b) = P(|a + z| > b) for a
     complex z with unit-variance real and imaginary parts.
 
@@ -181,38 +236,47 @@ def marcum_q1(a: float, b):
     The two regimes agree to 3e-14 at a = 12.  Over a in [0.5, 12) in steps
     of 0.005, at b = 1 and 4, no step in a lowers Q1 by more than 7.8e-16.
 
-    ``a`` is a scalar; ``b`` may be a scalar or an array.  Both must be
-    nonnegative.  Nonincreasing in ``b``, nondecreasing in ``a``; the range
-    is [0, 1], and Q1(a, 0) = 1 exactly.
+    ``a`` and ``b`` broadcast against each other like a ufunc's operands;
+    every entry of both must be finite and nonnegative, and two scalars
+    give a float.  Work is grouped by distinct amplitude.  Where ``b`` has
+    stride 0 along every axis that ``a`` varies along (a (F, 1) column
+    against b of shape (n,), or a broadcast view of shape (F, n)), the
+    amplitudes share its points: the window regime's Poisson(b^2 / 2) pmf
+    block is formed once, for the widest window, and each amplitude sums
+    its own rows and near columns of it.  Otherwise each amplitude gathers
+    its own points.  The large-a regime stays one pass per amplitude: its
+    moments enter a matrix product whose last bit can depend on the column
+    count, so pooling them across amplitudes could move a value.  So each
+    value is bit for bit what a scalar-``a`` call on the same points
+    gives, while one block (1e6 pmf values) holds the widest window.
+
+    Nonincreasing in ``b``, nondecreasing in ``a``; the range is [0, 1],
+    and Q1(a, 0) = 1 exactly.
     """
-    require("a", a, "finite and >= 0")
-    a = float(a)
-    scalar = np.ndim(b) == 0
+    require("a", a, "finite and >= 0 in every entry")
     require("b", b, "finite and >= 0 in every entry")
-    barr = np.atleast_1d(np.asarray(b, dtype=float))
-    y = 0.5 * barr * barr
-    h = 0.5 * a * a
-    # Q1(0, b) = e^-y; Q1(a, 0) = 1 exactly, and y = 0 has no log-pmf.
-    total = np.ones_like(y)
-    positive = y > 0.0
-    if h == 0.0:
-        total = np.exp(-y)
-    elif a >= _MARCUM_LARGE_A:
-        total[positive] = _marcum_q1_large(a, barr[positive])
-    elif np.any(positive):
-        # Q1 = sum_n w_n P(Poisson(y) <= n) = sum_j P(Poisson(y) = j) tail_j,
-        # with w_n the Poisson(h) weights and tail_j = sum_{n >= j} w_n.  The
-        # weights are kept for n <= h + 13 sqrt(h) + 45; the mass beyond is
-        # below ~1e-30, and below a = 12 the window h +- (13 sqrt(h) + 45)
-        # starts at n = 0.  Scaling them to unit sum removes the rounding
-        # their cumulative log pmf shares, so the tails near 1 keep only the
-        # rounding of their own sums.
-        ns = np.arange(1, int(math.ceil(h + 13.0 * math.sqrt(h) + 45.0)) + 1)
-        w = np.exp(np.concatenate(([0.0], np.cumsum(math.log(h) - np.log(ns)))) - h)
-        tail = np.cumsum((w / np.sum(w))[::-1])[::-1]
-        total[positive] = _poisson_pmf_dot(tail, y[positive])
-    out = np.clip(total, 0.0, 1.0)
-    return float(out[0]) if scalar else out.reshape(np.shape(b))
+    a_arr, b_arr = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    shape = np.broadcast_shapes(a_arr.shape, b_arr.shape)
+    # The distinct amplitudes, and the index of each entry's among them.
+    index: dict[float, int] = {}
+    inverse = np.array([index.setdefault(v, len(index)) for v in a_arr.ravel().tolist()], dtype=np.intp)
+    inverse = inverse.reshape((1,) * (len(shape) - a_arr.ndim) + a_arr.shape)
+    amps = np.array(list(index), dtype=float)
+    b_full = np.broadcast_to(b_arr, shape)
+    # Where b has stride 0 along every axis that a varies along, one slice
+    # across those axes holds every amplitude's points.
+    varies = [n > 1 for n in inverse.shape]
+    if all(stride == 0 for stride, v in zip(b_full.strides, varies) if v):
+        points = b_full[tuple(slice(1) if v else slice(None) for v in varies)]
+        table = _marcum_q1_table(amps, points.ravel())
+        out = table[inverse, np.arange(points.size).reshape(points.shape)]
+    else:
+        out = np.empty(shape)
+        for u in range(amps.size):
+            mask = np.broadcast_to(inverse == u, shape)
+            out[mask] = _marcum_q1_table(amps[u : u + 1], b_full[mask])[0]
+    out = np.clip(out, 0.0, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def ncx2_pdf(g, lam: float):

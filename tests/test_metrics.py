@@ -681,6 +681,40 @@ class TestAntennaDetectionProb:
                 assert len(integrand_calls) == integrals
                 assert max(integrand_calls) <= 2
 
+    def test_one_marcum_call_per_integrand_pass(self, default_tensor, default_config, monkeypatch):
+        # Every distinct other-pair amplitude of a pass shares one broadcast
+        # call, whose b has one row of the pass's nodes per amplitude.
+        marcum_calls, pass_nodes = [], []
+        real_marcum, real_integrate = metrics.marcum_q1, metrics.integrate
+
+        def counting_marcum(a, b):
+            marcum_calls.append((np.shape(a), np.size(b)))
+            return real_marcum(a, b)
+
+        def counting_integrate(f, *args, **kwargs):
+            def counted(r):
+                pass_nodes.append(np.size(r))
+                return f(r)
+
+            return real_integrate(counted, *args, **kwargs)
+
+        monkeypatch.setattr(metrics, "marcum_q1", counting_marcum)
+        monkeypatch.setattr(metrics, "integrate", counting_integrate)
+        nv = default_config.noise_power_w
+        M = default_tensor.entries.shape[0]
+        h = default_tensor.entries[..., 0]
+        other = np.broadcast_to(~np.eye(M, dtype=bool)[:, None, :], h.shape)
+        for snr in (-10.0, 10.0, 40.0):
+            marcum_calls.clear()
+            pass_nodes.clear()
+            rho = default_config.rho_for_snr_db(snr)
+            amplitudes = np.sqrt(rho * np.abs(h[other]) ** 2 / (nv / 2.0))
+            F = len({f"{v:.11e}" for v in amplitudes.tolist()})
+            assert F > 1
+            antenna_detection_prob_avg(default_tensor, rho, nv)
+            assert pass_nodes
+            assert marcum_calls == [((F, 1), F * n) for n in pass_nodes]
+
     def test_within_unit_interval_and_above_chance(self, default_tensor, default_config):
         nv = default_config.noise_power_w
         for snr in (-10.0, 0.0, 10.0, 20.0, 30.0):

@@ -107,6 +107,16 @@ class TestSymbolMap:
         assert [format(int(w), "07b") for w in words] == [default_map.decode(s) for s in syms]
         assert list(words) == list(range(128))
 
+    def test_config_keeps_one_map(self, default_config, default_map, monkeypatch):
+        # simulate_ber reads the config's map, built once, not one per call.
+        smap = default_config._symbol_map
+        assert default_config._symbol_map is smap
+        assert [smap.decode(s) for s in default_map.all_symbols()] == [format(i, "07b") for i in range(128)]
+        built = []
+        monkeypatch.setattr(modem, "SymbolMap", lambda *args: built.append(args))
+        simulate_ber(default_config, 10.0, 10, 1)
+        assert built == []
+
     def test_rejects_empty_state_set(self):
         # An empty set used to construct, with state_bits == -1 and no symbols.
         with pytest.raises(ConfigError):

@@ -213,6 +213,49 @@ class TestMarcumQ1LargeArgument:
             assert np.all(np.diff(vals) <= 1e-14)
 
 
+class TestMarcumQ1Broadcast:
+    # Both regimes, their edges and a subnormal h = a^2 / 2.
+    AMPS = [0.0, 1e-160, 0.5, 3.0, 11.99, A_SWITCH, 45.0, 1e4]
+    # b = 0, the bulk of every window, points above each window (a = 0.5's
+    # ends near b = 26, a = 11.99's near b = 34) and the large-a bulk.
+    B = np.concatenate((np.linspace(0.0, 60.0, 241), [200.0, 1e4 - 5.0, 1e4 + 5.0, 1e4 + 50.0, 3e4]))
+
+    def test_shared_points_equal_one_scalar_a_call_per_amplitude(self):
+        a = np.array(self.AMPS)[:, None]
+        for b in (self.B, np.broadcast_to(self.B, (a.size, self.B.size))):
+            out = marcum_q1(a, b)
+            assert out.shape == (a.size, self.B.size)
+            for row, amp in zip(out, self.AMPS):
+                assert np.array_equal(row, marcum_q1(amp, self.B))
+
+    def test_own_points_equal_one_scalar_a_call_per_amplitude(self):
+        a = np.array(self.AMPS)[:, None]
+        b = np.stack([np.roll(self.B, 17 * k) for k in range(a.size)])
+        out = marcum_q1(a, b)
+        assert out.shape == b.shape
+        for row, amp, points in zip(out, self.AMPS, b):
+            assert np.array_equal(row, marcum_q1(amp, points))
+
+    def test_repeated_amplitudes_in_any_order(self):
+        amps = [45.0, 3.0, 0.0, 3.0, 45.0, 11.99]
+        out = marcum_q1(np.array(amps)[:, None], self.B)
+        for row, amp in zip(out, amps):
+            assert np.array_equal(row, marcum_q1(amp, self.B))
+
+    def test_shapes(self):
+        assert type(marcum_q1(3.0, 2.0)) is float
+        assert marcum_q1(np.array(3.0), np.array(2.0)) == marcum_q1(3.0, 2.0)
+        assert marcum_q1(np.array([0.5, 3.0]), 2.0).shape == (2,)
+        assert marcum_q1(np.ones((3, 1)), np.ones((3, 5))).shape == (3, 5)
+        assert marcum_q1(np.ones((3, 1)), np.ones(5)).shape == (3, 5)
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.5])
+    def test_a_bad_amplitude_is_named_by_its_index(self, bad):
+        a = np.array([[0.5], [3.0], [bad]])
+        with pytest.raises(ValueError, match=rf"(?s)^a must be finite and >= 0 in every entry.*; first failing entry \[2, 0\] = {bad!r}$"):
+            marcum_q1(a, np.linspace(0.0, 5.0, 4))
+
+
 class TestNoncentralChiSq2:
     def test_rejects_bad_noncentrality(self):
         for bad in (-1.0, math.nan, math.inf):
