@@ -20,6 +20,7 @@ import argparse
 import csv
 import dataclasses
 import datetime
+import itertools
 import sys
 
 from . import __version__
@@ -136,6 +137,13 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, out_path: str, command: str
     The points of one config object share its tensor, the capacity
     kernel's table of frame distances kept on it and the logdet baseline's
     singular values; a distance sweep builds them at every point.
+    Capacity and ee draw from point (variant, grid index)'s own seed.  BER
+    makes one ``simulate_ber`` call per config object of a variant, under
+    the seed of its first point: in an SNR sweep every point of a variant
+    shares that seed and, under stepwise, each chunk's draw, so the
+    variant's BER cells are correlated, each keeping its own law and
+    standard error; every other sweep makes one call per point.  The
+    ``.meta`` says which.
     The base gain is materialized once, so distance grids see genuine
     attenuation, not a re-normalized channel; the headers show the gain as
     configured, its value on the ``resolved_gain`` line.  Each output's
@@ -167,8 +175,15 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, out_path: str, command: str
             if capacity:
                 _check_baseline(cfg, cfg.mimo_mode)
             row = dict(zip(columns, (value, label, rho) if spec.variants else (value, rho)))
-            plan.append((row, cfg, snr_db, rho, seed_i, tensor))
-    for row, cfg, snr_db, rho, seed_i, tensor in plan:
+            plan.append((row, vi, cfg, snr_db, rho, seed_i, tensor))
+    ber = []
+    if "ber" in spec.outputs:
+        # One call per config object of a variant, under its first point's seed.
+        for _, points in itertools.groupby(plan, key=lambda p: (p[1], id(p[2]))):
+            points = list(points)
+            _, _, cfg, _, _, seed_i, tensor = points[0]
+            ber += simulate_ber(cfg, [p[3] for p in points], cfg.trials, seed_i, cfg.detector, tensor=tensor)
+    for i, (row, _, cfg, _, rho, seed_i, tensor) in enumerate(plan):
         values = {}
         if capacity:
             cap = dcmc_capacity(tensor, rho, cfg.noise_power_w, cfg.samples, seed_i)
@@ -177,7 +192,7 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, out_path: str, command: str
         if "abep" in spec.outputs:
             values["abep"] = (abep(cfg, rho, tensor=tensor),)
         if "ber" in spec.outputs:
-            rep = simulate_ber(cfg, snr_db, cfg.trials, seed_i, cfg.detector, tensor=tensor)
+            rep = ber[i]
             stages = (rep.antenna_error_rate, rep.state_error_rate, rep.symbol_error_rate)
             values["ber"] = (rep.bit_error_rate, rep.bit_error_stderr, *stages)
         if "ee" in spec.outputs:
@@ -203,6 +218,12 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, out_path: str, command: str
     ]
     if "abep" in spec.outputs:
         meta.append("abep_analysis = stepwise strongest-pair receiver, whatever detector is; ber_sim follows detector")
+    if "ber" in spec.outputs:
+        shared = (
+            "one per variant: its SNR points share it and, under stepwise, each chunk's draw,"
+            " so their ber cells are correlated; each cell keeps its own law and standard error"
+        )
+        meta.append(f"ber_seed = {shared if field is None else 'one per point'}")
     if spec.variants:
         meta.append(f"variants = {', '.join(label for label, _ in spec.variants)}")
     _write(out_path + ".meta", meta + config_lines)

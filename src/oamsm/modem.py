@@ -23,6 +23,16 @@ second-antenna table at (m * L + l) * M + m_hat.  That is 2M + 2 normals
 per trial instead of 4M; the noise left undrawn is independent of every
 sample the rule reads, so the error counts have the same distribution.
 
+The stepwise draw (the indices, the (2, n, M) first-antenna noise, then
+the (2, n) decided-pair noise, all at the config's noise power) depends on
+no SNR.  A ``simulate_ber`` call over several SNRs therefore draws each
+chunk once and decides that draw at every SNR, each from its own clean
+tables and rule: common random numbers across the curve (Law & Kelton,
+Simulation Modeling and Analysis).  Each SNR's counts keep the law of a
+one-SNR call, to the bit: report k is the one-SNR call at SNR k with the
+same seed.  The ML radius draw depends on the SNR, so ML runs one pass
+over the same substreams per SNR.
+
 ML trials are certified before they are scored.  A received point closer
 to the sent hypothesis than half that hypothesis's distance to its nearest
 other one lies in its decision region (bounded-distance decoding; Agrell,
@@ -422,13 +432,14 @@ _CHUNK = 8192
 
 def simulate_ber(
     config: SystemConfig,
-    snr_db: float,
+    snr_db,
     trials: int,
     seed: int,
     detector: str = "stepwise",
     tensor: ChannelTensor | None = None,
-) -> BerReport:
-    """Monte Carlo bit/stage error rates at one operating point.
+) -> BerReport | list[BerReport]:
+    """Monte Carlo bit/stage error rates at one operating point, or at each
+    SNR of a 1-D sequence ``snr_db``.
 
     Bits are drawn uniformly, mapped to codewords, sent through the channel
     with complex Gaussian noise at the configured noise power, and detected
@@ -445,6 +456,12 @@ def simulate_ber(
     every trial.  Results are deterministic in (config, snr_db, trials,
     seed, detector).
 
+    A 1-D ``snr_db`` returns a list of reports, report k equal to the call
+    at ``snr_db[k]`` alone with the same seed; every SNR is checked before
+    the first draw.  Stepwise decides each chunk's one draw at every SNR,
+    so the reports' counts are correlated; ML runs one pass over the same
+    substreams per SNR (module docstring).
+
     Each standard error is that of the mean of a per-trial count: the bits
     of one codeword err together, so the bit rate's comes from the variance
     of the per-trial bit-error count, not from trials * bits independent
@@ -458,33 +475,72 @@ def simulate_ber(
     _check_tensor(tensor, config)
     if (order := tensor.config.constellation_order) != config.constellation_order:
         raise ConfigError(f"tensor built for constellation order {order}, config has {config.constellation_order}")
+    # A plain number skips np.ndim, which costs 2 us through np.asarray.
+    grid = not isinstance(snr_db, (int, float)) and np.ndim(snr_db) == 1
+    snrs = list(snr_db) if grid else [snr_db]
+    rhos = [config.rho_for_snr_db(s) for s in snrs]
     smap = config._symbol_map
-    const = smap.constellation
-    rho = config.rho_for_snr_db(snr_db)
+    sigma = math.sqrt(config.noise_power_w / 2.0)
+    if detector == "ml":
+        counts = [_ml_errors(tensor, rho, trials, seed, sigma, smap) for rho in rhos]
+    else:
+        counts = _stepwise_errors(tensor, rhos, trials, seed, sigma, smap)
+    reports = [_report(c, trials, smap, detector, s, seed) for c, s in zip(counts, snrs)]
+    return reports if grid else reports[0]
 
-    M, n_states, P = config.tx_antennas, len(tensor.states), const.order
-    points = np.asarray(const.points)
+
+def _stepwise_errors(tensor: ChannelTensor, rhos: list, trials: int, seed: int, sigma: float, smap: SymbolMap):
+    """(len(rhos), 5) ``_errors`` totals of the stepwise rule: each chunk's
+    one draw, decided at every rho."""
+    M, n_states = tensor.entries.shape[:2]
+    P = smap.constellation.order
+    points = np.asarray(smap.constellation.points)
+    # The two tables of the stepwise draw (module docstring) and the rule,
+    # per rho.
+    tables = []
+    for rho in rhos:
+        clean = (math.sqrt(rho) * tensor.entries).reshape(M * n_states, M, 2)
+        first, second = np.ascontiguousarray(clean[:, :, 0]), clean[:, :, 1].reshape(-1)
+        tables.append((first, second, _detector(tensor, rho, "stepwise")))
+    counts = np.zeros((len(rhos), 5), dtype=np.int64)
+    for _, n, rng in _chunks(trials, _CHUNK, seed, 0xBE7):
+        sent = rng.integers(0, M, size=n), rng.integers(0, n_states, size=n), rng.integers(0, P, size=n)
+        first_noise, second_noise = _noise(rng, (n, M), sigma), _noise(rng, (n,), sigma)
+        rows = sent[0] * n_states + sent[1]
+        x = points[sent[2]]
+        flat = np.arange(n) * M
+        for k, (first_table, second_table, decide) in enumerate(tables):
+            # ``_frames`` adds the noise to a gathered copy, so every rho
+            # reads the same draw.
+            first = _frames(first_table, rows, x, first_noise)
+            m_hat = decide.antenna(first)
+            second = _frames(second_table, rows * M + m_hat, x, second_noise)
+            first = first.reshape(-1).take(flat + m_hat)
+            decided = (m_hat, *decide.pair(first, second, m_hat))
+            del first, second
+            counts[k] += _errors(smap, sent, decided)
+    return counts
+
+
+def _ml_errors(tensor: ChannelTensor, rho: float, trials: int, seed: int, sigma: float, smap: SymbolMap):
+    """The five ``_errors`` totals of the ML rule at one rho, by the sampler
+    the module docstring chooses."""
+    M, n_states = tensor.entries.shape[:2]
+    P = smap.constellation.order
+    points = np.asarray(smap.constellation.points)
     # Clean frames of every (antenna, state), gathered by m * L + l.
     clean = (math.sqrt(rho) * tensor.entries).reshape(M * n_states, M, 2)
-    sigma = math.sqrt(config.noise_power_w / 2.0)
-
-    radius_draw = False
-    if detector == "ml":
-        # A trial whose noise has |z|^2 < (r / sigma)^2 for its codeword's
-        # certificate radius r is decided correctly (``_ml_radii``).
-        cert_energy = (_ml_radii(clean.reshape(M * n_states, 2 * M), points) / sigma) ** 2
-        uncertified = _ml_uncertified(cert_energy, M)
-        radius_draw = 1.0 - uncertified.mean() >= _RADIUS_DRAW_SHARE
-        row_share = np.full(M * n_states, 1.0 / (M * n_states))
-    else:
-        # The two tables of the stepwise draw (module docstring).
-        first_table = np.ascontiguousarray(clean[:, :, 0])
-        second_table = clean[:, :, 1].reshape(-1)
+    # A trial whose noise has |z|^2 < (r / sigma)^2 for its codeword's
+    # certificate radius r is decided correctly (``_ml_radii``).
+    cert_energy = (_ml_radii(clean.reshape(M * n_states, 2 * M), points) / sigma) ** 2
+    uncertified = _ml_uncertified(cert_energy, M)
+    radius_draw = 1.0 - uncertified.mean() >= _RADIUS_DRAW_SHARE
+    row_share = np.full(M * n_states, 1.0 / (M * n_states))
     # The radius draw forms its scoring basis and arrival table only once a
     # chunk has a trial to score.
-    decide = None if radius_draw else _detector(tensor, rho, detector)
+    decide = None if radius_draw else _detector(tensor, rho, "ml")
 
-    bit_errors = bit_squares = ant_errors = state_errors = sym_errors = 0
+    counts = np.zeros(5, dtype=np.int64)
     for _, n, rng in _chunks(trials, _CHUNK, seed, 0xBE7):
         if radius_draw:
             # Trials per row, then the uncertified ones per row; only those
@@ -506,33 +562,33 @@ def simulate_ber(
             l_idx = rng.integers(0, n_states, size=n)
             p_idx = rng.integers(0, P, size=n)
             rows = m_idx * n_states + l_idx
-        x = points[p_idx]
-        if detector == "ml":
-            if not radius_draw:
-                noise = _noise(rng, (n, M, 2), sigma)
-            m_hat, l_hat, p_hat = decide(_frames(clean, rows, x, noise))
-            # Release the noise before the next chunk's is drawn.
-            del noise
-        else:
-            first = _frames(first_table, rows, x, _noise(rng, (n, M), sigma))
-            m_hat = decide.antenna(first)
-            second = _frames(second_table, rows * M + m_hat, x, _noise(rng, (n,), sigma))
-            first = first.reshape(-1).take(np.arange(n) * M + m_hat)
-            l_hat, p_hat = decide.pair(first, second, m_hat)
-            del first, second
-        del rows, x
+            noise = _noise(rng, (n, M, 2), sigma)
+        decided = decide(_frames(clean, rows, points[p_idx], noise))
+        # Release the noise before the errors are counted and the next
+        # chunk's noise is drawn.
+        del noise, rows
+        counts += _errors(smap, (m_idx, l_idx, p_idx), decided)
+    return counts
 
-        ant_err = m_hat != m_idx
-        st_err = l_hat != l_idx
-        ant_errors += int(np.count_nonzero(ant_err))
-        state_errors += int(np.count_nonzero(st_err))
-        sym_errors += int(np.count_nonzero(ant_err | st_err | (p_hat != p_idx)))
-        xor = smap.word(m_idx, l_idx, p_idx) ^ smap.word(m_hat, l_hat, p_hat)
-        # int64: a dot product of the uint8 counts would overflow.
-        per_trial = np.bitwise_count(xor).astype(np.int64)
-        bit_errors += int(per_trial.sum())
-        bit_squares += int(per_trial @ per_trial)
 
+def _errors(smap: SymbolMap, sent: tuple, decided: tuple) -> tuple:
+    """One chunk's (bit errors, sum of their squares over trials, antenna
+    errors, state errors, symbol errors) from the sent and decided 0-based
+    (antenna, state, point) index arrays."""
+    (m_idx, l_idx, p_idx), (m_hat, l_hat, p_hat) = sent, decided
+    ant_err = m_hat != m_idx
+    st_err = l_hat != l_idx
+    sym_err = ant_err | st_err | (p_hat != p_idx)
+    xor = smap.word(m_idx, l_idx, p_idx) ^ smap.word(m_hat, l_hat, p_hat)
+    # int64: a dot product of the uint8 counts would overflow.
+    per_trial = np.bitwise_count(xor).astype(np.int64)
+    stages = (int(np.count_nonzero(e)) for e in (ant_err, st_err, sym_err))
+    return (int(per_trial.sum()), int(per_trial @ per_trial), *stages)
+
+
+def _report(counts: np.ndarray, trials: int, smap: SymbolMap, detector: str, snr_db, seed: int) -> BerReport:
+    """The ``BerReport`` of five ``_errors`` totals over ``trials``."""
+    bit_errors, bit_squares, ant_errors, state_errors, sym_errors = counts.tolist()
     bits = max(smap.bits_per_symbol, 1)  # a 0-bit codeword counts no bit errors
     return BerReport(
         trials=trials,

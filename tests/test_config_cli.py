@@ -1,5 +1,6 @@
 """Configuration loading, validation, and the sweep runner."""
 
+import csv
 import dataclasses
 import math
 import os
@@ -29,6 +30,7 @@ from oamsm.beam import _COEFF_MODES
 from oamsm.cli import PRESETS, SweepSpec, main, preset, run_sweep
 from oamsm.config import _KEYS, SPEED_OF_LIGHT, default_states
 from oamsm.metrics import _DISTANCE_MODES
+from oamsm.numerics import _substream
 
 
 class TestSystemConfig:
@@ -495,6 +497,39 @@ class TestRunSweep:
         with pytest.raises(ConfigError, match="snr_db=3078.0"):
             run_sweep(SystemConfig(), spec, str(tmp_path / "x.csv"))
         assert calls == [] and list(tmp_path.iterdir()) == []
+
+    def test_snr_sweep_draws_each_chunk_once_per_variant(self, tmp_path, monkeypatch):
+        # 20 000 trials are 3 chunks; the 21 points of fig8's one variant
+        # decide the same stepwise draws, so 3 generators are made, not 63.
+        made = []
+        real = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", lambda *a, **k: made.append(a) or real(*a, **k))
+        assert main(["preset", "fig8", "--trials", "20000", "--out", str(tmp_path / "f.csv")]) == 0
+        assert len(made) == 3
+        assert "ber_seed = one per variant: " in (tmp_path / "f.csv.meta").read_text()
+
+    @pytest.mark.parametrize("detector", ["stepwise", "ml"])
+    def test_distance_sweep_ber_is_one_call_per_point(self, tmp_path, detector):
+        # Every other sweep builds a config per point, so each point keeps
+        # its own call and its (seed, variant, grid index) seed.
+        out = tmp_path / "d.csv"
+        argv = ["run", "--sweep", "distance", "--from", "10", "--to", "100", "--step", "30", "--outputs", "ber"]
+        argv += ["--trials", "3000", "--seed", "9", "--detector", detector, "--out", str(out)]
+        assert main(argv) == 0
+        assert "ber_seed = one per point" in (tmp_path / "d.csv.meta").read_text().splitlines()
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        base = SystemConfig(trials=3000, seed=9, detector=detector)
+        pinned = dataclasses.replace(base, gain=base.gain_value)
+        assert [row["distance_m"] for row in rows] == ["10.0", "40.0", "70.0", "100.0"]
+        for gi, row in enumerate(rows):
+            cfg = dataclasses.replace(pinned, distance_m=float(row["distance_m"]))
+            seed = int(_substream(9, 0, gi).generate_state(1, "uint64")[0])
+            rep = simulate_ber(cfg, cfg.snr_db, 3000, seed, detector)
+            want = (rep.bit_error_rate, rep.bit_error_stderr, rep.antenna_error_rate, rep.state_error_rate,
+                    rep.symbol_error_rate)
+            cols = ("ber_sim", "ber_sim_stderr", "antenna_err_rate", "state_err_rate", "symbol_err_rate")
+            assert [row[c] for c in cols] == [str(v) for v in want]
 
     def test_ber_and_abep_columns(self, tmp_path):
         spec = tiny_spec(outputs=("abep", "ber"), overrides={"trials": 400})

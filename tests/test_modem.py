@@ -971,3 +971,51 @@ class TestRadiusDraw:
             got, want = getattr(rep, f"{stage}_error_rate"), getattr(ref, f"{stage}_error_rate")
             se = math.hypot(getattr(rep, f"{stage}_error_stderr"), getattr(ref, f"{stage}_error_stderr"))
             assert abs(got - want) <= 4 * se
+
+
+class TestSnrGrid:
+    """A 1-D ``snr_db`` returns one report per SNR, each the one-SNR call;
+    stepwise decides each chunk's one draw at every SNR."""
+
+    SNRS = (-10.0, 0.0, 7.5, 20.0, 30.0, 60.0, 80.0)
+
+    @pytest.mark.parametrize("detector", ["stepwise", "ml"])
+    @pytest.mark.parametrize("trials", [1, 8192, 20000])
+    @pytest.mark.parametrize("name", ["default", "m8", "tiny", "psk16"])
+    def test_each_report_is_the_one_snr_call(self, request, name, trials, detector):
+        # 1 trial, one full chunk, and three chunks, the last partial.
+        cfg = named_config(request, name)
+        tensor = build_channel_tensor(cfg)
+        reports = simulate_ber(cfg, self.SNRS, trials, 61, detector, tensor=tensor)
+        want = [simulate_ber(cfg, snr, trials, 61, detector, tensor=tensor) for snr in self.SNRS]
+        assert isinstance(reports, list)
+        assert [repr(r) for r in reports] == [repr(r) for r in want]
+
+    def test_takes_any_one_dimensional_sequence(self, default_config, default_tensor):
+        snrs = np.array(self.SNRS[:3])
+        reports = simulate_ber(default_config, snrs, 500, 7, tensor=default_tensor)
+        assert reports == [simulate_ber(default_config, snr, 500, 7, tensor=default_tensor) for snr in snrs]
+        assert simulate_ber(default_config, [], 500, 7, tensor=default_tensor) == []
+
+    def test_stepwise_draws_each_chunk_once(self, monkeypatch, default_config, default_tensor):
+        drawn = count_draws(monkeypatch)
+        simulate_ber(default_config, self.SNRS, 20000, 3, "stepwise", tensor=default_tensor)
+        grid = dict(drawn)
+        drawn.clear()
+        simulate_ber(default_config, 0.0, 20000, 3, "stepwise", tensor=default_tensor)
+        assert grid == dict(drawn)
+        assert grid["standard_normal"] == 2 * 20000 * (default_config.tx_antennas + 1)
+
+    @pytest.mark.parametrize("detector", ["stepwise", "ml"])
+    @pytest.mark.parametrize("at", [0, 3, 6])
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, 1e6])
+    def test_a_bad_snr_anywhere_raises_before_any_draw(
+        self, monkeypatch, default_config, default_tensor, detector, at, bad
+    ):
+        # 1e6 dB overflows the transmit power.
+        drawn = count_draws(monkeypatch)
+        snrs = list(self.SNRS)
+        snrs[at] = bad
+        with pytest.raises(ValueError, match="snr"):
+            simulate_ber(default_config, snrs, 20000, 3, detector, tensor=default_tensor)
+        assert "standard_normal" not in drawn
