@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import beam as beam_mod
+from . import numerics
 from .config import SystemConfig, _matched_beam, _ring_amplitude, _state_index
 from .errors import ConfigError
-from .numerics import _distance_table
 
 
 def _pair_geometry(M: int, xi: float, z: float, ring_radius: float, beta: float):
@@ -53,8 +53,9 @@ class ChannelTensor:
     array is read-only and carries the producing config for traceability.
     Transmit power never enters here: it scales the signal at transmit time.
     A non-finite entry raises ConfigError naming the config's element
-    spacing and distance.  ``orbit_distances``, the capacity kernel's table
-    of frame distances, is formed on first use and kept with the tensor.
+    spacing and distance.  ``orbit_distances``, the one table of frame
+    distances, and its row minima ``nearest_distances`` are formed on first
+    use and kept with the tensor.
     """
 
     entries: np.ndarray
@@ -84,14 +85,32 @@ class ChannelTensor:
         return np.concatenate([frames.real.T, frames.imag.T])
 
     @functools.cached_property
-    def orbit_distances(self) -> np.ndarray:
+    def orbit_distances(self) -> np.ndarray | None:
         """Read-only table D[k, i] of squared distances between the p = 0
         column k P of ``unit_frames`` and its column i, from differences
-        (``numerics._distance_table``); formed once per tensor."""
-        coords = self.unit_frames()
-        table = _distance_table(coords, np.arange(0, coords.shape[1], self.config.constellation().order))
+        (``numerics._distance_table``), which the capacity kernel rescales;
+        formed once per tensor.  None above ``numerics._TABLE_ENTRIES``
+        entries: such a table is never kept, only formed in blocks."""
+        coords, P = self.unit_frames(), self.config.constellation().order
+        if coords.shape[1] // P * coords.shape[1] > numerics._TABLE_ENTRIES:
+            return None
+        table = numerics._distance_table(coords, np.arange(0, coords.shape[1], P))
         table.setflags(write=False)
         return table
+
+    @functools.cached_property
+    def nearest_distances(self) -> np.ndarray:
+        """Read-only minima of the rows of ``orbit_distances``, each without
+        its own column k P: the squared distance from frame (m, l, 0) to its
+        nearest other frame, indexed m L + l, +inf if there is none; the ML
+        certificate's distances.  Formed once per tensor, from the kept
+        table or block by block."""
+        coords = self.unit_frames()
+        cols = np.arange(coords.shape[1])
+        blocks = numerics._distance_blocks(coords, cols[:: self.config.constellation().order], self.orbit_distances)
+        nearest = np.concatenate([np.min(d, axis=1, initial=math.inf, where=cols != r[:, None]) for r, d in blocks])
+        nearest.setflags(write=False)
+        return nearest
 
     def state_index(self, l: int) -> int:
         return _state_index(self.states, l)

@@ -221,7 +221,9 @@ class SystemConfig:
         """Transmit power (watts) realizing the given transmit SNR, defined
         as rho / noise_power over the configured bandwidth.  Raises
         ``ConfigError`` if the power or the peak noncentrality it gives is
-        not a finite float (see ``_DERIVED``)."""
+        not a finite float (see ``_DERIVED``), or if ``snr_db`` itself is
+        not a finite real number (a bool or an array is refused)."""
+        require("snr_db", snr_db, "finite", ConfigError)
         self._check_derived("snr", snr_db)
         return _rho(self, snr_db)
 

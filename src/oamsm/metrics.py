@@ -17,7 +17,7 @@ import numpy as np
 from .channel import ChannelTensor, _check_tensor, _pair_geometry, build_channel_tensor
 from .config import _MIMO_MODES, SystemConfig
 from .errors import ConfigError, NumericError, require
-from .numerics import Constellation, _chunks, _distance_table, _noise, integrate, marcum_q1, ncx2_pdf, q_function
+from .numerics import Constellation, _chunks, _distance_blocks, _noise, integrate, marcum_q1, ncx2_pdf, q_function
 
 _LN2 = math.log(2.0)
 
@@ -49,9 +49,6 @@ _PRUNE_LN_BUDGET = 60.0 * _LN2
 # factors in [e^-642 / n_inputs, 1], all normal doubles (the smallest is
 # e^-708.4) for any n_inputs below e^66.
 _PRODUCT_LN_FLOOR = 600.0
-# The frame distances of at most this many (representative, input) pairs
-# are held at once (2 MiB); representatives beyond it are scored in blocks.
-_CAP_TABLE = 1 << 18
 
 
 def _mutual_information(
@@ -92,13 +89,13 @@ def _mutual_information(
     squared frame distances, formed from differences by
     ``numerics._distance_table``.  ``table`` is D for every representative,
     kept by the caller (``ChannelTensor.orbit_distances``); without it, D is
-    formed for each block of representatives that fits ``_CAP_TABLE``
-    entries, and each block redraws the same noise.  The scale is the ratio
-    snr, never (D rho) / noise_var, which overflows at noise powers near the
-    double limit.  A distance that overflows is +inf, which is right: its
-    term is exactly 0, as exp(-d2_ij) already is in doubles, and the pruning
-    below drops it.  If snr itself overflows, coinciding frames stay 0
-    apart (not 0 inf = NaN) and every other distance is +inf.
+    formed block by block (``numerics._distance_blocks``), and each block
+    redraws the same noise.  The scale is the ratio snr, never (D rho) /
+    noise_var, which overflows at noise powers near the double limit.  A
+    distance that overflows is +inf, which is right: its term is exactly 0,
+    as exp(-d2_ij) already is in doubles, and the pruning below drops it.
+    If snr itself overflows, coinciding frames stay 0 apart (not 0 inf =
+    NaN) and every other distance is +inf.
 
     By Cauchy-Schwarz, F_ij <= exp(-(d2_ij - 2 w sqrt(d2_ij))), where w is
     the chunk's largest |z|; neighbour j of input i is dropped when that
@@ -131,11 +128,8 @@ def _mutual_information(
     n_reps = n_inputs // step
     log2_inputs = math.log2(n_inputs)
     cut_ln = _PRUNE_LN_BUDGET + math.log(n_inputs)
-    block = n_reps if table is not None else max(1, _CAP_TABLE // n_inputs)
     acc = np.zeros(samples)
-    for first in range(0, n_reps, block):
-        rows = np.arange(first, min(first + block, n_reps)) * step
-        dist = table if table is not None else _distance_table(coords, rows)
+    for rows, dist in _distance_blocks(coords, np.arange(0, n_inputs, step), table):
         with np.errstate(over="ignore"):
             d2 = dist * snr if math.isfinite(snr) else np.where(dist > 0.0, math.inf, 0.0)
         del dist
@@ -195,16 +189,15 @@ def dcmc_capacity(
     ``_mutual_information``): same expectation, different variance.
 
     The inputs are the tensor's ``unit_frames``.  Their table of frame
-    distances, ``tensor.orbit_distances``, is formed on the first call and
-    kept with the tensor, so later calls on it, at any rho and noise
-    variance, only rescale it.  A table above ``_CAP_TABLE`` entries is
-    neither formed whole nor kept: each call forms it block by block.
+    distances, ``tensor.orbit_distances``, is formed on first use and kept
+    with the tensor, so later calls on it, at any rho and noise variance,
+    only rescale it; the ML certificate reads the same table's row minima.
+    A table above ``numerics._TABLE_ENTRIES`` entries is neither formed
+    whole nor kept: each call forms it block by block.
     """
     _check_link(rho, noise_var)
-    coords = tensor.unit_frames()
-    P = tensor.config.constellation().order
-    table = tensor.orbit_distances if coords.shape[1] // P * coords.shape[1] <= _CAP_TABLE else None
-    return _mutual_information(coords, P, table, rho, noise_var, samples, seed, stream=0xCA9)
+    coords, P = tensor.unit_frames(), tensor.config.constellation().order
+    return _mutual_information(coords, P, tensor.orbit_distances, rho, noise_var, samples, seed, stream=0xCA9)
 
 
 def mimo_channel_matrix(config: SystemConfig) -> np.ndarray:

@@ -36,11 +36,14 @@ over the same substreams per SNR.
 ML trials are certified before they are scored.  A received point closer
 to the sent hypothesis than half that hypothesis's distance to its nearest
 other one lies in its decision region (bounded-distance decoding; Agrell,
-Eriksson, Vardy & Zeger, IEEE Trans. IT 2002).  ``_ml_radii`` shrinks that
-half-distance by a slack that covers every rounding of the radius, the
-frame and the expanded score, so a trial whose noise is inside it is one
-the scoring would decide correctly: it is counted as such without being
-scored.  ML draws its noise by one of two samplers, chosen once per run:
+Eriksson, Vardy & Zeger, IEEE Trans. IT 2002).  That distance is a row
+minimum of the capacity kernel's table of frame distances, kept with the
+tensor (``ChannelTensor.nearest_distances``).  ``_ml_radii`` shrinks the
+half-distance by a slack that covers every rounding of the distance, the
+radius, the frame and the expanded score, so a trial whose noise is inside
+it is one the scoring would decide correctly: it is counted as such
+without being scored.  ML draws its noise by one of two samplers, chosen
+once per run:
 
 - the radius draw, when at least 15 % of the trials are predicted to
   certify, the mean over the rows of 1 - q, q = ``_ml_uncertified``: a
@@ -57,7 +60,7 @@ scored.  ML draws its noise by one of two samplers, chosen once per run:
   are uniform and independent, the certificate depends on the row alone,
   so given the row counts each row's uncertified count is binomial; and the
   norm and the direction of isotropic Gaussian noise are independent
-  (Muller, CACM 1959).  One caveat: ``_poisson_pmf_dot`` returns 0 outside
+  (Muller, CACM 1959).  One caveat: ``_poisson_pmf_dots`` returns 0 outside
   its window, so a row whose true q is below about 1e-30 never yields an
   uncertified trial.
 - the direct draw, below 15 %: the antenna, state and point indices
@@ -76,7 +79,7 @@ import numpy as np
 from .channel import ChannelTensor, _check_tensor, _position, build_channel_tensor
 from .config import _DETECTORS, SystemConfig, _check_symbol_axes, _state, _state_index
 from .errors import ConfigError, require
-from .numerics import Constellation, _chunks, _noise, _poisson_pmf_dot
+from .numerics import Constellation, _chunks, _noise, _poisson_pmf_dots
 
 
 @dataclass(frozen=True)
@@ -274,49 +277,43 @@ def _detector(tensor: ChannelTensor, rho: float, rule: str):
     return decide
 
 
-def _ml_radii(clean: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Certificate radius r of each clean frame c_a, the (M * L, 2M) rows of
-    ``clean``: every ML frame s + n, s = c_a * x_p, with |n| < r is decided
-    (a, p) by the expanded score of ``_detector``.
+def _ml_radii(tensor: ChannelTensor, scale: float) -> np.ndarray:
+    """``scale`` times the unit-power certificate radius r_a of each (m, l)
+    row a, indexed m L + l: at transmit power rho, an ML frame s + n,
+    s = sqrt(rho) h_a x_p, with |n| < sqrt(rho) r_a is decided (a, p) by the
+    expanded score of ``_detector``; ``scale`` = sqrt(rho) / sigma gives it
+    in noise standard deviations.
 
     Every point is a unit-modulus rotation of point 0 (PSK, or the single
-    point 1), so the squared distance from s to its nearest other hypothesis
-    is the same for every p:
-
-        d_a^2 = min over (b, q) != (a, 0) of E_a + E_b - 2 Re(w_q G_ab),
-
-    with G = conj(c) c^T the (M L)^2 Gram matrix, E its diagonal and
-    w_q = x_q conj(x_0) the P rotations; no H x H table is formed.  With the
-    slack t = 2^-46 * 4M * max E (128 units of rounding per real
-    coordinate),
+    point 1), so at unit power every hypothesis of row a is d_a from its
+    nearest other one, d_a^2 = ``tensor.nearest_distances[a]``.  With
+    E_a = |h_a|^2 and the slack t = 2^-46 * 4M * max E (128 units of
+    rounding per real coordinate),
 
         r_a = (d_a^2 - 3t) / (2 sqrt(d_a^2 - t)),  or 0 where d_a^2 <= 3t,
 
     so coincident hypotheses are never certified, and r_a = inf for the one
-    hypothesis of a 1-point system.  Why this is exact: t bounds the
-    rounding of d_a^2, so the true distance D is at least sqrt(d_a^2 - t).
-    For |n| < r, every other hypothesis's residual exceeds the sent one's
-    by D^2 - 2 D |n| > t, and t also bounds the rounding of the two expanded
-    scores compared, each within gamma_4M * (2 |y| |s| + |s|^2) + 5 units
-    of rounding, |y| <= 2 sqrt(max E).  The last t / (2 sqrt(d_a^2 - t)) of
-    the radius covers the rounding of the frame, of the test |n|^2 < r^2
-    and, on the radius draw, of the rescaled direction's norm.  Each of
-    these worst-case roundings is at most a tenth of the slack it is
-    charged to.
+    hypothesis of a 1-codeword system.  Why this is exact (distances, slack
+    and roundings all scale with rho): d_a^2 sums 4M squared coordinate
+    differences.  Each coordinate, of the table's frames and of the scored
+    hypotheses, is off by a few units of rounding u = 2^-53 of sqrt(max E)
+    at most, and each difference, square and partial sum rounds relative to
+    d_a^2 <= 4 max E: in all, d_a^2 is within (16M + 82) u max E < t / 5 of
+    the true squared distance D^2.  So D >= sqrt(d_a^2 - t), and for
+    |n| < r_a every other hypothesis's residual exceeds the sent one's by
+    D^2 - 2 D |n| > t; t bounds the rounding of the two expanded scores
+    compared, each within gamma_4M * (2 |y| |s| + |s|^2) + 5 units of
+    rounding, |y| <= 2 sqrt(max E).  The last t / (2 sqrt(d_a^2 - t)) of
+    the radius covers the rounding of its scaling, of the frame, of the
+    test |n|^2 < r^2 and, on the radius draw, of the rescaled direction's
+    norm, each at most a tenth of it.
     """
-    gram = clean.conj() @ clean.T
-    energy = gram.real.diagonal()
-    # Largest Re <s, s'> over every other hypothesis s' = c_b * x_q.
-    best = np.where(np.eye(len(gram), dtype=bool), -np.inf, gram.real)
-    for w in points[1:] * points[0].conjugate():
-        np.maximum(best, w.real * gram.real - w.imag * gram.imag, out=best)
-    d2 = np.min(energy[:, None] + energy[None, :] - 2.0 * best, axis=1)
-    slack = 2.0**-46 * (2 * clean.shape[1]) * energy.max()
-    lo = d2 - slack
-    radius = np.where(np.isinf(lo), np.inf, 0.0)
-    fits = np.isfinite(lo) & (lo > 2.0 * slack)
-    radius[fits] = (lo[fits] - 2.0 * slack) / (2.0 * np.sqrt(lo[fits]))
-    return radius
+    h = tensor.entries
+    slack = 2.0**-46 * (4 * h.shape[0]) * float(np.max(np.sum(h.real**2 + h.imag**2, axis=(2, 3))))
+    lo = tensor.nearest_distances - slack
+    # (lo - 2 slack) / (2 sqrt(lo)), written so that lo = inf gives inf.
+    with np.errstate(invalid="ignore"):
+        return np.where(lo > 2.0 * slack, scale * (np.sqrt(lo) / 2.0 - slack / np.sqrt(lo)), 0.0)
 
 
 def _ml_uncertified(cert_energy: np.ndarray, n_antennas: int) -> np.ndarray:
@@ -325,12 +322,12 @@ def _ml_uncertified(cert_energy: np.ndarray, n_antennas: int) -> np.ndarray:
     taken directly so that a small q keeps its relative accuracy, and
     capped at 1, which the summed pmf can pass by a rounding.  A row of
     t = 0 (coincident frames) gives 1, and one of t = inf (a single
-    hypothesis) gives 0.  Outside the Poisson window of ``_poisson_pmf_dot``
+    hypothesis) gives 0.  Outside the Poisson window of ``_poisson_pmf_dots``
     (a true q below about 1e-30) q is 0."""
     half = np.asarray(cert_energy, dtype=float) / 2.0
     q = np.ones_like(half)
     mid = half > 0.0
-    q[mid] = np.minimum(_poisson_pmf_dot(np.ones(2 * n_antennas), half[mid]), 1.0)
+    q[mid] = np.minimum(_poisson_pmf_dots([np.ones(2 * n_antennas)], half[mid])[0], 1.0)
     return q
 
 
@@ -530,9 +527,10 @@ def _ml_errors(tensor: ChannelTensor, rho: float, trials: int, seed: int, sigma:
     points = np.asarray(smap.constellation.points)
     # Clean frames of every (antenna, state), gathered by m * L + l.
     clean = (math.sqrt(rho) * tensor.entries).reshape(M * n_states, M, 2)
-    # A trial whose noise has |z|^2 < (r / sigma)^2 for its codeword's
-    # certificate radius r is decided correctly (``_ml_radii``).
-    cert_energy = (_ml_radii(clean.reshape(M * n_states, 2 * M), points) / sigma) ** 2
+    # A trial whose noise has |z|^2 < r^2 for its codeword's certificate
+    # radius r in noise standard deviations is decided correctly
+    # (``_ml_radii``).
+    cert_energy = _ml_radii(tensor, math.sqrt(rho) / sigma) ** 2
     uncertified = _ml_uncertified(cert_energy, M)
     radius_draw = 1.0 - uncertified.mean() >= _RADIUS_DRAW_SHARE
     row_share = np.full(M * n_states, 1.0 / (M * n_states))

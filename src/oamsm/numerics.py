@@ -118,11 +118,6 @@ def _poisson_pmf_dots(coefs: list, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _poisson_pmf_dot(coef: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``_poisson_pmf_dots`` for the one window ``coef``."""
-    return _poisson_pmf_dots([coef], y)[0]
-
-
 # Large-argument Marcum Q.  With I0(z) = e^z / sqrt(2 pi z) sum_k c_k z^-k
 # (the expansion above) and x = a + t, the density of |z| in Q1(a, b) =
 # int_b^inf x e^-(x^2 + a^2)/2 I0(a x) dx becomes
@@ -455,6 +450,22 @@ def _chunks(total: int, size: int, seed: int, stream: int):
     for i, start in enumerate(range(0, total, size)):
         rng = np.random.Generator(np.random.Philox(_substream(seed, stream, i)))
         yield start, min(size, total - start), rng
+
+
+# A distance table is kept only up to this many (row, point) entries (2 MiB);
+# a larger one is formed in blocks of at most this many, one row at least.
+_TABLE_ENTRIES = 1 << 18
+
+
+def _distance_blocks(coords: np.ndarray, rows: np.ndarray, table: np.ndarray | None):
+    """``(part, D[part])`` for consecutive parts of ``rows``, D the
+    ``_distance_table`` of ``coords`` from ``rows``: the kept ``table``
+    whole when one is given, else blocks of at most ``_TABLE_ENTRIES``
+    entries."""
+    size = rows.size if table is not None else max(1, _TABLE_ENTRIES // coords.shape[1])
+    for first in range(0, rows.size, size):
+        part = rows[first : first + size]
+        yield part, table if table is not None else _distance_table(coords, part)
 
 
 def _distance_table(coords: np.ndarray, rows: np.ndarray) -> np.ndarray:

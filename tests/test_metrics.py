@@ -339,15 +339,16 @@ class TestMutualInformationKernel:
         assert est.std_error == pytest.approx(stderr, abs=1e-12)
 
     @pytest.mark.parametrize("snr", [0.0, 20.0])
-    def test_representative_blocks_match_reference(self, default_tensor, default_config, monkeypatch, snr):
-        # Four blocks of 8 representatives, each redrawing the same two chunks.
-        monkeypatch.setattr(metrics, "_CAP_TABLE", 8 * 128)
+    def test_representative_blocks_match_reference(self, default_config, monkeypatch, snr):
+        # Four blocks of 8 representatives, each redrawing the same two
+        # chunks: a fresh tensor, as the session's one keeps its whole table.
+        monkeypatch.setattr(numerics, "_TABLE_ENTRIES", 8 * 128)
+        tensor = build_channel_tensor(dataclasses.replace(default_config))
+        assert tensor.orbit_distances is None
         rho = default_config.rho_for_snr_db(snr)
         nv = default_config.noise_power_w
-        est = dcmc_capacity(default_tensor, rho, nv, 600, 9)
-        value, stderr = einsum_mutual_information(
-            clean_frames(default_tensor, rho), nv, 600, 9, 0xCA9, orbit_rows(default_tensor)
-        )
+        est = dcmc_capacity(tensor, rho, nv, 600, 9)
+        value, stderr = einsum_mutual_information(clean_frames(tensor, rho), nv, 600, 9, 0xCA9, orbit_rows(tensor))
         assert est.value == pytest.approx(value, abs=1e-12)
         assert est.std_error == pytest.approx(stderr, abs=1e-12)
 
@@ -389,20 +390,29 @@ class TestMutualInformationKernel:
         assert peak < 8 * 2**20
 
 
+def count_tables(monkeypatch):
+    """Row counts of the ``_distance_table`` calls that follow, in every
+    module that binds it: ``numerics`` alone, which the others call."""
+    formed = []
+    real = numerics._distance_table
+
+    def counting(coords, rows):
+        formed.append(rows.size)
+        return real(coords, rows)
+
+    for module in (channel, metrics, numerics):
+        if hasattr(module, "_distance_table"):
+            monkeypatch.setattr(module, "_distance_table", counting)
+    return formed
+
+
 class TestFrameDistanceTable:
-    """The capacity kernel's unit-power table of frame distances, formed
-    once per channel tensor and rescaled by rho / noise_var at every call."""
+    """The unit-power table of frame distances, formed once per channel
+    tensor: the capacity kernel rescales it by rho / noise_var at every
+    call, and the ML certificate reads its row minima."""
 
     def test_formed_once_for_a_tensor(self, monkeypatch):
-        formed = []
-        real = numerics._distance_table
-
-        def counting(coords, rows):
-            formed.append(rows.size)
-            return real(coords, rows)
-
-        for module in (channel, metrics):
-            monkeypatch.setattr(module, "_distance_table", counting)
+        formed = count_tables(monkeypatch)
         cfg = dataclasses.replace(SystemConfig(), distance_m=51.0)
         tensor = build_channel_tensor(cfg)
         grid = [-20.0 + 2.0 * i for i in range(31)]
@@ -413,6 +423,16 @@ class TestFrameDistanceTable:
         fresh = build_channel_tensor(dataclasses.replace(cfg))
         assert [dcmc_capacity(fresh, cfg.rho_for_snr_db(s), cfg.noise_power_w, 30, 3) for s in grid] == estimates
         assert formed == [32, 32]
+
+    def test_one_table_serves_capacity_and_the_ml_certificate(self, monkeypatch):
+        formed = count_tables(monkeypatch)
+        cfg = dataclasses.replace(SystemConfig(), distance_m=51.0)
+        tensor = build_channel_tensor(cfg)
+        dcmc_capacity(tensor, cfg.rho_for_snr_db(0.0), cfg.noise_power_w, 30, 3)
+        for snr in (40.0, 60.0, 80.0):
+            simulate_ber(cfg, snr, 20000, 5, "ml", tensor=tensor)
+        assert formed == [32]
+        assert tensor.nearest_distances is build_channel_tensor(cfg).nearest_distances
 
     def test_kept_table_is_read_only(self, default_tensor):
         table = default_tensor.orbit_distances

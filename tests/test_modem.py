@@ -24,7 +24,7 @@ from oamsm import (
     simulate_ber,
     transmit,
 )
-from oamsm import modem
+from oamsm import modem, numerics
 
 
 @pytest.fixture(scope="module")
@@ -175,9 +175,7 @@ def hypotheses(tensor, rho):
 
 def ml_radii(tensor, rho):
     """``modem._ml_radii`` of the tensor's clean frames, indexed m * L + l."""
-    M, n_states = tensor.entries.shape[:2]
-    points = np.asarray(tensor.config.constellation().points)
-    return modem._ml_radii(math.sqrt(rho) * tensor.entries.reshape(M * n_states, 2 * M), points)
+    return modem._ml_radii(tensor, math.sqrt(rho))
 
 
 def reference_decisions(config, tensor, y, rho, detector):
@@ -824,6 +822,17 @@ class TestCertifiedMl:
         simulate_ber(default_config, snr, 9000, 5, "ml", tensor=default_tensor)
         assert sum(seen) == scored
 
+    @pytest.mark.parametrize("snr", [20.0, 60.0])
+    def test_minima_formed_in_blocks_match_the_kept_table(self, default_config, default_tensor, monkeypatch, snr):
+        # Blocks of 5 of the 32 representatives, the last of 2: a fresh
+        # tensor keeps no table and forms its minima block by block.
+        kept = simulate_ber(default_config, snr, 20000, 5, "ml", tensor=default_tensor)
+        monkeypatch.setattr(numerics, "_TABLE_ENTRIES", 5 * 128)
+        tensor = build_channel_tensor(dataclasses.replace(default_config))
+        assert tensor.orbit_distances is None
+        assert np.array_equal(tensor.nearest_distances, default_tensor.nearest_distances)
+        assert repr(simulate_ber(default_config, snr, 20000, 5, "ml", tensor=tensor)) == repr(kept)
+
     def test_single_hypothesis_certifies_every_trial(self):
         cfg = dataclasses.replace(SystemConfig(), tx_antennas=1, oam_states=(1,), constellation_order=1)
         tensor = build_channel_tensor(cfg)
@@ -1008,7 +1017,7 @@ class TestSnrGrid:
 
     @pytest.mark.parametrize("detector", ["stepwise", "ml"])
     @pytest.mark.parametrize("at", [0, 3, 6])
-    @pytest.mark.parametrize("bad", [math.nan, -math.inf, 1e6])
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, 1e6, True])
     def test_a_bad_snr_anywhere_raises_before_any_draw(
         self, monkeypatch, default_config, default_tensor, detector, at, bad
     ):

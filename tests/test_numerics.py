@@ -20,7 +20,7 @@ from oamsm import (
     q_function,
 )
 from oamsm import numerics
-from oamsm.numerics import _chunks, _log_i0e, _poisson_pmf_dot
+from oamsm.numerics import _chunks, _log_i0e, _poisson_pmf_dots
 
 mpmath.mp.dps = 40
 
@@ -350,7 +350,7 @@ def test_poisson_pmf_dot_far_above_the_window_is_zero_without_warning():
     # y = inf used to form inf - inf in the window test.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = _poisson_pmf_dot(np.ones(8), np.array([np.inf, 1e300, 3.0]))
+        out = _poisson_pmf_dots([np.ones(8)], np.array([np.inf, 1e300, 3.0]))[0]
     assert out[0] == 0.0 and out[1] == 0.0
     assert out[2] == pytest.approx(sum(math.exp(-3.0) * 3.0**k / math.factorial(k) for k in range(8)), rel=1e-14)
 
