@@ -88,9 +88,8 @@ class ChannelTensor:
     def orbit_distances(self) -> np.ndarray | None:
         """Read-only table D[k, i] of squared distances between the p = 0
         column k P of ``unit_frames`` and its column i, from differences
-        (``numerics._distance_table``), which the capacity kernel rescales;
-        formed once per tensor.  None above ``numerics._TABLE_ENTRIES``
-        entries: such a table is never kept, only formed in blocks."""
+        (``numerics._distance_table``), formed once per tensor; None above
+        ``numerics._TABLE_ENTRIES`` entries, as such a table is never kept."""
         coords, P = self.unit_frames(), self.config.constellation().order
         if coords.shape[1] // P * coords.shape[1] > numerics._TABLE_ENTRIES:
             return None
@@ -100,11 +99,9 @@ class ChannelTensor:
 
     @functools.cached_property
     def nearest_distances(self) -> np.ndarray:
-        """Read-only minima of the rows of ``orbit_distances``, each without
-        its own column k P: the squared distance from frame (m, l, 0) to its
-        nearest other frame, indexed m L + l, +inf if there is none; the ML
-        certificate's distances.  Formed once per tensor, from the kept
-        table or block by block."""
+        """Read-only minima of the rows of ``orbit_distances`` without their
+        own column k P, indexed m L + l (+inf for a 1-codeword system): the
+        ML certificate's distances, formed once per tensor."""
         coords = self.unit_frames()
         cols = np.arange(coords.shape[1])
         blocks = numerics._distance_blocks(coords, cols[:: self.config.constellation().order], self.orbit_distances)

@@ -32,15 +32,21 @@ def _every(rule):
     return lambda v: (a := np.asarray(v)).dtype.kind in "biuf" and (a.size == 0 or (rule(a.min()) and rule(a.max())))
 
 
+def _scalar(rule):
+    """``rule`` on a number: an array of one dimension or more fails, even one
+    of a single entry, which math would read as that entry."""
+    return lambda v: not (isinstance(v, np.ndarray) and v.ndim) and rule(v)
+
+
 # Rule: what a value must be; the key is also the message's wording.  The
-# scalar rules use math, so they stay cheap and reject any array; the
+# scalar rules use math, so they stay cheap, and refuse any array; the
 # integer rules take a plain int, not a NumPy integer.  No rule takes a bool,
 # an int subclass but no number: ``_meets`` refuses it before any rule.
 _RULES = {
-    "finite": math.isfinite,
-    "finite and > 0": lambda v: math.isfinite(v) and v > 0.0,
-    "finite and >= 0": lambda v: math.isfinite(v) and v >= 0.0,
-    "a finite number": cmath.isfinite,  # real or complex
+    "finite": _scalar(math.isfinite),
+    "finite and > 0": _scalar(lambda v: math.isfinite(v) and v > 0.0),
+    "finite and >= 0": _scalar(lambda v: math.isfinite(v) and v >= 0.0),
+    "a finite number": _scalar(cmath.isfinite),  # real or complex
     "an integer": lambda v: type(v) is int,
     "a positive integer": lambda v: type(v) is int and v >= 1,
     "a nonnegative integer": lambda v: type(v) is int and v >= 0,

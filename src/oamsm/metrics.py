@@ -125,7 +125,6 @@ def _mutual_information(
     # as a ratio of roots, which stays finite where snr overflows.
     q_scale = 2.0 * math.sqrt(rho) / math.sqrt(noise_var)
     n_inputs = coords.shape[1]
-    n_reps = n_inputs // step
     log2_inputs = math.log2(n_inputs)
     cut_ln = _PRUNE_LN_BUDGET + math.log(n_inputs)
     acc = np.zeros(samples)
@@ -170,7 +169,7 @@ def _mutual_information(
                 s = e @ qc
                 np.log(s, out=s)
                 out += np.sum(s, axis=0) - np.sum(own if shared.all() else own[shared], axis=0)
-    per_draw = log2_inputs - acc / (n_reps * _LN2)
+    per_draw = log2_inputs - acc / (n_inputs // step * _LN2)
     value = float(np.mean(per_draw))
     stderr = float(np.std(per_draw, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return CapacityEstimate(value=min(max(0.0, value), log2_inputs), std_error=stderr, samples=samples)
@@ -188,12 +187,10 @@ def dcmc_capacity(
     x_p / x_0 times input (m, l, 0), so each draw scores only p = 0 (see
     ``_mutual_information``): same expectation, different variance.
 
-    The inputs are the tensor's ``unit_frames``.  Their table of frame
-    distances, ``tensor.orbit_distances``, is formed on first use and kept
-    with the tensor, so later calls on it, at any rho and noise variance,
-    only rescale it; the ML certificate reads the same table's row minima.
-    A table above ``numerics._TABLE_ENTRIES`` entries is neither formed
-    whole nor kept: each call forms it block by block.
+    The inputs are the tensor's ``unit_frames``.  Later calls on a tensor,
+    at any rho and noise variance, only rescale its kept table of frame
+    distances, ``tensor.orbit_distances``, whose row minima the ML
+    certificate reads; a tensor that keeps none has it formed in blocks.
     """
     _check_link(rho, noise_var)
     coords, P = tensor.unit_frames(), tensor.config.constellation().order
@@ -267,8 +264,7 @@ def _noncentralities(h: np.ndarray, x: complex, rho: float, noise_var: float) ->
     two-degree noncentral chi-square law with this noncentrality.
     """
     _check_link(rho, noise_var)
-    sigma0_sq = noise_var / 2.0
-    return rho * np.abs(h * x) ** 2 / sigma0_sq
+    return rho * np.abs(h * x) ** 2 / (noise_var / 2.0)
 
 
 # Half-width, in r = sqrt(g), of the window around the true pair's bulk:

@@ -279,34 +279,28 @@ def _detector(tensor: ChannelTensor, rho: float, rule: str):
 
 def _ml_radii(tensor: ChannelTensor, scale: float) -> np.ndarray:
     """``scale`` times the unit-power certificate radius r_a of each (m, l)
-    row a, indexed m L + l: at transmit power rho, an ML frame s + n,
-    s = sqrt(rho) h_a x_p, with |n| < sqrt(rho) r_a is decided (a, p) by the
-    expanded score of ``_detector``; ``scale`` = sqrt(rho) / sigma gives it
-    in noise standard deviations.
+    row a, indexed m L + l: an ML frame s + n, s = sqrt(rho) h_a x_p, with
+    |n| < sqrt(rho) r_a is decided (a, p) by ``_detector``'s expanded score.
 
-    Every point is a unit-modulus rotation of point 0 (PSK, or the single
-    point 1), so at unit power every hypothesis of row a is d_a from its
-    nearest other one, d_a^2 = ``tensor.nearest_distances[a]``.  With
-    E_a = |h_a|^2 and the slack t = 2^-46 * 4M * max E (128 units of
-    rounding per real coordinate),
+    Every point is a unit-modulus rotation of point 0, so at unit power each
+    hypothesis of row a is d_a from its nearest other one, d_a^2 =
+    ``tensor.nearest_distances[a]``.  With the slack t = 2^-46 * 4M * max E,
+    E_a = |h_a|^2 (128 units of rounding per real coordinate),
 
         r_a = (d_a^2 - 3t) / (2 sqrt(d_a^2 - t)),  or 0 where d_a^2 <= 3t,
 
-    so coincident hypotheses are never certified, and r_a = inf for the one
-    hypothesis of a 1-codeword system.  Why this is exact (distances, slack
-    and roundings all scale with rho): d_a^2 sums 4M squared coordinate
-    differences.  Each coordinate, of the table's frames and of the scored
-    hypotheses, is off by a few units of rounding u = 2^-53 of sqrt(max E)
-    at most, and each difference, square and partial sum rounds relative to
-    d_a^2 <= 4 max E: in all, d_a^2 is within (16M + 82) u max E < t / 5 of
-    the true squared distance D^2.  So D >= sqrt(d_a^2 - t), and for
-    |n| < r_a every other hypothesis's residual exceeds the sent one's by
-    D^2 - 2 D |n| > t; t bounds the rounding of the two expanded scores
-    compared, each within gamma_4M * (2 |y| |s| + |s|^2) + 5 units of
-    rounding, |y| <= 2 sqrt(max E).  The last t / (2 sqrt(d_a^2 - t)) of
-    the radius covers the rounding of its scaling, of the frame, of the
-    test |n|^2 < r^2 and, on the radius draw, of the rescaled direction's
-    norm, each at most a tenth of it.
+    so coincident hypotheses are never certified, and r_a = inf for a
+    1-codeword system.  Why this is exact (every term scales with rho): d_a^2
+    sums 4M squared differences of coordinates off by a few units of rounding
+    u = 2^-53 of sqrt(max E), each difference, square and sum rounding
+    relative to d_a^2 <= 4 max E, so it is within (16M + 82) u max E < t / 5
+    of the true D^2.  Hence D >= sqrt(d_a^2 - t), and for |n| < r_a every
+    other residual exceeds the sent one's by D^2 - 2 D |n| > t, which bounds
+    the rounding of the two expanded scores compared, each within
+    gamma_4M (2 |y| |s| + |s|^2) + 5 units, |y| <= 2 sqrt(max E).  The last
+    t / (2 sqrt(d_a^2 - t)) of r_a covers the rounding of its scaling, the
+    frame, the test |n|^2 < r^2 and the radius draw's rescaled norm, each at
+    most a tenth of it.
     """
     h = tensor.entries
     slack = 2.0**-46 * (4 * h.shape[0]) * float(np.max(np.sum(h.real**2 + h.imag**2, axis=(2, 3))))
@@ -443,15 +437,12 @@ def simulate_ber(
     with the requested detector.  Chunk i of 8192 trials draws from Philox
     substream (seed, 0xBE7, i) by the detector's sampler (module
     docstring): the stepwise draw of the indices and of only the samples
-    its rule reads, or one of the two ML samplers, chosen once per run.  On
-    ML's radius draw a chunk first draws how many of its trials fall on each
-    (antenna, state) row and how many of those are left uncertified; only
-    these draw a point, an energy and a direction, so a run in which every
-    trial certifies costs O(M * L) draws per chunk, not O(trials).  Every
-    sampler gives error counts exact in distribution, save that a row
-    whose uncertified share is below about 1e-30 counts as certifying
-    every trial.  Results are deterministic in (config, snr_db, trials,
-    seed, detector).
+    its rule reads, or one of the two ML samplers, chosen once per run; a
+    radius-draw chunk in which every trial certifies draws O(M * L) counts,
+    not O(trials).  Every sampler gives error counts exact in distribution,
+    save that a row whose uncertified share is below about 1e-30 counts as
+    certifying every trial.  Results are deterministic in (config, snr_db,
+    trials, seed, detector).
 
     A 1-D ``snr_db`` returns a list of reports, report k equal to the call
     at ``snr_db[k]`` alone with the same seed; every SNR is checked before
@@ -472,8 +463,9 @@ def simulate_ber(
     _check_tensor(tensor, config)
     if (order := tensor.config.constellation_order) != config.constellation_order:
         raise ConfigError(f"tensor built for constellation order {order}, config has {config.constellation_order}")
-    # A plain number skips np.ndim, which costs 2 us through np.asarray.
-    grid = not isinstance(snr_db, (int, float)) and np.ndim(snr_db) == 1
+    # A list is a grid and a plain number is not, without np.ndim: it costs
+    # 2 us through np.asarray, and fails on a list holding an array.
+    grid = isinstance(snr_db, (list, tuple)) or (not isinstance(snr_db, (int, float)) and np.ndim(snr_db) == 1)
     snrs = list(snr_db) if grid else [snr_db]
     rhos = [config.rho_for_snr_db(s) for s in snrs]
     smap = config._symbol_map
@@ -490,7 +482,6 @@ def _stepwise_errors(tensor: ChannelTensor, rhos: list, trials: int, seed: int, 
     """(len(rhos), 5) ``_errors`` totals of the stepwise rule: each chunk's
     one draw, decided at every rho."""
     M, n_states = tensor.entries.shape[:2]
-    P = smap.constellation.order
     points = np.asarray(smap.constellation.points)
     # The two tables of the stepwise draw (module docstring) and the rule,
     # per rho.
@@ -501,7 +492,7 @@ def _stepwise_errors(tensor: ChannelTensor, rhos: list, trials: int, seed: int, 
         tables.append((first, second, _detector(tensor, rho, "stepwise")))
     counts = np.zeros((len(rhos), 5), dtype=np.int64)
     for _, n, rng in _chunks(trials, _CHUNK, seed, 0xBE7):
-        sent = rng.integers(0, M, size=n), rng.integers(0, n_states, size=n), rng.integers(0, P, size=n)
+        sent = rng.integers(0, M, size=n), rng.integers(0, n_states, size=n), rng.integers(0, points.size, size=n)
         first_noise, second_noise = _noise(rng, (n, M), sigma), _noise(rng, (n,), sigma)
         rows = sent[0] * n_states + sent[1]
         x = points[sent[2]]
@@ -523,7 +514,6 @@ def _ml_errors(tensor: ChannelTensor, rho: float, trials: int, seed: int, sigma:
     """The five ``_errors`` totals of the ML rule at one rho, by the sampler
     the module docstring chooses."""
     M, n_states = tensor.entries.shape[:2]
-    P = smap.constellation.order
     points = np.asarray(smap.constellation.points)
     # Clean frames of every (antenna, state), gathered by m * L + l.
     clean = (math.sqrt(rho) * tensor.entries).reshape(M * n_states, M, 2)
@@ -549,7 +539,7 @@ def _ml_errors(tensor: ChannelTensor, rho: float, trials: int, seed: int, sigma:
                 continue
             if decide is None:
                 decide, arrival_pmf = _detector(tensor, rho, "ml"), _ml_arrival_pmf(cert_energy, M)
-            p_idx = rng.integers(0, P, size=k)
+            p_idx = rng.integers(0, points.size, size=k)
             rows, energy = _ml_tail_energy(rng, cert_energy, arrival_pmf, per_row)
             m_idx, l_idx = np.divmod(rows, n_states)
             noise = rng.standard_normal((2, k, M, 2))
@@ -558,7 +548,7 @@ def _ml_errors(tensor: ChannelTensor, rho: float, trials: int, seed: int, sigma:
         else:
             m_idx = rng.integers(0, M, size=n)
             l_idx = rng.integers(0, n_states, size=n)
-            p_idx = rng.integers(0, P, size=n)
+            p_idx = rng.integers(0, points.size, size=n)
             rows = m_idx * n_states + l_idx
             noise = _noise(rng, (n, M, 2), sigma)
         decided = decide(_frames(clean, rows, points[p_idx], noise))

@@ -27,19 +27,8 @@ _SQRT2 = math.sqrt(2.0)
 
 
 def q_function(x: float) -> float:
-    """Upper tail probability of the standard normal distribution.
-
-    Parameters
-    ----------
-    x : float
-        Threshold; must be finite.
-
-    Returns
-    -------
-    float
-        P(Z > x) for Z ~ N(0, 1).  Monotone nonincreasing in ``x``; values
-        below ~1e-308 underflow cleanly to 0.0.
-    """
+    """P(Z > x) for Z ~ N(0, 1) and a finite ``x``: nonincreasing in x, and
+    0.0 where it underflows (below ~1e-308)."""
     require("x", x, "finite")
     return 0.5 * math.erfc(x / _SQRT2)
 
@@ -370,8 +359,7 @@ def _gk15(f, lo: np.ndarray, hi: np.ndarray):
     vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
     k15 = half * (vals @ _GK_WEIGHTS)
     g7 = half * (vals[:, 1::2] @ _G7_WEIGHTS)
-    err = np.abs(k15 - g7)
-    return k15, err
+    return k15, np.abs(k15 - g7)
 
 
 # Panels ``integrate`` may split its range into before it gives up.
@@ -387,13 +375,9 @@ def integrate(f, lower: float, upper: float, tol: float = 1e-9, breakpoints=()) 
     summed |K15 - G7| bound exceeds ``tol``, the worst panels are halved.
     Both limits must be finite.  The seeds are ``lower``, the
     ``breakpoints`` (each within [lower, upper]) and ``upper``: a caller
-    that knows where the integrand lives can seed panels there.
-
-    Raises
-    ------
-    NumericError
-        If ``_MAX_INTERVALS`` panels do not bring the bound down to ``tol``;
-        the exception carries the best estimate and its bound.
+    that knows where the integrand lives can seed panels there.  Raises
+    ``NumericError``, carrying the best estimate and its bound, if
+    ``_MAX_INTERVALS`` panels do not bring the bound down to ``tol``.
     """
     require("tol", tol, "finite and > 0")
     require("integration limits", (lower, upper), "finite in every entry")

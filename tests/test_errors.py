@@ -79,7 +79,9 @@ def test_choices_rule():
 
 @pytest.mark.parametrize("rule", [r for r in CASES if not r.endswith("in every entry")])
 def test_scalar_rule_rejects_an_array(rule):
-    # Arrays opt in by the rule's name; a scalar site refuses one.
-    value = np.array([1.0, 2.0], dtype=complex if rule == "a finite number" else float)
-    with pytest.raises(ValueError, match=f"^rho must be {rule}, got array"):
-        require("rho", value, rule)
+    # Arrays opt in by the rule's name; a scalar site refuses one, even one
+    # of a single entry, which math would read as that entry.
+    for value in ([1.0, 2.0], [1.0], [[1.0]]):
+        value = np.array(value, dtype=complex if rule == "a finite number" else float)
+        with pytest.raises(ValueError, match=f"^rho must be {rule}, got array"):
+            require("rho", value, rule)

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oamsm import channel, metrics, numerics
+from oamsm import metrics, numerics
 from oamsm import (
     ConfigError,
     NumericError,
@@ -391,8 +391,8 @@ class TestMutualInformationKernel:
 
 
 def count_tables(monkeypatch):
-    """Row counts of the ``_distance_table`` calls that follow, in every
-    module that binds it: ``numerics`` alone, which the others call."""
+    """Row counts of the ``numerics._distance_table`` calls that follow: the
+    one binding of it, which the channel tensor and the kernel call."""
     formed = []
     real = numerics._distance_table
 
@@ -400,9 +400,7 @@ def count_tables(monkeypatch):
         formed.append(rows.size)
         return real(coords, rows)
 
-    for module in (channel, metrics, numerics):
-        if hasattr(module, "_distance_table"):
-            monkeypatch.setattr(module, "_distance_table", counting)
+    monkeypatch.setattr(numerics, "_distance_table", counting)
     return formed
 
 

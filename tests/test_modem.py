@@ -1017,7 +1017,7 @@ class TestSnrGrid:
 
     @pytest.mark.parametrize("detector", ["stepwise", "ml"])
     @pytest.mark.parametrize("at", [0, 3, 6])
-    @pytest.mark.parametrize("bad", [math.nan, -math.inf, 1e6, True])
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, 1e6, True, np.array([[1.0]])])
     def test_a_bad_snr_anywhere_raises_before_any_draw(
         self, monkeypatch, default_config, default_tensor, detector, at, bad
     ):
