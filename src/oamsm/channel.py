@@ -53,9 +53,11 @@ class ChannelTensor:
     array is read-only and carries the producing config for traceability.
     Transmit power never enters here: it scales the signal at transmit time.
     A non-finite entry raises ConfigError naming the config's element
-    spacing and distance.  ``orbit_distances``, the one table of frame
-    distances, and its row minima ``nearest_distances`` are formed on first
-    use and kept with the tensor.
+    spacing and distance.  The unit-power hypothesis table ``unit_frames``
+    with its column energies ``unit_energies``, the one table of frame
+    distances ``orbit_distances`` and its row minima ``nearest_distances``
+    are formed on first use and kept with the tensor; every consumer reads
+    them there.
     """
 
     entries: np.ndarray
@@ -70,9 +72,12 @@ class ChannelTensor:
             )
         self.entries.setflags(write=False)
 
+    @functools.cached_property
     def unit_frames(self) -> np.ndarray:
-        """Real coordinates of the clean received frame of every codeword
-        (m, l, p) at unit transmit power, one column per codeword.
+        """Read-only real coordinates U of the clean received frame of every
+        codeword (m, l, p) at unit transmit power, one column per codeword,
+        formed once per tensor: the one hypothesis table of the capacity
+        kernel, the distance tables and the ML scorer.
 
         Column (m L + l) P + p holds x_p h[m, l], flattened over (pair,
         antenna-in-pair), as its real parts, then its imaginary parts.  It
@@ -82,7 +87,16 @@ class ChannelTensor:
         points = np.asarray(self.config.constellation().points)
         dims = 2 * self.entries.shape[0]
         frames = (self.entries.reshape(-1, 1, dims) * points[:, None]).reshape(-1, dims)
-        return np.concatenate([frames.real.T, frames.imag.T])
+        coords = np.concatenate([frames.real.T, frames.imag.T])
+        coords.setflags(write=False)
+        return coords
+
+    @functools.cached_property
+    def unit_energies(self) -> np.ndarray:
+        """Read-only squared norms of the columns of ``unit_frames``."""
+        energies = np.einsum("ch,ch->h", self.unit_frames, self.unit_frames)
+        energies.setflags(write=False)
+        return energies
 
     @functools.cached_property
     def orbit_distances(self) -> np.ndarray | None:
@@ -90,7 +104,7 @@ class ChannelTensor:
         column k P of ``unit_frames`` and its column i, from differences
         (``numerics._distance_table``), formed once per tensor; None above
         ``numerics._TABLE_ENTRIES`` entries, as such a table is never kept."""
-        coords, P = self.unit_frames(), self.config.constellation().order
+        coords, P = self.unit_frames, self.config.constellation().order
         if coords.shape[1] // P * coords.shape[1] > numerics._TABLE_ENTRIES:
             return None
         table = numerics._distance_table(coords, np.arange(0, coords.shape[1], P))
@@ -102,7 +116,7 @@ class ChannelTensor:
         """Read-only minima of the rows of ``orbit_distances`` without their
         own column k P, indexed m L + l (+inf for a 1-codeword system): the
         ML certificate's distances, formed once per tensor."""
-        coords = self.unit_frames()
+        coords = self.unit_frames
         cols = np.arange(coords.shape[1])
         blocks = numerics._distance_blocks(coords, cols[:: self.config.constellation().order], self.orbit_distances)
         nearest = np.concatenate([np.min(d, axis=1, initial=math.inf, where=cols != r[:, None]) for r, d in blocks])

@@ -187,13 +187,14 @@ def dcmc_capacity(
     x_p / x_0 times input (m, l, 0), so each draw scores only p = 0 (see
     ``_mutual_information``): same expectation, different variance.
 
-    The inputs are the tensor's ``unit_frames``.  Later calls on a tensor,
-    at any rho and noise variance, only rescale its kept table of frame
-    distances, ``tensor.orbit_distances``, whose row minima the ML
-    certificate reads; a tensor that keeps none has it formed in blocks.
+    The inputs are the tensor's kept hypothesis table, ``unit_frames``.
+    Later calls on a tensor, at any rho and noise variance, only rescale it
+    and its kept table of frame distances, ``tensor.orbit_distances``, whose
+    row minima the ML certificate reads; a tensor that keeps none has it
+    formed in blocks.
     """
     _check_link(rho, noise_var)
-    coords, P = tensor.unit_frames(), tensor.config.constellation().order
+    coords, P = tensor.unit_frames, tensor.config.constellation().order
     return _mutual_information(coords, P, tensor.orbit_distances, rho, noise_var, samples, seed, stream=0xCA9)
 
 
@@ -392,7 +393,7 @@ def gray_gamma(n: int) -> float:
 
 
 #: The distance variants of ``mod_bep``.
-_DISTANCE_MODES = ("printed", "euclidean")
+_DISTANCE_MODES = ("euclidean",)
 
 
 def mod_bep(
@@ -401,11 +402,10 @@ def mod_bep(
     """Bit error probability of the constellation bits on a scalar channel.
 
     Pairwise union form: (1 / (P log2 P)) * sum over ordered pairs of the
-    label Hamming distance times Q(sqrt(rho |h|^2 dist^2 / (2 sigma^2))).
-    ``euclidean`` uses |x_p - x_q| for dist (matches a maximum-likelihood
-    scalar detector); ``printed`` uses 2 Re[x_p (x_p - x_q)*], a circulated
-    variant kept selectable for faithful reproduction.  A 1-point
-    constellation carries no bits and gives 0.
+    label Hamming distance times Q(sqrt(rho |h|^2 |x_p - x_q|^2 / (2 sigma^2))),
+    which matches a maximum-likelihood scalar detector (``euclidean``, the
+    one ``distance_mode``).  A 1-point constellation carries no bits and
+    gives 0.
     """
     require("distance_mode", distance_mode, _DISTANCE_MODES, ConfigError)
     require("|h|", abs(h), "finite and > 0")
@@ -423,11 +423,7 @@ def mod_bep(
             if p == q:
                 continue
             hamming = sum(c1 != c2 for c1, c2 in zip(labels[p], labels[q]))
-            if distance_mode == "euclidean":
-                dist_sq = abs(points[p] - points[q]) ** 2
-            else:
-                dist_sq = (2.0 * (points[p] * np.conj(points[p] - points[q])).real) ** 2
-            total += hamming * q_function(math.sqrt(scale * dist_sq))
+            total += hamming * q_function(math.sqrt(scale * abs(points[p] - points[q]) ** 2))
     return total / (P * nbits)
 
 

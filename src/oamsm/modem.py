@@ -42,31 +42,23 @@ tensor (``ChannelTensor.nearest_distances``).  ``_ml_radii`` shrinks the
 half-distance by a slack that covers every rounding of the distance, the
 radius, the frame and the expanded score, so a trial whose noise is inside
 it is one the scoring would decide correctly: it is counted as such
-without being scored.  ML draws its noise by one of two samplers, chosen
-once per run:
-
-- the radius draw, when at least 15 % of the trials are predicted to
-  certify, the mean over the rows of 1 - q, q = ``_ml_uncertified``: a
-  chunk of n trials draws its trials per (m, l) row, multinomial over the
-  M * L equally likely rows, then the uncertified ones per row, binomial
-  with that row's q = P(chi2(4M) >= t) for t its certificate energy.  The
-  K uncertified trials alone draw: a uniform point, then a noise energy
-  from chi2(4M) conditioned on exceeding t (``_ml_tail_energy``: per row, a
-  multinomial count of the trials at each Poisson arrival count, then one
-  gamma variate per trial), then a (2, M, 2) standard-normal direction
-  rescaled to norm sigma * sqrt(E), and are built and scored.  The certified trials draw nothing, so a chunk
-  where every trial certifies costs two draws of M * L counts, whatever n.
-  Why the counts are exact in distribution: the antenna, state and point
-  are uniform and independent, the certificate depends on the row alone,
-  so given the row counts each row's uncertified count is binomial; and the
-  norm and the direction of isotropic Gaussian noise are independent
-  (Muller, CACM 1959).  One caveat: ``_poisson_pmf_dots`` returns 0 outside
-  its window, so a row whose true q is below about 1e-30 never yields an
-  uncertified trial.
-- the direct draw, below 15 %: the antenna, state and point indices
-  and the full (2, n, M, 2) noise of every trial, and every trial scored.
-  Certifying would change no count, and there the radius draw's energies
-  and tables cost more than the normals they save.
+without being scored.  ML draws its noise by the radius draw, at every
+SNR.  A chunk of n trials draws its trials per (m, l) row, multinomial
+over the M * L equally likely rows, then the uncertified ones per row,
+binomial with that row's q = P(chi2(4M) >= t) for t its certificate
+energy (``_ml_tail_law``).  The K uncertified trials alone draw: a uniform
+point, then a noise energy from chi2(4M) conditioned on exceeding t
+(``_ml_tail_energy``: per row, a multinomial count of the trials at each
+Poisson arrival count, then one gamma variate per trial), then a
+(2, M, 2) standard-normal direction rescaled to norm sigma * sqrt(E), and
+are built and scored.  The certified trials draw nothing, so a chunk where
+every trial certifies costs two draws of M * L counts, whatever n; at low
+SNR, where t is near 0 and q near 1, the conditional law is the
+unconditional chi2(4M) and nearly every trial is scored.  Why the counts
+are exact in distribution: the antenna, state and point are uniform and
+independent, the certificate depends on the row alone, so given the row
+counts each row's uncertified count is binomial; and the norm and the
+direction of isotropic Gaussian noise are independent (Muller, CACM 1959).
 """
 
 from __future__ import annotations
@@ -79,7 +71,7 @@ import numpy as np
 from .channel import ChannelTensor, _check_tensor, _position, build_channel_tensor
 from .config import _DETECTORS, SystemConfig, _check_symbol_axes, _state, _state_index
 from .errors import ConfigError, require
-from .numerics import Constellation, _chunks, _noise, _poisson_pmf_dots
+from .numerics import Constellation, _chunks, _noise
 
 
 @dataclass(frozen=True)
@@ -218,27 +210,25 @@ def _detector(tensor: ChannelTensor, rho: float, rule: str):
       Frobenius residual |y - s_h|^2 between the frame and
       s_h = sqrt(rho) * h * x.  Since |y|^2 is common to every hypothesis,
       the argmin runs over the expanded score
-      ||s_h||^2 - 2 * [Re y, Im y] . [Re s_h, Im s_h]: one real matrix
-      product per block of max(1, _BLOCK_ELEMS // H) rows of the frames'
-      float view (interleaved Re, Im) against a (4M, H) basis built once,
-      plus the H energies.  The expanded form can change a decision only
-      where two residuals agree to within rounding of |y|^2 + |s_h|^2.
+      rho E_h - 2 sqrt(rho) [Re y, Im y] . u_h, with u_h the column of the
+      tensor's kept ``unit_frames`` and E_h its ``unit_energies`` entry:
+      one real matrix product per block of max(1, _BLOCK_ELEMS // H) rows
+      of the frames' split planes (the real parts, then the imaginary, as
+      U is laid out) against the (4M, H) basis -2 sqrt(rho) U, plus the H
+      energies.  The expanded form can change a decision only where two
+      residuals agree to within rounding of |y|^2 + |s_h|^2.
     """
     M, n_states = tensor.entries.shape[:2]
     points = np.asarray(tensor.config.constellation().points)
     sqrt_rho = math.sqrt(rho)
     if rule == "ml":
-        clean = sqrt_rho * tensor.entries.reshape(M * n_states, 2 * M)
-        hyp = clean[:, None, :] * points[None, :, None]
-        # Interleaved (Re, Im) coordinates of each hypothesis: the float view
-        # of the complex array, as the received frames are read below.
-        coords = hyp.reshape(-1, 2 * M).view(np.float64)  # (H, 4M)
-        basis = np.ascontiguousarray(-2.0 * coords.T)
-        energy = np.einsum("hk,hk->h", coords, coords)
+        basis = (-2.0 * sqrt_rho) * tensor.unit_frames
+        energy = rho * tensor.unit_energies
         rows = max(1, _BLOCK_ELEMS // len(energy))
 
         def decide(y):
-            feats = np.ascontiguousarray(y, dtype=complex).reshape(len(y), 2 * M).view(np.float64)
+            y = y.reshape(len(y), 2 * M)
+            feats = np.concatenate([y.real, y.imag], axis=1)
             flat = np.empty(len(y), dtype=np.intp)
             # One score buffer for every block of the call.
             block = np.empty((min(rows, len(y)), len(energy)))
@@ -285,7 +275,8 @@ def _ml_radii(tensor: ChannelTensor, scale: float) -> np.ndarray:
     Every point is a unit-modulus rotation of point 0, so at unit power each
     hypothesis of row a is d_a from its nearest other one, d_a^2 =
     ``tensor.nearest_distances[a]``.  With the slack t = 2^-46 * 4M * max E,
-    E_a = |h_a|^2 (128 units of rounding per real coordinate),
+    E the tensor's kept ``unit_energies`` (128 units of rounding per real
+    coordinate),
 
         r_a = (d_a^2 - 3t) / (2 sqrt(d_a^2 - t)),  or 0 where d_a^2 <= 3t,
 
@@ -297,49 +288,47 @@ def _ml_radii(tensor: ChannelTensor, scale: float) -> np.ndarray:
     of the true D^2.  Hence D >= sqrt(d_a^2 - t), and for |n| < r_a every
     other residual exceeds the sent one's by D^2 - 2 D |n| > t, which bounds
     the rounding of the two expanded scores compared, each within
-    gamma_4M (2 |y| |s| + |s|^2) + 5 units, |y| <= 2 sqrt(max E).  The last
+    gamma_4M (2 |y| |s| + |s|^2) + 6 units, |y| <= 2 sqrt(max E); the
+    sixth unit is the product rho E_h, which rounds the kept unit-power
+    energy once more.  The last
     t / (2 sqrt(d_a^2 - t)) of r_a covers the rounding of its scaling, the
     frame, the test |n|^2 < r^2 and the radius draw's rescaled norm, each at
     most a tenth of it.
     """
-    h = tensor.entries
-    slack = 2.0**-46 * (4 * h.shape[0]) * float(np.max(np.sum(h.real**2 + h.imag**2, axis=(2, 3))))
+    slack = 2.0**-46 * (4 * tensor.entries.shape[0]) * float(tensor.unit_energies.max())
     lo = tensor.nearest_distances - slack
     # (lo - 2 slack) / (2 sqrt(lo)), written so that lo = inf gives inf.
     with np.errstate(invalid="ignore"):
         return np.where(lo > 2.0 * slack, scale * (np.sqrt(lo) / 2.0 - slack / np.sqrt(lo)), 0.0)
 
 
-def _ml_uncertified(cert_energy: np.ndarray, n_antennas: int) -> np.ndarray:
-    """Per-row share q of ML trials left uncertified: P(|z|^2 >= t) for
-    |z|^2 ~ chi2(4M) and t = ``cert_energy``, that is P(Poisson(t / 2) < 2M),
-    taken directly so that a small q keeps its relative accuracy, and
-    capped at 1, which the summed pmf can pass by a rounding.  A row of
-    t = 0 (coincident frames) gives 1, and one of t = inf (a single
-    hypothesis) gives 0.  Outside the Poisson window of ``_poisson_pmf_dots``
-    (a true q below about 1e-30) q is 0."""
-    half = np.asarray(cert_energy, dtype=float) / 2.0
-    q = np.ones_like(half)
-    mid = half > 0.0
-    q[mid] = np.minimum(_poisson_pmf_dots([np.ones(2 * n_antennas)], half[mid])[0], 1.0)
-    return q
+def _ml_tail_law(cert_energy: np.ndarray, n_antennas: int):
+    """``(q, arrival_pmf)`` of rows with certificate energies t =
+    ``cert_energy``, from one log-space table of the weights s^i / i!,
+    s = t / 2, i = 0 .. 2M - 1.
 
-
-def _ml_arrival_pmf(cert_energy: np.ndarray, n_antennas: int) -> np.ndarray:
-    """(rows, 2M) law of the arrival count i that ``_ml_tail_energy`` draws:
-    Poisson(t / 2) restricted to 0 .. 2M - 1, weights s^i / i! with
-    s = t / 2, formed in log space.  A row of t = 0 puts all its mass on
-    i = 0; so does one of t = inf, which is never drawn (its q is 0)."""
-    half = np.asarray(cert_energy, dtype=float) / 2.0
-    ks = np.arange(2 * n_antennas)
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(ks[1:]))))
-    pmf = np.zeros((half.size, ks.size))
-    pmf[:, 0] = 1.0
-    mid = (half > 0.0) & np.isfinite(half)
-    log_w = np.multiply.outer(np.log(half[mid]), ks) - log_fact
-    w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
-    pmf[mid] = w / w.sum(axis=1, keepdims=True)
-    return pmf
+    q is each row's share of ML trials left uncertified, P(|z|^2 >= t) for
+    |z|^2 ~ chi2(4M), that is P(Poisson(s) < 2M) = e^(c - s) S, with c the
+    row's largest log weight and S the sum of its weights over e^c: taken
+    directly, so a small q keeps its relative accuracy down to the smallest
+    normal double, and capped at 1, which the product can pass by a
+    rounding.  ``arrival_pmf`` is the (rows, 2M) law of the arrival count
+    i that ``_ml_tail_energy`` draws, Poisson(s) restricted to 0 .. 2M - 1:
+    the weights over e^c S.  A row of t = 0 (coincident frames) has q = 1
+    and one of t = inf (a single hypothesis) q = 0; both take -1e300 for
+    log s, so their law puts all its mass on i = 0 and no 0 * inf is formed.
+    """
+    half = cert_energy / 2.0
+    ks = np.arange(2 * n_antennas)[:, None]
+    log_fact = np.add.accumulate(np.log(np.maximum(ks, 1)))
+    log_w = ks * np.log(half, out=np.full_like(half, -1e300), where=(half > 0.0) & (half < np.inf))
+    log_w -= log_fact
+    top = np.maximum.reduce(log_w)
+    log_w -= top
+    weights = np.exp(log_w, out=log_w)
+    total = np.add.reduce(weights)
+    weights /= total
+    return np.minimum(np.exp(top - half) * total, 1.0), weights.T
 
 
 def _ml_tail_energy(rng: np.random.Generator, cert_energy: np.ndarray, arrival_pmf: np.ndarray, per_row: np.ndarray):
@@ -355,14 +344,6 @@ def _ml_tail_energy(rng: np.random.Generator, cert_energy: np.ndarray, arrival_p
     counts = rng.multinomial(per_row, arrival_pmf)
     rows, arrivals = np.divmod(np.repeat(np.arange(counts.size), counts.reshape(-1)), width)
     return rows, cert_energy[rows] + 2.0 * rng.standard_gamma(width - arrivals)
-
-
-# The radius draw pays once this share of ML trials certify; below it the
-# energies and counts cost more than the scoring they save.  Timed in
-# process, the two samplers broke even at a certified share between 0.10
-# (8 antennas) and 0.2 (2 antennas and BPSK, whose 8 hypotheses score
-# cheaply); at the default config, at 0.13.
-_RADIUS_DRAW_SHARE = 0.15
 
 
 def _demodulate(frame: np.ndarray, tensor: ChannelTensor, rho: float, rule: str) -> OamSymbol:
@@ -437,11 +418,9 @@ def simulate_ber(
     with the requested detector.  Chunk i of 8192 trials draws from Philox
     substream (seed, 0xBE7, i) by the detector's sampler (module
     docstring): the stepwise draw of the indices and of only the samples
-    its rule reads, or one of the two ML samplers, chosen once per run; a
-    radius-draw chunk in which every trial certifies draws O(M * L) counts,
-    not O(trials).  Every sampler gives error counts exact in distribution,
-    save that a row whose uncertified share is below about 1e-30 counts as
-    certifying every trial.  Results are deterministic in (config, snr_db,
+    its rule reads, or the ML radius draw, in which a chunk whose trials all
+    certify draws O(M * L) counts, not O(trials).  Both give error counts
+    exact in distribution.  Results are deterministic in (config, snr_db,
     trials, seed, detector).
 
     A 1-D ``snr_db`` returns a list of reports, report k equal to the call
@@ -473,7 +452,8 @@ def simulate_ber(
     if detector == "ml":
         counts = [_ml_errors(tensor, rho, trials, seed, sigma, smap) for rho in rhos]
     else:
-        counts = _stepwise_errors(tensor, rhos, trials, seed, sigma, smap)
+        # An empty grid has no SNR to decide a draw at, so it draws nothing.
+        counts = _stepwise_errors(tensor, rhos, trials, seed, sigma, smap) if rhos else []
     reports = [_report(c, trials, smap, detector, s, seed) for c, s in zip(counts, snrs)]
     return reports if grid else reports[0]
 
@@ -511,8 +491,8 @@ def _stepwise_errors(tensor: ChannelTensor, rhos: list, trials: int, seed: int, 
 
 
 def _ml_errors(tensor: ChannelTensor, rho: float, trials: int, seed: int, sigma: float, smap: SymbolMap):
-    """The five ``_errors`` totals of the ML rule at one rho, by the sampler
-    the module docstring chooses."""
+    """The five ``_errors`` totals of the ML rule at one rho, by the radius
+    draw of the module docstring."""
     M, n_states = tensor.entries.shape[:2]
     points = np.asarray(smap.constellation.points)
     # Clean frames of every (antenna, state), gathered by m * L + l.
@@ -521,36 +501,24 @@ def _ml_errors(tensor: ChannelTensor, rho: float, trials: int, seed: int, sigma:
     # radius r in noise standard deviations is decided correctly
     # (``_ml_radii``).
     cert_energy = _ml_radii(tensor, math.sqrt(rho) / sigma) ** 2
-    uncertified = _ml_uncertified(cert_energy, M)
-    radius_draw = 1.0 - uncertified.mean() >= _RADIUS_DRAW_SHARE
+    uncertified, arrival_pmf = _ml_tail_law(cert_energy, M)
     row_share = np.full(M * n_states, 1.0 / (M * n_states))
-    # The radius draw forms its scoring basis and arrival table only once a
-    # chunk has a trial to score.
-    decide = None if radius_draw else _detector(tensor, rho, "ml")
+    decide = _detector(tensor, rho, "ml")
 
     counts = np.zeros(5, dtype=np.int64)
     for _, n, rng in _chunks(trials, _CHUNK, seed, 0xBE7):
-        if radius_draw:
-            # Trials per row, then the uncertified ones per row; only those
-            # draw a point, an energy and a direction and are built and
-            # scored.  The certified ones add no error.
-            per_row = rng.binomial(rng.multinomial(n, row_share), uncertified)
-            if not (k := int(per_row.sum())):
-                continue
-            if decide is None:
-                decide, arrival_pmf = _detector(tensor, rho, "ml"), _ml_arrival_pmf(cert_energy, M)
-            p_idx = rng.integers(0, points.size, size=k)
-            rows, energy = _ml_tail_energy(rng, cert_energy, arrival_pmf, per_row)
-            m_idx, l_idx = np.divmod(rows, n_states)
-            noise = rng.standard_normal((2, k, M, 2))
-            norm2 = np.einsum("ankc,ankc->n", noise, noise)
-            noise *= (sigma * np.sqrt(energy / norm2))[:, None, None]
-        else:
-            m_idx = rng.integers(0, M, size=n)
-            l_idx = rng.integers(0, n_states, size=n)
-            p_idx = rng.integers(0, points.size, size=n)
-            rows = m_idx * n_states + l_idx
-            noise = _noise(rng, (n, M, 2), sigma)
+        # Trials per row, then the uncertified ones per row; only those draw
+        # a point, an energy and a direction and are built and scored.  The
+        # certified ones add no error.
+        per_row = rng.binomial(rng.multinomial(n, row_share), uncertified)
+        if not (k := int(per_row.sum())):
+            continue
+        p_idx = rng.integers(0, points.size, size=k)
+        rows, energy = _ml_tail_energy(rng, cert_energy, arrival_pmf, per_row)
+        m_idx, l_idx = np.divmod(rows, n_states)
+        noise = rng.standard_normal((2, k, M, 2))
+        norm2 = np.einsum("ankc,ankc->n", noise, noise)
+        noise *= (sigma * np.sqrt(energy / norm2))[:, None, None]
         decided = decide(_frames(clean, rows, points[p_idx], noise))
         # Release the noise before the errors are counted and the next
         # chunk's noise is drawn.

@@ -1,6 +1,7 @@
 """Capacity, detection probability, bit error probability, energy efficiency."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import tracemalloc
@@ -11,6 +12,7 @@ import pytest
 
 from oamsm import metrics, numerics
 from oamsm import (
+    ChannelTensor,
     ConfigError,
     NumericError,
     SystemConfig,
@@ -19,6 +21,7 @@ from oamsm import (
     antenna_detection_prob_avg,
     build_channel_tensor,
     dcmc_capacity,
+    demodulate_ml,
     energy_efficiency,
     gray_gamma,
     mimo_capacity_baseline,
@@ -432,6 +435,35 @@ class TestFrameDistanceTable:
         assert formed == [32]
         assert tensor.nearest_distances is build_channel_tensor(cfg).nearest_distances
 
+    def test_one_hypothesis_table_serves_every_consumer(self, monkeypatch):
+        # The capacity kernel, the distance tables, the ML certificate and
+        # the ML scorer all read the tensor's kept unit_frames: on a fresh
+        # tensor it is formed once, whichever consumer comes first.
+        fresh = build_channel_tensor(dataclasses.replace(SystemConfig()))
+        assert fresh.unit_frames is fresh.unit_frames
+        built = []
+        real = ChannelTensor.unit_frames.func
+
+        def counting(tensor):
+            built.append(tensor)
+            return real(tensor)
+
+        kept = functools.cached_property(counting)
+        kept.__set_name__(ChannelTensor, "unit_frames")
+        monkeypatch.setattr(ChannelTensor, "unit_frames", kept)
+        cfg = dataclasses.replace(SystemConfig(), distance_m=51.0)
+        tensor = build_channel_tensor(cfg)
+        simulate_ber(cfg, [20.0, 60.0], 9000, 5, "ml", tensor=tensor)
+        assert built == [tensor]
+        dcmc_capacity(tensor, cfg.rho_for_snr_db(20.0), cfg.noise_power_w, 30, 3)
+        demodulate_ml(tensor.entries[0, 0], tensor, cfg.rho_for_snr_db(20.0))
+        assert built == [tensor]
+        for kept_array in (tensor.unit_frames, tensor.unit_energies):
+            with pytest.raises(ValueError):
+                kept_array[0] = 0.0
+        assert tensor.unit_frames.shape == (16, 128)
+        assert np.allclose(tensor.unit_energies, np.sum(tensor.unit_frames**2, axis=0), rtol=1e-14, atol=0.0)
+
     def test_kept_table_is_read_only(self, default_tensor):
         table = default_tensor.orbit_distances
         assert table.shape == (32, 128)
@@ -810,9 +842,6 @@ class TestModBep:
         snr = rho * abs(h) ** 2 / nv
         assert mod_bep(h, rho, nv, const, "euclidean") == pytest.approx(
             q_function(math.sqrt(2 * snr)), rel=1e-12
-        )
-        assert mod_bep(h, rho, nv, const, "printed") == pytest.approx(
-            q_function(math.sqrt(8 * snr)), rel=1e-12
         )
 
     def test_euclidean_matches_bpsk_monte_carlo(self, default_config):

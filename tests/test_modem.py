@@ -233,6 +233,19 @@ class TestDetectors:
             truth = [(s.antenna - 1, default_tensor.state_index(s.state), s.point_index) for s in sent]
             assert np.any(got != np.array(truth))
 
+    def test_ml_scorer_reads_the_kept_hypothesis_table(self, default_config):
+        # The scorer forms no frames of its own: with the columns of the
+        # tensor's kept table and energies reversed, every clean frame
+        # decides the mirrored hypothesis.
+        tensor = build_channel_tensor(dataclasses.replace(default_config))
+        rho = default_config.rho_for_snr_db(20.0)
+        hyp = hypotheses(tensor, rho)
+        H = len(hyp)
+        tensor.__dict__["unit_frames"] = tensor.unit_frames[:, ::-1]
+        tensor.__dict__["unit_energies"] = tensor.unit_energies[::-1]
+        decided = modem._detector(tensor, rho, "ml")(hyp)
+        assert np.array_equal(np.ravel_multi_index(decided, (4, 8, 4)), H - 1 - np.arange(H))
+
     def test_ml_at_zero_power_picks_first_hypothesis(self, default_config, default_tensor, default_map):
         # At rho = 0 every hypothesis is the zero frame and scores the same,
         # so the lowest index wins: antenna 1, the first state, point 0.
@@ -327,18 +340,16 @@ def unblocked_ber(config, tensor, snr_db, trials, seed, detector, rows=None, ful
     block by ``reference_decisions``, or in slices of ``rows`` frames where
     one block's residual would not fit in memory.
 
-    ML takes the radius draw where the chi2 cdf predicts that at least 15 %
-    of the trials certify.  Each chunk draws its trials per (m, l) row,
+    ML takes the radius draw.  Each chunk draws its trials per (m, l) row,
     multinomial over the M * L rows, then the uncertified ones per row,
-    binomial with the package's q (``modem._ml_uncertified``: a q of exactly
+    binomial with the package's q (``modem._ml_tail_law``: a q of exactly
     0 draws nothing, so the stream depends on it bit for bit).  Only the k
     uncertified trials draw: their points, then per row a multinomial count
     of the trials at each arrival count i under the restricted Poisson
     weights (scipy's, apart from the package), then Gamma(2M - i) per trial
     in row order, giving the energy t + 2 Gamma, then their (2, k, M, 2)
     directions, rescaled to that norm and scored; the certified trials are
-    counted as decided correctly.  Elsewhere ML draws the whole
-    (2, n, M, 2) frame noise.
+    counted as decided correctly.
     Stepwise draws the (2, n, M) first-antenna noise, decides the antenna by
     the reference rule, then draws (2, n) for the decided pair's second
     sample; the other second samples stay noiseless, as the rule never reads
@@ -355,10 +366,10 @@ def unblocked_ber(config, tensor, snr_db, trials, seed, detector, rows=None, ful
     rho = config.rho_for_snr_db(snr_db)
     sigma = math.sqrt(config.noise_power_w / 2.0)
     cert_energy = (ml_radii(tensor, rho) / sigma) ** 2
-    radius_draw = detector == "ml" and not full_draw and chi2.cdf(cert_energy, 4 * M).mean() >= 0.15
+    radius_draw = detector == "ml" and not full_draw
     n_rows = M * n_states
     if radius_draw:
-        q = modem._ml_uncertified(cert_energy, M)
+        q = modem._ml_tail_law(cert_energy, M)[0]
         # Arrival-count law of every row that can be drawn (q > 0, so t
         # finite); the other rows are never drawn.
         pmf = np.zeros((n_rows, 2 * M))
@@ -388,7 +399,7 @@ def unblocked_ber(config, tensor, snr_db, trials, seed, detector, rows=None, ful
             d = rng.standard_normal((2, row.size, M, 2))
             scale = sigma * np.sqrt(energy / np.sum(d**2, axis=(0, 2, 3)))
             y = sent + scale[:, None, None] * (d[0] + 1j * d[1])
-        elif detector == "ml" or full_draw:
+        elif full_draw:
             y = sent + sigma * (rng.standard_normal((n, M, 2)) + 1j * rng.standard_normal((n, M, 2)))
         else:
             y = sent
@@ -615,14 +626,13 @@ class TestSimulateBer:
     )
     def test_normals_drawn_per_trial(self, request, monkeypatch, name, detector, snr):
         # Stepwise reads the M first-antenna samples and the decided pair's
-        # second sample: 2M + 2 normals per trial.  ML's direct draw reads
-        # whole frames, 4M normals per trial.  Its radius draw takes no
-        # chi2 variate: per chunk, one multinomial and one binomial count
-        # per (m, l) row; per chunk that scores (one ``decide`` call each),
-        # one multinomial count per row and arrival count 0 .. 2M - 1; and
-        # one gamma and 4M normals per scored (uncertified) trial.  Up to
-        # 10 dB ML takes the direct draw, from 30 dB on the radius draw.
-        # 9000 trials span two chunks.
+        # second sample: 2M + 2 normals per trial.  ML's radius draw, at
+        # every SNR, takes no chi2 variate: per chunk, one multinomial and
+        # one binomial count per (m, l) row; per chunk that scores (one
+        # ``decide`` call each), one multinomial count per row and arrival
+        # count 0 .. 2M - 1; and one gamma and 4M normals per scored
+        # (uncertified) trial.  From 30 dB on some trials certify.  9000
+        # trials span two chunks.
         cfg = named_config(request, name)
         drawn = count_draws(monkeypatch)
         scored = count_scored(monkeypatch) if detector == "ml" else []
@@ -632,20 +642,18 @@ class TestSimulateBer:
         if detector == "stepwise":
             assert drawn["standard_normal"] == 9000 * (2 * M + 2)
             assert counts == (0, 0, 0, 0)
-        elif snr >= 30.0:
+        else:
             assert counts == (0, sum(scored), 2 * rows + len(scored) * rows * 2 * M, 2 * rows)
             assert drawn["standard_normal"] == 4 * M * sum(scored)
-            assert sum(scored) < 9000
-        else:
-            assert (drawn["standard_normal"], sum(scored)) == (9000 * 4 * M, 9000)
-            assert counts == (0, 0, 0, 0)
+            if snr >= 30.0:
+                assert sum(scored) < 9000
 
     @pytest.mark.parametrize("trials", [9000, 900_000])
     @pytest.mark.parametrize("name", ["default", "m8", "tiny"])
     def test_certified_run_costs_no_draw_per_trial(self, request, monkeypatch, name, trials):
         # At 80 dB every row's q is 0: a chunk draws its M * L row counts
         # and their uncertified counts, all 0, and nothing per trial; the
-        # scoring basis is never formed and no frame is scored.
+        # scoring basis is formed once per call and no frame is scored.
         cfg = named_config(request, name)
         drawn = count_draws(monkeypatch)
         scored = count_scored(monkeypatch)
@@ -841,19 +849,23 @@ class TestCertifiedMl:
         assert rep.symbol_error_rate == 0.0
 
 
+def uncertified(cert_energy, M):
+    """The q of ``modem._ml_tail_law``: each row's uncertified share."""
+    return modem._ml_tail_law(cert_energy, M)[0]
+
+
 def certified_fraction(cfg, tensor, snr):
     """Predicted share of ML trials that certify in ``cfg`` at ``snr``: 1
-    less the mean of ``modem._ml_uncertified`` over the rows."""
+    less the mean of the q of ``modem._ml_tail_law`` over the rows."""
     sigma = math.sqrt(cfg.noise_power_w / 2.0)
     cert_energy = (ml_radii(tensor, cfg.rho_for_snr_db(snr)) / sigma) ** 2
-    return 1.0 - modem._ml_uncertified(cert_energy, cfg.tx_antennas).mean()
+    return 1.0 - uncertified(cert_energy, cfg.tx_antennas).mean()
 
 
 class TestRadiusDraw:
-    """Once 15 % of ML trials are predicted to certify, ML draws each
-    chunk's trials per row and its uncertified trials per row; only those
-    draw an energy, from the chi2 law conditioned past the certificate,
-    and a direction."""
+    """At every SNR, ML draws each chunk's trials per row and its
+    uncertified trials per row; only those draw an energy, from the chi2
+    law conditioned past the certificate, and a direction."""
 
     @pytest.mark.parametrize("M", [1, 2, 4, 8, 64])
     def test_predicted_fraction_matches_chi2_cdf(self, M):
@@ -863,12 +875,26 @@ class TestRadiusDraw:
         # 1e-25, as q is taken directly, not as 1 less the certified share.
         t = 2.0 * np.logspace(-3, 7, 81)
         want = chi2.sf(t, 4 * M)
-        got = np.array([modem._ml_uncertified(np.array([v]), M)[0] for v in t])
+        got = np.array([uncertified(np.array([v]), M)[0] for v in t])
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
         tail = want > 1e-25
         assert np.allclose(got[tail], want[tail], rtol=1e-11, atol=0.0)
-        assert np.allclose(modem._ml_uncertified(t, M), got, rtol=1e-14, atol=0.0)
-        assert 1.0 - modem._ml_uncertified(t, M).mean() == pytest.approx(chi2.cdf(t, 4 * M).mean(), abs=1e-12)
+        assert np.allclose(uncertified(t, M), got, rtol=1e-14, atol=0.0)
+        assert 1.0 - uncertified(t, M).mean() == pytest.approx(chi2.cdf(t, 4 * M).mean(), abs=1e-12)
+
+    @pytest.mark.parametrize("M", [1, 2, 4, 8, 64])
+    def test_far_tail_keeps_its_relative_accuracy(self, M):
+        # Down to the smallest q scipy gives above 1e-290, within 1e-12
+        # relative, past the Poisson window s +- (13 sqrt(s) + 45) of the
+        # Marcum helper too, where a q of 0 would drop its rows' draws.
+        t = np.linspace(0.0, 2.0 * (2 * M + 1000), 4001)[1:]
+        want = chi2.sf(t, 4 * M)
+        kept = want >= 1e-290
+        got = uncertified(t, M)
+        assert np.allclose(got[kept], want[kept], rtol=1e-12, atol=0.0)
+        s = t[kept] / 2.0
+        assert np.any(s > 2 * M + 13.0 * np.sqrt(s) + 45.0)
+        assert np.all(got[~kept] <= 1e-285)
 
     def test_zero_and_infinite_rows_predict_without_warnings(self, default_config, default_tensor):
         # A radius-0 row (coincident frames) never certifies, an inf row (one
@@ -878,17 +904,17 @@ class TestRadiusDraw:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             t = np.array([0.0, 5e-324, math.inf, 1e-300, 1e300])
-            assert modem._ml_uncertified(t, 4).tolist() == [1.0, 1.0, 0.0, 1.0, 0.0]
+            q, pmf = modem._ml_tail_law(t, 4)
+            assert q.tolist() == [1.0, 1.0, 0.0, 1.0, 0.0]
             # The summed pmf passes 1 by a rounding at some small t (at
             # t / 2 = 1e-6 .. 10 it did for M = 2 .. 64): q stays a
             # probability, as the binomial draw requires.
             small = 2.0 * np.logspace(-6, 1, 2000)
             for M in (2, 4, 8, 64):
-                q = modem._ml_uncertified(small, M)
+                q = uncertified(small, M)
                 assert np.all((q > 0.0) & (q <= 1.0))
                 np.random.default_rng(0).binomial(8192, q)
-            assert modem._ml_uncertified(np.array([0.0, math.inf]), 4).mean() == 0.5
-            pmf = modem._ml_arrival_pmf(t, 4)
+            assert uncertified(np.array([0.0, math.inf]), 4).mean() == 0.5
             # All the mass at i = 0 where t / 2 is 0, subnormal or inf, all
             # but 5e-301 of it where t / 2 is 5e-301, and all but about
             # 7 / 5e299 of it at i = 2M - 1 where t / 2 is 5e299.
@@ -915,28 +941,13 @@ class TestRadiusDraw:
         # tail, where (cdf(x) - cdf(t)) / sf(t) cancels.
         far = chi2.isf(1e-30, 4 * M)
         t = np.array([0.0, 0.2, 2.0, 4.0 * M, far / 4, far / 2, far])
-        pmf = modem._ml_arrival_pmf(t, M)
+        pmf = modem._ml_tail_law(t, M)[1]
         rows, energy = modem._ml_tail_energy(np.random.default_rng(2024), t, pmf, np.full(t.size, 4000))
         for k, tk in enumerate(t):
             drawn = energy[rows == k]
             assert np.all(drawn >= tk)
             sf_t = chi2.sf(tk, 4 * M)
             assert kstest(drawn, lambda x: 1.0 - chi2.sf(x, 4 * M) / sf_t).pvalue > 1e-3
-
-    @pytest.mark.parametrize(
-        "name, snr, radius", [("default", 13.0, False), ("default", 14.0, True), ("m8", 12.0, False), ("m8", 13.0, True)]
-    )
-    def test_sampler_switches_at_fifteen_percent(self, request, monkeypatch, name, snr, radius):
-        # Predicted certified shares 0.131 and 0.175 (default), 0.127 and
-        # 0.163 (8 antennas): the radius draw, which draws row counts, runs
-        # from 0.15 on, and either sampler matches the reference exactly.
-        cfg = named_config(request, name)
-        tensor = build_channel_tensor(cfg)
-        assert (certified_fraction(cfg, tensor, snr) >= 0.15) == radius
-        drawn = count_draws(monkeypatch)
-        rep = simulate_ber(cfg, snr, 9000, 71, "ml", tensor=tensor)
-        assert (drawn["binomial"] > 0) == radius
-        assert rep == reference_report(cfg, tensor, snr, 9000, 71, "ml", rows=256)
 
     @pytest.mark.parametrize("name, snr", [("default", 20.0), ("m8", 17.0), ("psk16", 30.0)])
     def test_predicted_fraction_matches_measured(self, request, monkeypatch, name, snr):
@@ -955,25 +966,32 @@ class TestRadiusDraw:
     @pytest.mark.parametrize(
         "name, snr, trials",
         [
+            ("default", -10.0, 20000),
+            ("default", 0.0, 20000),
+            ("default", 10.0, 20000),
             ("default", 17.0, 20000),
             ("default", 20.0, 20000),
+            ("m8", -10.0, 20000),
+            ("m8", 0.0, 20000),
+            ("m8", 10.0, 20000),
             ("m8", 17.0, 20000),
             ("m8", 20.0, 20000),
             ("psk16", 25.0, 20000),
             ("psk16", 30.0, 20000),
+            ("tiny", 0.0, 80000),
+            ("tiny", 10.0, 80000),
             ("tiny", 15.0, 80000),
         ],
     )
     def test_radius_draw_matches_direct_draw_in_distribution(self, request, name, snr, trials):
-        # Where the radius draw runs (predicted fraction in [1/4, 1)), its
-        # error rates must agree with the full 4M-normal draw's on
-        # independent seeds, within 4 combined standard errors.  Where the
-        # error-prone rows rarely certify, a direction left at its own norm
-        # moves few errors; tiny's rows certify alike, and there it took
-        # 158 of 20 000 symbol errors down to 98.
+        # At every SNR, from where almost no trial certifies to where most
+        # do, the radius draw's error rates must agree with the full
+        # 4M-normal draw's on independent seeds, within 4 combined standard
+        # errors.  Where the error-prone rows rarely certify, a direction
+        # left at its own norm moves few errors; tiny's rows certify alike,
+        # and there it took 158 of 20 000 symbol errors down to 98.
         cfg = named_config(request, name)
         tensor = build_channel_tensor(cfg)
-        assert 0.25 <= certified_fraction(cfg, tensor, snr) < 1.0
         rep = simulate_ber(cfg, snr, trials, 59, "ml", tensor=tensor)
         ref = reference_report(cfg, tensor, snr, trials, 60, "ml", rows=256, full_draw=True)
         for stage in ("bit", "antenna", "state", "symbol"):
@@ -1000,11 +1018,15 @@ class TestSnrGrid:
         assert isinstance(reports, list)
         assert [repr(r) for r in reports] == [repr(r) for r in want]
 
-    def test_takes_any_one_dimensional_sequence(self, default_config, default_tensor):
+    def test_takes_any_one_dimensional_sequence(self, monkeypatch, default_config, default_tensor):
         snrs = np.array(self.SNRS[:3])
         reports = simulate_ber(default_config, snrs, 500, 7, tensor=default_tensor)
         assert reports == [simulate_ber(default_config, snr, 500, 7, tensor=default_tensor) for snr in snrs]
-        assert simulate_ber(default_config, [], 500, 7, tensor=default_tensor) == []
+        # An empty grid decides nothing, so it draws nothing.
+        drawn = count_draws(monkeypatch)
+        for detector in ("stepwise", "ml"):
+            assert simulate_ber(default_config, [], 500, 7, detector, tensor=default_tensor) == []
+        assert "standard_normal" not in drawn
 
     def test_stepwise_draws_each_chunk_once(self, monkeypatch, default_config, default_tensor):
         drawn = count_draws(monkeypatch)
