@@ -33,6 +33,16 @@ one-SNR call, to the bit: report k is the one-SNR call at SNR k with the
 same seed.  The ML radius draw depends on the SNR, so ML runs one pass
 over the same substreams per SNR.
 
+Per chunk, stepwise forms what no SNR changes: the gather rows m * L + l,
+the drawn points and the sent words.  Per SNR it forms only the scaled
+samples, the two decisions, the point slicer and the counts, in blocks of
+at most ``_BLOCK_ELEMS // M`` trials, in one frame buffer and one work
+buffer that every block and SNR of the call reuses.  The decisions run in
+(axis, trial) layout: the antenna from (M, n) powers, the transposed view
+of the (n, M) samples the row gather makes, and the state from (L, n)
+scores, each by one running first maximum over its short leading axis
+(``_first_max``), not by an argmax per trial.
+
 ML trials are certified before they are scored.  A received point closer
 to the sent hypothesis than half that hypothesis's distance to its nearest
 other one lies in its decision region (bounded-distance decoding; Agrell,
@@ -120,7 +130,8 @@ class SymbolMap:
     def word(self, m_idx, l_idx, p_idx):
         """Integer labels of 0-based (antenna, state, point) indices; takes
         scalars or integer arrays."""
-        return (m_idx << (self.state_bits + self.point_bits)) | (l_idx << self.point_bits) | self._gray[p_idx]
+        m_bits = np.left_shift(m_idx, self.state_bits + self.point_bits, dtype=np.intp)
+        return m_bits | np.left_shift(l_idx, self.point_bits, dtype=np.intp) | self._gray[p_idx]
 
     def encode(self, bits: str) -> OamSymbol:
         if len(bits) != self.bits_per_symbol or set(bits) - {"0", "1"}:
@@ -166,19 +177,23 @@ def transmit(
     return _frames(math.sqrt(rho) * h[None], rows, points, noise)[0]
 
 
-def _frames(clean: np.ndarray, rows: np.ndarray, points: np.ndarray, noise: np.ndarray) -> np.ndarray:
+def _frames(clean: np.ndarray, rows: np.ndarray, points: np.ndarray, noise: np.ndarray, out=None) -> np.ndarray:
     """The samples clean[rows] * points, with each point broadcast over the
     table's trailing axes, plus the (2, *shape) ``noise`` from ``_noise``,
-    added plane by plane as the module docstring describes."""
-    y = clean.take(rows, axis=0)
+    added plane by plane as the module docstring describes; formed in
+    ``out`` when given."""
+    # Every row is in range; "clip" spares ``take`` the copy it makes for
+    # ``out`` in its default mode.
+    y = clean.take(rows, axis=0, out=out, mode="clip")
     y *= points.reshape(-1, *(1,) * (y.ndim - 1))
     y.real += noise[0]
     y.imag += noise[1]
     return y
 
 
-# Elements per ML decision block: each block holds rows x hypotheses scores,
-# so memory stays bounded whatever the constellation or array size.
+# Elements per decision block: an ML block holds rows x hypotheses scores and
+# a stepwise block trials x antennas samples, so memory stays bounded
+# whatever the constellation or array size.
 _BLOCK_ELEMS = 1 << 17
 
 
@@ -187,14 +202,14 @@ def _detector(tensor: ChannelTensor, rho: float, rule: str):
     arrays of 0-based (antenna, state, point) indices under ``rule``.
 
     The ML score and the stepwise antenna and state scores are small real
-    products whose argmin or argmax breaks ties to the lowest index, so an
-    all-zero frame decides antenna 1, the first state and point 0.
+    products whose argmin or first maximum breaks ties to the lowest index,
+    so an all-zero frame decides antenna 1, the first state and point 0.
 
     - ``stepwise``: the pair whose first antenna has the largest
       Re^2 + Im^2; then, with z = y0 * conj(y1) over that pair, the state
       maximizing Re(z * e^(-i beta l)) = |z| cos(arg z - beta l), which is
       the signature beta * l nearest the pair phase difference on the circle
-      (the ML rule under the pair-angle constraint), by one (n, 2) @ (2, L)
+      (the ML rule under the pair-angle constraint), by one (L, 2) @ (2, n)
       product, as the signatures are not evenly spaced; then the point whose
       sector holds the phase of w = y0 * conj(ref), ref being the in-ring
       response of the decided (antenna, state): rint(P arg(w) / 2 pi) mod P.
@@ -202,10 +217,17 @@ def _detector(tensor: ChannelTensor, rho: float, rule: str):
       is the point of least residual |y0 - ref * x_p|^2 (Proakis & Salehi,
       Digital Communications, sec. 4.3); a w exactly on a sector boundary
       (probability zero under noise) rounds half to even.
-      The two phases are exposed as ``decide.antenna(first)``, the (n, M)
-      first-antenna samples to m_hat, and ``decide.pair(y0, y1, m_hat)``,
-      the decided pair's two length-n samples to (l_hat, p_hat); ``decide``
-      on full frames composes them and reads nothing else of the frame.
+      Both maxima are taken in (axis, trial) layout by ``_first_max``,
+      whose strict comparison keeps the lowest index on a tie, as argmax
+      does; m_hat and l_hat come in its small unsigned dtype.
+      The two phases are exposed as ``decide.antenna(first, work)``, the
+      (n, M) first-antenna samples to m_hat through the (M, n) transposed
+      view of their powers, and ``decide.pair(y0, y1, m_hat, work)``, the
+      decided pair's two contiguous length-n samples to (l_hat, p_hat)
+      through (L, n) scores.  ``work`` is a float buffer of at least
+      max(2M, L) n entries, which both phases overwrite; ``pair`` forms z
+      in ``y1``.  ``decide`` on full frames composes the two phases and
+      reads nothing else of the frame.
     - ``ml``: the (m, l, p) hypothesis, in that flat order, minimizing the
       Frobenius residual |y - s_h|^2 between the frame and
       s_h = sqrt(rho) * h * x.  Since |y|^2 is common to every hypothesis,
@@ -241,30 +263,60 @@ def _detector(tensor: ChannelTensor, rho: float, rule: str):
         return decide
 
     beta_l = tensor.config.beta_value * np.asarray(tensor.states, dtype=float)
-    state_basis = np.array([np.cos(beta_l), np.sin(beta_l)])  # (2, L)
-    ref = sqrt_rho * tensor.entries[np.arange(M), :, np.arange(M), 0]  # (M, L)
+    state_basis = np.array([np.cos(beta_l), np.sin(beta_l)]).T  # (L, 2)
+    # conj of the in-ring responses sqrt(rho) h_m,m,l, indexed m L + l.
+    ref_conj = (sqrt_rho * tensor.entries[np.arange(M), :, np.arange(M), 0]).conj().reshape(-1)
     sector = points.size / (2.0 * math.pi)
 
-    def antenna(first):
-        return np.argmax(first.real**2 + first.imag**2, axis=1)
+    def antenna(first, work):
+        power, imag2 = work[: 2 * first.size].reshape(2, *first.shape)
+        np.multiply(first.real, first.real, out=power)
+        power += np.multiply(first.imag, first.imag, out=imag2)
+        return _first_max(power.T)
 
-    def pair(y0, y1, m_hat):
-        # (n, 2) float view [Re, Im] of z = y0 * conj(y1).
-        z = (y0 * y1.conj()).view(np.float64).reshape(-1, 2)
-        l_hat = np.argmax(z @ state_basis, axis=1)
-        w = y0 * ref[m_hat, l_hat].conj()
+    def pair(y0, y1, m_hat, work):
+        # z = y0 * conj(y1), formed in y1; its (2, n) planes [Re z; Im z].
+        z = np.multiply(y0, np.conjugate(y1, out=y1), out=y1).view(np.float64).reshape(-1, 2).T
+        l_hat = _first_max(np.matmul(state_basis, z, out=work[: n_states * y0.size].reshape(n_states, -1)))
+        # np.intp: m_hat L in the indices' small dtype could overflow.
+        w = y0 * ref_conj.take(m_hat * np.intp(n_states) + l_hat)
         # + 0.0 turns a signed zero into +0.0, so w = 0 has angle 0.
         p_hat = np.rint(sector * np.arctan2(w.imag + 0.0, w.real + 0.0)).astype(np.intp)
-        return l_hat, p_hat % points.size
+        # mod P, as P is a power of two.
+        return l_hat, p_hat & (points.size - 1)
 
     def decide(y):
-        m_hat = antenna(y[:, :, 0])
+        work = np.empty(max(2 * M, n_states) * len(y))
+        m_hat = antenna(y[:, :, 0], work)
         # ``take`` of flat rows: several times faster than 2-D fancy indexing.
-        decided = y.reshape(-1, 2).take(np.arange(len(y)) * M + m_hat, axis=0)
-        return (m_hat, *pair(decided[:, 0], decided[:, 1], m_hat))
+        y0, y1 = y.reshape(-1, 2).take(np.arange(len(y)) * M + m_hat, axis=0).T.copy()
+        return (m_hat, *pair(y0, y1, m_hat, work))
 
     decide.antenna, decide.pair = antenna, pair
     return decide
+
+
+def _first_max(v: np.ndarray) -> np.ndarray:
+    """The row index of the first maximum in each column of the (K, n)
+    array ``v``: ``np.argmax(v, axis=0)`` for NaN-free ``v``, in the
+    smallest unsigned dtype that holds K - 1.
+
+    One running maximum over the rows: row j takes over only where it is
+    strictly greater, so a tie keeps the lowest row.  As j exceeds every
+    earlier index, the index update is the maximum of the index so far and
+    j where row j took over, with no masked write.  That is four whole-row
+    passes per row against argmax's step per column: cheaper for a few
+    rows (4 or 8 at 8192 columns), dearer for many (64), and a strided view
+    such as the transpose of an (n, K) array is read without a copy.
+    """
+    best = v[0].copy()
+    idx = np.zeros(v.shape[1], dtype=np.min_scalar_type(len(v) - 1))
+    took, step = np.empty(v.shape[1], dtype=bool), np.empty_like(idx)
+    for j in range(1, len(v)):
+        np.greater(v[j], best, out=took)
+        np.maximum(best, v[j], out=best)
+        np.maximum(idx, np.multiply(took, idx.dtype.type(j), out=step), out=idx)
+    return idx
 
 
 def _ml_radii(tensor: ChannelTensor, scale: float) -> np.ndarray:
@@ -460,7 +512,7 @@ def simulate_ber(
 
 def _stepwise_errors(tensor: ChannelTensor, rhos: list, trials: int, seed: int, sigma: float, smap: SymbolMap):
     """(len(rhos), 5) ``_errors`` totals of the stepwise rule: each chunk's
-    one draw, decided at every rho."""
+    one draw, decided at every rho in blocks (module docstring)."""
     M, n_states = tensor.entries.shape[:2]
     points = np.asarray(smap.constellation.points)
     # The two tables of the stepwise draw (module docstring) and the rule,
@@ -470,23 +522,30 @@ def _stepwise_errors(tensor: ChannelTensor, rhos: list, trials: int, seed: int, 
         clean = (math.sqrt(rho) * tensor.entries).reshape(M * n_states, M, 2)
         first, second = np.ascontiguousarray(clean[:, :, 0]), clean[:, :, 1].reshape(-1)
         tables.append((first, second, _detector(tensor, rho, "stepwise")))
+    # Blocks of trials bound the frame and work buffers, which every block
+    # and rho of the call reuses.
+    block = min(max(1, _BLOCK_ELEMS // M), _CHUNK, trials)
+    frame, work = np.empty((block, M), dtype=complex), np.empty(max(2 * M, n_states) * block)
+    flat = np.arange(block) * M
     counts = np.zeros((len(rhos), 5), dtype=np.int64)
     for _, n, rng in _chunks(trials, _CHUNK, seed, 0xBE7):
         sent = rng.integers(0, M, size=n), rng.integers(0, n_states, size=n), rng.integers(0, points.size, size=n)
         first_noise, second_noise = _noise(rng, (n, M), sigma), _noise(rng, (n,), sigma)
-        rows = sent[0] * n_states + sent[1]
-        x = points[sent[2]]
-        flat = np.arange(n) * M
-        for k, (first_table, second_table, decide) in enumerate(tables):
-            # ``_frames`` adds the noise to a gathered copy, so every rho
-            # reads the same draw.
-            first = _frames(first_table, rows, x, first_noise)
-            m_hat = decide.antenna(first)
-            second = _frames(second_table, rows * M + m_hat, x, second_noise)
-            first = first.reshape(-1).take(flat + m_hat)
-            decided = (m_hat, *decide.pair(first, second, m_hat))
-            del first, second
-            counts[k] += _errors(smap, sent, decided)
+        # What no rho changes: the gather rows, the points, the sent words.
+        rows, x, word = sent[0] * n_states + sent[1], points[sent[2]], smap.word(*sent)
+        del sent
+        for lo in range(0, n, block):
+            part, size = slice(lo, lo + block), min(block, n - lo)
+            for k, (first_table, second_table, decide) in enumerate(tables):
+                # ``_frames`` adds the noise to the gathered samples in
+                # ``frame``, so every rho reads the same draw.
+                first = _frames(first_table, rows[part], x[part], first_noise[:, part], frame[:size])
+                m_hat = decide.antenna(first, work)
+                second = _frames(second_table, rows[part] * M + m_hat, x[part], second_noise[:, part])
+                y0 = first.reshape(-1).take(flat[:size] + m_hat)
+                counts[k] += _errors(smap, word[part], (m_hat, *decide.pair(y0, second, m_hat, work)))
+        # Release the chunk's draw before the next one is drawn.
+        del first_noise, second_noise, rows, x, word
     return counts
 
 
@@ -523,22 +582,21 @@ def _ml_errors(tensor: ChannelTensor, rho: float, trials: int, seed: int, sigma:
         # Release the noise before the errors are counted and the next
         # chunk's noise is drawn.
         del noise, rows
-        counts += _errors(smap, (m_idx, l_idx, p_idx), decided)
+        counts += _errors(smap, smap.word(m_idx, l_idx, p_idx), decided)
     return counts
 
 
-def _errors(smap: SymbolMap, sent: tuple, decided: tuple) -> tuple:
+def _errors(smap: SymbolMap, word: np.ndarray, decided: tuple) -> tuple:
     """One chunk's (bit errors, sum of their squares over trials, antenna
-    errors, state errors, symbol errors) from the sent and decided 0-based
-    (antenna, state, point) index arrays."""
-    (m_idx, l_idx, p_idx), (m_hat, l_hat, p_hat) = sent, decided
-    ant_err = m_hat != m_idx
-    st_err = l_hat != l_idx
-    sym_err = ant_err | st_err | (p_hat != p_idx)
-    xor = smap.word(m_idx, l_idx, p_idx) ^ smap.word(m_hat, l_hat, p_hat)
+    errors, state errors, symbol errors) from the sent words and the decided
+    0-based (antenna, state, point) index arrays."""
+    xor = word ^ smap.word(*decided)
     # int64: a dot product of the uint8 counts would overflow.
     per_trial = np.bitwise_count(xor).astype(np.int64)
-    stages = (int(np.count_nonzero(e)) for e in (ant_err, st_err, sym_err))
+    # The word is a bijection, so a stage errs exactly where its bits differ.
+    antenna = xor >> (smap.state_bits + smap.point_bits)
+    state = (xor >> smap.point_bits) & ((1 << smap.state_bits) - 1)
+    stages = (int(np.count_nonzero(e)) for e in (antenna, state, xor))
     return (int(per_trial.sum()), int(per_trial @ per_trial), *stages)
 
 

@@ -333,6 +333,57 @@ class TestDetectors:
         out = demodulate_ml(frame, tensor, 1.0)
         assert (out.antenna, out.state, out.point_index) == (1, 1, 0)
 
+    def test_stepwise_decides_by_the_first_max_phases(self, monkeypatch, default_config, default_tensor):
+        # One stepwise rule: a single frame and a Monte Carlo run both decide
+        # the antenna from (M, n) powers and the state from (L, n) scores
+        # through the first-max helper, once each per decision block.
+        shapes = []
+        first_max = modem._first_max
+        monkeypatch.setattr(modem, "_first_max", lambda v: shapes.append(v.shape) or first_max(v))
+        demodulate_stepwise(np.ones((4, 2)), default_tensor, default_config.rho_for_snr_db(10.0))
+        assert shapes == [(4, 1), (8, 1)]
+        shapes.clear()
+        simulate_ber(default_config, [0.0, 10.0], 9000, 1, tensor=default_tensor)
+        assert shapes == [(4, 8192), (8, 8192)] * 2 + [(4, 808), (8, 808)] * 2
+
+
+class TestFirstMax:
+    """``modem._first_max`` is ``np.argmax(v, axis=0)``, ties to the lowest
+    row, on contiguous rows and on the strided transpose of an (n, K)
+    array."""
+
+    @pytest.mark.parametrize("kind", ["random", "ties", "equal", "inf"])
+    @pytest.mark.parametrize("n", [1, 8192])
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 8, 64, 300])
+    def test_matches_argmax(self, K, n, kind):
+        rng = np.random.default_rng([K, n])
+        if kind == "random":
+            v = rng.standard_normal((K, n))
+        elif kind == "ties":
+            # Small integer values: most columns hold their maximum in
+            # several rows.
+            v = rng.integers(-2, 3, size=(K, n)).astype(float)
+        elif kind == "equal":
+            v = np.repeat(rng.standard_normal((1, n)), K, axis=0)
+        else:
+            v = rng.choice([-np.inf, -1.0, 0.0, 1.0, np.inf], size=(K, n))
+            v[:, 0] = np.inf
+            v[:, -1] = -np.inf
+        for view in (v, np.ascontiguousarray(v.T).T):
+            got = modem._first_max(view)
+            assert np.array_equal(got, np.argmax(view, axis=0))
+            assert np.iinfo(got.dtype).max >= K - 1
+
+
+def traced_peak(call):
+    """The tracemalloc peak, in bytes, of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 def unblocked_ber(config, tensor, snr_db, trials, seed, detector, rows=None, full_draw=False):
     """Reference for ``simulate_ber``: the same draws (8192-trial chunks, one
@@ -689,6 +740,56 @@ class TestSimulateBer:
         finally:
             tracemalloc.stop()
         assert peak <= bound_mib * 2**20
+
+    def test_snr_grid_reuses_the_blocked_buffers(self):
+        # 21 SNRs at the 64-antenna, 1024-PSK config above: every SNR and
+        # block of 2048 trials reuses one frame and one work buffer, so the
+        # grid peaked at 21.1 MiB, 7.7 MiB above one SNR, its 21 pairs of
+        # clean tables taking 5.3 MiB of that.  Deciding whole 8192-trial
+        # chunks at once peaked at 33.4 MiB, inside the one-SNR bound above.
+        cfg = SystemConfig(tx_antennas=64, oam_states=(-1, 1), constellation_order=1024)
+        tensor = build_channel_tensor(cfg)
+        snrs = [float(s) for s in range(-10, 31, 2)]
+        assert traced_peak(lambda: simulate_ber(cfg, snrs, 20000, 5, tensor=tensor)) <= 24 * 2**20
+
+    def test_fig8_sized_grid_memory(self, default_config, default_tensor):
+        # 21 SNRs and 30 000 trials, as fig8 runs.  It peaked at 2.43 MiB
+        # when every SNR formed its own frames, and at 2.76 MiB with one
+        # frame and work buffer per call and each chunk's draw released
+        # before the next.  A 1-trial call first, so that no lazy import
+        # counts.
+        simulate_ber(default_config, 0.0, 1, 0, tensor=default_tensor)
+        snrs = [float(s) for s in range(-10, 31, 2)]
+        peak = traced_peak(lambda: simulate_ber(default_config, snrs, 30000, 5, tensor=default_tensor))
+        assert peak <= 3 * 2**20
+
+    @pytest.mark.parametrize(
+        "changes", [{}, {"distance_m": 100.0}, {"tx_antennas": 8}], ids=["default", "d=100", "M=8"]
+    )
+    def test_stepwise_at_the_top_accepted_snr(self, changes):
+        # No other stepwise test runs above 80 dB.  The samples, powers, pair
+        # products and point slicer stay finite and decide as the reference
+        # does up to the top SNR that rho_for_snr_db accepts, found by
+        # bisection as in test_metrics, alone and inside a grid.
+        cfg = dataclasses.replace(SystemConfig(), **changes)
+        lo, hi = 0, 20000  # accepted and rejected SNRs, in units of 0.5 dB
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                cfg.rho_for_snr_db(mid / 2)
+                lo = mid
+            except ConfigError:
+                hi = mid
+        top = lo / 2
+        tensor = build_channel_tensor(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # The reference squares the ML certificate radii for either
+            # detector; they overflow here, and stepwise never reads them.
+            with np.errstate(over="ignore"):
+                want = reference_report(cfg, tensor, top, 9000, 43, "stepwise")
+            assert simulate_ber(cfg, top, 9000, 43, tensor=tensor) == want
+            assert simulate_ber(cfg, [0.0, top], 9000, 43, tensor=tensor)[1] == want
 
     def test_ber_monotone_in_snr(self, short_range_config, short_range_tensor):
         reps = [
