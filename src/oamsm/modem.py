@@ -11,37 +11,41 @@ Each rule is one batched function (``_detector``); the single-frame
 detectors are 1-row calls into it.
 
 One frame builder (``_frames``) makes received samples from a table of
-clean samples: it gathers the table's leading-axis entries ``rows``,
-scales each by its drawn point (broadcast over the trailing axes), and adds
-in place a noise draw (``_noise``) laid out as (2, *shape): the real plane,
-then the imaginary plane.  ``transmit`` and the ML trials call it on the
-(M * L, M, 2) table of clean frames sqrt(rho) * h, gathered by m * L + l.
-The stepwise trials build only the samples their rule reads, in two calls:
-the M first-antenna samples from the (M * L, M) table, which decide the
-antenna, then the decided pair's second sample from the flat (M * L * M,)
-second-antenna table at (m * L + l) * M + m_hat.  That is 2M + 2 normals
-per trial instead of 4M; the noise left undrawn is independent of every
-sample the rule reads, so the error counts have the same distribution.
+unit-power responses: it gathers the table's leading-axis entries ``rows``,
+scales them by sqrt(rho), multiplies each by its drawn point (broadcast over
+the trailing axes), and adds in place a noise draw (``_noise``) laid out as
+(2, *shape): the real plane, then the imaginary plane.  ``transmit`` and
+the ML trials call it on the (M * L, M, 2) table of frames h, gathered by
+m * L + l.  The stepwise trials draw only the noise their rule reads: the
+M first-antenna samples, whose powers decide the antenna, and the decided
+pair's second sample.  That is 2M + 2 normals per trial instead of 4M; the
+noise left undrawn is independent of every sample the rule reads, so the
+error counts have the same distribution.
 
 The stepwise draw (the indices, the (2, n, M) first-antenna noise, then
 the (2, n) decided-pair noise, all at the config's noise power) depends on
 no SNR.  A ``simulate_ber`` call over several SNRs therefore draws each
-chunk once and decides that draw at every SNR, each from its own clean
-tables and rule: common random numbers across the curve (Law & Kelton,
-Simulation Modeling and Analysis).  Each SNR's counts keep the law of a
-one-SNR call, to the bit: report k is the one-SNR call at SNR k with the
-same seed.  The ML radius draw depends on the SNR, so ML runs one pass
-over the same substreams per SNR.
+chunk once and decides that draw at every SNR, each by its own rule:
+common random numbers across the curve (Law & Kelton, Simulation Modeling
+and Analysis).  Each SNR's counts keep the law of a one-SNR call, to the
+bit: report k is the one-SNR call at SNR k with the same seed.  The ML
+radius draw depends on the SNR, so ML runs one pass over the same
+substreams per SNR.
 
-Per chunk, stepwise forms what no SNR changes: the gather rows m * L + l,
-the drawn points and the sent words.  Per SNR it forms only the scaled
-samples, the two decisions, the point slicer and the counts, in blocks of
-at most ``_BLOCK_ELEMS // M`` trials, in one frame buffer and one work
-buffer that every block and SNR of the call reuses.  The decisions run in
-(axis, trial) layout: the antenna from (M, n) powers, the transposed view
-of the (n, M) samples the row gather makes, and the state from (L, n)
-scores, each by one running first maximum over its short leading axis
-(``_first_max``), not by an argmax per trial.
+Stepwise forms each thing once, where it stops changing.  Per chunk: the
+gather rows m * L + l, the drawn points and the sent words.  Per block of
+at most ``_BLOCK_ELEMS // M`` trials: the SNR-free terms of every pair's
+first-antenna power.  With a = h x the unit-power sample, n its noise and
+s = sqrt(rho), that power is |s a + n|^2 = s^2 |h|^2 + s 2 Re(a conj(n))
++ |n|^2, as every point has unit modulus; the block keeps the three terms
+in (M, n) layout.  Per SNR, which keeps only s and its rule: the powers
+(four passes, by Horner's rule in s), the antenna decision, the decided
+pair's two samples (the scaled table entry times the point, plus that
+pair's noise, as a full frame holds them), the state and point decisions
+and the counts.  Every block and SNR of the call reuses one work buffer.
+The decisions run in (axis, trial) layout, the antenna from the (M, n)
+powers and the state from (L, n) scores, each by one running first maximum
+over its short leading axis (``_first_max``), not by an argmax per trial.
 
 ML trials are certified before they are scored.  A received point closer
 to the sent hypothesis than half that hypothesis's distance to its nearest
@@ -174,17 +178,15 @@ def transmit(
     h = tensor.entries[tensor.antenna_index(symbol.antenna), tensor.state_index(symbol.state)]
     rows, points = np.zeros(1, dtype=np.intp), np.array([symbol.point])
     noise = _noise(rng, (1, *h.shape), math.sqrt(noise_var / 2.0))
-    return _frames(math.sqrt(rho) * h[None], rows, points, noise)[0]
+    return _frames(h[None], rows, math.sqrt(rho), points, noise)[0]
 
 
-def _frames(clean: np.ndarray, rows: np.ndarray, points: np.ndarray, noise: np.ndarray, out=None) -> np.ndarray:
-    """The samples clean[rows] * points, with each point broadcast over the
-    table's trailing axes, plus the (2, *shape) ``noise`` from ``_noise``,
-    added plane by plane as the module docstring describes; formed in
-    ``out`` when given."""
-    # Every row is in range; "clip" spares ``take`` the copy it makes for
-    # ``out`` in its default mode.
-    y = clean.take(rows, axis=0, out=out, mode="clip")
+def _frames(table: np.ndarray, rows: np.ndarray, scale: float, points: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """The samples (scale * table[rows]) * points, with each point broadcast
+    over the table's trailing axes, plus the (2, *shape) ``noise`` from
+    ``_noise``, added plane by plane as the module docstring describes."""
+    y = table.take(rows, axis=0)
+    y *= scale
     y *= points.reshape(-1, *(1,) * (y.ndim - 1))
     y.real += noise[0]
     y.imag += noise[1]
@@ -192,7 +194,7 @@ def _frames(clean: np.ndarray, rows: np.ndarray, points: np.ndarray, noise: np.n
 
 
 # Elements per decision block: an ML block holds rows x hypotheses scores and
-# a stepwise block trials x antennas samples, so memory stays bounded
+# a stepwise block trials x antennas power terms, so memory stays bounded
 # whatever the constellation or array size.
 _BLOCK_ELEMS = 1 << 17
 
@@ -220,14 +222,18 @@ def _detector(tensor: ChannelTensor, rho: float, rule: str):
       Both maxima are taken in (axis, trial) layout by ``_first_max``,
       whose strict comparison keeps the lowest index on a tie, as argmax
       does; m_hat and l_hat come in its small unsigned dtype.
-      The two phases are exposed as ``decide.antenna(first, work)``, the
-      (n, M) first-antenna samples to m_hat through the (M, n) transposed
-      view of their powers, and ``decide.pair(y0, y1, m_hat, work)``, the
-      decided pair's two contiguous length-n samples to (l_hat, p_hat)
-      through (L, n) scores.  ``work`` is a float buffer of at least
-      max(2M, L) n entries, which both phases overwrite; ``pair`` forms z
-      in ``y1``.  ``decide`` on full frames composes the two phases and
-      reads nothing else of the frame.
+      The two phases are exposed as ``decide.antenna(power)``, the (M, n)
+      first-antenna powers to m_hat, and ``decide.pair(y0, y1, m_hat,
+      work)``, the decided pair's two contiguous length-n samples to
+      (l_hat, p_hat) through (L, n) scores in the float buffer ``work``,
+      of at least L n entries; ``pair`` forms z in ``y1`` and w in ``y0``.
+      ``decide`` on full frames forms the powers as Re^2 + Im^2 of the
+      first antennas and reads nothing else of the frame but the decided
+      pair.  The Monte Carlo grid forms them from SNR-free terms instead,
+      as s^2 |h|^2 + s 2 Re(h x conj(n)) + |n|^2 with s = sqrt(rho)
+      (``_stepwise_errors``); like the ML expanded score, that form can
+      change a decision only where two pairs' powers agree to within
+      rounding.
     - ``ml``: the (m, l, p) hypothesis, in that flat order, minimizing the
       Frobenius residual |y - s_h|^2 between the frame and
       s_h = sqrt(rho) * h * x.  Since |y|^2 is common to every hypothesis,
@@ -268,31 +274,33 @@ def _detector(tensor: ChannelTensor, rho: float, rule: str):
     ref_conj = (sqrt_rho * tensor.entries[np.arange(M), :, np.arange(M), 0]).conj().reshape(-1)
     sector = points.size / (2.0 * math.pi)
 
-    def antenna(first, work):
-        power, imag2 = work[: 2 * first.size].reshape(2, *first.shape)
-        np.multiply(first.real, first.real, out=power)
-        power += np.multiply(first.imag, first.imag, out=imag2)
-        return _first_max(power.T)
-
     def pair(y0, y1, m_hat, work):
         # z = y0 * conj(y1), formed in y1; its (2, n) planes [Re z; Im z].
         z = np.multiply(y0, np.conjugate(y1, out=y1), out=y1).view(np.float64).reshape(-1, 2).T
         l_hat = _first_max(np.matmul(state_basis, z, out=work[: n_states * y0.size].reshape(n_states, -1)))
-        # np.intp: m_hat L in the indices' small dtype could overflow.
-        w = y0 * ref_conj.take(m_hat * np.intp(n_states) + l_hat)
+        # w, formed in y0; np.intp: m_hat L in the indices' small dtype
+        # could overflow.
+        w = np.multiply(y0, ref_conj.take(m_hat * np.intp(n_states) + l_hat), out=y0)
         # + 0.0 turns a signed zero into +0.0, so w = 0 has angle 0.
-        p_hat = np.rint(sector * np.arctan2(w.imag + 0.0, w.real + 0.0)).astype(np.intp)
+        phase = np.arctan2(w.imag + 0.0, w.real + 0.0)
+        phase *= sector
+        p_hat = np.rint(phase, out=phase).astype(np.intp)
         # mod P, as P is a power of two.
         return l_hat, p_hat & (points.size - 1)
 
     def decide(y):
         work = np.empty(max(2 * M, n_states) * len(y))
-        m_hat = antenna(y[:, :, 0], work)
+        # The (M, n) powers of the first antennas, from their transposed view.
+        first = y[:, :, 0].T
+        power, imag2 = work[: 2 * first.size].reshape(2, *first.shape)
+        np.multiply(first.real, first.real, out=power)
+        power += np.multiply(first.imag, first.imag, out=imag2)
+        m_hat = _first_max(power)
         # ``take`` of flat rows: several times faster than 2-D fancy indexing.
         y0, y1 = y.reshape(-1, 2).take(np.arange(len(y)) * M + m_hat, axis=0).T.copy()
         return (m_hat, *pair(y0, y1, m_hat, work))
 
-    decide.antenna, decide.pair = antenna, pair
+    decide.antenna, decide.pair = _first_max, pair
     return decide
 
 
@@ -478,8 +486,9 @@ def simulate_ber(
     A 1-D ``snr_db`` returns a list of reports, report k equal to the call
     at ``snr_db[k]`` alone with the same seed; every SNR is checked before
     the first draw.  Stepwise decides each chunk's one draw at every SNR,
-    so the reports' counts are correlated; ML runs one pass over the same
-    substreams per SNR (module docstring).
+    from SNR-free power terms formed once per block, so the reports'
+    counts are correlated; ML runs one pass over the same substreams per
+    SNR (module docstring).
 
     Each standard error is that of the mean of a per-trial count: the bits
     of one codeword err together, so the bit rate's comes from the variance
@@ -512,23 +521,27 @@ def simulate_ber(
 
 def _stepwise_errors(tensor: ChannelTensor, rhos: list, trials: int, seed: int, sigma: float, smap: SymbolMap):
     """(len(rhos), 5) ``_errors`` totals of the stepwise rule: each chunk's
-    one draw, decided at every rho in blocks (module docstring)."""
+    one draw, decided at every rho in blocks from the block's SNR-free power
+    terms (module docstring)."""
     M, n_states = tensor.entries.shape[:2]
     points = np.asarray(smap.constellation.points)
-    # The two tables of the stepwise draw (module docstring) and the rule,
-    # per rho.
-    tables = []
-    for rho in rhos:
-        clean = (math.sqrt(rho) * tensor.entries).reshape(M * n_states, M, 2)
-        first, second = np.ascontiguousarray(clean[:, :, 0]), clean[:, :, 1].reshape(-1)
-        tables.append((first, second, _detector(tensor, rho, "stepwise")))
-    # Blocks of trials bound the frame and work buffers, which every block
-    # and rho of the call reuses.
+    # Unit-power tables: the first antennas and their |h|^2, transposed to
+    # (M, M * L), gathered by m * L + l; either antenna, flat, gathered by
+    # (m * L + l) * M + m_hat.
+    unit = tensor.entries.reshape(M * n_states, M, 2)
+    first = np.ascontiguousarray(unit[:, :, 0])
+    gain_table = np.ascontiguousarray((first.real**2 + first.imag**2).T)
+    first_flat, second_flat = first.reshape(-1), unit[:, :, 1].reshape(-1)
+    rules = [(math.sqrt(rho), _detector(tensor, rho, "stepwise")) for rho in rhos]
+    # One work buffer for every block and rho of the call: three (M, block)
+    # power terms, then a scratch of max(M, L, 2) rows.
     block = min(max(1, _BLOCK_ELEMS // M), _CHUNK, trials)
-    frame, work = np.empty((block, M), dtype=complex), np.empty(max(2 * M, n_states) * block)
+    work = np.empty((3 * M + max(M, n_states, 2)) * block)
     flat = np.arange(block) * M
     counts = np.zeros((len(rhos), 5), dtype=np.int64)
-    for _, n, rng in _chunks(trials, _CHUNK, seed, 0xBE7):
+
+    def decide_chunk(rng, n):
+        # One call per chunk, so no view of its draw outlives it.
         sent = rng.integers(0, M, size=n), rng.integers(0, n_states, size=n), rng.integers(0, points.size, size=n)
         first_noise, second_noise = _noise(rng, (n, M), sigma), _noise(rng, (n,), sigma)
         # What no rho changes: the gather rows, the points, the sent words.
@@ -536,16 +549,50 @@ def _stepwise_errors(tensor: ChannelTensor, rhos: list, trials: int, seed: int, 
         del sent
         for lo in range(0, n, block):
             part, size = slice(lo, lo + block), min(block, n - lo)
-            for k, (first_table, second_table, decide) in enumerate(tables):
-                # ``_frames`` adds the noise to the gathered samples in
-                # ``frame``, so every rho reads the same draw.
-                first = _frames(first_table, rows[part], x[part], first_noise[:, part], frame[:size])
-                m_hat = decide.antenna(first, work)
-                second = _frames(second_table, rows[part] * M + m_hat, x[part], second_noise[:, part])
-                y0 = first.reshape(-1).take(flat[:size] + m_hat)
-                counts[k] += _errors(smap, word[part], (m_hat, *decide.pair(y0, second, m_hat, work)))
-        # Release the chunk's draw before the next one is drawn.
-        del first_noise, second_noise, rows, x, word
+            gain, cross, energy = work[: 3 * M * size].reshape(3, M, size)
+            scratch = work[3 * M * size :]
+            noise = first_noise[:, part]
+            nr, ni = noise.transpose(0, 2, 1)
+            # The terms of |s a + n|^2 = s^2 |h|^2 + s 2 Re(a conj(n)) + |n|^2
+            # per pair and trial, a = h x: (n, M) a is formed across the
+            # energy rows and the scratch, then read as (M, n).  Every row is
+            # in range; "clip" spares ``take`` the copy it makes for ``out``
+            # in its default mode.
+            a_out = work[2 * M * size : 4 * M * size].view(complex).reshape(size, M)
+            a = first.take(rows[part], axis=0, out=a_out, mode="clip")
+            a *= x[part, None]
+            np.multiply(a.real.T, nr, out=cross)
+            cross += np.multiply(a.imag.T, ni, out=gain)
+            cross *= 2.0
+            gain_table.take(rows[part], axis=1, out=gain, mode="clip")
+            np.multiply(nr, nr, out=energy)
+            energy += np.multiply(ni, ni, out=scratch[: M * size].reshape(M, size))
+            for k, (s, decide) in enumerate(rules):
+                power = np.multiply(gain, s, out=scratch[: M * size].reshape(M, size))
+                power += cross
+                power *= s
+                power += energy
+                m_hat = decide.antenna(power)
+                # The decided pair's samples, as a full frame holds them: the
+                # first one's noise is gathered into the scratch, which the
+                # pair phase then overwrites, plane by plane, as ``take``
+                # along an axis copies a non-contiguous source whole.
+                pair_noise = scratch[: 2 * size].reshape(2, size)
+                picked = flat[:size] + m_hat
+                for plane, out in zip(noise, pair_noise):
+                    plane.reshape(-1).take(picked, out=out, mode="clip")
+                at = rows[part] * M + m_hat
+                y0 = _frames(first_flat, at, s, x[part], pair_noise)
+                y1 = _frames(second_flat, at, s, x[part], second_noise[:, part])
+                # Each array is released once read, as the pair phase and
+                # the counts would otherwise raise the call's peak.
+                del picked, at
+                decided = (m_hat, *decide.pair(y0, y1, m_hat, scratch))
+                del y0, y1
+                counts[k] += _errors(smap, word[part], decided)
+
+    for _, n, rng in _chunks(trials, _CHUNK, seed, 0xBE7):
+        decide_chunk(rng, n)
     return counts
 
 
@@ -554,8 +601,8 @@ def _ml_errors(tensor: ChannelTensor, rho: float, trials: int, seed: int, sigma:
     draw of the module docstring."""
     M, n_states = tensor.entries.shape[:2]
     points = np.asarray(smap.constellation.points)
-    # Clean frames of every (antenna, state), gathered by m * L + l.
-    clean = (math.sqrt(rho) * tensor.entries).reshape(M * n_states, M, 2)
+    # Unit-power frames of every (antenna, state), gathered by m * L + l.
+    unit = tensor.entries.reshape(M * n_states, M, 2)
     # A trial whose noise has |z|^2 < r^2 for its codeword's certificate
     # radius r in noise standard deviations is decided correctly
     # (``_ml_radii``).
@@ -578,7 +625,7 @@ def _ml_errors(tensor: ChannelTensor, rho: float, trials: int, seed: int, sigma:
         noise = rng.standard_normal((2, k, M, 2))
         norm2 = np.einsum("ankc,ankc->n", noise, noise)
         noise *= (sigma * np.sqrt(energy / norm2))[:, None, None]
-        decided = decide(_frames(clean, rows, points[p_idx], noise))
+        decided = decide(_frames(unit, rows, math.sqrt(rho), points[p_idx], noise))
         # Release the noise before the errors are counted and the next
         # chunk's noise is drawn.
         del noise, rows

@@ -416,10 +416,10 @@ def unblocked_ber(config, tensor, snr_db, trials, seed, detector, rows=None, ful
     gray = np.asarray([int(lbl, 2) if lbl else 0 for lbl in const.bit_labels])
     rho = config.rho_for_snr_db(snr_db)
     sigma = math.sqrt(config.noise_power_w / 2.0)
-    cert_energy = (ml_radii(tensor, rho) / sigma) ** 2
     radius_draw = detector == "ml" and not full_draw
     n_rows = M * n_states
     if radius_draw:
+        cert_energy = (ml_radii(tensor, rho) / sigma) ** 2
         q = modem._ml_tail_law(cert_energy, M)[0]
         # Arrival-count law of every row that can be drawn (q > 0, so t
         # finite); the other rows are never drawn.
@@ -500,6 +500,48 @@ def reference_report(config, tensor, snr_db, trials, seed, detector, rows=None, 
         snr_db=snr_db,
         seed=seed,
     )
+
+
+def top_accepted_snr(cfg):
+    """The top SNR that ``cfg.rho_for_snr_db`` accepts, in steps of 0.5 dB,
+    found by bisection."""
+    lo, hi = 0, 20000  # accepted and rejected SNRs, in units of 0.5 dB
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            cfg.rho_for_snr_db(mid / 2)
+            lo = mid
+        except ConfigError:
+            hi = mid
+    return lo / 2
+
+
+def frame_rule_counts(cfg, tensor, snrs, trials, seed):
+    """(len(snrs), 5) stepwise ``_errors`` totals of ``simulate_ber``'s draw
+    decided by ``decide(y)`` on full frames built from it at each SNR: every
+    first antenna s h x plus its drawn noise, every second antenna s h x
+    plus the trial's one second-antenna noise, of which the rule reads only
+    the decided pair's."""
+    points = np.asarray(cfg.constellation().points)
+    M, n_states = tensor.entries.shape[:2]
+    smap = cfg._symbol_map
+    sigma = math.sqrt(cfg.noise_power_w / 2.0)
+    counts = np.zeros((len(snrs), 5), dtype=np.int64)
+    for chunk, lo in enumerate(range(0, trials, 8192)):
+        n = min(8192, trials - lo)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(seed, 0xBE7, chunk))))
+        sent = [rng.integers(0, k, size=n) for k in (M, n_states, points.size)]
+        first_noise = sigma * rng.standard_normal((2, n, M))
+        second_noise = sigma * rng.standard_normal((2, n, 1))
+        for k, snr in enumerate(snrs):
+            rho = cfg.rho_for_snr_db(snr)
+            y = math.sqrt(rho) * tensor.entries[sent[0], sent[1]] * points[sent[2], None, None]
+            for part, noise in ((y[:, :, 0], first_noise), (y[:, :, 1], second_noise)):
+                part.real += noise[0]
+                part.imag += noise[1]
+            decided = modem._detector(tensor, rho, "stepwise")(y)
+            counts[k] += modem._errors(smap, smap.word(*sent), decided)
+    return counts
 
 
 def count_draws(monkeypatch):
@@ -772,22 +814,11 @@ class TestSimulateBer:
         # does up to the top SNR that rho_for_snr_db accepts, found by
         # bisection as in test_metrics, alone and inside a grid.
         cfg = dataclasses.replace(SystemConfig(), **changes)
-        lo, hi = 0, 20000  # accepted and rejected SNRs, in units of 0.5 dB
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            try:
-                cfg.rho_for_snr_db(mid / 2)
-                lo = mid
-            except ConfigError:
-                hi = mid
-        top = lo / 2
+        top = top_accepted_snr(cfg)
         tensor = build_channel_tensor(cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            # The reference squares the ML certificate radii for either
-            # detector; they overflow here, and stepwise never reads them.
-            with np.errstate(over="ignore"):
-                want = reference_report(cfg, tensor, top, 9000, 43, "stepwise")
+            want = reference_report(cfg, tensor, top, 9000, 43, "stepwise")
             assert simulate_ber(cfg, top, 9000, 43, tensor=tensor) == want
             assert simulate_ber(cfg, [0.0, top], 9000, 43, tensor=tensor)[1] == want
 
@@ -1151,3 +1182,68 @@ class TestSnrGrid:
         with pytest.raises(ValueError, match="snr"):
             simulate_ber(default_config, snrs, 20000, 3, detector, tensor=default_tensor)
         assert "standard_normal" not in drawn
+
+    @pytest.mark.parametrize(
+        "changes, trials",
+        [
+            ({}, 9000),
+            ({"tx_antennas": 2}, 9000),
+            ({"tx_antennas": 8}, 9000),
+            ({"constellation_order": 16}, 9000),
+            ({"distance_m": 100.0}, 9000),
+            ({"tx_antennas": 64, "oam_states": (-1, 1), "constellation_order": 1024}, 3000),
+        ],
+        ids=["default", "M=2", "M=8", "16-PSK", "d=100", "M=64"],
+    )
+    def test_power_terms_decide_as_full_frames(self, changes, trials):
+        # The grid decides the antenna from per-block SNR-free power terms,
+        # not from first-antenna samples; its totals equal those of full
+        # frames built from the same draw and decided by ``decide(y)``, from
+        # -10 dB to the top accepted SNR.  9000 trials span two chunks; at
+        # M = 64, 3000 span two blocks of one chunk.
+        cfg = dataclasses.replace(SystemConfig(), **changes)
+        tensor = build_channel_tensor(cfg)
+        snrs = [*range(-10, 31, 2), 40, 60, 80, top_accepted_snr(cfg)]
+        sigma = math.sqrt(cfg.noise_power_w / 2.0)
+        rhos = [cfg.rho_for_snr_db(snr) for snr in snrs]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = modem._stepwise_errors(tensor, rhos, trials, 71, sigma, cfg._symbol_map)
+            assert np.array_equal(got, frame_rule_counts(cfg, tensor, snrs, trials, 71))
+
+    def test_grid_builds_only_the_decided_pairs(self, monkeypatch, default_config, default_tensor):
+        # Per SNR and block the grid builds the decided pair's two length-n
+        # samples and no (n, M) frame, and never calls the full-frame rule.
+        shapes = []
+        frames, detector = modem._frames, modem._detector
+
+        def recording(*args):
+            y = frames(*args)
+            shapes.append(y.shape)
+            return y
+
+        def no_full_frames(*args):
+            decide = detector(*args)
+
+            def refuse(y):
+                raise AssertionError("a full frame was decided")
+
+            refuse.antenna, refuse.pair = decide.antenna, decide.pair
+            return refuse
+
+        monkeypatch.setattr(modem, "_frames", recording)
+        monkeypatch.setattr(modem, "_detector", no_full_frames)
+        simulate_ber(default_config, self.SNRS, 9000, 3, tensor=default_tensor)
+        snrs = len(self.SNRS)
+        assert shapes == [(8192,)] * 2 * snrs + [(808,)] * 2 * snrs
+
+    def test_each_chunk_releases_its_draw(self, default_config, default_tensor):
+        # Nothing of a chunk's draw outlives it, so four chunks peak within
+        # 64 KiB of one.  A 1-trial call first, so that no lazy import counts.
+        simulate_ber(default_config, 0.0, 1, 0, tensor=default_tensor)
+        snrs = [float(s) for s in range(-10, 31, 2)]
+        one, four = (
+            traced_peak(lambda: simulate_ber(default_config, snrs, trials, 5, tensor=default_tensor))
+            for trials in (8192, 4 * 8192)
+        )
+        assert four <= one + 64 * 2**10
