@@ -222,18 +222,17 @@ def _detector(tensor: ChannelTensor, rho: float, rule: str):
       Both maxima are taken in (axis, trial) layout by ``_first_max``,
       whose strict comparison keeps the lowest index on a tie, as argmax
       does; m_hat and l_hat come in its small unsigned dtype.
-      The two phases are exposed as ``decide.antenna(power)``, the (M, n)
-      first-antenna powers to m_hat, and ``decide.pair(y0, y1, m_hat,
-      work)``, the decided pair's two contiguous length-n samples to
-      (l_hat, p_hat) through (L, n) scores in the float buffer ``work``,
-      of at least L n entries; ``pair`` forms z in ``y1`` and w in ``y0``.
-      ``decide`` on full frames forms the powers as Re^2 + Im^2 of the
-      first antennas and reads nothing else of the frame but the decided
-      pair.  The Monte Carlo grid forms them from SNR-free terms instead,
-      as s^2 |h|^2 + s 2 Re(h x conj(n)) + |n|^2 with s = sqrt(rho)
-      (``_stepwise_errors``); like the ML expanded score, that form can
-      change a decision only where two pairs' powers agree to within
-      rounding.
+      The pair phase is exposed as ``decide.pair(y0, y1, m_hat, work)``:
+      the decided pair's two contiguous length-n samples to (l_hat, p_hat)
+      through (L, n) scores in the float buffer ``work``, of at least L n
+      entries; it forms z in ``y1`` and w in ``y0``.  ``decide`` on full
+      frames forms the (M, n) powers as Re^2 + Im^2 of the first antennas
+      and reads nothing else of the frame but the decided pair.  The Monte
+      Carlo grid forms them from SNR-free terms instead, as
+      s^2 |h|^2 + s 2 Re(h x conj(n)) + |n|^2 with s = sqrt(rho)
+      (``_stepwise_errors``), and takes their first maximum itself; like
+      the ML expanded score, that form can change a decision only where
+      two pairs' powers agree to within rounding.
     - ``ml``: the (m, l, p) hypothesis, in that flat order, minimizing the
       Frobenius residual |y - s_h|^2 between the frame and
       s_h = sqrt(rho) * h * x.  Since |y|^2 is common to every hypothesis,
@@ -247,7 +246,7 @@ def _detector(tensor: ChannelTensor, rho: float, rule: str):
       residuals agree to within rounding of |y|^2 + |s_h|^2.
     """
     M, n_states = tensor.entries.shape[:2]
-    points = np.asarray(tensor.config.constellation().points)
+    n_points = tensor.config.constellation_order
     sqrt_rho = math.sqrt(rho)
     if rule == "ml":
         basis = (-2.0 * sqrt_rho) * tensor.unit_frames
@@ -264,7 +263,7 @@ def _detector(tensor: ChannelTensor, rho: float, rule: str):
                 score = np.matmul(feats[lo : lo + rows], basis, out=block[: len(y) - lo])
                 score += energy
                 flat[lo : lo + rows] = np.argmin(score, axis=1)
-            return np.unravel_index(flat, (M, n_states, points.size))
+            return np.unravel_index(flat, (M, n_states, n_points))
 
         return decide
 
@@ -272,7 +271,7 @@ def _detector(tensor: ChannelTensor, rho: float, rule: str):
     state_basis = np.array([np.cos(beta_l), np.sin(beta_l)]).T  # (L, 2)
     # conj of the in-ring responses sqrt(rho) h_m,m,l, indexed m L + l.
     ref_conj = (sqrt_rho * tensor.entries[np.arange(M), :, np.arange(M), 0]).conj().reshape(-1)
-    sector = points.size / (2.0 * math.pi)
+    sector = n_points / (2.0 * math.pi)
 
     def pair(y0, y1, m_hat, work):
         # z = y0 * conj(y1), formed in y1; its (2, n) planes [Re z; Im z].
@@ -286,7 +285,7 @@ def _detector(tensor: ChannelTensor, rho: float, rule: str):
         phase *= sector
         p_hat = np.rint(phase, out=phase).astype(np.intp)
         # mod P, as P is a power of two.
-        return l_hat, p_hat & (points.size - 1)
+        return l_hat, p_hat & (n_points - 1)
 
     def decide(y):
         work = np.empty(max(2 * M, n_states) * len(y))
@@ -300,7 +299,7 @@ def _detector(tensor: ChannelTensor, rho: float, rule: str):
         y0, y1 = y.reshape(-1, 2).take(np.arange(len(y)) * M + m_hat, axis=0).T.copy()
         return (m_hat, *pair(y0, y1, m_hat, work))
 
-    decide.antenna, decide.pair = _first_max, pair
+    decide.pair = pair
     return decide
 
 
@@ -552,27 +551,31 @@ def _stepwise_errors(tensor: ChannelTensor, rhos: list, trials: int, seed: int, 
             gain, cross, energy = work[: 3 * M * size].reshape(3, M, size)
             scratch = work[3 * M * size :]
             noise = first_noise[:, part]
-            nr, ni = noise.transpose(0, 2, 1)
             # The terms of |s a + n|^2 = s^2 |h|^2 + s 2 Re(a conj(n)) + |n|^2
-            # per pair and trial, a = h x: (n, M) a is formed across the
-            # energy rows and the scratch, then read as (M, n).  Every row is
-            # in range; "clip" spares ``take`` the copy it makes for ``out``
-            # in its default mode.
+            # per pair and trial, a = h x.  Both noise terms are summed in the
+            # draw's (n, M) layout in the gain slot, then copied transposed
+            # into their (M, n) slots: passes that read the draw transposed
+            # took twice the time at M = 64.  a lies across the energy slot
+            # and the scratch.  Every row is in range; "clip" spares ``take``
+            # the copy it makes for ``out`` in its default mode.
             a_out = work[2 * M * size : 4 * M * size].view(complex).reshape(size, M)
             a = first.take(rows[part], axis=0, out=a_out, mode="clip")
             a *= x[part, None]
-            np.multiply(a.real.T, nr, out=cross)
-            cross += np.multiply(a.imag.T, ni, out=gain)
-            cross *= 2.0
+            term, other = work[: 2 * M * size].reshape(2, size, M)
+            np.multiply(a.real, noise[0], out=term)
+            term += np.multiply(a.imag, noise[1], out=other)
+            np.multiply(term.T, 2.0, out=cross)
+            other = scratch[: M * size].reshape(size, M)
+            np.multiply(noise[0], noise[0], out=term)
+            term += np.multiply(noise[1], noise[1], out=other)
+            np.copyto(energy, term.T)
             gain_table.take(rows[part], axis=1, out=gain, mode="clip")
-            np.multiply(nr, nr, out=energy)
-            energy += np.multiply(ni, ni, out=scratch[: M * size].reshape(M, size))
             for k, (s, decide) in enumerate(rules):
                 power = np.multiply(gain, s, out=scratch[: M * size].reshape(M, size))
                 power += cross
                 power *= s
                 power += energy
-                m_hat = decide.antenna(power)
+                m_hat = _first_max(power)
                 # The decided pair's samples, as a full frame holds them: the
                 # first one's noise is gathered into the scratch, which the
                 # pair phase then overwrites, plane by plane, as ``take``

@@ -1228,7 +1228,7 @@ class TestSnrGrid:
             def refuse(y):
                 raise AssertionError("a full frame was decided")
 
-            refuse.antenna, refuse.pair = decide.antenna, decide.pair
+            refuse.pair = decide.pair
             return refuse
 
         monkeypatch.setattr(modem, "_frames", recording)
@@ -1247,3 +1247,16 @@ class TestSnrGrid:
             for trials in (8192, 4 * 8192)
         )
         assert four <= one + 64 * 2**10
+
+    def test_snr_grid_keeps_no_per_snr_arrays(self):
+        # At 64 antennas and 1024-PSK, 21 SNRs peak within 256 KiB of one:
+        # each SNR keeps sqrt(rho) and a rule of a few KiB.  Two scaled
+        # clean tables per SNR peaked 7.9 MiB above one SNR, and rules that
+        # each held the 1024 points 0.38 MiB above.  A 1-trial call first,
+        # so that no lazy import counts.
+        cfg = SystemConfig(tx_antennas=64, oam_states=(-1, 1), constellation_order=1024)
+        tensor = build_channel_tensor(cfg)
+        simulate_ber(cfg, 0.0, 1, 0, tensor=tensor)
+        snrs = [float(s) for s in range(-10, 31, 2)]
+        one, grid = (traced_peak(lambda: simulate_ber(cfg, snr, 20000, 5, tensor=tensor)) for snr in (10.0, snrs))
+        assert grid <= one + 256 * 2**10
