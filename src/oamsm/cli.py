@@ -137,13 +137,14 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, out_path: str, command: str
     The points of one config object share its tensor, the capacity
     kernel's table of frame distances kept on it and the logdet baseline's
     singular values; a distance sweep builds them at every point.
-    Capacity and ee draw from point (variant, grid index)'s own seed.  BER
-    makes one ``simulate_ber`` call per config object of a variant, under
-    the seed of its first point: in an SNR sweep every point of a variant
-    shares that seed and, under stepwise, each chunk's draw, so the
-    variant's BER cells are correlated, each keeping its own law and
-    standard error; every other sweep makes one call per point.  The
-    ``.meta`` says which.
+    Capacity and ee draw from point (variant, grid index)'s own seed.
+    ``abep`` and BER make one call each per config object of a variant:
+    ``abep`` on the grid of its points' powers, each value bit for bit the
+    one-point call's; ``simulate_ber`` under the seed of its first point.
+    In an SNR sweep every point of a variant shares that seed and, under
+    stepwise, each chunk's draw, so the variant's BER cells are correlated,
+    each keeping its own law and standard error; every other sweep makes
+    one call of each per point.  The ``.meta`` says which seed BER used.
     The base gain is materialized once, so distance grids see genuine
     attenuation, not a re-normalized channel; the headers show the gain as
     configured, its value on the ``resolved_gain`` line.  Each output's
@@ -176,12 +177,15 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, out_path: str, command: str
                 _check_baseline(cfg, cfg.mimo_mode)
             row = dict(zip(columns, (value, label, rho) if spec.variants else (value, rho)))
             plan.append((row, vi, cfg, snr_db, rho, seed_i, tensor))
-    ber = []
-    if "ber" in spec.outputs:
-        # One call per config object of a variant, under its first point's seed.
-        for _, points in itertools.groupby(plan, key=lambda p: (p[1], id(p[2]))):
-            points = list(points)
-            _, _, cfg, _, _, seed_i, tensor = points[0]
+    # The points of one config object of a variant share one abep and one
+    # BER call, the latter under the first point's seed.
+    shared = [list(points) for _, points in itertools.groupby(plan, key=lambda p: (p[1], id(p[2])))]
+    abeps, ber = [], []
+    for points in shared:
+        _, _, cfg, _, _, seed_i, tensor = points[0]
+        if "abep" in spec.outputs:
+            abeps += abep(cfg, [p[4] for p in points], tensor=tensor)
+        if "ber" in spec.outputs:
             ber += simulate_ber(cfg, [p[3] for p in points], cfg.trials, seed_i, cfg.detector, tensor=tensor)
     for i, (row, _, cfg, _, rho, seed_i, tensor) in enumerate(plan):
         values = {}
@@ -190,7 +194,7 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, out_path: str, command: str
             mimo = mimo_capacity_baseline(cfg, rho, cfg.noise_power_w, cfg.mimo_mode, cfg.samples, seed_i).value
             values["capacity"] = (cap.value, cap.std_error, mimo)
         if "abep" in spec.outputs:
-            values["abep"] = (abep(cfg, rho, tensor=tensor),)
+            values["abep"] = (abeps[i],)
         if "ber" in spec.outputs:
             rep = ber[i]
             stages = (rep.antenna_error_rate, rep.state_error_rate, rep.symbol_error_rate)

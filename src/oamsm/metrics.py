@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import ChannelTensor, _check_tensor, _pair_geometry, build_channel_tensor
 from .config import _MIMO_MODES, SystemConfig
-from .errors import ConfigError, NumericError, require
+from .errors import ConfigError, NumericError, _grid, require
 from .numerics import Constellation, _chunks, _distance_blocks, _noise, integrate, marcum_q1, ncx2_pdf, q_function
 
 _LN2 = math.log(2.0)
@@ -341,15 +341,19 @@ def antenna_detection_prob(tensor: ChannelTensor, m: int, l: int, x: complex, rh
 
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct entries of a 1-D array, keyed to 12 significant digits
-    (mirrored geometry reproduces the noncentralities only to rounding):
-    the first entry with each key, and the key index of every entry."""
+    (mirrored geometry reproduces the amplitudes only to rounding): the
+    index of the first entry with each key, and the key index of every
+    entry."""
     keys: dict[str, int] = {}
     inverse = np.array([keys.setdefault(f"{v:.11e}", len(keys)) for v in values.tolist()])
-    return values[np.unique(inverse, return_index=True)[1]], inverse
+    return np.unique(inverse, return_index=True)[1], inverse
 
 
-def antenna_detection_prob_avg(tensor: ChannelTensor, rho: float, noise_var: float) -> float:
-    """Detection probability marginalized uniformly over (m, l, p).
+def antenna_detection_prob_avg(tensor: ChannelTensor, rho, noise_var: float):
+    """Detection probability marginalized uniformly over (m, l, p), at one
+    ``rho`` or at each of a 1-D sequence of them (a list of values, value k
+    the one-``rho`` call at ``rho[k]``; every rho is checked before the first
+    integral).
 
     Every constellation a config builds has unit modulus (PSK, or the one
     point 1), so the average over p is implicit; (m, l) are enumerated.
@@ -360,26 +364,47 @@ def antenna_detection_prob_avg(tensor: ChannelTensor, rho: float, noise_var: flo
     every config the package builds has a single one.  Each integral's
     absolute quadrature error is at most ``_DETECTION_TOL``, so that of the
     average, their weighted mean, is too.  Inside the integrand each distinct
-    other-pair amplitude sqrt(lam_j) is evaluated once.  Both keys round
-    sqrt(lam) to 12 significant digits; each key's first (m, l) stands for it.
+    other-pair amplitude sqrt(lam_j) is evaluated once.
+
+    The grouping depends on no rho, so it is formed once per call: both
+    keys round the unit-power amplitude |h| to 12 significant digits, and
+    each key's first (m, l) stands for it.  Per rho only the
+    representatives' noncentralities, the integrals and their mean are
+    formed, each lam as ``_noncentralities`` forms it.
     """
-    # lam[m, l, j]: pair j's noncentrality when antenna m sends in state l.
-    lam = _noncentralities(tensor.entries[..., 0], 1.0 + 0.0j, rho, noise_var)
-    M, L = lam.shape[:2]
+    rhos, grid = _grid(rho)
+    for r in rhos:
+        _check_link(r, noise_var)
+    M, L = tensor.entries.shape[:2]
     if M == 1:
-        return 1.0
+        values = [1.0] * len(rhos)
+        return values if grid else values[0]
+    # amp[m, l, j]: pair j's unit-power amplitude when antenna m sends in state l.
+    amp = np.abs(tensor.entries[..., 0])
     pair = np.arange(M)
-    own = lam[pair, :, pair].ravel()
-    off_pair = np.broadcast_to(~np.eye(M, dtype=bool)[:, None, :], lam.shape)
-    others = np.sqrt(lam[off_pair]).reshape(M * L, M - 1)
-    groups = _distinct(np.sqrt(own))[1]
-    total = 0.0
-    for g in range(groups.max() + 1):
-        members = np.flatnonzero(groups == g)
-        factors, inverse = _distinct(others[members].ravel())
-        rows = inverse.reshape(members.size, M - 1)
-        total += members.size * _detection_integral(float(own[members[0]]), factors, rows)
-    return total / own.size
+    own = amp[pair, :, pair].ravel()
+    off_pair = np.broadcast_to(~np.eye(M, dtype=bool)[:, None, :], amp.shape)
+    others = amp[off_pair].reshape(M * L, M - 1)
+    first, groups = _distinct(own)
+    # Per group: its size, its count of distinct other amplitudes and its
+    # rows of them; the representatives' amplitudes, own ones first.
+    plan, picks = [], [own[first]]
+    for g in range(first.size):
+        members = others[groups == g]
+        reps, inverse = _distinct(members.ravel())
+        picks.append(members.ravel()[reps])
+        plan.append((len(members), reps.size, inverse.reshape(members.shape)))
+    power = np.concatenate(picks) ** 2
+    values = []
+    for r in rhos:
+        lam = r * power / (noise_var / 2.0)
+        factors = np.sqrt(lam[first.size :])
+        total, start = 0.0, 0
+        for g, (size, count, rows) in enumerate(plan):
+            total += size * _detection_integral(float(lam[g]), factors[start : start + count], rows)
+            start += count
+        values.append(total / own.size)
+    return values if grid else values[0]
 
 
 def gray_gamma(n: int) -> float:
@@ -404,8 +429,9 @@ def mod_bep(
     Pairwise union form: (1 / (P log2 P)) * sum over ordered pairs of the
     label Hamming distance times Q(sqrt(rho |h|^2 |x_p - x_q|^2 / (2 sigma^2))),
     which matches a maximum-likelihood scalar detector (``euclidean``, the
-    one ``distance_mode``).  A 1-point constellation carries no bits and
-    gives 0.
+    one ``distance_mode``).  The pairs' Hamming distances and |x_p - x_q|^2
+    are the constellation's table, formed once; the sum runs in (p, q)
+    order.  A 1-point constellation carries no bits and gives 0.
     """
     require("distance_mode", distance_mode, _DISTANCE_MODES, ConfigError)
     require("|h|", abs(h), "finite and > 0")
@@ -413,22 +439,18 @@ def mod_bep(
     P = constellation.order
     if P == 1:
         return 0.0
-    nbits = constellation.bits_per_symbol
-    points = constellation.points
-    labels = constellation.bit_labels
     scale = rho * abs(h) ** 2 / (2.0 * noise_var)
     total = 0.0
-    for p in range(P):
-        for q in range(P):
-            if p == q:
-                continue
-            hamming = sum(c1 != c2 for c1, c2 in zip(labels[p], labels[q]))
-            total += hamming * q_function(math.sqrt(scale * abs(points[p] - points[q]) ** 2))
-    return total / (P * nbits)
+    for hamming, d2 in constellation._pair_table.tolist():
+        total += hamming * q_function(math.sqrt(scale * d2))
+    return total / (P * constellation.bits_per_symbol)
 
 
-def abep(config: SystemConfig, rho: float, tensor: ChannelTensor | None = None) -> float:
-    """Average bit error probability of the full demodulation chain.
+def abep(config: SystemConfig, rho, tensor: ChannelTensor | None = None):
+    """Average bit error probability of the full demodulation chain, at one
+    ``rho`` or at each of a 1-D sequence of them: a list of values, value k
+    bit for bit the one-``rho`` call at ``rho[k]``.  Every rho is checked
+    before the tensor is built and before the first integral.
 
     Composes the antenna-index stage with the constellation stage as
     1 - (1 - e_ant)(1 - e_mod); the state stage is error-free under the
@@ -436,26 +458,37 @@ def abep(config: SystemConfig, rho: float, tensor: ChannelTensor | None = None) 
     stage is the averaged detection miss weighted by gamma_{log2 M} / log2 M,
     and 0 for a single antenna, which carries no index bits.  The
     constellation stage is ``mod_bep`` averaged uniformly over the in-ring
-    gains of every (m, l).
+    gains of every (m, l).  The tensor check, the constellation and the
+    groupings by gain and amplitude depend on no rho and are formed once
+    per call (``antenna_detection_prob_avg``); per rho come the detection
+    integrals and the ``mod_bep`` sums.
     """
+    rhos, grid = _grid(rho)
     noise_var = config.noise_power_w
-    _check_link(rho, noise_var)
+    for r in rhos:
+        _check_link(r, noise_var)
     if tensor is None:
         tensor = build_channel_tensor(config)
     _check_tensor(tensor, config)
     M = tensor.entries.shape[0]
-    e_ant = 0.0
+    e_ant = [0.0] * len(rhos)
     if M > 1:
         nbits = M.bit_length() - 1
-        e_ant = (1.0 - antenna_detection_prob_avg(tensor, rho, noise_var)) * gray_gamma(nbits) / nbits
+        gamma = gray_gamma(nbits)
+        e_ant = [(1.0 - p) * gamma / nbits for p in antenna_detection_prob_avg(tensor, rhos, noise_var)]
     const = config.constellation()
     # mod_bep depends on h through |h| only: one call per distinct gain
     # (keyed as in the detection average), summed in (m, l) order.
     pair = np.arange(M)
-    gains, inverse = _distinct(np.abs(tensor.entries[pair, :, pair, 0]).ravel())
-    by_gain = [mod_bep(g, rho, noise_var, const) for g in gains.tolist()]
-    e_mod = sum(by_gain[g] for g in inverse.tolist()) / inverse.size
-    return 1.0 - (1.0 - e_ant) * (1.0 - e_mod)
+    gain = np.abs(tensor.entries[pair, :, pair, 0]).ravel()
+    first, inverse = _distinct(gain)
+    gains, inverse = gain[first].tolist(), inverse.tolist()
+    values = []
+    for r, e in zip(rhos, e_ant):
+        by_gain = [mod_bep(g, r, noise_var, const) for g in gains]
+        e_mod = sum(by_gain[g] for g in inverse) / len(inverse)
+        values.append(1.0 - (1.0 - e) * (1.0 - e_mod))
+    return values if grid else values[0]
 
 
 def energy_efficiency(capacity_bits: float, rho: float, config: SystemConfig, n_active: int) -> float:

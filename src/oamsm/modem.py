@@ -84,7 +84,7 @@ import numpy as np
 
 from .channel import ChannelTensor, _check_tensor, _position, build_channel_tensor
 from .config import _DETECTORS, SystemConfig, _check_symbol_axes, _state, _state_index
-from .errors import ConfigError, require
+from .errors import ConfigError, _grid, require
 from .numerics import Constellation, _chunks, _noise
 
 
@@ -502,10 +502,7 @@ def simulate_ber(
     _check_tensor(tensor, config)
     if (order := tensor.config.constellation_order) != config.constellation_order:
         raise ConfigError(f"tensor built for constellation order {order}, config has {config.constellation_order}")
-    # A list is a grid and a plain number is not, without np.ndim: it costs
-    # 2 us through np.asarray, and fails on a list holding an array.
-    grid = isinstance(snr_db, (list, tuple)) or (not isinstance(snr_db, (int, float)) and np.ndim(snr_db) == 1)
-    snrs = list(snr_db) if grid else [snr_db]
+    snrs, grid = _grid(snr_db)
     rhos = [config.rho_for_snr_db(s) for s in snrs]
     smap = config._symbol_map
     sigma = math.sqrt(config.noise_power_w / 2.0)

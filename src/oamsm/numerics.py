@@ -4,7 +4,7 @@ Contents
 --------
 q_function          Gaussian tail probability.
 marcum_q1           First-order Marcum Q: Poisson-window series, large-a expansion;
-                    broadcasts a against b, one shared pmf block for all a.
+                    broadcasts a against b, one shared pass per regime for all a.
 ncx2_pdf, ncx2_cdf  Noncentral chi-square with two degrees of freedom.
 integrate           Adaptive Gauss-Kronrod quadrature on a finite interval,
                     seeded at caller-given breakpoints.
@@ -16,6 +16,8 @@ from concurrent workers.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -66,44 +68,51 @@ _BLOCK_ELEMENTS = 1_000_000
 
 
 def _poisson_pmf_dots(coefs: list, y: np.ndarray) -> np.ndarray:
-    """sum_k coef[k] * P(Poisson(y) = k) for every window ``coef`` in
-    ``coefs`` and every y > 0, inf included: one row per window.
+    """sum_k coef[k] * P(Poisson(y) = k) for every window ``coef`` and every
+    y > 0, inf included.  ``coefs`` holds the windows in groups of one
+    width, each a (windows, width) array; the result has one row per
+    window, in that order.
 
     A point whose Poisson bulk y +- (13 sqrt(y) + 45) lies above a window
-    0 .. len(coef) - 1 gets 0 there: its pmf there is below ~1e-30.  The
-    test forms no inf - inf.  The pmf block exp(k log y - y - ln k!)
-    depends on y alone, so it is formed once, for the widest window over
-    the points near any window, in blocks of at most ``_BLOCK_ELEMENTS``.
-    Each window then takes its own rows and its own near columns of it, in
-    the order of ``y``: while one block holds the widest window, a row
-    is bit for bit what that window gives alone.
+    0 .. width - 1 gets 0 there: its pmf there is below ~1e-30.  The test
+    forms no inf - inf, and runs once per width.  The pmf block exp(k log y
+    - y - ln k!) depends on y alone, so it is formed once, for the widest
+    window over the points near any window, in blocks of at most
+    ``_BLOCK_ELEMENTS``.  Each width takes its own rows and its own near
+    columns of it, and each of its windows sums them by its own
+    matrix-vector product, in the order of ``y``: while one block holds the
+    widest window, a row is bit for bit what that window gives alone.
     """
-    out = np.zeros((len(coefs), y.size))
+    out = np.zeros((sum(len(coef) for coef in coefs), y.size))
     slack = 13.0 * np.sqrt(y) + 45.0
-    width = max(coef.size for coef in coefs)
+    width = max(coef.shape[1] for coef in coefs)
     near_any = y < width + slack
-    if not np.any(near_any):
+    if not near_any.any():
         return out
+    # Every window sums into its row of ``acc``, over the points near any.
+    acc = out if near_any.all() else np.zeros((len(out), np.count_nonzero(near_any)))
     yn, slack = y[near_any], slack[near_any]
-    near = [yn < coef.size + slack for coef in coefs]
-    # A window near every point reads its rows of the block as a view.
+    near = [yn < coef.shape[1] + slack for coef in coefs]
+    # A width near every point reads its rows of the block as a view.
     near = [slice(None) if cols.all() else cols for cols in near]
     log_y = np.log(yn)
     ks = np.arange(width)
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(ks[1:]))))
     rows = max(1, _BLOCK_ELEMENTS // yn.size)
-    sums = [np.zeros_like(yn[cols]) for cols in near]
     for start in range(0, width, rows):
         block = np.multiply.outer(ks[start : start + rows], log_y)
         block -= yn
         block -= log_fact[start : start + rows, None]
         np.exp(block, out=block)
-        for coef, cols, acc in zip(coefs, near, sums):
-            if start < coef.size:
-                acc += coef[start : start + rows] @ block[: coef.size - start, cols]
-    columns = np.flatnonzero(near_any)
-    for row, cols, acc in zip(out, near, sums):
-        row[columns[cols]] = acc
+        first = 0
+        for coef, cols in zip(coefs, near):
+            if start < coef.shape[1]:
+                part = block[: coef.shape[1] - start, cols]
+                for row, window in enumerate(coef[:, start : start + rows], first):
+                    acc[row, cols] += window @ part
+            first += len(coef)
+    if acc is not out:
+        out[:, near_any] = acc
     return out
 
 
@@ -134,32 +143,45 @@ _MARCUM_COEF = _marcum_large_coefficients(_MARCUM_ORDERS)
 _MARCUM_PARITY = (-1.0) ** np.arange(_MARCUM_ORDERS)
 
 
-def _marcum_q1_large(a: float, b: np.ndarray) -> np.ndarray:
-    """Q1(a, b) for a >= _MARCUM_LARGE_A from the expansion above.
+def _marcum_q1_large(amps: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Q1(amps[u], b[p]) for amplitudes >= _MARCUM_LARGE_A from the
+    expansion above, as an (amps, points) table.
 
     With s = |b - a|, the tail moments M_j(s) = int_s^inf t^j phi(t) dt come
     from M_0 = erfc(s / sqrt 2) / 2, M_1 = phi(s) and the all-positive
     recurrence M_j = s^(j-1) phi(s) + (j - 1) M_(j-2).  For b >= a this gives
     Q1 directly; for b < a the lower tail 1 - Q1 is the same sum over
-    (-t)^j, so the sum always gives the smaller of the two tails.
+    (-t)^j, so the sum always gives the smaller of the two tails.  The
+    recurrence is elementwise, so it runs on every amplitude at once, in an
+    (amps, orders, points) layout of at most ``_BLOCK_ELEMENTS`` moments a
+    block; each amplitude then sums its own contiguous (orders, points)
+    slice by its own matrix-vector products.
     """
-    c = b - a
-    # phi(40) underflows to 0, so beyond it every moment is 0 and Q1 is 0 or 1.
-    s = np.minimum(np.abs(c), 40.0)
-    phi = np.exp(-0.5 * s * s) / math.sqrt(2.0 * math.pi)
-    moments = np.empty((_MARCUM_ORDERS, s.size))
-    # math.erfc at C speed; the same IEEE operations as a loop over s.
-    moments[0] = np.fromiter(map(math.erfc, (s / _SQRT2).tolist()), float, s.size)
-    moments[0] *= 0.5
-    moments[1] = phi
-    power = phi
-    for j in range(2, _MARCUM_ORDERS):
-        power = power * s
-        moments[j] = power + (j - 1) * moments[j - 2]
-    weights = (1.0 / a) ** np.arange(_MARCUM_ORDERS) @ _MARCUM_COEF
-    upper = weights @ moments
-    lower = (weights * _MARCUM_PARITY) @ moments
-    return np.where(c >= 0.0, upper, 1.0 - lower)
+    out = np.empty((amps.size, b.size))
+    per_block = max(1, _BLOCK_ELEMENTS // (_MARCUM_ORDERS * max(1, b.size)))
+    # Every block fills the leading rows of one buffer.
+    buffer = np.empty((min(per_block, amps.size), _MARCUM_ORDERS, b.size))
+    for first in range(0, amps.size, per_block):
+        part = amps[first : first + per_block]
+        c = b - part[:, None]
+        # phi(40) underflows to 0, so beyond it every moment is 0 and Q1 is 0 or 1.
+        s = np.minimum(np.abs(c), 40.0)
+        phi = np.exp(-0.5 * s * s) / math.sqrt(2.0 * math.pi)
+        moments = buffer[: part.size]
+        # math.erfc at C speed; the same IEEE operations as a loop over s.
+        moments[:, 0] = np.fromiter(map(math.erfc, (s / _SQRT2).ravel().tolist()), float, s.size).reshape(s.shape)
+        moments[:, 0] *= 0.5
+        moments[:, 1] = phi
+        power = phi
+        for j in range(2, _MARCUM_ORDERS):
+            power = power * s
+            moments[:, j] = power + (j - 1) * moments[:, j - 2]
+        for u, a in enumerate(part.tolist()):
+            weights = (1.0 / a) ** np.arange(_MARCUM_ORDERS) @ _MARCUM_COEF
+            upper = weights @ moments[u]
+            lower = (weights * _MARCUM_PARITY) @ moments[u]
+            out[first + u] = np.where(c[u] >= 0.0, upper, 1.0 - lower)
+    return out
 
 
 def _marcum_q1_table(amps: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -167,30 +189,52 @@ def _marcum_q1_table(amps: np.ndarray, b: np.ndarray) -> np.ndarray:
     as an unclipped (amps, points) table; ``marcum_q1`` documents the
     regimes."""
     y = 0.5 * b * b
-    # Q1(0, b) = e^-y; Q1(a, 0) = 1 exactly, and y = 0 has no log-pmf.
+    # Q1(a, 0) = 1 exactly, and y = 0 has no log-pmf: the regimes fill the
+    # columns of the positive points, all of the table when every one is.
     out = np.ones((amps.size, b.size))
     positive = y > 0.0
-    rows, tails = [], []
+    if not positive.any():
+        return out
+    table = out if positive.all() else np.empty((amps.size, np.count_nonzero(positive)))
+    y = y[positive]
+    zero, large, windows = [], [], {}
     for u, a in enumerate(amps.tolist()):
         h = 0.5 * a * a
         if h == 0.0:
-            out[u] = np.exp(-y)
+            zero.append(u)
         elif a >= _MARCUM_LARGE_A:
-            out[u, positive] = _marcum_q1_large(a, b[positive])
+            large.append(u)
         else:
             # Q1 = sum_n w_n P(Poisson(y) <= n) = sum_j P(Poisson(y) = j)
             # tail_j, with w_n the Poisson(h) weights and tail_j = sum_{n >=
             # j} w_n.  The weights are kept for n <= h + 13 sqrt(h) + 45; the
             # mass beyond is below ~1e-30, and below a = 12 the window h +-
-            # (13 sqrt(h) + 45) starts at n = 0.  Scaling them to unit sum
-            # removes the rounding their cumulative log pmf shares, so the
-            # tails near 1 keep only the rounding of their own sums.
-            ns = np.arange(1, int(math.ceil(h + 13.0 * math.sqrt(h) + 45.0)) + 1)
-            w = np.exp(np.concatenate(([0.0], np.cumsum(math.log(h) - np.log(ns)))) - h)
-            rows.append(u)
-            tails.append(np.cumsum((w / np.sum(w))[::-1])[::-1])
-    if tails and np.any(positive):
-        out[np.ix_(rows, positive)] = _poisson_pmf_dots(tails, y[positive])
+            # (13 sqrt(h) + 45) starts at n = 0.  Amplitudes of one window
+            # width share its arrays.
+            width = int(math.ceil(h + 13.0 * math.sqrt(h) + 45.0)) + 1
+            windows.setdefault(width, []).append((u, h, math.log(h)))
+    if zero:  # Q1(0, b) = e^-y
+        table[zero] = np.exp(-y)
+    if large:
+        table[large] = _marcum_q1_large(amps[large], b[positive])
+    if windows:
+        rows, tails = [], []
+        for width, group in windows.items():
+            us, hs, log_hs = zip(*group)
+            h = np.array(hs)[:, None]
+            # Row by row this is the one-window computation: numpy's
+            # row-wise cumsum and sum match the 1-D calls bit for bit.
+            steps = np.array(log_hs)[:, None] - np.log(np.arange(1, width))
+            w = np.exp(np.concatenate((np.zeros((len(us), 1)), np.cumsum(steps, axis=1)), axis=1) - h)
+            # Scaling the weights to unit sum removes the rounding their
+            # cumulative log pmf shares, so the tails near 1 keep only the
+            # rounding of their own sums.
+            w /= np.sum(w, axis=1, keepdims=True)
+            rows += us
+            tails.append(np.cumsum(w[:, ::-1], axis=1)[:, ::-1])
+        table[rows] = _poisson_pmf_dots(tails, y)
+    if table is not out:
+        out[:, positive] = table
     return out
 
 
@@ -225,40 +269,49 @@ def marcum_q1(a, b):
     give a float.  Work is grouped by distinct amplitude.  Where ``b`` has
     stride 0 along every axis that ``a`` varies along (a (F, 1) column
     against b of shape (n,), or a broadcast view of shape (F, n)), the
-    amplitudes share its points: the window regime's Poisson(b^2 / 2) pmf
-    block is formed once, for the widest window, and each amplitude sums
-    its own rows and near columns of it.  Otherwise each amplitude gathers
-    its own points.  The large-a regime stays one pass per amplitude: its
-    moments enter a matrix product whose last bit can depend on the column
-    count, so pooling them across amplitudes could move a value.  So each
-    value is bit for bit what a scalar-``a`` call on the same points
-    gives, while one block (1e6 pmf values) holds the widest window.
+    amplitudes share its points.  The window regime builds its weight tails
+    once per window width and its Poisson(b^2 / 2) pmf block once, for the
+    widest window; each amplitude sums its own rows and near columns of it.
+    The large-a regime runs its moment recurrence once for all of its
+    amplitudes.  Otherwise each amplitude gathers its own points.  Pooling
+    moves no bit: the tails' exp and row-wise cumsum and sum, and the
+    moments' erfc, phi and power-and-add steps, are elementwise or run
+    along one row, as in a one-amplitude call; only a matrix product can
+    round differently with its shape, and each amplitude keeps its own, a
+    vector against its own contiguous rows.  So each value is bit for bit
+    what a scalar-``a`` call on the same points gives, while one block (1e6
+    pmf values) holds the widest window.  A scalar ``a`` calls the table
+    directly, without the grouping.
 
     Nonincreasing in ``b``, nondecreasing in ``a``; the range is [0, 1],
     and Q1(a, 0) = 1 exactly.
     """
-    require("a", a, "finite and >= 0 in every entry")
+    scalar_a = np.ndim(a) == 0
+    require("a", a, "finite and >= 0" if scalar_a else "finite and >= 0 in every entry")
     require("b", b, "finite and >= 0 in every entry")
     a_arr, b_arr = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    shape = np.broadcast_shapes(a_arr.shape, b_arr.shape)
-    # The distinct amplitudes, and the index of each entry's among them.
-    index: dict[float, int] = {}
-    inverse = np.array([index.setdefault(v, len(index)) for v in a_arr.ravel().tolist()], dtype=np.intp)
-    inverse = inverse.reshape((1,) * (len(shape) - a_arr.ndim) + a_arr.shape)
-    amps = np.array(list(index), dtype=float)
-    b_full = np.broadcast_to(b_arr, shape)
-    # Where b has stride 0 along every axis that a varies along, one slice
-    # across those axes holds every amplitude's points.
-    varies = [n > 1 for n in inverse.shape]
-    if all(stride == 0 for stride, v in zip(b_full.strides, varies) if v):
-        points = b_full[tuple(slice(1) if v else slice(None) for v in varies)]
-        table = _marcum_q1_table(amps, points.ravel())
-        out = table[inverse, np.arange(points.size).reshape(points.shape)]
+    if scalar_a:
+        out = _marcum_q1_table(a_arr.reshape(1), b_arr.ravel()).reshape(b_arr.shape)
     else:
-        out = np.empty(shape)
-        for u in range(amps.size):
-            mask = np.broadcast_to(inverse == u, shape)
-            out[mask] = _marcum_q1_table(amps[u : u + 1], b_full[mask])[0]
+        shape = np.broadcast_shapes(a_arr.shape, b_arr.shape)
+        # The distinct amplitudes, and the index of each entry's among them.
+        index: dict[float, int] = {}
+        inverse = np.array([index.setdefault(v, len(index)) for v in a_arr.ravel().tolist()], dtype=np.intp)
+        inverse = inverse.reshape((1,) * (len(shape) - a_arr.ndim) + a_arr.shape)
+        amps = np.array(list(index), dtype=float)
+        b_full = np.broadcast_to(b_arr, shape)
+        # Where b has stride 0 along every axis that a varies along, one slice
+        # across those axes holds every amplitude's points.
+        varies = [n > 1 for n in inverse.shape]
+        if all(stride == 0 for stride, v in zip(b_full.strides, varies) if v):
+            points = b_full[tuple(slice(1) if v else slice(None) for v in varies)]
+            table = _marcum_q1_table(amps, points.ravel())
+            out = table[inverse, np.arange(points.size).reshape(points.shape)]
+        else:
+            out = np.empty(shape)
+            for u in range(amps.size):
+                mask = np.broadcast_to(inverse == u, shape)
+                out[mask] = _marcum_q1_table(amps[u : u + 1], b_full[mask])[0]
     out = np.clip(out, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 
@@ -503,6 +556,17 @@ class Constellation:
     @property
     def bits_per_symbol(self) -> int:
         return self.order.bit_length() - 1
+
+    @functools.cached_property
+    def _pair_table(self) -> np.ndarray:
+        """(label Hamming distance, |x_p - x_q|^2) of every ordered pair p !=
+        q, in (p, q) order: ``metrics.mod_bep``'s table, formed on first use."""
+        pts, labels = self.points, self.bit_labels
+        flat = itertools.chain.from_iterable(
+            (sum(c1 != c2 for c1, c2 in zip(labels[p], labels[q])), abs(pts[p] - pts[q]) ** 2)
+            for p, q in itertools.permutations(range(self.order), 2)
+        )
+        return np.fromiter(flat, float, 2 * self.order * (self.order - 1)).reshape(-1, 2)
 
 
 def psk_constellation(order: int) -> Constellation:

@@ -531,6 +531,18 @@ class TestRunSweep:
             cols = ("ber_sim", "ber_sim_stderr", "antenna_err_rate", "state_err_rate", "symbol_err_rate")
             assert [row[c] for c in cols] == [str(v) for v in want]
 
+    @pytest.mark.parametrize("figure, variants", [("fig8", 1), ("fig9", 6), ("fig10", 6)])
+    def test_snr_sweep_abep_is_one_call_per_variant(self, tmp_path, monkeypatch, figure, variants):
+        calls = count_output_calls(monkeypatch)
+        assert main(["preset", figure, "--trials", "300", "--out", str(tmp_path / "f.csv")]) == 0
+        assert calls.count("abep") == variants
+
+    def test_distance_sweep_abep_is_one_call_per_point(self, tmp_path, monkeypatch):
+        calls = count_output_calls(monkeypatch)
+        argv = ["run", "--sweep", "distance", "--from", "10", "--to", "100", "--step", "30", "--outputs", "abep"]
+        assert main(argv + ["--out", str(tmp_path / "d.csv")]) == 0
+        assert calls == ["abep"] * 4
+
     def test_ber_and_abep_columns(self, tmp_path):
         spec = tiny_spec(outputs=("abep", "ber"), overrides={"trials": 400})
         rows = run_sweep(SystemConfig(), spec, str(tmp_path / "b.csv"))

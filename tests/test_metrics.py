@@ -983,6 +983,79 @@ class TestAbep:
             assert antenna_detection_prob(default_tensor, m, l, 1.0, cfg.rho_for_snr_db(snr), nv) == want
 
 
+class TestAbepGrid:
+    CONFIGS = {
+        "default": {},
+        "M=2": {"tx_antennas": 2},
+        "M=8": {"tx_antennas": 8},
+        "M=1": {"tx_antennas": 1},
+        "16-PSK": {"constellation_order": 16},
+        "L=2": {"oam_states": (-1, 1)},
+        "L=16": {"oam_states": tuple(range(-8, 0)) + tuple(range(1, 9))},
+    }
+    SNRS = [float(s) for s in range(-10, 31, 2)] + [80.0, 120.0, 150.0, 180.0]
+
+    @pytest.mark.parametrize("changes", list(CONFIGS.values()), ids=list(CONFIGS))
+    def test_grid_equals_one_call_per_rho(self, changes):
+        cfg = dataclasses.replace(SystemConfig(), **changes)
+        tensor = build_channel_tensor(cfg)
+        nv = cfg.noise_power_w
+        rhos = [cfg.rho_for_snr_db(s) for s in self.SNRS]
+        assert abep(cfg, rhos, tensor=tensor) == [abep(cfg, rho, tensor=tensor) for rho in rhos]
+        assert abep(cfg, tuple(rhos[:3])) == abep(cfg, np.array(rhos[:3]), tensor=tensor) == abep(cfg, rhos[:3])
+        detection = antenna_detection_prob_avg(tensor, rhos, nv)
+        assert detection == [antenna_detection_prob_avg(tensor, rho, nv) for rho in rhos]
+        assert abep(cfg, [], tensor=tensor) == [] and antenna_detection_prob_avg(tensor, [], nv) == []
+
+    @pytest.mark.parametrize("bad", BAD_POWERS)
+    def test_every_rho_is_checked_before_any_integral(self, default_config, default_tensor, monkeypatch, bad):
+        calls = []
+        for name in ("integrate", "build_channel_tensor"):
+            real = getattr(metrics, name)
+            monkeypatch.setattr(metrics, name, lambda *a, _f=real, **k: calls.append(a) or _f(*a, **k))
+        rhos = [default_config.rho_for_snr_db(s) for s in (0.0, 10.0)] + [bad]
+        with pytest.raises(ValueError, match="rho must be finite and >= 0"):
+            abep(default_config, rhos, tensor=default_tensor)
+        with pytest.raises(ValueError, match="rho must be finite and >= 0"):
+            abep(default_config, rhos)
+        with pytest.raises(ValueError, match="rho must be finite and >= 0"):
+            antenna_detection_prob_avg(default_tensor, rhos, default_config.noise_power_w)
+        assert calls == []
+
+    def test_grouping_once_per_call(self, default_config, default_tensor, monkeypatch):
+        # The groupings key on the unit-power amplitudes, so a grid forms
+        # them as often as one rho does: own amplitudes, other amplitudes
+        # and gains.  Per rho come one integral and one mod_bep call.
+        counts = {"_distinct": 0, "integrate": 0, "mod_bep": 0}
+        for name in counts:
+            real = getattr(metrics, name)
+
+            def counting(*a, _n=name, _f=real, **k):
+                counts[_n] += 1
+                return _f(*a, **k)
+
+            monkeypatch.setattr(metrics, name, counting)
+        rhos = [default_config.rho_for_snr_db(s) for s in range(-10, 31, 2)]
+        abep(default_config, rhos, tensor=default_tensor)
+        assert counts == {"_distinct": 3, "integrate": 21, "mod_bep": 21}
+
+
+class TestModBepTable:
+    @pytest.mark.parametrize("order", [2, 4, 8, 16, 64])
+    def test_equals_the_pairwise_sum_bit_for_bit(self, order):
+        # The table keeps each pair's label distance and |x_p - x_q|^2; the
+        # sum runs in the (p, q) order the pairwise form names.
+        const = psk_constellation(order)
+        pts, labels = const.points, const.bit_labels
+        for h, rho, nv in ((1.0, 3.0, 2.0), (0.013 + 0.2j, 1e4, 1e-3), (2.5, 0.0, 1.0)):
+            scale = rho * abs(h) ** 2 / (2.0 * nv)
+            total = 0.0
+            for p, q in itertools.permutations(range(order), 2):
+                hamming = sum(c1 != c2 for c1, c2 in zip(labels[p], labels[q]))
+                total += hamming * q_function(math.sqrt(scale * abs(pts[p] - pts[q]) ** 2))
+            assert mod_bep(h, rho, nv, const) == total / (order * const.bits_per_symbol)
+
+
 class TestEnergyEfficiency:
     # The default config: 20 MHz, 6.8 W circuit power per chain, slope 4.
     def test_zero_capacity(self):

@@ -784,10 +784,10 @@ class TestSimulateBer:
         assert peak <= bound_mib * 2**20
 
     def test_snr_grid_reuses_the_blocked_buffers(self):
-        # 21 SNRs at the 64-antenna, 1024-PSK config above: every SNR and
-        # block of 2048 trials reuses one frame and one work buffer, so the
-        # grid peaked at 21.1 MiB, 7.7 MiB above one SNR, its 21 pairs of
-        # clean tables taking 5.3 MiB of that.  Deciding whole 8192-trial
+        # 21 SNRs at the 64-antenna, 1024-PSK config above: every block of
+        # at most 2048 trials forms its SNR-free power terms once, and every
+        # block and SNR reuses one work buffer, so the grid peaks at about
+        # 13.3 MiB, under 10 KiB an SNR above one SNR.  Deciding whole 8192-trial
         # chunks at once peaked at 33.4 MiB, inside the one-SNR bound above.
         cfg = SystemConfig(tx_antennas=64, oam_states=(-1, 1), constellation_order=1024)
         tensor = build_channel_tensor(cfg)
@@ -795,11 +795,10 @@ class TestSimulateBer:
         assert traced_peak(lambda: simulate_ber(cfg, snrs, 20000, 5, tensor=tensor)) <= 24 * 2**20
 
     def test_fig8_sized_grid_memory(self, default_config, default_tensor):
-        # 21 SNRs and 30 000 trials, as fig8 runs.  It peaked at 2.43 MiB
-        # when every SNR formed its own frames, and at 2.76 MiB with one
-        # frame and work buffer per call and each chunk's draw released
-        # before the next.  A 1-trial call first, so that no lazy import
-        # counts.
+        # 21 SNRs and 30 000 trials, as fig8 runs.  It peaks at about 2.78 MiB,
+        # with one work buffer per call for every block's power terms and
+        # each chunk's draw released before the next.  A 1-trial call
+        # first, so that no lazy import counts.
         simulate_ber(default_config, 0.0, 1, 0, tensor=default_tensor)
         snrs = [float(s) for s in range(-10, 31, 2)]
         peak = traced_peak(lambda: simulate_ber(default_config, snrs, 30000, 5, tensor=default_tensor))

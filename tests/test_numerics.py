@@ -1,6 +1,7 @@
 """Special-function kernels against independent high-precision oracles."""
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -256,6 +257,45 @@ class TestMarcumQ1Broadcast:
             marcum_q1(a, np.linspace(0.0, 5.0, 4))
 
 
+class TestMarcumQ1Pooled:
+    # Many distinct amplitudes of both regimes share one call: the window
+    # ones build their tails once per width, the large ones run one moment
+    # recurrence, in blocks of _BLOCK_ELEMENTS moments.
+    @pytest.mark.parametrize("n_points", [285, 2500])
+    def test_many_amplitudes_equal_one_scalar_call_each(self, n_points):
+        rng = np.random.default_rng(n_points)
+        amps = np.concatenate((rng.uniform(A_SWITCH, 400.0, 60), rng.uniform(0.0, A_SWITCH, 20), [0.0, A_SWITCH, 1e4]))
+        rng.shuffle(amps)
+        if n_points == 2500:  # the recurrence crosses a block
+            assert 62 * numerics._MARCUM_ORDERS * n_points > numerics._BLOCK_ELEMENTS
+        b = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1e4 + 20.0, n_points - 1))))
+        for points in (b, np.broadcast_to(b, (amps.size, b.size))):
+            out = marcum_q1(amps[:, None], points)
+            for row, amp in zip(out, amps.tolist()):
+                assert np.array_equal(row, marcum_q1(amp, b))
+
+    def test_scalar_amplitude_equals_the_array_path(self):
+        b = np.stack([TestMarcumQ1Broadcast.B, TestMarcumQ1Broadcast.B[::-1]])
+        for amp in TestMarcumQ1Broadcast.AMPS:
+            assert np.array_equal(marcum_q1(amp, b), marcum_q1(np.full((1, 1), amp), b))
+
+    def test_pooled_moments_are_blocked(self):
+        # 50 large amplitudes on 4000 points: one recurrence over all of them
+        # would hold 50 * 20 * 4000 moments (30.5 MiB).  Blocks of at most
+        # _BLOCK_ELEMENTS moments share one 7.3 MiB buffer, so the call
+        # peaks at 14.5 MiB; two live block buffers would reach 20 MiB.
+        amps = np.linspace(12.5, 300.0, 50)[:, None]
+        b = np.linspace(0.0, 320.0, 4000)
+        marcum_q1(amps, b[:10])
+        tracemalloc.start()
+        try:
+            marcum_q1(amps, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18 * 2**20
+
+
 class TestNoncentralChiSq2:
     def test_rejects_bad_noncentrality(self):
         for bad in (-1.0, math.nan, math.inf):
@@ -350,7 +390,7 @@ def test_poisson_pmf_dot_far_above_the_window_is_zero_without_warning():
     # y = inf used to form inf - inf in the window test.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = _poisson_pmf_dots([np.ones(8)], np.array([np.inf, 1e300, 3.0]))[0]
+        out = _poisson_pmf_dots([np.ones((1, 8))], np.array([np.inf, 1e300, 3.0]))[0]
     assert out[0] == 0.0 and out[1] == 0.0
     assert out[2] == pytest.approx(sum(math.exp(-3.0) * 3.0**k / math.factorial(k) for k in range(8)), rel=1e-14)
 
