@@ -179,9 +179,9 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, out_path: str, command: str
             plan.append((row, vi, cfg, snr_db, rho, seed_i, tensor))
     # The points of one config object of a variant share one abep and one
     # BER call, the latter under the first point's seed.
-    shared = [list(points) for _, points in itertools.groupby(plan, key=lambda p: (p[1], id(p[2])))]
+    groups = [list(points) for _, points in itertools.groupby(plan, key=lambda p: (p[1], id(p[2])))]
     abeps, ber = [], []
-    for points in shared:
+    for points in groups:
         _, _, cfg, _, _, seed_i, tensor = points[0]
         if "abep" in spec.outputs:
             abeps += abep(cfg, [p[4] for p in points], tensor=tensor)

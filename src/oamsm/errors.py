@@ -1,7 +1,6 @@
-"""Exception types shared across the package, the one validation path,
+"""Exception types shared across the package, and the one validation path,
 ``require``: a scalar against a rule, or every entry of an array against
-the rule's "in every entry" form, and ``_grid``, which tells an operating
-point from a 1-D grid of them."""
+the rule's "in every entry" form."""
 
 import cmath
 import math
@@ -89,12 +88,3 @@ def _first_failing_entry(value, rule: str) -> str:
     except (ValueError, StopIteration):  # ragged, or no entry fails on its own
         return ""
     return f"; first failing entry [{', '.join(map(str, np.unravel_index(i, a.shape)))}] = {a.item(i)!r}"
-
-
-def _grid(value) -> tuple[list, bool]:
-    """``(list(value), True)`` for a 1-D grid of operating points, else
-    ``([value], False)``.  A list or tuple is a grid and a plain number is
-    not, without np.ndim: it costs 2 us through np.asarray, and fails on a
-    list holding an array."""
-    grid = isinstance(value, (list, tuple)) or (not isinstance(value, (int, float)) and np.ndim(value) == 1)
-    return (list(value), True) if grid else ([value], False)

@@ -16,8 +16,8 @@ import numpy as np
 
 from .channel import ChannelTensor, _check_tensor, _pair_geometry, build_channel_tensor
 from .config import _MIMO_MODES, SystemConfig
-from .errors import ConfigError, NumericError, _grid, require
-from .numerics import Constellation, _chunks, _distance_blocks, _noise, integrate, marcum_q1, ncx2_pdf, q_function
+from .errors import ConfigError, NumericError, require
+from .numerics import Constellation, _chunks, _distance_blocks, _grid, _noise, integrate, marcum_q1, ncx2_pdf, q_function
 
 _LN2 = math.log(2.0)
 
@@ -370,7 +370,12 @@ def antenna_detection_prob_avg(tensor: ChannelTensor, rho, noise_var: float):
     keys round the unit-power amplitude |h| to 12 significant digits, and
     each key's first (m, l) stands for it.  Per rho only the
     representatives' noncentralities, the integrals and their mean are
-    formed, each lam as ``_noncentralities`` forms it.
+    formed, each lam as ``_noncentralities`` forms it.  So value k is bit
+    for bit the one-rho call at ``rho[k]`` by construction.  A key on
+    sqrt(lam) at each rho could instead split two amplitudes that agree
+    only to rounding at one rho and not at another; the two keyings gave
+    the same values, bit for bit, on the fig8, fig9, fig10 and sweep
+    configs they were compared on, which is a check, not a proof.
     """
     rhos, grid = _grid(rho)
     for r in rhos:
@@ -429,9 +434,8 @@ def mod_bep(
     Pairwise union form: (1 / (P log2 P)) * sum over ordered pairs of the
     label Hamming distance times Q(sqrt(rho |h|^2 |x_p - x_q|^2 / (2 sigma^2))),
     which matches a maximum-likelihood scalar detector (``euclidean``, the
-    one ``distance_mode``).  The pairs' Hamming distances and |x_p - x_q|^2
-    are the constellation's table, formed once; the sum runs in (p, q)
-    order.  A 1-point constellation carries no bits and gives 0.
+    one ``distance_mode``).  A 1-point constellation carries no bits and
+    gives 0.
     """
     require("distance_mode", distance_mode, _DISTANCE_MODES, ConfigError)
     require("|h|", abs(h), "finite and > 0")
@@ -439,11 +443,18 @@ def mod_bep(
     P = constellation.order
     if P == 1:
         return 0.0
+    nbits = constellation.bits_per_symbol
+    points = constellation.points
+    labels = constellation.bit_labels
     scale = rho * abs(h) ** 2 / (2.0 * noise_var)
     total = 0.0
-    for hamming, d2 in constellation._pair_table.tolist():
-        total += hamming * q_function(math.sqrt(scale * d2))
-    return total / (P * constellation.bits_per_symbol)
+    for p in range(P):
+        for q in range(P):
+            if p == q:
+                continue
+            hamming = sum(c1 != c2 for c1, c2 in zip(labels[p], labels[q]))
+            total += hamming * q_function(math.sqrt(scale * abs(points[p] - points[q]) ** 2))
+    return total / (P * nbits)
 
 
 def abep(config: SystemConfig, rho, tensor: ChannelTensor | None = None):

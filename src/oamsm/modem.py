@@ -84,8 +84,8 @@ import numpy as np
 
 from .channel import ChannelTensor, _check_tensor, _position, build_channel_tensor
 from .config import _DETECTORS, SystemConfig, _check_symbol_axes, _state, _state_index
-from .errors import ConfigError, _grid, require
-from .numerics import Constellation, _chunks, _noise
+from .errors import ConfigError, require
+from .numerics import Constellation, _chunks, _grid, _noise
 
 
 @dataclass(frozen=True)

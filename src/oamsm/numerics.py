@@ -16,8 +16,6 @@ from concurrent workers.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -280,38 +278,33 @@ def marcum_q1(a, b):
     round differently with its shape, and each amplitude keeps its own, a
     vector against its own contiguous rows.  So each value is bit for bit
     what a scalar-``a`` call on the same points gives, while one block (1e6
-    pmf values) holds the widest window.  A scalar ``a`` calls the table
-    directly, without the grouping.
+    pmf values) holds the widest window.
 
     Nonincreasing in ``b``, nondecreasing in ``a``; the range is [0, 1],
     and Q1(a, 0) = 1 exactly.
     """
-    scalar_a = np.ndim(a) == 0
-    require("a", a, "finite and >= 0" if scalar_a else "finite and >= 0 in every entry")
+    require("a", a, "finite and >= 0 in every entry")
     require("b", b, "finite and >= 0 in every entry")
     a_arr, b_arr = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if scalar_a:
-        out = _marcum_q1_table(a_arr.reshape(1), b_arr.ravel()).reshape(b_arr.shape)
+    shape = np.broadcast_shapes(a_arr.shape, b_arr.shape)
+    # The distinct amplitudes, and the index of each entry's among them.
+    index: dict[float, int] = {}
+    inverse = np.array([index.setdefault(v, len(index)) for v in a_arr.ravel().tolist()], dtype=np.intp)
+    inverse = inverse.reshape((1,) * (len(shape) - a_arr.ndim) + a_arr.shape)
+    amps = np.array(list(index), dtype=float)
+    b_full = np.broadcast_to(b_arr, shape)
+    # Where b has stride 0 along every axis that a varies along, one slice
+    # across those axes holds every amplitude's points.
+    varies = [n > 1 for n in inverse.shape]
+    if all(stride == 0 for stride, v in zip(b_full.strides, varies) if v):
+        points = b_full[tuple(slice(1) if v else slice(None) for v in varies)]
+        table = _marcum_q1_table(amps, points.ravel())
+        out = table[inverse, np.arange(points.size).reshape(points.shape)]
     else:
-        shape = np.broadcast_shapes(a_arr.shape, b_arr.shape)
-        # The distinct amplitudes, and the index of each entry's among them.
-        index: dict[float, int] = {}
-        inverse = np.array([index.setdefault(v, len(index)) for v in a_arr.ravel().tolist()], dtype=np.intp)
-        inverse = inverse.reshape((1,) * (len(shape) - a_arr.ndim) + a_arr.shape)
-        amps = np.array(list(index), dtype=float)
-        b_full = np.broadcast_to(b_arr, shape)
-        # Where b has stride 0 along every axis that a varies along, one slice
-        # across those axes holds every amplitude's points.
-        varies = [n > 1 for n in inverse.shape]
-        if all(stride == 0 for stride, v in zip(b_full.strides, varies) if v):
-            points = b_full[tuple(slice(1) if v else slice(None) for v in varies)]
-            table = _marcum_q1_table(amps, points.ravel())
-            out = table[inverse, np.arange(points.size).reshape(points.shape)]
-        else:
-            out = np.empty(shape)
-            for u in range(amps.size):
-                mask = np.broadcast_to(inverse == u, shape)
-                out[mask] = _marcum_q1_table(amps[u : u + 1], b_full[mask])[0]
+        out = np.empty(shape)
+        for u in range(amps.size):
+            mask = np.broadcast_to(inverse == u, shape)
+            out[mask] = _marcum_q1_table(amps[u : u + 1], b_full[mask])[0]
     out = np.clip(out, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 
@@ -481,6 +474,15 @@ def _substream(seed: int, *keys: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=(seed, *keys))
 
 
+def _grid(value) -> tuple[list, bool]:
+    """``(list(value), True)`` for a 1-D grid of operating points, else
+    ``([value], False)``.  A list or tuple is a grid and a plain number is
+    not, without np.ndim: it costs 2 us through np.asarray, and fails on a
+    list holding an array."""
+    grid = isinstance(value, (list, tuple)) or (not isinstance(value, (int, float)) and np.ndim(value) == 1)
+    return (list(value), True) if grid else ([value], False)
+
+
 def _chunks(total: int, size: int, seed: int, stream: int):
     """The one Monte Carlo driver: ``(start, n, rng)`` per chunk of at most
     ``size`` of ``total`` draws; chunk i draws from substream (seed, stream, i)."""
@@ -556,17 +558,6 @@ class Constellation:
     @property
     def bits_per_symbol(self) -> int:
         return self.order.bit_length() - 1
-
-    @functools.cached_property
-    def _pair_table(self) -> np.ndarray:
-        """(label Hamming distance, |x_p - x_q|^2) of every ordered pair p !=
-        q, in (p, q) order: ``metrics.mod_bep``'s table, formed on first use."""
-        pts, labels = self.points, self.bit_labels
-        flat = itertools.chain.from_iterable(
-            (sum(c1 != c2 for c1, c2 in zip(labels[p], labels[q])), abs(pts[p] - pts[q]) ** 2)
-            for p, q in itertools.permutations(range(self.order), 2)
-        )
-        return np.fromiter(flat, float, 2 * self.order * (self.order - 1)).reshape(-1, 2)
 
 
 def psk_constellation(order: int) -> Constellation:

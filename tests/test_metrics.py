@@ -1040,22 +1040,6 @@ class TestAbepGrid:
         assert counts == {"_distinct": 3, "integrate": 21, "mod_bep": 21}
 
 
-class TestModBepTable:
-    @pytest.mark.parametrize("order", [2, 4, 8, 16, 64])
-    def test_equals_the_pairwise_sum_bit_for_bit(self, order):
-        # The table keeps each pair's label distance and |x_p - x_q|^2; the
-        # sum runs in the (p, q) order the pairwise form names.
-        const = psk_constellation(order)
-        pts, labels = const.points, const.bit_labels
-        for h, rho, nv in ((1.0, 3.0, 2.0), (0.013 + 0.2j, 1e4, 1e-3), (2.5, 0.0, 1.0)):
-            scale = rho * abs(h) ** 2 / (2.0 * nv)
-            total = 0.0
-            for p, q in itertools.permutations(range(order), 2):
-                hamming = sum(c1 != c2 for c1, c2 in zip(labels[p], labels[q]))
-                total += hamming * q_function(math.sqrt(scale * abs(pts[p] - pts[q]) ** 2))
-            assert mod_bep(h, rho, nv, const) == total / (order * const.bits_per_symbol)
-
-
 class TestEnergyEfficiency:
     # The default config: 20 MHz, 6.8 W circuit power per chain, slope 4.
     def test_zero_capacity(self):
