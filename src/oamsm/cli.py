@@ -7,8 +7,9 @@ Two entry points:
 * ``oamsm preset figN`` runs a canned sweep specification (fig2..fig11)
   reproducing the standard evaluation curves for this system family.
 
-A sweep is planned, then computed, then written, so a point it cannot
-run stops it before any output runs.  Every CSV starts with ``#`` lines
+A sweep is planned whole, so a point it cannot run stops it before any
+file is opened or any output runs; then each group of points is computed
+and its rows written as it finishes.  Every CSV starts with ``#`` lines
 echoing the resolved configuration and the provenance of each default; a
 ``<out>.meta`` sidecar repeats them with the command line and a timestamp.
 Given the same seed, the CSV body is byte-identical across runs.
@@ -17,10 +18,11 @@ Given the same seed, the CSV body is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import datetime
-import itertools
+import functools
 import sys
 
 from . import __version__
@@ -41,15 +43,6 @@ _SWEEPS = {
     "antennas": ("antennas", "tx_antennas", int),
     "states": ("states", "oam_states", lambda v: default_states(int(v))),
     "constellation": ("constellation", "constellation_order", int),
-}
-
-# Output: its CSV columns, written in this table's order; the one place that
-# names them.
-_OUTPUT_COLUMNS = {
-    "capacity": ("capacity_oam_bits", "capacity_oam_stderr", "capacity_mimo_bits"),
-    "abep": ("abep",),
-    "ber": ("ber_sim", "ber_sim_stderr", "antenna_err_rate", "state_err_rate", "symbol_err_rate"),
-    "ee": ("ee_oam_bits_per_joule", "ee_mimo_bits_per_joule"),
 }
 
 # SystemConfig fields that a command-line flag of the same name overrides.
@@ -128,94 +121,106 @@ def _grid_values(sweep: str, start: float, stop: float, step: float):
     return [start + i * step for i in range(round(count) + 1) if start + i * step <= stop + 1e-9]
 
 
+class _Group:
+    """The planned points of one config object of one variant, in grid order:
+    each point's SNR, power, seed and row.  They share the config's tensor
+    and one call of each output."""
+
+    def __init__(self, cfg: SystemConfig, tensor):
+        self.cfg, self.tensor = cfg, tensor
+        self.snr_db, self.rho, self.seed, self.rows = [], [], [], []
+
+    @functools.cached_property
+    def capacities(self) -> list:
+        """Each point's (OAM-SM capacity, its standard error, baseline
+        capacity), drawn from the point's own seed; ``ee`` reads these too."""
+        cfg, points = self.cfg, list(zip(self.rho, self.seed))
+        caps = [dcmc_capacity(self.tensor, r, cfg.noise_power_w, cfg.samples, s) for r, s in points]
+        mimo = [mimo_capacity_baseline(cfg, r, cfg.noise_power_w, cfg.mimo_mode, cfg.samples, s) for r, s in points]
+        return [(cap.value, cap.std_error, m.value) for cap, m in zip(caps, mimo)]
+
+
+def _ber(g: _Group) -> list:
+    reps = simulate_ber(g.cfg, g.snr_db, g.cfg.trials, g.seed[0], g.cfg.detector, tensor=g.tensor)
+    rates = ("bit_error_rate", "bit_error_stderr", "antenna_error_rate", "state_error_rate", "symbol_error_rate")
+    return [tuple(getattr(rep, rate) for rate in rates) for rep in reps]
+
+
+def _ee(g: _Group) -> list:
+    # OAM-SM drives one chain; the array drives all M.
+    return [
+        (energy_efficiency(cap, rho, g.cfg, 1), energy_efficiency(mimo, rho, g.cfg, g.cfg.tx_antennas))
+        for (cap, _, mimo), rho in zip(g.capacities, g.rho)
+    ]
+
+
+# Output: (its CSV columns, group -> one tuple of values per point); the one
+# place that names them, in the order they are written.  The evaluators read
+# the output functions as module globals when they run, not when this is built.
+_OUTPUTS = {
+    "capacity": (("capacity_oam_bits", "capacity_oam_stderr", "capacity_mimo_bits"), lambda g: g.capacities),
+    "abep": (("abep",), lambda g: [(p,) for p in abep(g.cfg, g.rho, tensor=g.tensor)]),
+    "ber": (("ber_sim", "ber_sim_stderr", "antenna_err_rate", "state_err_rate", "symbol_err_rate"), _ber),
+    "ee": (("ee_oam_bits_per_joule", "ee_mimo_bits_per_joule"), _ee),
+}
+
+
 def run_sweep(config: SystemConfig, spec: SweepSpec, out_path: str, command: str = "") -> list:
     """Execute a sweep and write the CSV plus its ``.meta`` sidecar.
 
-    Plan, then compute, then write: the plan builds every point's config,
-    power, seed and tensor, and for capacity and ee outputs checks the
-    baseline, so a sweep raises every ConfigError before any output runs.
-    The points of one config object share its tensor, the capacity
-    kernel's table of frame distances kept on it and the logdet baseline's
-    singular values; a distance sweep builds them at every point.
-    Capacity and ee draw from point (variant, grid index)'s own seed.
-    ``abep`` and BER make one call each per config object of a variant:
-    ``abep`` on the grid of its points' powers, each value bit for bit the
-    one-point call's; ``simulate_ber`` under the seed of its first point.
-    In an SNR sweep every point of a variant shares that seed and, under
-    stepwise, each chunk's draw, so the variant's BER cells are correlated,
-    each keeping its own law and standard error; every other sweep makes
-    one call of each per point.  The ``.meta`` says which seed BER used.
-    The base gain is materialized once, so distance grids see genuine
+    The plan groups the points by config object of a variant: a variant is
+    one group in an SNR sweep, and every other sweep makes a group per
+    point.  Point by point it checks the power, then the group's tensor,
+    then, for capacity and ee outputs, the baseline, so a sweep raises
+    every ConfigError before any file is opened or any output runs.  The
+    base gain is materialized once, so distance grids see genuine
     attenuation, not a re-normalized channel; the headers show the gain as
-    configured, its value on the ``resolved_gain`` line.  Each output's
-    values fill its ``_OUTPUT_COLUMNS`` entry in order.  ``abep`` is the
-    stepwise analysis whatever ``detector`` is, and the ``.meta`` says so.
-    Returns the rows as dictionaries (same order as the CSV).
+    configured, its value on the ``resolved_gain`` line.
+
+    Then the ``.meta`` is written, and the CSV's ``#`` lines and column row;
+    each group's rows follow as soon as its outputs are done.  A failed run
+    so leaves this run's ``.meta`` and every finished group's rows: a
+    failure inside a variant's grid ``abep`` loses that variant's rows, not
+    an earlier variant's.
+
+    Each ``_OUTPUTS`` evaluator makes one call per group.  Capacity draws
+    from point (variant, grid index)'s own seed, BER from its group's first
+    point's, so in an SNR sweep a variant's BER cells are correlated, each
+    keeping its own law and standard error.  ``abep`` is the stepwise
+    analysis whatever ``detector`` is.  The ``.meta`` says both.  Returns
+    the rows as dictionaries, in CSV order.
     """
     require("sweep kind", spec.sweep, tuple(_SWEEPS), ConfigError)
     for out in spec.outputs:
-        require("output", out, tuple(_OUTPUT_COLUMNS), ConfigError)
+        require("output", out, tuple(_OUTPUTS), ConfigError)
     base = dataclasses.replace(config, **spec.overrides)
     pinned = dataclasses.replace(base, gain=base.gain_value)
     grid = _grid_values(spec.sweep, spec.start, spec.stop, spec.step)
     swept, field, parse = _SWEEPS[spec.sweep]
-    columns = [swept] + ["variant"] * bool(spec.variants) + ["rho_w"]
-    columns += [c for out, cols in _OUTPUT_COLUMNS.items() if out in spec.outputs for c in cols]
-    capacity = "capacity" in spec.outputs or "ee" in spec.outputs
-    plan = []
+    outputs = [entry for out, entry in _OUTPUTS.items() if out in spec.outputs]
+    columns = [swept] + ["variant"] * bool(spec.variants) + ["rho_w"] + [c for cols, _ in outputs for c in cols]
+    groups = []
     for vi, (label, changes) in enumerate(spec.variants or (("", {}),)):
         variant_cfg = dataclasses.replace(pinned, **changes) if changes else pinned
         for gi, value in enumerate(grid):
             cfg = dataclasses.replace(variant_cfg, **{field: parse(value)}) if field else variant_cfg
             snr_db = cfg.snr_db if field else parse(value)
             rho = cfg.rho_for_snr_db(snr_db)
-            seed_i = int(_substream(cfg.seed, vi, gi).generate_state(1, "uint64")[0])
-            # Every output reads the tensor.  It is kept on the config, and an
-            # SNR sweep keeps the config object, so it is built once per variant.
-            tensor = build_channel_tensor(cfg) if spec.outputs else None
-            if capacity:
-                _check_baseline(cfg, cfg.mimo_mode)
-            row = dict(zip(columns, (value, label, rho) if spec.variants else (value, rho)))
-            plan.append((row, vi, cfg, snr_db, rho, seed_i, tensor))
-    # The points of one config object of a variant share one abep and one
-    # BER call, the latter under the first point's seed.
-    groups = [list(points) for _, points in itertools.groupby(plan, key=lambda p: (p[1], id(p[2])))]
-    abeps, ber = [], []
-    for points in groups:
-        _, _, cfg, _, _, seed_i, tensor = points[0]
-        if "abep" in spec.outputs:
-            abeps += abep(cfg, [p[4] for p in points], tensor=tensor)
-        if "ber" in spec.outputs:
-            ber += simulate_ber(cfg, [p[3] for p in points], cfg.trials, seed_i, cfg.detector, tensor=tensor)
-    for i, (row, _, cfg, _, rho, seed_i, tensor) in enumerate(plan):
-        values = {}
-        if capacity:
-            cap = dcmc_capacity(tensor, rho, cfg.noise_power_w, cfg.samples, seed_i)
-            mimo = mimo_capacity_baseline(cfg, rho, cfg.noise_power_w, cfg.mimo_mode, cfg.samples, seed_i).value
-            values["capacity"] = (cap.value, cap.std_error, mimo)
-        if "abep" in spec.outputs:
-            values["abep"] = (abeps[i],)
-        if "ber" in spec.outputs:
-            rep = ber[i]
-            stages = (rep.antenna_error_rate, rep.state_error_rate, rep.symbol_error_rate)
-            values["ber"] = (rep.bit_error_rate, rep.bit_error_stderr, *stages)
-        if "ee" in spec.outputs:
-            # OAM-SM drives one chain; the array drives all M.
-            values["ee"] = (
-                energy_efficiency(cap.value, rho, cfg, 1),
-                energy_efficiency(mimo, rho, cfg, cfg.tx_antennas),
-            )
-        for out in spec.outputs:
-            row.update(zip(_OUTPUT_COLUMNS[out], values[out]))
-    rows = [row for row, *_ in plan]
+            # A new variant or a new config object starts a group.  Every
+            # output reads the tensor, which is kept on the config.
+            if gi == 0 or group.cfg is not cfg:
+                groups.append(group := _Group(cfg, build_channel_tensor(cfg) if spec.outputs else None))
+                if "capacity" in spec.outputs or "ee" in spec.outputs:
+                    _check_baseline(cfg, cfg.mimo_mode)
+            group.snr_db.append(snr_db)
+            group.rho.append(rho)
+            group.seed.append(int(_substream(cfg.seed, vi, gi).generate_state(1, "uint64")[0]))
+            group.rows.append(dict(zip(columns, (value, label, rho) if spec.variants else (value, rho))))
     config_lines = _config_lines(base)
-    head = [f"oamsm {__version__} sweep={spec.sweep} outputs={','.join(spec.outputs)}"]
-    _write(out_path, [f"# {line}" for line in head + config_lines], columns, rows)
-    now = datetime.datetime.now(datetime.timezone.utc).isoformat()
     meta = [
         f"code_version = {__version__}",
         f"command = {command}",
-        f"timestamp = {now}",
+        f"timestamp = {datetime.datetime.now(datetime.timezone.utc).isoformat()}",
         f"sweep = {spec.sweep}",
         f"grid = from {spec.start} to {spec.stop} step {spec.step}",
         f"outputs = {','.join(spec.outputs)}",
@@ -228,10 +233,21 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, out_path: str, command: str
             " so their ber cells are correlated; each cell keeps its own law and standard error"
         )
         meta.append(f"ber_seed = {shared if field is None else 'one per point'}")
-    if spec.variants:
-        meta.append(f"variants = {', '.join(label for label, _ in spec.variants)}")
-    _write(out_path + ".meta", meta + config_lines)
-    return rows
+    meta += [f"variants = {', '.join(label for label, _ in spec.variants)}"] * bool(spec.variants)
+    with _writing(out_path + ".meta") as fh:
+        fh.writelines(line + "\n" for line in meta + config_lines)
+    head = [f"oamsm {__version__} sweep={spec.sweep} outputs={','.join(spec.outputs)}"]
+    with _writing(out_path) as fh:
+        fh.writelines(f"# {line}\n" for line in head + config_lines)
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for group in groups:
+            for cols, evaluate in outputs:
+                for row, values in zip(group.rows, evaluate(group)):
+                    row.update(zip(cols, values))
+            writer.writerows([row[c] for c in columns] for row in group.rows)
+            fh.flush()
+    return [row for group in groups for row in group.rows]
 
 
 def _config_lines(cfg: SystemConfig) -> list:
@@ -248,16 +264,13 @@ def _config_lines(cfg: SystemConfig) -> list:
     return lines
 
 
-def _write(path: str, lines: list, columns=(), rows=()) -> None:
-    """Write ``lines``, then, if ``columns`` are given, a CSV table of
-    ``rows`` under that header."""
+@contextlib.contextmanager
+def _writing(path: str):
+    """``path`` opened for writing; an OSError opening or writing it is a
+    ConfigError."""
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.writelines(line + "\n" for line in lines)
-            if columns:
-                writer = csv.writer(fh)
-                writer.writerow(columns)
-                writer.writerows([row[c] for c in columns] for row in rows)
+            yield fh
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 

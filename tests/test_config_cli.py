@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import io
 import math
 import os
 import re
@@ -18,6 +19,7 @@ from oamsm import (
     PROVENANCE,
     BeamParams,
     ConfigError,
+    NumericError,
     SystemConfig,
     load_config,
     mimo_capacity_baseline,
@@ -454,7 +456,7 @@ class TestRunSweep:
         ],
     )
     def test_tensor_built_once_per_point_config(self, tmp_path, monkeypatch, sweep, variants, builds):
-        # Every point asks for its config's tensor; a config keeps the one it built.
+        # Each group of points asks once for its config's tensor.
         built = []
         real = oamsm.cli.build_channel_tensor
         monkeypatch.setattr(oamsm.cli, "build_channel_tensor", lambda cfg: built.append(real(cfg)) or built[-1])
@@ -468,7 +470,7 @@ class TestRunSweep:
         )
         rows = run_sweep(SystemConfig(), spec, str(tmp_path / "t.csv"))
         assert len(rows) == 3 * max(1, len(variants))
-        assert len(built) == len(rows)
+        assert len(built) == builds
         assert len({id(tensor) for tensor in built}) == builds
 
     def test_kept_tensors_leave_the_csv_body_as_it_is(self, tmp_path):
@@ -549,6 +551,66 @@ class TestRunSweep:
         for row in rows:
             assert 0.0 <= row["abep"] <= 1.0
             assert 0.0 <= row["ber_sim"] <= 1.0
+
+    def test_returned_rows_are_the_csv_body(self, tmp_path):
+        # Each row's keys are the columns, and its values are the cells as
+        # the csv module formats them.
+        out = tmp_path / "r.csv"
+        variants = (("M=2", {"tx_antennas": 2}), ("L=2", {"oam_states": (-1, 1)}))
+        outputs = ("ee", "ber", "abep", "capacity")
+        spec = tiny_spec(outputs=outputs, overrides={"samples": 40, "trials": 200}, variants=variants)
+        rows = run_sweep(SystemConfig(), spec, str(out))
+        with open(out, newline="", encoding="utf-8") as fh:
+            body = "".join(line for line in fh if not line.startswith("#"))
+        columns = body.splitlines()[0].split(",")
+        assert len(rows) == 6 and all(set(row) == set(columns) for row in rows)
+        want = io.StringIO()
+        csv.writer(want).writerows([columns] + [[row[c] for c in columns] for row in rows])
+        assert body == want.getvalue()
+
+    def test_ee_never_recomputes_capacity(self, tmp_path, monkeypatch):
+        # ee reads its group's capacities: with or without the capacity
+        # columns, one capacity and one baseline call per point of fig11's grid.
+        calls = count_output_calls(monkeypatch)
+        argv = ["run", "--sweep", "snr", "--from", "0", "--to", "40", "--step", "2", "--samples", "100"]
+        cells, ee = {}, ["ee_oam_bits_per_joule", "ee_mimo_bits_per_joule"]
+        for outputs in ("capacity,ee", "ee"):
+            calls.clear()
+            out = tmp_path / f"{outputs.replace(',', '_')}.csv"
+            assert main(argv + ["--outputs", outputs, "--out", str(out)]) == 0
+            assert sorted(calls) == ["dcmc_capacity"] * 21 + ["mimo_capacity_baseline"] * 21
+            with open(out, newline="", encoding="utf-8") as fh:
+                rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+            cells[outputs] = [[row[c] for c in ee] for row in rows]
+        assert list(rows[0]) == ["snr_db", "rho_w"] + ee
+        assert len(cells["ee"]) == 21 and cells["ee"] == cells["capacity,ee"]
+
+    def test_finished_rows_survive_a_numeric_error(self, tmp_path, monkeypatch, capsys):
+        # Each group's rows are written when its outputs finish, so an error
+        # at the third point keeps the first two; the files are this run's.
+        out = tmp_path / "d.csv"
+        argv = ["run", "--sweep", "distance", "--from", "10", "--to", "100", "--step", "30", "--outputs", "abep"]
+        assert main(argv + ["--out", str(out)]) == 0
+        first = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        assert len(first) == 5
+        calls, real = [], oamsm.cli.abep
+
+        def abep(*a, **k):
+            calls.append(a)
+            if len(calls) == 3:
+                raise NumericError("forced at the third point", 0.5, 1.0)
+            return real(*a, **k)
+
+        monkeypatch.setattr(oamsm.cli, "abep", abep)
+        second = argv + ["--samples", "7", "--out", str(out)]
+        assert main(second) == 3
+        assert "numeric error: forced at the third point" in capsys.readouterr().err
+        lines = out.read_text().splitlines()
+        head = [line for line in lines if line.startswith("#")]
+        assert lines[: len(head)] == head and "# samples = 7  [override]" in head
+        assert lines[len(head) :] == first[:3]
+        meta = (tmp_path / "d.csv.meta").read_text().splitlines()
+        assert f"command = oamsm {' '.join(second)}" in meta
 
 
 class TestPresets:
@@ -777,6 +839,13 @@ class TestCliMain:
         calls = count_output_calls(monkeypatch)
         assert main(["preset", figure, "--mimo-mode", "dcmc_psk", "--out", str(tmp_path / "o.csv")]) == 2
         assert "config error: dcmc_psk baseline limited to P^M <= 4096 inputs, got 65536" in capsys.readouterr().err
+        assert calls == [] and list(tmp_path.iterdir()) == []
+
+    def test_unwritable_out_stops_the_sweep_before_any_output(self, tmp_path, capsys, monkeypatch):
+        # fig2's 31 capacity points used to run before the write failed.
+        calls, out = count_output_calls(monkeypatch), tmp_path / "missing" / "x.csv"
+        assert main(["preset", "fig2", "--out", str(out)]) == 2
+        assert "config error: cannot write" in capsys.readouterr().err
         assert calls == [] and list(tmp_path.iterdir()) == []
 
     def test_dcmc_psk_input_limit_binds_only_capacity_outputs(self, tmp_path):
